@@ -634,18 +634,25 @@ let joinorder () =
       match r.rewritings with
       | [] -> Format.printf "%10d (no rewriting)@." n
       | p :: _ ->
-          let (_, dp_cost), dp_ms = time_ms (fun () -> M2.optimal view_db p.Query.body) in
+          let src = M2.exact view_db in
+          let dp, dp_ms = time_ms (fun () -> M2.optimal src p.Query.body) in
+          let dp_cost = match dp with Some (_, c) -> c | None -> assert false in
           let connected, conn_ms =
-            time_ms (fun () -> M2.optimal_connected view_db p.Query.body)
+            time_ms (fun () -> M2.optimal ~connected:true src p.Query.body)
           in
           let conn_loss =
             match connected with
-            | Some (_, c) -> Printf.sprintf "%10.2fx" (float_of_int c /. float_of_int dp_cost)
+            | Some (_, c) -> Printf.sprintf "%10.2fx" (c /. dp_cost)
             | None -> Printf.sprintf "%10s" "n/a"
           in
           if n <= 6 then begin
-            let (_, ex_cost), ex_ms =
-              time_ms (fun () -> M2.optimal_exhaustive view_db p.Query.body)
+            (* every permutation costed on its own *)
+            let ex_cost, ex_ms =
+              time_ms (fun () ->
+                  List.fold_left
+                    (fun acc o -> Float.min acc (M2.cost src o))
+                    Float.infinity
+                    (Orderings.permutations p.Query.body))
             in
             Format.printf "%10d %12.2f %14.2f %16.2f %10b %s@."
               (List.length p.Query.body) dp_ms conn_ms ex_ms (dp_cost = ex_cost) conn_loss
@@ -761,13 +768,14 @@ let estimate () =
         (match r.rewritings with
         | [] -> ()
         | p :: _ ->
-            let catalog = Estimate.analyze view_db in
-            let est_order, _ = Estimate.optimal catalog p.Query.body in
-            let realized = M2.cost_of_order view_db est_order in
-            let _, true_opt = M2.optimal view_db p.Query.body in
-            let ratio = float_of_int realized /. float_of_int (max 1 true_opt) in
+            let plan src = Option.get (M2.optimal src p.Query.body) in
+            let est_order, _ = plan (M2.estimated (Estimate.analyze view_db)) in
+            let exact = M2.exact view_db in
+            let realized = M2.cost exact est_order in
+            let _, true_opt = plan exact in
+            let ratio = realized /. Float.max 1. true_opt in
             ratios := ratio :: !ratios;
-            Format.printf "%6d %12d %14d %15.2fx %8d@." run true_opt realized ratio
+            Format.printf "%6d %12.0f %14.0f %15.2fx %8d@." run true_opt realized ratio
               (List.length p.Query.body))
   done;
   (match !ratios with
@@ -842,10 +850,10 @@ let joins ~settings () =
       (* plan-choice agreement: the order picked from statistics alone
          must not be beatable by any order under the materialized cost *)
       let est = Estimate.of_stats (Stats.collect db) in
-      let est_order, est_cost = M2.optimal_estimated est query.Query.body in
-      let exact_cost = M2.cost_of_order db est_order in
+      let est_order, est_cost = Option.get (M2.optimal (M2.estimated est) query.Query.body) in
+      let exact_cost = M2.cost (M2.exact db) est_order in
       let cost_equal =
-        M2.optimal_pruned ~bound:exact_cost db query.Query.body = None
+        M2.optimal ~bound:exact_cost (M2.exact db) query.Query.body = None
       in
       let speedup = if run_eval && exec_ms > 0. then eval_ms /. exec_ms else 0. in
       let rows_per_sec =
@@ -862,7 +870,7 @@ let joins ~settings () =
           jn_rows_per_sec = rows_per_sec;
           jn_oracle_equal = oracle_equal;
           jn_est_cost = est_cost;
-          jn_exact_cost = exact_cost;
+          jn_exact_cost = int_of_float exact_cost;
           jn_cost_equal = cost_equal;
           jn_rows_pruned = rows_pruned;
           jn_partitions = partitions;
@@ -1067,20 +1075,23 @@ let acyclic_bench ~settings () =
             && Relation.equal fast general
             && Relation.equal fast indexed
           in
-          (* planner identity, statistics only: the unseeded estimated DP
-             is never beaten by the tree order, and the tree shortcut in
-             Select fires only when the tree order attains the lower
-             bound — i.e. is provably optimal *)
+          (* planner identity, statistics only: the tree-seeded selection
+             returns exactly the unseeded estimated DP's plan, and the
+             tree order never beats it *)
           let est = Estimate.of_stats (Stats.collect db) in
-          let _, dp_cost = M2.optimal_estimated est query.Query.body in
+          let src = M2.estimated est in
+          let dp = M2.optimal src query.Query.body in
           let cost_equal =
-            match Hypergraph.tree_order query.Query.body with
-            | None -> false
-            | Some order ->
-                let tree_cost = M2.estimated_cost_of_order est order in
-                let lb = M2.estimated_lower_bound est query.Query.body in
-                dp_cost <= tree_cost +. 1e-6
-                && (tree_cost > lb +. 1e-6 || tree_cost -. dp_cost <= 1e-6)
+            match
+              ( Hypergraph.tree_order query.Query.body,
+                dp,
+                Select.best_m2_estimated est [ query ] )
+            with
+            | Some order, Some (dp_order, dp_cost), Some c ->
+                dp_cost <= M2.cost src order
+                && c.Select.cost = dp_cost
+                && List.equal Atom.equal c.Select.plan dp_order
+            | _ -> false
           in
           let speedup = general_ms /. Float.max 1e-9 fast_ms in
           let rows_per_sec =
@@ -1395,7 +1406,9 @@ let optimize ~settings =
                 (match (naive, engine) with
                 | Some (_, _, n_cost), Some c ->
                     if c.Select.m2_cost <> n_cost then equal := false;
-                    if M2.cost_of_order view_db c.Select.m2_order <> c.Select.m2_cost
+                    if
+                      M2.cost (M2.exact view_db) c.Select.m2_order
+                      <> float_of_int c.Select.m2_cost
                     then equal := false
                 | None, None -> ()
                 | _ -> equal := false))
@@ -1525,16 +1538,7 @@ let observe ~settings =
   in
   let interned = Interned.of_database db in
   let est = Estimate.of_stats (Stats.collect db) in
-  let estimate = function
-    | [] -> Float.nan
-    | [ a ] -> Estimate.atom_cardinality est a
-    | a :: rest ->
-        Estimate.profile_card
-          (List.fold_left
-             (fun p b -> Estimate.join_profiles p (Estimate.atom_profile est b))
-             (Estimate.atom_profile est a)
-             rest)
-  in
+  let estimate = Estimate.cardinality est in
   ignore (Exec.answers interned aquery) (* warm-up *);
   let plain = ref 0. and profiled = ref 0. in
   for pass = 1 to passes do

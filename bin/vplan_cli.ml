@@ -176,63 +176,65 @@ let plan_cmd =
     let views, _ = split_views_and_candidates query rest in
     let base = database_of_file data in
     let budget = budget_of ~timeout ~max_steps in
-    let t = Vplan.Optimizer.create ~query ~views ~base in
-    (match (cost, cost_mode) with
-    | (`M1 | `M3 | `M3s), `Estimated ->
-        Format.eprintf "error: --cost-mode estimated supports --cost m2 only@.";
-        exit 2
-    | `M2, `Estimated -> (
-        (* statistics-only selection: join selectivities derived from the
-           base-table catalog, views never materialized for costing; the
-           realized cost of the chosen order is printed for comparison *)
-        let stats = Vplan.Stats.collect base in
-        let est = Vplan.Estimate.view_stats (Vplan.Estimate.of_stats stats) views in
-        match
-          Vplan.Select.best_m2_estimated ?budget est (Vplan.Optimizer.candidates t)
-        with
-        | None -> Format.printf "no rewriting@."
-        | Some c ->
-            Format.printf "rewriting: %a@." Vplan.Query.pp c.est_rewriting;
-            Format.printf "join order:";
-            List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) c.est_order;
-            Format.printf "@.cost (M2, estimated): %.1f@." c.est_cost;
-            Format.printf "cost (M2, realized): %d@."
-              (Vplan.M2.cost_of_order (Vplan.Optimizer.view_database t) c.est_order);
-            if explain then
-              Vplan.Explain.m2 Format.std_formatter
-                (Vplan.Optimizer.view_database t) c.est_order)
-    | cost, `Exact ->
-    match cost with
-    | `M1 -> (
-        match Vplan.Optimizer.best_m1 t with
-        | None -> Format.printf "no rewriting@."
-        | Some p ->
-            Format.printf "rewriting: %a@.cost (subgoals): %d@." Vplan.Query.pp p
-              (Vplan.M1.cost p))
-    | `M2 -> (
-        match Vplan.Optimizer.best_m2 ?budget ~domains t with
-        | None -> Format.printf "no rewriting@."
-        | Some c ->
-            Format.printf "rewriting: %a@." Vplan.Query.pp c.m2_rewriting;
-            Format.printf "join order:";
-            List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) c.m2_order;
-            Format.printf "@.cost (M2): %d@." c.m2_cost;
-            if explain then
-              Vplan.Explain.m2 Format.std_formatter (Vplan.Optimizer.view_database t)
-                c.m2_order)
-    | (`M3 | `M3s) as strategy -> (
-        let strategy = if strategy = `M3 then `Heuristic else `Supplementary in
-        match Vplan.Optimizer.best_m3 ~strategy ?budget ~domains t with
-        | None -> Format.printf "no rewriting@."
-        | Some c ->
-            Format.printf "rewriting: %a@." Vplan.Query.pp c.m3_rewriting;
-            Format.printf "plan: %a@." Vplan.M3.pp_plan c.m3_plan;
-            Format.printf "cost (M3): %d@." c.m3_cost;
-            if explain then
-              Vplan.Explain.m3 Format.std_formatter (Vplan.Optimizer.view_database t)
-                c.m3_plan));
-    let truth = Vplan.Optimizer.answer t in
-    Format.printf "query answer size: %d@." (Vplan.Relation.cardinality truth)
+    let ctx = Vplan.Optimizer.create ~views base in
+    (* plan under [model]; [print] shows the chosen plan's details *)
+    let report model print =
+      let r, choice = Vplan.Optimizer.plan ?budget ~domains model ctx query in
+      (match choice with
+      | None -> Format.printf "no rewriting@."
+      | Some (c : _ Vplan.Select.choice) ->
+          Format.printf "rewriting: %a@." Vplan.Query.pp c.rewriting;
+          print c);
+      r.Vplan.Corecover.completeness
+    in
+    let print_order (c : _ Vplan.Select.choice) =
+      Format.printf "join order:";
+      List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) c.plan;
+      Format.printf "@."
+    in
+    let explain_m2 (c : _ Vplan.Select.choice) =
+      if explain then
+        Vplan.Explain.m2 Format.std_formatter (Vplan.Optimizer.view_database ctx) c.plan
+    in
+    let completeness =
+      match (cost, cost_mode) with
+      | (`M1 | `M3 | `M3s), `Estimated ->
+          Format.eprintf "error: --cost-mode estimated supports --cost m2 only@.";
+          exit 2
+      | `M1, `Exact ->
+          report Vplan.Optimizer.M1 (fun c -> Format.printf "cost (subgoals): %.0f@." c.cost)
+      | `M2, `Estimated ->
+          (* statistics-only selection: join selectivities derived from the
+             base-table statistics, views never materialized for costing;
+             the realized cost of the chosen order is printed for
+             comparison *)
+          report (Vplan.Optimizer.M2 Vplan.Optimizer.Estimated) (fun c ->
+              print_order c;
+              Format.printf "cost (M2, estimated): %.1f@." c.cost;
+              Format.printf "cost (M2, realized): %.0f@."
+                (Vplan.M2.cost (Vplan.M2.exact (Vplan.Optimizer.view_database ctx)) c.plan);
+              explain_m2 c)
+      | `M2, `Exact ->
+          report (Vplan.Optimizer.M2 Vplan.Optimizer.Exact) (fun c ->
+              print_order c;
+              Format.printf "cost (M2): %.0f@." c.cost;
+              explain_m2 c)
+      | ((`M3 | `M3s) as strategy), `Exact ->
+          let strategy = if strategy = `M3 then `Heuristic else `Supplementary in
+          report (Vplan.Optimizer.M3 strategy) (fun c ->
+              Format.printf "plan: %a@." Vplan.M3.pp_plan c.plan;
+              Format.printf "cost (M3): %.0f@." c.cost;
+              if explain then
+                Vplan.Explain.m3 Format.std_formatter (Vplan.Optimizer.view_database ctx) c.plan)
+    in
+    Format.printf "query answer size: %d@."
+      (Vplan.Relation.cardinality (Vplan.Eval.answers base query));
+    match completeness with
+    | Vplan.Corecover.Complete -> ()
+    | Vplan.Corecover.Truncated reason ->
+        (* the cut-short candidate set may have missed the optimum *)
+        Format.eprintf "warning: result truncated: %s@." (Vplan.Vplan_error.to_string reason);
+        exit 3
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Pick a cost-optimal rewriting and physical plan over a concrete database.")
@@ -319,25 +321,15 @@ let explain_cmd =
             None )
       | false, Some data ->
           (* the same pipeline [plan --cost m2] runs, with each stage under
-             the tracer: materialize, CoreCover*, branch-and-bound *)
-          let base = database_of_file data in
-          let choice, spans =
+             the tracer: CoreCover*, materialize, branch-and-bound *)
+          let ctx = Vplan.Optimizer.create ~views (database_of_file data) in
+          let (_, choice), spans =
             Vplan.Trace.run (fun () ->
-                let view_db =
-                  Vplan.Obs.phase "materialize" (fun () ->
-                      Vplan.Materialize.views base views)
-                in
-                let r =
-                  Vplan.Corecover.all_minimal ?budget ?max_results:max_covers
-                    ~domains ~query ~views ()
-                in
-                let memo = Vplan.Subplan.create () in
-                Vplan.Select.best_m2 ~memo ?budget ~domains
-                  ~filters:r.Vplan.Corecover.filters view_db
-                  r.Vplan.Corecover.rewritings)
+                Vplan.Optimizer.plan ?budget ?max_covers ~domains
+                  (Vplan.Optimizer.M2 Vplan.Optimizer.Exact) ctx query)
           in
           ( (match choice with
-            | Some c -> Printf.sprintf "plan cost=%d" c.Vplan.Select.m2_cost
+            | Some c -> Printf.sprintf "plan cost=%.0f" c.Vplan.Select.cost
             | None -> "plan none"),
             spans,
             None )

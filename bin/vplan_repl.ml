@@ -183,7 +183,6 @@ let cmd_set rest =
 
 let cmd_plan model =
   with_query (fun query ->
-      let problem = { Vplan.Planner.query; views = state.views } in
       let cost_model =
         match model with
         | "m1" -> Some `M1
@@ -194,7 +193,12 @@ let cmd_plan model =
       match cost_model with
       | None -> print_endline "usage: plan m1|m2|m3"
       | Some cost_model -> (
-          match Vplan.Planner.plan ~cost_model problem ~base:state.base with
+          let ctx = Vplan.Optimizer.create ~views:state.views state.base in
+          let plan, completeness =
+            Vplan.Planner.plan ?budget:(budget_of_state ()) ?max_covers:state.max_covers
+              ~cost_model ctx query
+          in
+          (match plan with
           | None -> print_endline "no rewriting"
           | Some plan ->
               (match plan with
@@ -207,8 +211,12 @@ let cmd_plan model =
               | Vplan.Planner.Annotated { rewriting; plan; cost } ->
                   Format.printf "rewriting: %a@." Vplan.Query.pp rewriting;
                   Format.printf "plan: %a@.cost: %d cells@." Vplan.M3.pp_plan plan cost);
-              let answer = Vplan.Planner.execute problem ~base:state.base plan in
-              Format.printf "answer: %a@." Vplan.Relation.pp answer))
+              let answer = Vplan.Planner.execute ctx plan in
+              Format.printf "answer: %a@." Vplan.Relation.pp answer);
+          match completeness with
+          | Vplan.Corecover.Complete -> ()
+          | Vplan.Corecover.Truncated reason ->
+              Format.printf "(truncated: %s)@." (Vplan.Vplan_error.to_string reason)))
 
 let cmd_answer () =
   with_query (fun query ->

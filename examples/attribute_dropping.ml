@@ -57,15 +57,13 @@ let () =
      the generator+optimizer pipeline would miss P1's cheaper plan (best
      supplementary cost 25 below), and the renaming heuristic recovers it
      (cost 18) without leaving the view-tuple space. *)
-  let t = Optimizer.create ~query ~views ~base in
-  (match
-     ( Optimizer.best_m3 ~strategy:`Supplementary t,
-       Optimizer.best_m3 ~strategy:`Heuristic t )
-   with
+  let ctx = Optimizer.create ~views base in
+  let best strategy = snd (Optimizer.plan (Optimizer.M3 strategy) ctx query) in
+  (match (best `Supplementary, best `Heuristic) with
   | Some s, Some h ->
-      Format.printf "@.best supplementary plan: cost %d for %a@." s.m3_cost Query.pp
-        s.m3_rewriting;
-      Format.printf "best heuristic plan:     cost %d for %a@." h.m3_cost Query.pp
-        h.m3_rewriting
+      Format.printf "@.best supplementary plan: cost %.0f for %a@." s.cost Query.pp
+        s.rewriting;
+      Format.printf "best heuristic plan:     cost %.0f for %a@." h.cost Query.pp
+        h.rewriting
   | _ -> Format.printf "no rewriting@.");
   Format.printf "@.true answer: %a@." Relation.pp (Eval.answers base query)

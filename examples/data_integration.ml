@@ -63,25 +63,26 @@ let () =
   Format.printf "minimal rewritings over the sources:@.";
   List.iter (fun p -> Format.printf "  %a@." Query.pp p) r.rewritings;
 
-  let t = Optimizer.create ~query ~views:sources ~base in
-  (match Optimizer.best_m1 t with
-  | Some p -> Format.printf "@.fewest-joins rewriting (M1): %a@." Query.pp p
-  | None -> Format.printf "@.no rewriting@.");
-  (match Optimizer.best_m2 t with
+  let ctx = Optimizer.create ~views:sources base in
+  (match Optimizer.plan Optimizer.M1 ctx query with
+  | _, Some c -> Format.printf "@.fewest-joins rewriting (M1): %a@." Query.pp c.rewriting
+  | _, None -> Format.printf "@.no rewriting@.");
+  let _, m2 = Optimizer.plan (Optimizer.M2 Optimizer.Exact) ctx query in
+  (match m2 with
   | Some c ->
-      Format.printf "M2-optimal rewriting: %a@." Query.pp c.m2_rewriting;
+      Format.printf "M2-optimal rewriting: %a@." Query.pp c.rewriting;
       Format.printf "  join order:";
-      List.iter (fun a -> Format.printf " %a" Atom.pp a) c.m2_order;
-      Format.printf "@.  cost: %d cells@." c.m2_cost
+      List.iter (fun a -> Format.printf " %a" Atom.pp a) c.plan;
+      Format.printf "@.  cost: %.0f cells@." c.cost
   | None -> ());
 
   (* soundness: execute over the materialized sources *)
-  let truth = Optimizer.answer t in
+  let truth = Eval.answers base query in
   Format.printf "@.query answer: %d tuples@." (Relation.cardinality truth);
-  match Optimizer.best_m2 t with
+  match m2 with
   | Some c ->
       let via_sources =
-        Materialize.answers_via_rewriting (Optimizer.view_database t) c.m2_rewriting
+        Materialize.answers_via_rewriting (Optimizer.view_database ctx) c.rewriting
       in
       Format.printf "via sources:  %d tuples (%s)@."
         (Relation.cardinality via_sources)

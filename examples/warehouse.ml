@@ -74,24 +74,32 @@ let () =
   List.iter (fun tv -> Format.printf " %a" View_tuple.pp tv) r.filters;
   Format.printf "@.";
 
-  let t = Optimizer.create ~query ~views ~base in
-  (match Optimizer.best_m1 t with
-  | Some p -> Format.printf "@.M1 (fewest joins): %a@." Query.pp p
-  | None -> ());
-  (match Optimizer.best_m2 ~with_filters:false t with
-  | Some c -> Format.printf "M2 without filters: cost %d for %a@." c.m2_cost Query.pp c.m2_rewriting
-  | None -> ());
-  (match Optimizer.best_m2 ~with_filters:true t with
+  let ctx = Optimizer.create ~views base in
+  (match Optimizer.plan Optimizer.M1 ctx query with
+  | _, Some c -> Format.printf "@.M1 (fewest joins): %a@." Query.pp c.rewriting
+  | _, None -> ());
+  (* the selection engine alone, over the same candidates, to show what
+     the filters buy *)
+  (match
+     Select.m2 ~rank:(Optimizer.estimate ctx)
+       (M2.exact (Optimizer.view_database ctx))
+       r.rewritings
+   with
   | Some c ->
-      Format.printf "M2 with filters:    cost %d for %a@." c.m2_cost Query.pp c.m2_rewriting;
+      Format.printf "M2 without filters: cost %.0f for %a@." c.cost Query.pp c.rewriting
+  | None -> ());
+  (match Optimizer.plan (Optimizer.M2 Optimizer.Exact) ctx query with
+  | _, Some c ->
+      Format.printf "M2 with filters:    cost %.0f for %a@." c.cost Query.pp c.rewriting;
       let result =
-        Materialize.answers_via_rewriting (Optimizer.view_database t) c.m2_rewriting
+        Materialize.answers_via_rewriting (Optimizer.view_database ctx) c.rewriting
       in
       Format.printf "@.answer: %d tuples (%s)@."
         (Relation.cardinality result)
-        (if Relation.equal result (Optimizer.answer t) then "matches the query" else "MISMATCH")
-  | None -> ());
-  match Optimizer.best_m3 ~strategy:`Heuristic t with
-  | Some c ->
-      Format.printf "M3 heuristic:       cost %d, plan %a@." c.m3_cost M3.pp_plan c.m3_plan
-  | None -> ()
+        (if Relation.equal result (Eval.answers base query) then "matches the query"
+         else "MISMATCH")
+  | _, None -> ());
+  match Optimizer.plan (Optimizer.M3 `Heuristic) ctx query with
+  | _, Some c ->
+      Format.printf "M3 heuristic:       cost %.0f, plan %a@." c.cost M3.pp_plan c.plan
+  | _, None -> ()

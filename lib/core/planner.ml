@@ -63,34 +63,32 @@ type plan =
 
 type cost_model = [ `M1 | `M2 | `M3 of [ `Supplementary | `Heuristic ] ]
 
-let plan ~cost_model problem ~base =
-  let t = Optimizer.create ~query:problem.query ~views:problem.views ~base in
+let plan ?budget ?max_covers ~cost_model ctx query =
+  let model_plan model wrap =
+    let r, choice = Optimizer.plan ?budget ?max_covers model ctx query in
+    (Option.map wrap choice, r.Corecover.completeness)
+  in
   match cost_model with
-  | `M1 -> Option.map (fun p -> Logical p) (Optimizer.best_m1 t)
+  | `M1 -> model_plan Optimizer.M1 (fun (c : _ Select.choice) -> Logical c.rewriting)
   | `M2 ->
-      Option.map
-        (fun (c : Optimizer.m2_choice) ->
-          Ordered { rewriting = c.m2_rewriting; order = c.m2_order; cost = c.m2_cost })
-        (Optimizer.best_m2 t)
+      model_plan (Optimizer.M2 Optimizer.Exact) (fun c ->
+          Ordered { rewriting = c.rewriting; order = c.plan; cost = int_of_float c.cost })
   | `M3 strategy ->
-      Option.map
-        (fun (c : Optimizer.m3_choice) ->
-          Annotated { rewriting = c.m3_rewriting; plan = c.m3_plan; cost = c.m3_cost })
-        (Optimizer.best_m3 ~strategy t)
+      model_plan (Optimizer.M3 strategy) (fun c ->
+          Annotated { rewriting = c.rewriting; plan = c.plan; cost = int_of_float c.cost })
 
-let execute problem ~base p =
-  let view_db = Materialize.views base problem.views in
+let execute ctx p =
+  let view_db = Optimizer.view_database ctx in
   match p with
   | Logical rewriting | Ordered { rewriting; _ } ->
       Materialize.answers_via_rewriting view_db rewriting
   | Annotated { rewriting; plan; _ } -> M3.answers view_db ~head:rewriting.Query.head plan
 
 let answer_via_views ~cost_model problem ~base =
-  match plan ~cost_model problem ~base with
-  | Some p -> `Equivalent (p, execute problem ~base p)
+  let ctx = Optimizer.create ~views:problem.views base in
+  match fst (plan ~cost_model ctx problem.query) with
+  | Some p -> `Equivalent (p, execute ctx p)
   | None -> (
       match Minicon.maximally_contained ~query:problem.query ~views:problem.views () with
       | None -> `No_rewriting
-      | Some union ->
-          let view_db = Materialize.views base problem.views in
-          `Fallback_certain (Eval.answers_ucq view_db union))
+      | Some union -> `Fallback_certain (Eval.answers_ucq (Optimizer.view_database ctx) union))

@@ -43,18 +43,27 @@ type plan =
 type cost_model =
   [ `M1 | `M2 | `M3 of [ `Supplementary | `Heuristic ] ]
 
-(** [plan ~cost_model problem ~base] picks the optimal rewriting + plan
-    over the materialized views of [base]. *)
-val plan : cost_model:cost_model -> problem -> base:Database.t -> plan option
+(** [plan ~cost_model ctx query] picks the optimal rewriting + plan of
+    [query] over the planning context [ctx] (its views materialized over
+    its base), through {!Vplan_cost.Optimizer.plan}: [budget] and
+    [max_covers] bound the candidate enumeration, whose completeness is
+    returned alongside. *)
+val plan :
+  ?budget:Vplan_core.Budget.t ->
+  ?max_covers:int ->
+  cost_model:cost_model ->
+  Vplan_cost.Optimizer.t ->
+  Query.t ->
+  plan option * Vplan_rewrite.Corecover.completeness
 
-(** [execute problem ~base p] runs a plan against the materialized views
+(** [execute ctx p] runs a plan against the context's materialized views
     and returns the answer relation. *)
-val execute : problem -> base:Database.t -> plan -> Relation.t
+val execute : Vplan_cost.Optimizer.t -> plan -> Relation.t
 
 (** [answer_via_views ~cost_model problem ~base] — the full pipeline:
-    plan, execute and sanity-check against the direct evaluation of the
-    query ([`Fallback_certain] when only the open-world union is
-    available).  This is the one-call API. *)
+    plan, then execute over the views materialized once ([`Fallback_certain]
+    when only the open-world union is available).  This is the one-call
+    API. *)
 val answer_via_views :
   cost_model:cost_model ->
   problem ->

@@ -110,8 +110,6 @@ let atom_profile t (a : Atom.t) =
       let card = Float.max !card 0. in
       { p_card = card; p_dv = cap_dv card !dv }
 
-let atom_cardinality t a = (atom_profile t a).p_card
-
 let join_profiles left right =
   let shared =
     Names.Smap.filter (fun x _ -> Names.Smap.mem x right.p_dv) left.p_dv
@@ -129,16 +127,6 @@ let join_profiles left right =
       (fun _ vl vr -> Some (Float.min vl vr))
       left.p_dv right.p_dv
   in
-  { p_card = Float.max card 0.; p_dv = cap_dv card dv }
-
-(* Projection onto a kept-variable set (cost model M3): the tuple count
-   cannot exceed the product of the kept columns' distinct counts. *)
-let project_profile p kept =
-  let dv = Names.Smap.filter (fun x _ -> Names.Sset.mem x kept) p.p_dv in
-  let dv_product =
-    Names.Smap.fold (fun _ v acc -> acc *. v) dv 1.
-  in
-  let card = Float.min p.p_card dv_product in
   { p_card = Float.max card 0.; p_dv = cap_dv card dv }
 
 (* Estimated stats for view relations: a view's cardinality is the
@@ -178,28 +166,11 @@ let relation_cells_est t (a : Atom.t) =
   | Some s -> s.card *. float_of_int (max 1 (Atom.arity a))
   | None -> 0.
 
-let body_relation_cells_est t body =
-  List.fold_left (fun acc a -> acc +. relation_cells_est t a) 0. body
-
-let order_cost t order =
-  let relation_cells = body_relation_cells_est t order in
-  let _, ir_cells =
-    List.fold_left
-      (fun (profile, acc) a ->
-        let profile = join_profiles profile (atom_profile t a) in
-        let width = float_of_int (max 1 (Names.Smap.cardinal profile.p_dv)) in
-        (profile, acc +. (profile.p_card *. width)))
-      (unit_profile, 0.)
-      order
-  in
-  relation_cells +. ir_cells
-
-let optimal t body =
-  match Orderings.permutations body with
-  | [] -> ([], 0.)
-  | perms ->
-      List.fold_left
-        (fun (best_order, best_cost) order ->
-          let c = order_cost t order in
-          if c < best_cost then (order, c) else (best_order, best_cost))
-        ([], Float.infinity) perms
+(* Estimated rows of a join prefix, folding join profiles in the given
+   order: the per-operator estimate of explain analyze, whose engine
+   supplies the order it actually ran (the fold is not associative). *)
+let cardinality t = function
+  | [] -> Float.nan
+  | a :: rest ->
+      (List.fold_left (fun p b -> join_profiles p (atom_profile t b)) (atom_profile t a) rest)
+        .p_card

@@ -39,15 +39,18 @@ val of_stats : Vplan_stats.Stats.t -> t
     definitions; the head predicate names the view relation. *)
 val view_stats : t -> Query.t list -> t
 
-(** [atom_cardinality t atom] — estimated matching tuples after applying
-    the atom's constant and repeated-variable selections. *)
-val atom_cardinality : t -> Atom.t -> float
+(** [cardinality t atoms] — estimated rows of the join of [atoms], after
+    each atom's constant and repeated-variable selections, folding join
+    profiles left to right ([nan] for no atoms).  A single atom gives its
+    selection's estimate. *)
+val cardinality : t -> Atom.t list -> float
 
 (** {2 Join profiles}
 
     A profile carries the estimated cardinality and per-variable
-    distinct counts of an atom or join prefix; M2's and M3's estimated
-    modes fold these instead of materializing intermediate relations. *)
+    distinct counts of an atom or join prefix; M2's estimated
+    cardinality source folds these instead of materializing intermediate
+    relations. *)
 
 type profile
 
@@ -63,11 +66,6 @@ val atom_profile : t -> Atom.t -> profile
     subset's profile must be well-defined. *)
 val join_profiles : profile -> profile -> profile
 
-(** [project_profile p kept] — projection onto the kept variables: the
-    tuple count is capped by the product of the kept distinct counts
-    (cost model M3's attribute dropping). *)
-val project_profile : profile -> Names.Sset.t -> profile
-
 val profile_card : profile -> float
 
 (** Number of variables in the profile (at least 1), the M2 width. *)
@@ -76,13 +74,3 @@ val profile_width : profile -> int
 (** [relation_cells_est t atom] — estimated [size(g)]: stored
     cardinality times arity. *)
 val relation_cells_est : t -> Atom.t -> float
-
-val body_relation_cells_est : t -> Atom.t list -> float
-
-(** [order_cost t order] — estimated M2 cost (cells) of joining the atoms
-    in the given order. *)
-val order_cost : t -> Atom.t list -> float
-
-(** [optimal t body] — the ordering minimizing the {e estimated} M2 cost
-    (exhaustive over orderings; intended for rewriting-sized bodies). *)
-val optimal : t -> Atom.t list -> Atom.t list * float

@@ -10,7 +10,7 @@ let m2 ppf db order =
       Format.fprintf ppf "step %d/%d: %s %a  [relation %d tuples; after: %d tuples]@." (i + 1)
         n action Atom.pp atom (Eval.relation_size db atom) ir)
     (List.combine order sizes);
-  Format.fprintf ppf "total cost: %d cells@." (M2.cost_of_order db order)
+  Format.fprintf ppf "total cost: %.0f cells@." (M2.cost (M2.exact db) order)
 
 let m3 ppf db (plan : M3.plan) =
   let sizes = M3.gsr_sizes db plan in

@@ -1,11 +1,13 @@
 open Vplan_cq
 open Vplan_views
 
-let improve ?memo ?budget db ~filters body =
+let improve ?budget src ~filters body =
+  (* unbounded and unrestricted, so the DP always returns a plan *)
+  let optimal body = Option.get (M2.optimal ?budget src body) in
   let filter_atoms = List.map (fun tv -> tv.View_tuple.atom) filters in
   let rec loop body remaining best_order best_cost =
-    let try_one (best : (Atom.t * Atom.t list * int) option) f =
-      let order, cost = M2.optimal ?memo ?budget db (body @ [ f ]) in
+    let try_one (best : (Atom.t * Atom.t list * float) option) f =
+      let order, cost = optimal (body @ [ f ]) in
       match best with
       | Some (_, _, c) when c <= cost -> best
       | _ when cost < best_cost -> Some (f, order, cost)
@@ -16,10 +18,5 @@ let improve ?memo ?budget db ~filters body =
     | Some (f, order, cost) ->
         loop (body @ [ f ]) (List.filter (fun g -> not (Atom.equal g f)) remaining) order cost
   in
-  let order0, cost0 = M2.optimal ?memo ?budget db body in
+  let order0, cost0 = optimal body in
   loop body filter_atoms order0 cost0
-
-let cost_with_and_without ?memo ?budget db ~filters body =
-  let _, without = M2.optimal ?memo ?budget db body in
-  let _, _, with_filters = improve ?memo ?budget db ~filters body in
-  (without, with_filters)

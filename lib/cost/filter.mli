@@ -7,30 +7,18 @@
     equivalence — its expansion is implied by the rest of the rewriting. *)
 
 open Vplan_cq
-open Vplan_relational
 open Vplan_views
 
-(** [improve db ~filters body] greedily appends filter atoms while the
-    optimal M2 cost decreases.  Returns the chosen body (original subgoals
-    first, chosen filters appended), the optimal ordering and its cost.
-    A [memo] pays off doubly here: the trial bodies [body @ [f]] share
-    all of [body]'s subsets, so each greedy round re-evaluates only the
-    subsets containing the new filter atom. *)
+(** [improve src ~filters body] greedily appends filter atoms while the
+    optimal M2 cost under [src] decreases.  Returns the chosen body
+    (original subgoals first, chosen filters appended), the optimal
+    ordering and its cost.  An exact source's memo pays off doubly here:
+    the trial bodies [body @ [f]] share all of [body]'s subsets, so each
+    greedy round re-evaluates only the subsets containing the new filter
+    atom. *)
 val improve :
-  ?memo:Subplan.t ->
   ?budget:Vplan_core.Budget.t ->
-  Database.t ->
+  M2.source ->
   filters:View_tuple.t list ->
   Atom.t list ->
-  Atom.t list * Atom.t list * int
-
-(** [cost_with_and_without db ~filters body] returns the optimal M2 cost
-    without filters and with the greedy filter choice — handy for tests
-    and the ablation bench. *)
-val cost_with_and_without :
-  ?memo:Subplan.t ->
-  ?budget:Vplan_core.Budget.t ->
-  Database.t ->
-  filters:View_tuple.t list ->
-  Atom.t list ->
-  int * int
+  Atom.t list * Atom.t list * float

@@ -13,9 +13,6 @@ let width_limit n =
 let relation_cells db (a : Atom.t) =
   Eval.relation_size db a * max 1 (Atom.arity a)
 
-let body_relation_cells db body =
-  List.fold_left (fun acc a -> acc + relation_cells db a) 0 body
-
 let intermediate_sizes db order =
   let _, rev_sizes =
     List.fold_left
@@ -50,7 +47,7 @@ let lowest_index bit =
 (* compiled atom argument: a constant to check, or a variable code *)
 type carg = Ccst of Term.const | Cvar of int
 
-let lower_bound (slots : int array) v =
+let bisect (slots : int array) v =
   let lo = ref 0 and hi = ref (Array.length slots) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -59,7 +56,7 @@ let lower_bound (slots : int array) v =
   !lo
 
 let mem_sorted slots v =
-  let k = lower_bound slots v in
+  let k = bisect slots v in
   k < Array.length slots && slots.(k) = v
 
 let merge_sorted (a : int array) (b : int array) =
@@ -96,7 +93,7 @@ let merge_sorted (a : int array) (b : int array) =
   if !k = la + lb then out else Array.sub out 0 !k
 
 (* -- hash-join primitives ------------------------------------------- *)
-(* Shared by the DP's subplan joins and [cost_of_order]: instead of
+(* The exact source's subplan joins: instead of
    running every (environment, tuple) pair through compiled checks,
    tuples passing the env-independent checks (constants, repeated fresh
    variables) are filtered once, then grouped into a hash table keyed on
@@ -140,7 +137,7 @@ let compile_checks (cargs : carg array) (slots : int array) =
       | Ccst c -> const_checks := (p, c) :: !const_checks
       | Cvar v ->
           if mem_sorted slots v then
-            slot_checks := (p, lower_bound slots v) :: !slot_checks
+            slot_checks := (p, bisect slots v) :: !slot_checks
           else (
             match Hashtbl.find_opt first_pos v with
             | Some p0 -> dup_checks := (p, p0) :: !dup_checks
@@ -153,7 +150,7 @@ let compile_checks (cargs : carg array) (slots : int array) =
 let sources_for prev_slots first_pos new_slots =
   Array.map
     (fun v ->
-      if mem_sorted prev_slots v then -lower_bound prev_slots v - 1
+      if mem_sorted prev_slots v then -bisect prev_slots v - 1
       else Hashtbl.find first_pos v)
     new_slots
 
@@ -215,267 +212,327 @@ let tuples_of db (a : Atom.t) =
   | None -> [||]
   | Some r -> Array.of_list (List.map Array.of_list (Relation.tuples r))
 
-let cost_of_order db order =
-  let relation_costs = body_relation_cells db order in
-  let code_of = local_coder () in
-  let _, _, ir_cells =
-    List.fold_left
-      (fun (slots, envs, acc) (a : Atom.t) ->
-        let cargs = carg_of code_of a in
-        let new_slots, envs =
-          hash_join ~slots ~cargs ~avars:(avars_of cargs)
-            ~tuples:(tuples_of db a) envs
-        in
-        (new_slots, envs, acc + (List.length envs * max 1 (Array.length new_slots))))
-      ([||], [ [||] ], 0)
-      order
+(* -- cardinality sources -------------------------------------------- *)
+
+(* Where the DP gets the size of a subset's intermediate relation: the
+   materialized view relations (exact), or join profiles over statistics
+   (estimated).  Either way a subset's cells are a function of the atom
+   set alone, which is what makes the subset DP exact. *)
+type source =
+  | Exact of { db : Database.t; memo : Subplan.t option }
+  | Estimated of Estimate.t
+
+let exact ?memo db = Exact { db; memo }
+let estimated est = Estimated est
+let memo = function Exact { memo; _ } -> memo | Estimated _ -> None
+
+let atom_cells = function
+  | Exact { db; _ } -> fun a -> float_of_int (relation_cells db a)
+  | Estimated est -> Estimate.relation_cells_est est
+
+(* Summed smallest first, so the float total does not depend on the
+   order the atoms arrive in. *)
+let relation_total src atoms =
+  Array.map (atom_cells src) atoms
+  |> Array.to_list |> List.sort Float.compare
+  |> List.fold_left ( +. ) 0.
+
+(* Canonical atom indexing (sorted by rendering, ties by position): a
+   subset of a body is a bitmask over it.  The memo's keys read subsets
+   off in this order, so candidates sharing an atom set share entries;
+   and the estimated source folds profiles along it, pinning the
+   non-associative [Estimate.join_profiles] to one value per subset. *)
+let canonical body =
+  let n = List.length body in
+  if n > max_subgoals then width_limit n;
+  let atoms = Array.of_list body in
+  let ids = Array.map Atom.to_string atoms in
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> String.compare ids.(i) ids.(j)) perm;
+  Array.map (fun i -> atoms.(i)) perm
+
+(* Exact cells: envs(S) is computed from envs(S minus one atom) once —
+   or not at all when [memo] already holds the atom set from an earlier
+   candidate.
+
+   Environments are flat constant arrays over the subset's sorted
+   variable codes ({!Subplan.entry}): extending one binds a handful of
+   array cells instead of rebuilding a string-keyed map per atom.
+   Starting from the single empty environment, the environments of a
+   subset are distinct by construction (an environment plus a matched
+   tuple determines the extension), so no deduplication is ever needed,
+   and the set — though not the list order — is canonical per atom
+   set. *)
+let exact_cells ~memo db atoms =
+  let n = Array.length atoms in
+  (* variable codes: drawn from the memo's intern table when present
+     (shared across candidates, so entry slots are canonical), local
+     otherwise.  The "$" prefix keeps variable names out of the atom
+     renderings' namespace. *)
+  let code_of =
+    match memo with
+    | Some m -> fun x -> Subplan.intern m ("$" ^ x)
+    | None -> local_coder ()
   in
-  relation_costs + ir_cells
+  let cargs = Array.map (carg_of code_of) atoms in
+  let avars = Array.map avars_of cargs in
+  let tuples = Array.map (tuples_of db) atoms in
+  (* memo keys: each atom rendering is interned to a small code once per
+     DP, and a subset key packs the codes of its set bits in index order
+     — a few bytes per atom to hash instead of the full renderings *)
+  let codes =
+    match memo with
+    | None -> [||]
+    | Some m -> Array.map (fun a -> Subplan.intern m (Atom.to_string a)) atoms
+  in
+  let subset_key s =
+    let b = Buffer.create (4 * n) in
+    for i = 0 to n - 1 do
+      if s land (1 lsl i) <> 0 then Buffer.add_int32_le b (Int32.of_int codes.(i))
+    done;
+    Buffer.contents b
+  in
+  (* Joining an entry with atom [i]: one hash build over the atom's
+     filtered tuples, one probe per environment. *)
+  let join i prev =
+    let new_slots, envs =
+      hash_join ~slots:prev.Subplan.slots ~cargs:cargs.(i) ~avars:avars.(i)
+        ~tuples:tuples.(i) prev.Subplan.envs
+    in
+    {
+      Subplan.slots = new_slots;
+      envs;
+      cells = List.length envs * max 1 (Array.length new_slots);
+    }
+  in
+  let count_cells i prev =
+    let prev_slots = prev.Subplan.slots in
+    let new_slots = merge_sorted prev_slots avars.(i) in
+    let _, const_checks, slot_checks, dup_checks = compile_checks cargs.(i) prev_slots in
+    let filtered = filter_tuples const_checks dup_checks tuples.(i) in
+    let count =
+      match slot_checks with
+      | [] -> List.length prev.Subplan.envs * List.length filtered
+      | _ :: _ ->
+          let counts = Hashtbl.create (max 16 (List.length filtered)) in
+          List.iter
+            (fun t ->
+              let key = row_key slot_checks t in
+              let c = match Hashtbl.find_opt counts key with Some c -> c | None -> 0 in
+              Hashtbl.replace counts key (c + 1))
+            filtered;
+          List.fold_left
+            (fun acc env ->
+              match Hashtbl.find_opt counts (env_key slot_checks env) with
+              | Some c -> acc + c
+              | None -> acc)
+            0 prev.Subplan.envs
+    in
+    count * max 1 (Array.length new_slots)
+  in
+  let full = (1 lsl n) - 1 in
+  let entries : Subplan.entry option array = Array.make (full + 1) None in
+  entries.(0) <- Some { Subplan.slots = [||]; envs = [ [||] ]; cells = 0 };
+  (* a predecessor already at hand in this setup *)
+  let rec local s i =
+    if i >= n then None
+    else if s land (1 lsl i) <> 0 then
+      match entries.(s lxor (1 lsl i)) with
+      | Some prev -> Some (i, prev)
+      | None -> local s (i + 1)
+    else local s (i + 1)
+  in
+  let rec entry_of s =
+    match entries.(s) with
+    | Some e -> e
+    | None ->
+        let compute () =
+          (* extend from any predecessor already at hand — live in this
+             setup, or cached by an earlier candidate — before resorting
+             to the recursive lowest-bit chain, which may materialize
+             states no ordering of this body needs *)
+          let cached () =
+            match memo with
+            | None -> None
+            | Some m ->
+                let rec go i =
+                  if i >= n then None
+                  else if s land (1 lsl i) <> 0 then begin
+                    let p = s lxor (1 lsl i) in
+                    match Subplan.find m (subset_key p) with
+                    | Some prev ->
+                        entries.(p) <- Some prev;
+                        Some (i, prev)
+                    | None -> go (i + 1)
+                  end
+                  else go (i + 1)
+                in
+                go 0
+          in
+          match local s 0 with
+          | Some (i, prev) -> join i prev
+          | None -> (
+              match cached () with
+              | Some (i, prev) -> join i prev
+              | None ->
+                  let bit = s land -s in
+                  join (lowest_index bit) (entry_of (s lxor bit)))
+        in
+        let e =
+          match memo with
+          | None -> compute ()
+          | Some m -> Subplan.find_or_add m (subset_key s) compute
+        in
+        entries.(s) <- Some e;
+        e
+  in
+  (* The full set ends every ordering, and across candidates no minimal
+     rewriting's body contains another's, so its environments are never
+     extended: count the final join from a materialized predecessor
+     instead of building and caching it. *)
+  let final = ref None in
+  fun s ->
+    if s <> full then float_of_int (entry_of s).Subplan.cells
+    else
+      match !final with
+      | Some c -> c
+      | None ->
+          let i, prev =
+            match local s 0 with
+            | Some p -> p
+            | None ->
+                let bit = s land -s in
+                (lowest_index bit, entry_of (s lxor bit))
+          in
+          let c = float_of_int (count_cells i prev) in
+          final := Some c;
+          c
+
+(* Estimated cells: each subset's profile folds its lowest-bit chain
+   over the canonical indexing, so it is well-defined however the subset
+   is reached. *)
+let estimated_cells est atoms =
+  let aprof = Array.map (Estimate.atom_profile est) atoms in
+  let profiles = Array.make (1 lsl Array.length atoms) None in
+  let rec profile_of s =
+    if s = 0 then Estimate.unit_profile
+    else
+      match profiles.(s) with
+      | Some p -> p
+      | None ->
+          let bit = s land -s in
+          let p = Estimate.join_profiles (profile_of (s lxor bit)) aprof.(lowest_index bit) in
+          profiles.(s) <- Some p;
+          p
+  in
+  fun s ->
+    let p = profile_of s in
+    Estimate.profile_card p *. float_of_int (Estimate.profile_width p)
+
+(* [cells s] = size(IR) of subset [s] of the canonical [atoms].  Only the
+   DP shares entries through the memo: costing a single order (a seed, a
+   ranking key) must not disturb the memo's counters. *)
+let subset_cells ~shared src atoms =
+  match src with
+  | Exact { db; memo } -> exact_cells ~memo:(if shared then memo else None) db atoms
+  | Estimated est -> estimated_cells est atoms
+
+let cost src order =
+  match order with
+  | [] -> 0.
+  | _ ->
+      let atoms = canonical order in
+      let cells = subset_cells ~shared:false src atoms in
+      (* each atom of the order takes an unused canonical index (bodies
+         may repeat an atom) *)
+      let used = Array.make (Array.length atoms) false in
+      let index_of a =
+        let rec go i =
+          if (not used.(i)) && Atom.equal atoms.(i) a then begin
+            used.(i) <- true;
+            i
+          end
+          else go (i + 1)
+        in
+        go 0
+      in
+      let _, ir =
+        List.fold_left
+          (fun (s, acc) a ->
+            let s = s lor (1 lsl index_of a) in
+            (s, acc +. cells s))
+          (0, 0.) order
+      in
+      relation_total src atoms +. ir
+
+let lower_bound src body = relation_total src (Array.of_list body)
+
+(* Per-atom variable masks over a dense local index, for the connected
+   mode's shares-a-variable test. *)
+let var_masks atoms =
+  let ids = Hashtbl.create 16 in
+  Array.iter
+    (fun a ->
+      List.iter
+        (fun x -> if not (Hashtbl.mem ids x) then Hashtbl.add ids x (Hashtbl.length ids))
+        (Atom.vars a))
+    atoms;
+  let words = max 1 ((Hashtbl.length ids + 62) / 63) in
+  Array.map
+    (fun a ->
+      let m = Mask.zero words in
+      List.iter
+        (fun x ->
+          let i = Hashtbl.find ids x in
+          m.(i / 63) <- m.(i / 63) lor (1 lsl (i mod 63)))
+        (Atom.vars a);
+      m)
+    atoms
 
 (* DP over subsets.  With all attributes retained, both the tuple count
    and the width of IR depend only on the joined subgoal set, so
    f(S) = min over g in S of f(S \ {g}) + cells(IR(S)), and the total cost
-   adds the (order-independent) relation sizes.  Environments are shared
-   bottom-up: envs(S) is computed from envs(S minus one atom) once — or
-   not at all when a [memo] already holds the atom set from an earlier
-   candidate, or when branch-and-bound proves S cannot reach a plan
-   cheaper than [bound].
-
-   Environments are flat constant arrays over the subset's sorted
-   variable codes ({!Subplan.entry}): extending one binds a handful of
-   array cells instead of rebuilding a string-keyed map per atom, which
-   is where the naive evaluator spends most of its time.  Starting from
-   the single empty environment, the environments of a subset are
-   distinct by construction (an environment plus a matched tuple
-   determines the extension), so no deduplication is ever needed, and
-   the set — though not the list order — is canonical per atom set.
+   adds the (order-independent) relation sizes.
 
    Pruning is sound because every cost term is nonnegative: a state S
-   with (min over predecessors of best) + relation_costs >= bound cannot
-   be a prefix of any ordering of total cost < bound, so its (expensive)
-   environment set is never materialized; and when an entire popcount
-   layer dies, no completion below [bound] exists at all.  Among states
-   that can still reach a total < bound, [best] values are exact and
-   independent of [bound], so the returned ordering of an accepted
-   result never depends on how tight the bound was — the property the
-   parallel candidate loop's determinism rests on. *)
-let dp ~connected ?memo ?budget ?(bound = max_int) db body =
+   whose total so far (relation cells + cheapest prefix) reaches [bound]
+   cannot be a prefix of any ordering of total cost < bound, so its
+   cells are never computed (for the exact source: its environments are
+   never materialized); and when an entire popcount layer dies, no
+   completion below [bound] exists at all.  Totals, not a headroom of
+   [bound - relation cells], are compared, so float rounding can never
+   prune a tie.  Among states that can still reach a total < bound,
+   [best] values are exact and independent of [bound], so the returned
+   ordering of an accepted result never depends on how tight the bound
+   was — the property the parallel candidate loop's determinism rests
+   on. *)
+let optimal ?(connected = false) ?budget ?(bound = Float.infinity) src body =
   let n = List.length body in
-  if n = 0 then Some ([], 0)
-  else if n > max_subgoals then width_limit n
+  if n = 0 then if 0. < bound then Some ([], 0.) else None
   else begin
-    let relation_costs = body_relation_cells db body in
-    if relation_costs >= bound then None
+    let atoms = canonical body in
+    let rel = relation_total src atoms in
+    if not (rel < bound) then None
     else begin
-      (* canonical atom order: with atoms sorted by their rendering, a
-         subset key read off in index order is order-insensitive, so
-         candidates sharing an atom set share memo entries *)
-      let atoms = Array.of_list body in
-      let ids0 = Array.map Atom.to_string atoms in
-      let perm = Array.init n Fun.id in
-      Array.sort (fun i j -> String.compare ids0.(i) ids0.(j)) perm;
-      let atoms = Array.map (fun i -> atoms.(i)) perm in
-      let ids = Array.map (fun i -> ids0.(i)) perm in
-      (* variable codes: drawn from the memo's intern table when present
-         (shared across candidates, so entry slots are canonical), local
-         otherwise.  The "$" prefix keeps variable names out of the atom
-         renderings' namespace. *)
-      let code_of =
-        match memo with
-        | Some m -> fun x -> Subplan.intern m ("$" ^ x)
-        | None ->
-            let local = Hashtbl.create 16 and next = ref 0 in
-            fun x ->
-              match Hashtbl.find_opt local x with
-              | Some c -> c
-              | None ->
-                  let c = !next in
-                  Hashtbl.add local x c;
-                  incr next;
-                  c
-      in
-      let cargs =
-        Array.map
-          (fun (a : Atom.t) ->
-            Array.of_list
-              (List.map
-                 (function Term.Cst c -> Ccst c | Term.Var x -> Cvar (code_of x))
-                 a.Atom.args))
-          atoms
-      in
-      (* sorted distinct variable codes per atom *)
-      let avars =
-        Array.map
-          (fun ca ->
-            Array.to_list ca
-            |> List.filter_map (function Cvar v -> Some v | Ccst _ -> None)
-            |> List.sort_uniq Int.compare
-            |> Array.of_list)
-          cargs
-      in
-      let tuples =
-        Array.map
-          (fun (a : Atom.t) ->
-            match Database.find a.Atom.pred db with
-            | None -> [||]
-            | Some r -> Array.of_list (List.map Array.of_list (Relation.tuples r)))
-          atoms
-      in
-      (* per-atom variable masks over a dense local index, for the
-         connected mode's shares-a-variable test *)
-      let var_ids = Hashtbl.create 16 in
-      let nvars = ref 0 in
-      Array.iter
-        (Array.iter (fun v ->
-             if not (Hashtbl.mem var_ids v) then begin
-               Hashtbl.add var_ids v !nvars;
-               incr nvars
-             end))
-        avars;
-      let words = max 1 ((!nvars + 62) / 63) in
-      let amask =
-        Array.map
-          (fun vs ->
-            let m = Mask.zero words in
-            Array.iter
-              (fun v ->
-                let i = Hashtbl.find var_ids v in
-                m.(i / 63) <- m.(i / 63) lor (1 lsl (i mod 63)))
-              vs;
-            m)
-          avars
-      in
+      let cells = subset_cells ~shared:true src atoms in
       let full = (1 lsl n) - 1 in
-      (* subset masks, built incrementally ([||] marks unset) *)
-      let masks = Array.make (full + 1) [||] in
-      masks.(0) <- Mask.zero words;
+      (* subset variable masks, built incrementally and only when the
+         connected mode asks ([||] marks unset) *)
+      let amask = if connected then var_masks atoms else [||] in
+      let masks = Array.make (if connected then full + 1 else 0) [||] in
       let rec mask_of s =
-        if Array.length masks.(s) > 0 || s = 0 then masks.(s)
+        if Array.length masks.(s) > 0 then masks.(s)
         else begin
           let bit = s land -s in
-          let m = Mask.union (mask_of (s lxor bit)) amask.(lowest_index bit) in
+          let i = lowest_index bit in
+          let m = if s = bit then amask.(i) else Mask.union (mask_of (s lxor bit)) amask.(i) in
           masks.(s) <- m;
           m
         end
       in
-      (* memo keys: each atom rendering is interned to a small code once
-         per DP, and a subset key packs the codes of its set bits in
-         index order — a few bytes per atom to hash instead of the full
-         renderings *)
-      let codes =
-        match memo with
-        | None -> [||]
-        | Some m -> Array.map (fun id -> Subplan.intern m id) ids
-      in
-      let subset_key s =
-        let b = Buffer.create (4 * n) in
-        for i = 0 to n - 1 do
-          if s land (1 lsl i) <> 0 then Buffer.add_int32_le b (Int32.of_int codes.(i))
-        done;
-        Buffer.contents b
-      in
-      (* Joining an entry with atom [i]: one hash build over the atom's
-         filtered tuples, one probe per environment. *)
-      let join i prev =
-        let new_slots, envs =
-          hash_join ~slots:prev.Subplan.slots ~cargs:cargs.(i) ~avars:avars.(i)
-            ~tuples:tuples.(i) prev.Subplan.envs
-        in
-        {
-          Subplan.slots = new_slots;
-          envs;
-          cells = List.length envs * max 1 (Array.length new_slots);
-        }
-      in
-      let count_cells i prev =
-        let prev_slots = prev.Subplan.slots in
-        let new_slots = merge_sorted prev_slots avars.(i) in
-        let _, const_checks, slot_checks, dup_checks =
-          compile_checks cargs.(i) prev_slots
-        in
-        let filtered = filter_tuples const_checks dup_checks tuples.(i) in
-        let count =
-          match slot_checks with
-          | [] -> List.length prev.Subplan.envs * List.length filtered
-          | _ :: _ ->
-              let counts = Hashtbl.create (max 16 (List.length filtered)) in
-              List.iter
-                (fun t ->
-                  let key = row_key slot_checks t in
-                  let c =
-                    match Hashtbl.find_opt counts key with Some c -> c | None -> 0
-                  in
-                  Hashtbl.replace counts key (c + 1))
-                filtered;
-              List.fold_left
-                (fun acc env ->
-                  match Hashtbl.find_opt counts (env_key slot_checks env) with
-                  | Some c -> acc + c
-                  | None -> acc)
-                0 prev.Subplan.envs
-        in
-        count * max 1 (Array.length new_slots)
-      in
-      (* environments + IR cells per subset, shared through the memo *)
-      let entries : Subplan.entry option array = Array.make (full + 1) None in
-      entries.(0) <- Some { Subplan.slots = [||]; envs = [ [||] ]; cells = 0 };
-      let rec entry_of s =
-        match entries.(s) with
-        | Some e -> e
-        | None ->
-            let compute () =
-              (* extend from any predecessor already at hand — live in
-                 this DP, or cached by an earlier candidate — before
-                 resorting to the recursive lowest-bit chain, which may
-                 materialize states no ordering of this body needs *)
-              let rec local i =
-                if i >= n then None
-                else if s land (1 lsl i) <> 0 then
-                  match entries.(s lxor (1 lsl i)) with
-                  | Some prev -> Some (i, prev)
-                  | None -> local (i + 1)
-                else local (i + 1)
-              in
-              let cached () =
-                match memo with
-                | None -> None
-                | Some m ->
-                    let rec go i =
-                      if i >= n then None
-                      else if s land (1 lsl i) <> 0 then begin
-                        let p = s lxor (1 lsl i) in
-                        match Subplan.find m (subset_key p) with
-                        | Some prev ->
-                            entries.(p) <- Some prev;
-                            Some (i, prev)
-                        | None -> go (i + 1)
-                      end
-                      else go (i + 1)
-                    in
-                    go 0
-              in
-              match local 0 with
-              | Some (i, prev) -> join i prev
-              | None -> (
-                  match cached () with
-                  | Some (i, prev) -> join i prev
-                  | None ->
-                      let bit = s land -s in
-                      join (lowest_index bit) (entry_of (s lxor bit)))
-            in
-            let e =
-              match memo with
-              | None -> compute ()
-              | Some m -> Subplan.find_or_add m (subset_key s) compute
-            in
-            entries.(s) <- Some e;
-            e
-      in
-      let best = Array.make (full + 1) max_int in
+      let best = Array.make (full + 1) Float.infinity in
       let choice = Array.make (full + 1) (-1) in
-      best.(0) <- 0;
-      (* total < bound iff best.(full) < headroom *)
-      let headroom = bound - relation_costs in
+      best.(0) <- 0.;
       let exception Dead_layers in
       (try
          for k = 1 to n do
@@ -488,7 +545,7 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
              Budget.tick budget;
              (* cheapest live predecessor; in connected mode the peeled
                 atom must share a variable with the remaining prefix *)
-             let best_prev = ref max_int and arg = ref (-1) in
+             let best_prev = ref Float.infinity and arg = ref (-1) in
              for i = 0 to n - 1 do
                if sv land (1 lsl i) <> 0 then begin
                  let p = sv lxor (1 lsl i) in
@@ -502,26 +559,9 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
                  end
                end
              done;
-             if !best_prev < max_int && !best_prev < headroom then begin
-               let cells =
-                 if sv = full then begin
-                   (* terminal state: its environment list is never a
-                      predecessor of anything — within this DP it ends
-                      every ordering, and across candidates no minimal
-                      rewriting's body contains another's — so count the
-                      final join instead of materializing and caching
-                      it.  (The predecessor chosen by [arg] is already
-                      materialized: its [best] was computed above.) *)
-                   let p = full lxor (1 lsl !arg) in
-                   let prev =
-                     match entries.(p) with Some e -> e | None -> entry_of p
-                   in
-                   count_cells !arg prev
-                 end
-                 else (entry_of sv).Subplan.cells
-               in
-               let c = !best_prev + cells in
-               if c < headroom then begin
+             if !best_prev < Float.infinity && rel +. !best_prev < bound then begin
+               let c = !best_prev +. cells sv in
+               if rel +. c < bound then begin
                  best.(sv) <- c;
                  choice.(sv) <- !arg;
                  layer_live := true
@@ -536,11 +576,11 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
              end
            done;
            (* every state of this layer is dead: no completion can beat
-              the incumbent, abandon the whole DP *)
+              the bound, abandon the whole DP *)
            if not !layer_live then raise Dead_layers
          done
        with Dead_layers -> ());
-      if best.(full) = max_int then None
+      if best.(full) = Float.infinity then None
       else begin
         let rec rebuild s acc =
           if s = 0 then acc
@@ -548,154 +588,7 @@ let dp ~connected ?memo ?budget ?(bound = max_int) db body =
             let i = choice.(s) in
             rebuild (s lxor (1 lsl i)) (atoms.(i) :: acc)
         in
-        Some (rebuild full [], best.(full) + relation_costs)
+        Some (rebuild full [], rel +. best.(full))
       end
     end
-  end
-
-let optimal_pruned ?memo ?budget ?bound db body =
-  dp ~connected:false ?memo ?budget ?bound db body
-
-let optimal ?memo ?budget db body =
-  match dp ~connected:false ?memo ?budget db body with
-  | Some r -> r
-  | None -> assert false (* without a bound the unrestricted DP always succeeds *)
-
-let optimal_exhaustive db body =
-  match Orderings.permutations body with
-  | [] -> ([], 0)
-  | perms ->
-      List.fold_left
-        (fun (best_order, best_cost) order ->
-          let c = cost_of_order db order in
-          if c < best_cost then (order, c) else (best_order, best_cost))
-        ([], max_int) perms
-
-let optimal_connected ?memo ?budget ?bound db body =
-  dp ~connected:true ?memo ?budget ?bound db body
-
-(* -- estimated-size mode -------------------------------------------- *)
-
-(* The same subset DP driven by [Estimate] join profiles instead of
-   materialized intermediate relations.  [Estimate.join_profiles] is
-   commutative but not associative (distinct counts are capped by the
-   running cardinality), so a subset's profile is made well-defined by
-   fixing a canonical atom indexing (sorted by rendering, ties by
-   position) and folding every subset along its lowest-bit chain; both
-   the DP and [estimated_cost_of_order] account against these canonical
-   profiles, so the cost of the returned order re-evaluates to the
-   returned cost. *)
-let est_setup est body =
-  let n = List.length body in
-  let atoms = Array.of_list body in
-  let ids0 = Array.map Atom.to_string atoms in
-  let perm = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      match String.compare ids0.(i) ids0.(j) with
-      | 0 -> Int.compare i j
-      | c -> c)
-    perm;
-  let atoms = Array.map (fun i -> atoms.(i)) perm in
-  let aprof = Array.map (Estimate.atom_profile est) atoms in
-  let full = (1 lsl n) - 1 in
-  let profiles = Array.make (full + 1) None in
-  let rec profile_of s =
-    if s = 0 then Estimate.unit_profile
-    else
-      match profiles.(s) with
-      | Some p -> p
-      | None ->
-          let bit = s land -s in
-          let p =
-            Estimate.join_profiles
-              (profile_of (s lxor bit))
-              aprof.(lowest_index bit)
-          in
-          profiles.(s) <- Some p;
-          p
-  in
-  let cells s =
-    let p = profile_of s in
-    Estimate.profile_card p *. float_of_int (Estimate.profile_width p)
-  in
-  (atoms, cells)
-
-let estimated_cost_of_order est order =
-  let n = List.length order in
-  if n = 0 then 0.
-  else if n > max_subgoals then width_limit n
-  else begin
-    let atoms, cells = est_setup est order in
-    (* map each atom of the order to an unused canonical index (bodies
-       may contain duplicate atoms) *)
-    let used = Array.make n false in
-    let index_of a =
-      let id = Atom.to_string a in
-      let rec go i =
-        if i >= n then invalid_arg "M2.estimated_cost_of_order: atom not in body"
-        else if (not used.(i)) && Atom.to_string atoms.(i) = id then begin
-          used.(i) <- true;
-          i
-        end
-        else go (i + 1)
-      in
-      go 0
-    in
-    let _, ir =
-      List.fold_left
-        (fun (s, acc) a ->
-          let s = s lor (1 lsl index_of a) in
-          (s, acc +. cells s))
-        (0, 0.) order
-    in
-    Estimate.body_relation_cells_est est order +. ir
-  end
-
-(* Every ordering's cost includes the relation cells and the full-set
-   intermediate result (its last prefix), and every prefix term is
-   nonnegative — so this is a valid lower bound on
-   [estimated_cost_of_order] over all orders, computable without any
-   DP.  An order achieving it is provably optimal. *)
-let estimated_lower_bound est body =
-  let n = List.length body in
-  if n = 0 then 0.
-  else if n > max_subgoals then width_limit n
-  else begin
-    let _, cells = est_setup est body in
-    Estimate.body_relation_cells_est est body +. cells ((1 lsl n) - 1)
-  end
-
-let optimal_estimated ?budget est body =
-  let n = List.length body in
-  if n = 0 then ([], 0.)
-  else if n > max_subgoals then width_limit n
-  else begin
-    let atoms, cells = est_setup est body in
-    let full = (1 lsl n) - 1 in
-    let best = Array.make (full + 1) Float.infinity in
-    let choice = Array.make (full + 1) (-1) in
-    best.(0) <- 0.;
-    for s = 1 to full do
-      Budget.tick budget;
-      let best_prev = ref Float.infinity and arg = ref (-1) in
-      for i = 0 to n - 1 do
-        if s land (1 lsl i) <> 0 then begin
-          let bp = best.(s lxor (1 lsl i)) in
-          if bp < !best_prev then begin
-            best_prev := bp;
-            arg := i
-          end
-        end
-      done;
-      best.(s) <- !best_prev +. cells s;
-      choice.(s) <- !arg
-    done;
-    let rec rebuild s acc =
-      if s = 0 then acc
-      else
-        let i = choice.(s) in
-        rebuild (s lxor (1 lsl i)) (atoms.(i) :: acc)
-    in
-    (rebuild full [], best.(full) +. Estimate.body_relation_cells_est est body)
   end

@@ -14,18 +14,21 @@
 
     Because attributes are never dropped, [size(IR_i)] depends only on the
     {e set} of joined subgoals, so the optimal ordering is found by dynamic
-    programming over subsets.  The DP supports three accelerations used by
-    the candidate-selection engine ({!Select}):
+    programming over subsets.  The sizes come from a {e cardinality
+    source}: the materialized view relations ({!exact}, the paper's
+    measure) or statistics ({!estimated}, never touching the data).  One
+    DP serves both, with the accelerations the candidate-selection engine
+    ({!Select}) relies on:
 
     - a cross-candidate {!Subplan} memo shares environment sets between
-      candidates whose subgoal subsets coincide;
+      candidates whose subgoal subsets coincide (exact source);
     - an optional [bound] turns the DP into branch-and-bound: states that
-      provably cannot complete below the bound never materialize their
-      environments, and the whole DP aborts once a popcount layer dies;
-    - variable sets are bitsets over a per-body index, so connectivity
-      tests and widths are word operations.
+      provably cannot complete below the bound are never sized, and the
+      whole DP aborts once a popcount layer dies;
+    - connectivity tests run on per-atom variable bitsets.
 
-    An exhaustive permutation search is provided as a cross-check. *)
+    Costs are floats for both sources; exact costs are integers, held
+    exactly. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -36,86 +39,61 @@ module Budget = Vplan_core.Budget
     [2^n] states. *)
 val max_subgoals : int
 
-(** [cost_of_order db order] evaluates a specific ordering against the
-    database (normally the materialized-view database). *)
-val cost_of_order : Database.t -> Atom.t list -> int
+(** {2 Cardinality sources} *)
 
-(** [optimal db body] returns a cost-optimal ordering of [body] and its
-    cost, by DP over subsets.  [memo] shares subplan evaluations across
-    calls against the same [db]; [budget] is ticked once per DP state.
-    Raises [Vplan_error.Error (Width_limit _)] past {!max_subgoals}. *)
-val optimal :
-  ?memo:Subplan.t ->
-  ?budget:Budget.t ->
-  Database.t ->
-  Atom.t list ->
-  Atom.t list * int
+type source
 
-(** [optimal_pruned ?bound db body] — branch-and-bound variant.
-    Returns [None] when no ordering has total cost [< bound] (in
-    particular, immediately when the relation cells alone reach the
-    bound); otherwise [Some (order, cost)] with [cost < bound], and the
-    result is identical to {!optimal}'s.  [bound] defaults to unbounded,
-    where the result is always [Some]. *)
-val optimal_pruned :
-  ?memo:Subplan.t ->
-  ?budget:Budget.t ->
-  ?bound:int ->
-  Database.t ->
-  Atom.t list ->
-  (Atom.t list * int) option
+(** [exact ?memo db] sizes intermediate relations by joining the
+    relations of [db] (normally the materialized views).  [memo] shares
+    those joins across DPs against the same [db]. *)
+val exact : ?memo:Subplan.t -> Database.t -> source
 
-(** [optimal_exhaustive db body] — same result via all permutations
-    (testing only; factorial, capped by {!Orderings.max_subgoals}). *)
-val optimal_exhaustive : Database.t -> Atom.t list -> Atom.t list * int
+(** [estimated est] sizes intermediate relations from {!Estimate} join
+    profiles.  [Estimate.join_profiles] is not associative, so each
+    subset's profile is pinned to a canonical fold order: the DP's cost
+    of the order it returns equals {!cost} of that order exactly. *)
+val estimated : Estimate.t -> source
 
-(** [optimal_connected db body] — DP restricted to {e connected} prefixes
-    (every joined subgoal shares a variable with an earlier one), the
-    standard cross-product-avoiding heuristic of production optimizers.
-    [None] when [body]'s join graph is disconnected (no such ordering
-    exists) — or, with [bound], when no connected ordering beats it.
-    The result can be costlier than {!optimal} — a cross product is
-    occasionally the cheapest plan — but the search space is much
-    smaller; the [joinorder] bench quantifies both effects.  Connectivity
-    is tested on bitset variable masks rather than by rescanning variable
-    sets per state. *)
-val optimal_connected :
-  ?memo:Subplan.t ->
-  ?budget:Budget.t ->
-  ?bound:int ->
-  Database.t ->
-  Atom.t list ->
-  (Atom.t list * int) option
+(** The memo an exact source shares, if any. *)
+val memo : source -> Subplan.t option
 
-(** {2 Estimated-size mode}
+(** {2 Costing} *)
 
-    The same cost measure driven by {!Estimate} join profiles instead
-    of materialized intermediate relations: plans are costed from
-    statistics alone, never touching the data.  Because
-    [Estimate.join_profiles] is not associative, subset profiles are
-    pinned to a canonical fold order, which makes the two functions
-    consistent: {!estimated_cost_of_order} of the order returned by
-    {!optimal_estimated} equals the returned cost. *)
+(** [cost src order] — the M2 cost of one specific ordering, relation
+    cells included.  Never touches the source's memo. *)
+val cost : source -> Atom.t list -> float
 
-(** [estimated_cost_of_order est order] — estimated M2 cells of the
-    ordering, relation cells included. *)
-val estimated_cost_of_order : Estimate.t -> Atom.t list -> float
+(** [lower_bound src body] — the relation cells of [body]: the
+    order-independent part of every ordering's cost, computed without
+    any join. *)
+val lower_bound : source -> Atom.t list -> float
 
-(** [optimal_estimated est body] — the ordering minimizing the estimated
-    M2 cost, by DP over subsets (ties resolved deterministically).
-    [budget] is ticked once per DP state.  Raises
+(** [optimal src body] — a cost-optimal ordering of [body] and its
+    cost, by DP over subsets (ties go to the lowest canonical atom
+    index).
+
+    - [bound]: [None] when no ordering costs [< bound] (in particular,
+      immediately when {!lower_bound} reaches it); otherwise the same
+      result as without a bound.
+    - [connected]: only orderings whose every atom shares a variable
+      with an earlier one (the cross-product-avoiding heuristic of
+      production optimizers); [None] when the join graph is
+      disconnected.  The result can cost more than the unrestricted
+      optimum — a cross product is occasionally cheapest — over a much
+      smaller search space.
+    - [budget] is ticked once per DP state.
+
+    Without [bound] or [connected] the result is always [Some].  Raises
     [Vplan_error.Error (Width_limit _)] past {!max_subgoals}. *)
-val optimal_estimated :
-  ?budget:Budget.t -> Estimate.t -> Atom.t list -> Atom.t list * float
+val optimal :
+  ?connected:bool ->
+  ?budget:Budget.t ->
+  ?bound:float ->
+  source ->
+  Atom.t list ->
+  (Atom.t list * float) option
 
-(** [estimated_lower_bound est body] — relation cells plus the full-set
-    intermediate-result cells: a lower bound on
-    {!estimated_cost_of_order} over {e every} ordering of [body] (the
-    full set is each order's last prefix and all terms are
-    nonnegative).  An order whose estimated cost reaches it is provably
-    optimal; a candidate whose bound reaches the incumbent can be
-    skipped without running the DP. *)
-val estimated_lower_bound : Estimate.t -> Atom.t list -> float
+(** {2 Exact sizes} *)
 
 (** [intermediate_sizes db order] lists the {e tuple counts} of
     [IR_1, ..., IR_n] (widths are implied by the variables joined). *)
@@ -124,8 +102,3 @@ val intermediate_sizes : Database.t -> Atom.t list -> int list
 (** [relation_cells db atom] — [size(g)] of a stored relation: cardinality
     times arity (at least 1). *)
 val relation_cells : Database.t -> Atom.t -> int
-
-(** [body_relation_cells db body] — Σ {!relation_cells} over [body]: the
-    order-independent part of the M2 cost, and hence a cheap lower bound
-    on any plan for [body]. *)
-val body_relation_cells : Database.t -> Atom.t list -> int

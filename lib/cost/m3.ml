@@ -180,40 +180,3 @@ let optimal db ~annotate body =
   match optimal_pruned db ~annotate body with
   | Some r -> r
   | None -> assert false (* unbounded search over a non-empty permutation list *)
-
-(* -- estimated-size mode -------------------------------------------- *)
-
-(* GSR sizes from join profiles: each step joins its subgoal's profile
-   and projects onto the kept variables, capping the tuple count by the
-   product of the kept distinct counts. *)
-let estimated_cost_of_plan est plan =
-  let relation_costs =
-    List.fold_left
-      (fun acc step -> acc +. Estimate.relation_cells_est est step.subgoal)
-      0. plan
-  in
-  let _, gsr_cells =
-    List.fold_left
-      (fun (profile, acc) step ->
-        let profile =
-          Estimate.join_profiles profile (Estimate.atom_profile est step.evaluated)
-        in
-        let profile = Estimate.project_profile profile step.kept in
-        let w = float_of_int (max 1 (Names.Sset.cardinal step.kept)) in
-        (profile, acc +. (Estimate.profile_card profile *. w)))
-      (Estimate.unit_profile, 0.)
-      plan
-  in
-  relation_costs +. gsr_cells
-
-let optimal_estimated ?budget est ~annotate body =
-  match Orderings.permutations body with
-  | [] -> ([], 0.)
-  | perms ->
-      List.fold_left
-        (fun (best_plan, best_cost) order ->
-          Vplan_core.Budget.tick budget;
-          let plan = annotate order in
-          let c = estimated_cost_of_plan est plan in
-          if c < best_cost then (plan, c) else (best_plan, best_cost))
-        ([], Float.infinity) perms

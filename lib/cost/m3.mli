@@ -82,18 +82,3 @@ val optimal_pruned :
   annotate:(Atom.t list -> plan) ->
   Atom.t list ->
   (plan * int) option
-
-(** [estimated_cost_of_plan est plan] — the M3 cost measure driven by
-    {!Estimate} join profiles: each step's GSR size is the join profile
-    projected onto the kept variables, never touching the data. *)
-val estimated_cost_of_plan : Estimate.t -> plan -> float
-
-(** [optimal_estimated est ~annotate body] — cheapest estimated plan
-    over all orderings (first strict minimum wins; deterministic).
-    [budget] is ticked once per permutation. *)
-val optimal_estimated :
-  ?budget:Vplan_core.Budget.t ->
-  Estimate.t ->
-  annotate:(Atom.t list -> plan) ->
-  Atom.t list ->
-  plan * float

@@ -1,70 +1,81 @@
 open Vplan_cq
-open Vplan_relational
 open Vplan_views
 open Vplan_rewrite
 
 type t = {
-  query : Query.t;
   views : View.t list;
-  base : Database.t;
-  view_db : Database.t;
-  corecover : Corecover.result;
+  view_classes : View.t list list option;
+  base : Vplan_relational.Database.t;
+  est : Estimate.t;
+  view_db : Vplan_relational.Database.t option Atomic.t;
   memo : Subplan.t;
 }
 
-let create ~query ~views ~base =
-  let view_db = Materialize.views base views in
-  let corecover = Corecover.all_minimal ~query ~views () in
-  { query; views; base; view_db; corecover; memo = Subplan.create () }
+let create ?view_classes ?stats ~views base =
+  let stats = match stats with Some s -> s | None -> Vplan_stats.Stats.collect base in
+  {
+    views;
+    view_classes;
+    base;
+    est = Estimate.view_stats (Estimate.of_stats stats) views;
+    view_db = Atomic.make None;
+    memo = Subplan.create ();
+  }
 
-let view_database t = t.view_db
-let candidates t = t.corecover.Corecover.rewritings
-let filters t = t.corecover.Corecover.filters
+let estimate t = t.est
 let memo t = t.memo
 
-type m2_choice = Select.m2_choice = {
-  m2_rewriting : Query.t;
-  m2_order : Atom.t list;
-  m2_cost : int;
-}
+(* Materialized on first use and published by compare-and-set (never a
+   [Lazy], which must not be forced from several domains): domains racing
+   on a fresh context may both materialize, and the first published
+   database — the same relations either way — is the one every caller
+   reads. *)
+let rec view_database t =
+  match Atomic.get t.view_db with
+  | Some db -> db
+  | None ->
+      (* traced: on the first exact plan after a context change this
+         dominates the request, and explain should show it *)
+      let db =
+        Vplan_obs.Obs.phase "materialize" (fun () -> Materialize.views t.base t.views)
+      in
+      ignore (Atomic.compare_and_set t.view_db None (Some db));
+      view_database t
 
-type m3_choice = Select.m3_choice = {
-  m3_rewriting : Query.t;
-  m3_plan : M3.plan;
-  m3_cost : int;
-}
+type mode = Exact | Estimated
+type strategy = [ `Supplementary | `Heuristic ]
 
-let best_m1 t =
-  match M1.best (candidates t) with [] -> None | p :: _ -> Some p
+type _ model =
+  | M1 : unit model
+  | M2 : mode -> Atom.t list model
+  | M3 : strategy -> M3.plan model
 
-let best_m2 ?(with_filters = true) ?budget ?domains t =
-  let filters = if with_filters then filters t else [] in
-  Select.best_m2 ~memo:t.memo ?budget ?domains ~filters t.view_db (candidates t)
+let select : type p.
+    ?budget:_ -> domains:int -> p model -> t -> Query.t -> Corecover.result ->
+    p Select.choice option =
+ fun ?budget ~domains model t query r ->
+  let candidates = r.Corecover.rewritings in
+  match model with
+  | M1 ->
+      List.nth_opt (M1.best candidates) 0
+      |> Option.map (fun p ->
+             { Select.rewriting = p; plan = (); cost = float_of_int (M1.cost p) })
+  | M2 Exact ->
+      let db = view_database t in
+      Select.m2 ?budget ~domains ~filters:r.Corecover.filters ~rank:t.est
+        (M2.exact ~memo:t.memo db) candidates
+  | M2 Estimated -> Select.m2 ?budget ~domains ~rank:t.est (M2.estimated t.est) candidates
+  | M3 strategy ->
+      let annotate (p : Query.t) order =
+        match strategy with
+        | `Supplementary -> M3.supplementary ~head:p.head order
+        | `Heuristic -> M3.heuristic ~views:t.views ~query ~head:p.head order
+      in
+      Select.m3 ?budget ~domains ~rank:t.est ~annotate (view_database t) candidates
 
-let best_m2_estimated t =
-  let catalog = Estimate.analyze t.view_db in
-  let consider best (p : Query.t) =
-    let order, est_cost = Estimate.optimal catalog p.body in
-    match best with
-    | Some (_, best_est) when best_est <= est_cost -> best
-    | _ -> Some ((p, order), est_cost)
+let plan ?budget ?max_covers ?(domains = 1) model t query =
+  let r =
+    Corecover.all_minimal ?budget ?max_results:max_covers ?view_classes:t.view_classes
+      ~domains ~query ~views:t.views ()
   in
-  match List.fold_left consider None (candidates t) with
-  | None -> None
-  | Some ((p, order), _) ->
-      Some
-        {
-          m2_rewriting = p;
-          m2_order = order;
-          m2_cost = M2.cost_of_order t.view_db order;
-        }
-
-let best_m3 ~strategy ?budget ?domains t =
-  let annotate (p : Query.t) order =
-    match strategy with
-    | `Supplementary -> M3.supplementary ~head:p.head order
-    | `Heuristic -> M3.heuristic ~views:t.views ~query:t.query ~head:p.head order
-  in
-  Select.best_m3 ?budget ?domains ~annotate t.view_db (candidates t)
-
-let answer t = Eval.answers t.base t.query
+  (r, select ?budget ~domains model t query r)

@@ -1,17 +1,17 @@
-(** End-to-end cost-based plan selection: the "two-step approach" of the
-    paper, with CoreCover as the rewriting generator and this module as the
-    optimizer consuming its logical plans.
+(** The planning pipeline — the "two-step approach" of the paper:
+    CoreCover{^ *} generates the candidate rewritings, and the {!Select}
+    engine picks the cheapest plan among them under a cost model.  Every
+    front door (the library facade, the CLI, the REPL and the resident
+    service) plans through {!plan}.
 
-    The optimizer works against the materialized view relations (the
-    closed-world model): rewritings are costed by actually joining view
-    relations, which is faithful to M2/M3's definitions on concrete
-    instances.
-
-    Candidate selection is delegated to the {!Select} engine: candidates
-    are ranked by estimated cost, pruned by branch-and-bound against the
-    incumbent, share a per-optimizer {!Subplan} memo, and can be scored
-    in parallel — with results identical to the sequential unpruned fold
-    for any domain count. *)
+    Plans are chosen against a planning {e context}: one set of views
+    over one base database with its statistics.  The context holds what
+    planning reuses across queries — the statistics-derived {!Estimate}
+    catalog (which ranks candidates in every mode and costs them in
+    estimated mode), the materialized view relations (built on the first
+    exact use, so estimated mode never materializes a view) and the
+    cross-candidate {!Subplan} memo over them.  A context may be shared
+    across domains. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -19,63 +19,59 @@ open Vplan_views
 
 type t
 
-(** [create ~query ~views ~base] materializes the views over [base] and
-    runs CoreCover{^ *} once to obtain the candidate rewritings and filter
-    tuples.  A fresh subplan memo is attached; it lives as long as [t]
-    and is shared by every [best_m2] call. *)
-val create : query:Query.t -> views:View.t list -> base:Database.t -> t
+(** [create ~views base] — a planning context for [views] over [base].
+    [stats] are [base]'s statistics, collected here when absent;
+    [view_classes], when given, is the equivalence-class partition of
+    [views] CoreCover{^ *} reuses instead of regrouping (see
+    {!Vplan_rewrite.Corecover.all_minimal}). *)
+val create :
+  ?view_classes:View.t list list ->
+  ?stats:Vplan_stats.Stats.t ->
+  views:View.t list ->
+  Database.t ->
+  t
 
+(** The estimation catalog: base statistics extended with per-view
+    estimates ({!Estimate.view_stats}), never a scan of view data. *)
+val estimate : t -> Estimate.t
+
+(** The materialized view relations, built on first use (under the
+    [materialize] phase). *)
 val view_database : t -> Database.t
-val candidates : t -> Query.t list
-val filters : t -> View_tuple.t list
 
-(** The optimizer's own cross-candidate subplan memo (valid for
-    {!view_database}). *)
+(** The context's subplan memo, valid for {!view_database}. *)
 val memo : t -> Subplan.t
 
-type m2_choice = Select.m2_choice = {
-  m2_rewriting : Query.t;  (** chosen rewriting, filters appended if any *)
-  m2_order : Atom.t list;  (** optimal join order *)
-  m2_cost : int;
-}
+(** How M2 sizes intermediate relations: [Exact] joins the materialized
+    view relations (the paper's cost model); [Estimated] derives them
+    from statistics alone. *)
+type mode = Exact | Estimated
 
-type m3_choice = Select.m3_choice = {
-  m3_rewriting : Query.t;
-  m3_plan : M3.plan;
-  m3_cost : int;
-}
+type strategy = [ `Supplementary | `Heuristic ]
 
-(** [best_m1 t] — a globally-minimal rewriting ([None] when the query has
-    no rewriting). *)
-val best_m1 : t -> Query.t option
+(** The cost model a plan is chosen under, indexed by its physical
+    plan: M1 counts subgoals (no physical plan), M2 picks a join order,
+    M3 an order annotated with the attributes dropped after each step
+    (supplementary relations or the Section 6.2 renaming heuristic;
+    exact sizes only). *)
+type _ model =
+  | M1 : unit model
+  | M2 : mode -> Atom.t list model
+  | M3 : strategy -> M3.plan model
 
-(** [best_m2 ?with_filters t] — the M2-cheapest candidate; with
-    [with_filters] (default [true]) empty-core view tuples may be appended
-    as filtering subgoals.  [domains] scores candidates in parallel
-    (identical result); [budget] bounds the whole selection. *)
-val best_m2 :
-  ?with_filters:bool ->
+(** [plan model t query] runs CoreCover{^ *} on [query] under [budget]
+    (anytime: a cut-short run yields a [Truncated] result) and
+    [max_covers], then selects the cheapest candidate under [model] —
+    in M2 exact mode with the empty-core view tuples as optional
+    filtering subgoals.  [domains] fans out both steps.  Returns the
+    CoreCover{^ *} result (candidates, completeness) and the choice,
+    [None] when no candidate exists.  Selection has no partial answer:
+    a budget exhausted during it raises the typed error. *)
+val plan :
   ?budget:Vplan_core.Budget.t ->
+  ?max_covers:int ->
   ?domains:int ->
+  'p model ->
   t ->
-  m2_choice option
-
-(** [best_m3 ~strategy t] — the M3-cheapest candidate under the given
-    annotation strategy. *)
-val best_m3 :
-  strategy:[ `Supplementary | `Heuristic ] ->
-  ?budget:Vplan_core.Budget.t ->
-  ?domains:int ->
-  t ->
-  m3_choice option
-
-(** [best_m2_estimated t] — what a statistics-only optimizer would pick:
-    candidates are ordered and compared by the {!Estimate} catalog of the
-    materialized views; the reported [m2_cost] is the {e realized} true
-    cost of the chosen plan, so it can be compared directly against
-    {!best_m2} (it is never lower). *)
-val best_m2_estimated : t -> m2_choice option
-
-(** [answer t] — the true answer of the query over the base database
-    (ground truth for verifying plans). *)
-val answer : t -> Relation.t
+  Query.t ->
+  Vplan_rewrite.Corecover.result * 'p Select.choice option

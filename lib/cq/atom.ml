@@ -43,7 +43,14 @@ let pp ppf a =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Term.pp)
     a.args
 
-let to_string a = Format.asprintf "%a" pp a
+(* [pp]'s output, built directly: renderings are sort keys on hot paths
+   (canonical atom orders, memo keys), where a formatter is costly. *)
+let to_string a =
+  let arg = function
+    | Term.Var x | Term.Cst (Term.Str x) -> x
+    | Term.Cst (Term.Int i) -> string_of_int i
+  in
+  a.pred ^ "(" ^ String.concat "," (List.map arg a.args) ^ ")"
 
 module Set = Set.Make (struct
   type nonrec t = t

@@ -200,7 +200,12 @@ let collect sess =
   (* every domain that recorded has finished by now: runs are
      synchronous and Parallel.map joins all its workers *)
   let spans = List.concat_map (fun b -> !b) sess.buffers in
-  List.sort (fun a b -> Float.compare a.start_ms b.start_ms) spans
+  (* spans opened within one clock tick keep their opening order (ids
+     are drawn at open), not the reverse closing order of the buffers *)
+  List.sort
+    (fun a b ->
+      match Float.compare a.start_ms b.start_ms with 0 -> Int.compare a.id b.id | c -> c)
+    spans
 
 let run f =
   if (not (disabled ())) && session_here (Domain.DLS.get dls) <> None then

@@ -3,10 +3,10 @@ module Corecover = Vplan_rewrite.Corecover
 module Normalize = Vplan_rewrite.Normalize
 module Parallel = Vplan_parallel.Parallel
 module Budget = Vplan_core.Budget
+module Vplan_error = Vplan_core.Vplan_error
 module Database = Vplan_relational.Database
-module Materialize = Vplan_views.Materialize
 module Subplan = Vplan_cost.Subplan
-module Select = Vplan_cost.Select
+module Optimizer = Vplan_cost.Optimizer
 module Estimate = Vplan_cost.Estimate
 module Stats = Vplan_stats.Stats
 module Qerror = Vplan_stats.Qerror
@@ -77,7 +77,7 @@ type stats = {
   estimate_accuracy : (string * rel_accuracy) list;
 }
 
-type cost_mode = Exact | Estimated
+type cost_mode = Optimizer.mode = Exact | Estimated
 
 type plan_cost = Cells of int | Cells_est of float
 
@@ -95,25 +95,13 @@ type plan_outcome = {
    never a wrong answer. *)
 type entry = { canon : Query.t; result : Corecover.result }
 
-(* Plan-selection state, valid for exactly one (catalog, base database)
-   pair: the materialized view relations and the subplan memo keyed over
-   them.  Compared by physical identity — any catalog swap or base load
-   produces fresh values. *)
-type plan_ctx = {
-  p_cat : Catalog.t;
-  p_base : Database.t;
-  p_view_db : Database.t;
-  p_memo : Subplan.t;
-}
+(* A loaded base database with its statistics, published together. *)
+type data = { base : Database.t; stats : Stats.t }
 
-(* Estimated-mode planning state, valid for exactly one
-   (catalog, statistics) pair: the estimation catalog extended with
-   per-view statistics.  Never touches the data. *)
-type est_ctx = {
-  e_cat : Catalog.t;
-  e_stats : Stats.t;
-  e_est : Estimate.t;
-}
+(* The planning context of one (catalog, data) pair: compared by
+   physical identity — any catalog swap or base load produces fresh
+   values, so a stale context is never reused. *)
+type plan_ctx = { p_cat : Catalog.t; p_data : data; p_ctx : Optimizer.t }
 
 (* percentile window: the most recent [lat_window] request latencies *)
 let lat_window = 1024
@@ -125,10 +113,8 @@ type t = {
   mutable requests : int;
   mutable bypasses : int;
   mutable truncated : int;
-  mutable base : Database.t option;
-  mutable bstats : Stats.t option;
+  mutable data : data option;
   mutable pctx : plan_ctx option;
-  mutable ectx : est_ctx option;
   mutable plan_requests : int;
   mutable analyze_requests : int;
   mutable generation_resets : int;
@@ -147,10 +133,8 @@ let create ?(cache_capacity = 512) cat =
     requests = 0;
     bypasses = 0;
     truncated = 0;
-    base = None;
-    bstats = None;
+    data = None;
     pctx = None;
-    ectx = None;
     plan_requests = 0;
     analyze_requests = 0;
     generation_resets = 0;
@@ -172,14 +156,13 @@ let set_catalog t cat =
       t.cat <- cat;
       Rewrite_cache.clear t.cache;
       t.pctx <- None;
-      t.ectx <- None;
       (* the new catalog restarts its generation sequence; counting
          swaps here lets lifetime counters survive a [catalog load] *)
       t.generation_resets <- t.generation_resets + 1;
       Metrics.incr generation_resets_total)
 
-let base t = locked t (fun () -> t.base)
-let base_stats t = locked t (fun () -> t.bstats)
+let base t = locked t (fun () -> Option.map (fun d -> d.base) t.data)
+let base_stats t = locked t (fun () -> Option.map (fun d -> d.stats) t.data)
 
 let set_base ?stats t db =
   (* statistics are collected (one scan per relation) outside the lock;
@@ -191,10 +174,8 @@ let set_base ?stats t db =
     | None -> Obs.phase "stats_collect" (fun () -> Stats.collect db)
   in
   locked t (fun () ->
-      t.base <- Some db;
-      t.bstats <- Some stats;
-      t.pctx <- None;
-      t.ectx <- None)
+      t.data <- Some { base = db; stats };
+      t.pctx <- None)
 
 (* [sigma] maps caller variables to canonical ones, bijectively and only
    var-to-var; its inverse renames canonical-variable results back. *)
@@ -297,114 +278,61 @@ let rewrite_batch ?(make_budget = fun () -> None) ?max_covers ?(domains = 1) t
     (fun query -> rewrite ?budget:(make_budget ()) ?max_covers t query)
     queries
 
-(* Reuse the cached plan context when both the catalog and the base are
-   the ones it was built for; otherwise materialize the views (outside
-   the lock — it joins every view body) and publish, preferring a
+(* Reuse the cached planning context when both the catalog and the data
+   are the ones it was built for; otherwise build one (outside the lock:
+   it folds a join profile per view) and publish it, preferring a
    concurrently-published equal context so the memo stays shared. *)
-let plan_ctx t cat db =
-  let live ctx = ctx.p_cat == cat && ctx.p_base == db in
-  match locked t (fun () -> t.pctx) with
-  | Some ctx when live ctx -> ctx
-  | _ ->
-      let fresh =
-        {
-          p_cat = cat;
-          p_base = db;
-          p_view_db =
-            (* traced: on the first plan after a catalog/base change this
-               dominates the request, and explain should show it *)
-            Vplan_obs.Obs.phase "materialize" (fun () ->
-                Materialize.views db (Catalog.views cat));
-          p_memo = Subplan.create ();
-        }
-      in
-      locked t (fun () ->
-          match t.pctx with
-          | Some ctx when live ctx -> ctx
-          | _ ->
-              t.pctx <- Some fresh;
-              fresh)
+let plan_ctx t =
+  let cat, data = locked t (fun () -> (t.cat, t.data)) in
+  match data with
+  | None -> raise (Vplan_error.Error Vplan_error.No_data)
+  | Some data -> (
+      let live c = c.p_cat == cat && c.p_data == data in
+      match locked t (fun () -> t.pctx) with
+      | Some c when live c -> c.p_ctx
+      | _ ->
+          let fresh =
+            Optimizer.create ~view_classes:(Catalog.view_classes cat) ~stats:data.stats
+              ~views:(Catalog.views cat) data.base
+          in
+          locked t (fun () ->
+              match t.pctx with
+              | Some c when live c -> c.p_ctx
+              | _ ->
+                  t.pctx <- Some { p_cat = cat; p_data = data; p_ctx = fresh };
+                  fresh))
 
-(* Same publish discipline for the estimation catalog; building it folds
-   a join profile per view body — cheap, but traced so explain shows
-   where estimated-mode time goes on the first request. *)
-let est_ctx t cat stats =
-  let live ctx = ctx.e_cat == cat && ctx.e_stats == stats in
-  match locked t (fun () -> t.ectx) with
-  | Some ctx when live ctx -> ctx.e_est
-  | _ ->
-      let est =
-        Obs.phase "estimate" (fun () ->
-            Estimate.view_stats (Estimate.of_stats stats) (Catalog.views cat))
-      in
-      let fresh = { e_cat = cat; e_stats = stats; e_est = est } in
-      locked t (fun () ->
-          match t.ectx with
-          | Some ctx when live ctx -> ctx.e_est
-          | _ ->
-              t.ectx <- Some fresh;
-              est)
-
-(* Candidate enumeration and cost-based choice, shared by [plan] and
-   [analyze].  Returns the CoreCover result alongside the chosen
-   (rewriting, join order, cost), if any rewriting exists. *)
-let plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query =
-  let r =
-    Corecover.all_minimal ?budget ?max_results:max_covers
-      ~view_classes:(Catalog.view_classes cat)
-      ~domains ~query ~views:(Catalog.views cat) ()
+(* The pipeline under the request's budget, with the chosen M2 cost in
+   the mode's unit. *)
+let plan_choice ?budget ?max_covers ~domains ~cost_mode ctx query =
+  let r, choice =
+    Optimizer.plan ?budget ?max_covers ~domains (Optimizer.M2 cost_mode) ctx query
   in
-  let choice =
-    match cost_mode with
-    | Exact ->
-        let ctx = plan_ctx t cat db in
-        Option.map
-          (fun (c : Select.m2_choice) ->
-            (c.Select.m2_rewriting, c.Select.m2_order, Cells c.Select.m2_cost))
-          (Select.best_m2 ~memo:ctx.p_memo ?budget ~domains
-             ~filters:r.Corecover.filters ctx.p_view_db
-             r.Corecover.rewritings)
-    | Estimated ->
-        (* statistics always exist once a base is loaded ([set_base]
-           collects them when the caller has none) *)
-        let stats =
-          match stats with
-          | Some s -> s
-          | None -> assert false
-        in
-        let est = est_ctx t cat stats in
-        Option.map
-          (fun (c : Select.m2_est_choice) ->
-            ( c.Select.est_rewriting,
-              c.Select.est_order,
-              Cells_est c.Select.est_cost ))
-          (Select.best_m2_estimated ?budget est r.Corecover.rewritings)
+  let cost c =
+    match cost_mode with Exact -> Cells (int_of_float c) | Estimated -> Cells_est c
   in
-  (r, choice)
+  ( r,
+    Option.map
+      (fun (c : _ Vplan_cost.Select.choice) -> (c.rewriting, c.plan, cost c.cost))
+      choice )
 
 let plan ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
-  let cat, db, stats = locked t (fun () -> (t.cat, t.base, t.bstats)) in
-  match db with
-  | None -> failwith "no base database loaded (use: data load FILE)"
-  | Some db ->
-      let r, choice =
-        plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query
-      in
-      let ms = Budget.elapsed_ms clock in
-      Metrics.incr plan_requests_total;
-      Metrics.observe request_ms ms;
-      locked t (fun () -> t.plan_requests <- t.plan_requests + 1);
-      Option.map
-        (fun (plan_rewriting, plan_order, plan_cost) ->
-          {
-            plan_rewriting;
-            plan_order;
-            plan_cost;
-            plan_candidates = List.length r.Corecover.rewritings;
-            plan_ms = ms;
-          })
-        choice
+  let r, choice = plan_choice ?budget ?max_covers ~domains ~cost_mode (plan_ctx t) query in
+  let ms = Budget.elapsed_ms clock in
+  Metrics.incr plan_requests_total;
+  Metrics.observe request_ms ms;
+  locked t (fun () -> t.plan_requests <- t.plan_requests + 1);
+  Option.map
+    (fun (plan_rewriting, plan_order, plan_cost) ->
+      {
+        plan_rewriting;
+        plan_order;
+        plan_cost;
+        plan_candidates = List.length r.Corecover.rewritings;
+        plan_ms = ms;
+      })
+    choice
 
 type analyze_outcome = {
   an_rewriting : Query.t;
@@ -420,86 +348,62 @@ type analyze_outcome = {
 
 let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
-  let cat, db, stats = locked t (fun () -> (t.cat, t.base, t.bstats)) in
-  match db with
-  | None -> failwith "no base database loaded (use: data load FILE)"
-  | Some db -> (
-      let r, choice =
-        plan_choice ?budget ?max_covers ~domains ~cost_mode t cat db stats query
+  let ctx = plan_ctx t in
+  match plan_choice ?budget ?max_covers ~domains ~cost_mode ctx query with
+  | _, None -> None
+  | r, Some (rw, order, cost) ->
+      let view_db = Optimizer.view_database ctx in
+      (* the per-operator estimates come from the context's statistics,
+         folded in the order the engine actually ran.  The catalog itself
+         was built with the context; the phase marks, in explain's tree,
+         where analyze takes its estimator from *)
+      let estimate =
+        Obs.phase "estimate" (fun () -> Estimate.cardinality (Optimizer.estimate ctx))
       in
-      match choice with
-      | None -> None
-      | Some (rw, order, cost) ->
-          let ctx = plan_ctx t cat db in
-          let stats = match stats with Some s -> s | None -> assert false in
-          let est = est_ctx t cat stats in
-          (* the estimate callback the engine consults per operator:
-             single atoms estimate their selection, longer prefixes fold
-             join profiles in executed order (the fold is not
-             associative, so the order matters and the engine supplies
-             the one it actually ran) *)
-          let estimate atoms =
-            match atoms with
-            | [] -> Float.nan
-            | [ a ] -> Estimate.atom_cardinality est a
-            | a :: rest ->
-                Estimate.profile_card
-                  (List.fold_left
-                     (fun p b -> Estimate.join_profiles p (Estimate.atom_profile est b))
-                     (Estimate.atom_profile est a)
-                     rest)
-          in
-          (* interned per request rather than cached on the plan context:
-             analyze is a diagnosis surface, and forcing a shared lazy
-             cell from concurrent worker domains is exactly the kind of
-             subtlety it exists to debug, not to have *)
-          let interned =
-            Obs.phase "intern" (fun () -> Interned.of_database ctx.p_view_db)
-          in
-          let ordered = Query.make_exn rw.Query.head order in
-          let profile = Profile.create ~name:(Query.to_string rw) () in
-          let answers =
-            Obs.phase "analyze_exec" (fun () ->
-                Exec.answers ?budget ~profile ~estimate interned ordered)
-          in
-          let root = Profile.finish profile in
-          let qerror = Profile.max_qerror root in
-          let classification =
-            match Hypergraph.classify ordered.Query.body with
-            | Hypergraph.Acyclic _ -> "acyclic"
-            | Hypergraph.Cyclic -> "cyclic"
-          in
-          if not (Float.is_nan qerror) then
-            Metrics.observe estimate_qerror_h qerror;
-          let ms = Budget.elapsed_ms clock in
-          Metrics.incr analyze_requests_total;
-          Metrics.observe request_ms ms;
-          locked t (fun () ->
-              t.analyze_requests <- t.analyze_requests + 1;
-              (* per-relation accuracy: selection estimates attribute
-                 directly to the scanned relation *)
-              List.iter
-                (fun (n : Profile.node) ->
-                  if n.Profile.op = "select" && n.Profile.rows_out >= 0 then
-                    let q =
-                      Profile.qerror ~est:n.Profile.est_rows
-                        ~actual:n.Profile.rows_out
-                    in
-                    if not (Float.is_nan q) then
-                      Qerror.observe_rel t.qerrors n.Profile.name q)
-                (Profile.preorder root));
-          Some
-            {
-              an_rewriting = rw;
-              an_order = order;
-              an_cost = cost;
-              an_candidates = List.length r.Corecover.rewritings;
-              an_answers = Vplan_relational.Relation.cardinality answers;
-              an_classification = classification;
-              an_qerror = qerror;
-              an_profile = root;
-              an_ms = ms;
-            })
+      (* interned per request rather than cached on the plan context:
+         analyze is a diagnosis surface, and forcing a shared lazy cell
+         from concurrent worker domains is exactly the kind of subtlety
+         it exists to debug, not to have *)
+      let interned = Obs.phase "intern" (fun () -> Interned.of_database view_db) in
+      let ordered = Query.make_exn rw.Query.head order in
+      let profile = Profile.create ~name:(Query.to_string rw) () in
+      let answers =
+        Obs.phase "analyze_exec" (fun () ->
+            Exec.answers ?budget ~profile ~estimate interned ordered)
+      in
+      let root = Profile.finish profile in
+      let qerror = Profile.max_qerror root in
+      let classification =
+        match Hypergraph.classify ordered.Query.body with
+        | Hypergraph.Acyclic _ -> "acyclic"
+        | Hypergraph.Cyclic -> "cyclic"
+      in
+      if not (Float.is_nan qerror) then Metrics.observe estimate_qerror_h qerror;
+      let ms = Budget.elapsed_ms clock in
+      Metrics.incr analyze_requests_total;
+      Metrics.observe request_ms ms;
+      locked t (fun () ->
+          t.analyze_requests <- t.analyze_requests + 1;
+          (* per-relation accuracy: selection estimates attribute
+             directly to the scanned relation *)
+          List.iter
+            (fun (n : Profile.node) ->
+              if n.Profile.op = "select" && n.Profile.rows_out >= 0 then
+                let q = Profile.qerror ~est:n.Profile.est_rows ~actual:n.Profile.rows_out in
+                if not (Float.is_nan q) then Qerror.observe_rel t.qerrors n.Profile.name q)
+            (Profile.preorder root));
+      Some
+        {
+          an_rewriting = rw;
+          an_order = order;
+          an_cost = cost;
+          an_candidates = List.length r.Corecover.rewritings;
+          an_answers = Vplan_relational.Relation.cardinality answers;
+          an_classification = classification;
+          an_qerror = qerror;
+          an_profile = root;
+          an_ms = ms;
+        }
 
 let percentile sorted p =
   match Array.length sorted with
@@ -537,9 +441,9 @@ let stats t =
         analyze_requests = t.analyze_requests;
         generation_resets = t.generation_resets;
         data_relations =
-          (match t.bstats with None -> 0 | Some s -> Stats.num_relations s);
+          (match t.data with None -> 0 | Some d -> Stats.num_relations d.stats);
         data_rows =
-          (match t.bstats with None -> 0 | Some s -> Stats.total_rows s);
+          (match t.data with None -> 0 | Some d -> Stats.total_rows d.stats);
         latency;
         estimate_accuracy =
           List.map
@@ -554,4 +458,4 @@ let stats t =
       })
 
 let subplan_counters t =
-  locked t (fun () -> Option.map (fun ctx -> Subplan.counters ctx.p_memo) t.pctx)
+  locked t (fun () -> Option.map (fun c -> Subplan.counters (Optimizer.memo c.p_ctx)) t.pctx)

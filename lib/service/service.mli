@@ -95,7 +95,7 @@ type stats = {
     view relations and measures true intermediate sizes (the paper's
     cost model); [Estimated] derives join selectivities from the base
     statistics collected at load time and never materializes a view. *)
-type cost_mode = Exact | Estimated
+type cost_mode = Vplan_cost.Optimizer.mode = Exact | Estimated
 
 type plan_cost =
   | Cells of int  (** true M2 cells against the materialized views *)
@@ -129,10 +129,9 @@ val base : t -> Vplan_relational.Database.t option
     against, collecting per-relation statistics (cardinalities, distinct
     counts, histograms) unless [stats] supplies previously collected
     ones — the warm-restart path, where the snapshot carries them.
-    Invalidates the service's plan contexts (materialized view
-    relations, the cross-request subplan memo, and the estimation
-    catalog); the rewrite cache is untouched — rewritings are
-    database-independent. *)
+    Invalidates the service's planning context (estimation catalog,
+    materialized view relations and the cross-request subplan memo); the
+    rewrite cache is untouched — rewritings are database-independent. *)
 val set_base : ?stats:Vplan_stats.Stats.t -> t -> Vplan_relational.Database.t -> unit
 
 (** Statistics for the loaded base database, if any. *)
@@ -164,22 +163,23 @@ val rewrite_batch :
   Query.t list ->
   outcome list
 
-(** [plan t query] serves an end-to-end request: CoreCover{^ *}
-    candidates (all minimal rewritings, reusing the catalog's view
-    classes; [max_covers] caps the enumeration), then the {!Select}
-    branch-and-bound engine over them with the service's cross-request
-    subplan memo.  The memo persists between requests and is dropped
-    whenever the catalog or the base database changes, so repeated plans
-    over a stable catalog share join evaluations.  [None] when the query
-    has no rewriting.
+(** [plan t query] serves an end-to-end request through
+    {!Vplan_cost.Optimizer.plan}: CoreCover{^ *} candidates (all minimal
+    rewritings, reusing the catalog's view classes; [budget] and
+    [max_covers] bound the enumeration), then the branch-and-bound
+    selection engine over them.  The service caches one planning context
+    per (catalog, base) pair — the statistics-derived estimation catalog
+    that ranks candidates, the materialized views and the cross-request
+    subplan memo — and drops it whenever either changes, so repeated
+    plans over a stable catalog share join evaluations.  [None] when the
+    query has no rewriting.
 
     [cost_mode] (default [Exact]) selects how candidates are costed;
-    [Estimated] plans from the load-time statistics alone, reusing a
-    cached estimation catalog the same way exact mode reuses its
-    materialized views.
+    [Estimated] plans from the load-time statistics alone and never
+    materializes a view.
 
-    @raise Failure when no base database has been loaded
-    ({!set_base}). *)
+    @raise Vplan_core.Vplan_error.Error [No_data] when no base database
+    has been loaded ({!set_base}). *)
 val plan :
   ?budget:Vplan_core.Budget.t ->
   ?max_covers:int ->
@@ -213,7 +213,8 @@ type analyze_outcome = {
     q-error feeds the per-relation accuracy in {!stats} — the feedback
     loop that shows when statistics have drifted.  [None] when the
     query has no rewriting.
-    @raise Failure when no base database has been loaded. *)
+    @raise Vplan_core.Vplan_error.Error [No_data] when no base database
+    has been loaded. *)
 val analyze :
   ?budget:Vplan_core.Budget.t ->
   ?max_covers:int ->
@@ -225,7 +226,7 @@ val analyze :
 
 val stats : t -> stats
 
-(** Counters of the cross-request subplan memo, when a plan context is
-    live (at least one {!plan} since the last catalog/base change).
+(** Counters of the cross-request subplan memo, when a planning context
+    is live (at least one {!plan} since the last catalog/base change).
     Surfaced as gauges by the server's [metrics] command. *)
 val subplan_counters : t -> Vplan_cost.Subplan.counters option

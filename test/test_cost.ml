@@ -12,13 +12,16 @@ let test_m1_cost () =
     (List.map Query.to_string (M1.best [ p1; p2; p3; p4; p5 ]))
 
 let carloc_view_db = Materialize.views Car_loc_part.base Car_loc_part.views
+let carloc = M2.exact carloc_view_db
+let optimal src body = Option.get (M2.optimal src body)
+let check_cost msg = Alcotest.(check (float 0.)) msg
 
 let test_m2_cost_of_order () =
   let open Car_loc_part in
-  let cost_p4 = M2.cost_of_order carloc_view_db p4.Query.body in
+  let cost_p4 = M2.cost carloc p4.Query.body in
   (* v4 materializes to the 3 query answers + any (m,d,c,s) joins; cost =
      size(v4) + size(IR_1) where IR_1 selects dealer anderson *)
-  check_bool "positive" true (cost_p4 > 0);
+  check_bool "positive" true (cost_p4 > 0.);
   let sizes = M2.intermediate_sizes carloc_view_db p4.Query.body in
   check_int "one intermediate" 1 (List.length sizes)
 
@@ -26,14 +29,19 @@ let test_m2_dp_matches_exhaustive () =
   let open Car_loc_part in
   List.iter
     (fun p ->
-      let _, dp = M2.optimal carloc_view_db p.Query.body in
-      let _, ex = M2.optimal_exhaustive carloc_view_db p.Query.body in
-      check_int ("optimal cost for " ^ Query.to_string p) ex dp)
+      let _, dp = optimal carloc p.Query.body in
+      let ex =
+        List.fold_left
+          (fun acc o -> Float.min acc (M2.cost carloc o))
+          Float.infinity
+          (Orderings.permutations p.Query.body)
+      in
+      check_cost ("optimal cost for " ^ Query.to_string p) ex dp)
     [ p1; p2; p3; p4; p5 ]
 
 let test_m2_order_is_permutation () =
   let open Car_loc_part in
-  let order, _ = M2.optimal carloc_view_db p3.Query.body in
+  let order, _ = optimal carloc p3.Query.body in
   Alcotest.(check (slist string String.compare))
     "permutation of the body"
     (List.map Atom.to_string p3.Query.body)
@@ -75,16 +83,15 @@ let filter_base =
 let test_m2_filter_improves () =
   let open Car_loc_part in
   let view_db = Materialize.views filter_base views in
+  let src = M2.exact view_db in
   let r = Corecover.all_minimal ~query ~views () in
   let p2_rewriting =
     List.find (fun (p : Query.t) -> List.length p.body = 2) r.rewritings
   in
-  let without, with_filters =
-    Filter.cost_with_and_without view_db ~filters:r.filters p2_rewriting.Query.body
-  in
+  let _, without = optimal src p2_rewriting.Query.body in
+  let body, _, with_filters = Filter.improve src ~filters:r.filters p2_rewriting.Query.body in
   check_bool "filter lowers the M2 cost" true (with_filters < without);
   (* and the filtered rewriting still computes the right answer *)
-  let body, _, _ = Filter.improve view_db ~filters:r.filters p2_rewriting.Query.body in
   let filtered = Query.make_exn p2_rewriting.Query.head body in
   Alcotest.check relation_testable "filtered rewriting correct"
     (Eval.answers filter_base query)
@@ -95,13 +102,12 @@ let test_m2_connected_dp () =
   (* connected bodies: same optimum or a mildly worse cross-product-free one *)
   List.iter
     (fun (p : Query.t) ->
-      match M2.optimal_connected carloc_view_db p.body with
+      match M2.optimal ~connected:true carloc p.body with
       | None -> Alcotest.fail "connected body rejected"
       | Some (order, cost) ->
-          let _, unrestricted = M2.optimal carloc_view_db p.body in
+          let _, unrestricted = optimal carloc p.body in
           check_bool "never beats unrestricted DP" true (cost >= unrestricted);
-          check_int "cost consistent with order" cost
-            (M2.cost_of_order carloc_view_db order))
+          check_cost "cost consistent with order" cost (M2.cost carloc order))
     [ p2; p3; p4 ];
   (* a genuinely disconnected body has no cross-product-free ordering *)
   let disconnected =
@@ -109,39 +115,37 @@ let test_m2_connected_dp () =
       Atom.make "v3" [ Term.Var "S2" ] ]
   in
   check_bool "disconnected rejected" true
-    (M2.optimal_connected carloc_view_db disconnected = None)
+    (M2.optimal ~connected:true carloc disconnected = None)
 
 let test_m2_memo_reuse () =
   let open Car_loc_part in
   let memo = Subplan.create () in
-  let _, c1 = M2.optimal ~memo carloc_view_db p3.Query.body in
+  let src = M2.exact ~memo carloc_view_db in
+  let _, c1 = optimal src p3.Query.body in
   let before = (Subplan.counters memo).Subplan.hits in
-  let _, c2 = M2.optimal ~memo carloc_view_db p3.Query.body in
-  check_int "same cost on reuse" c1 c2;
-  check_bool "second run hits the memo" true
-    ((Subplan.counters memo).Subplan.hits > before);
-  let _, plain = M2.optimal carloc_view_db p3.Query.body in
-  check_int "memo does not change the result" plain c1
+  let _, c2 = optimal src p3.Query.body in
+  check_cost "same cost on reuse" c1 c2;
+  check_bool "second run hits the memo" true ((Subplan.counters memo).Subplan.hits > before);
+  let _, plain = optimal carloc p3.Query.body in
+  check_cost "memo does not change the result" plain c1
 
 let test_m2_pruned_bound () =
   let open Car_loc_part in
-  let order, cost = M2.optimal carloc_view_db p3.Query.body in
-  (match M2.optimal_pruned ~bound:cost carloc_view_db p3.Query.body with
+  let body = p3.Query.body in
+  let order, cost = optimal carloc body in
+  (match M2.optimal ~bound:cost carloc body with
   | None -> ()
   | Some _ -> Alcotest.fail "bound at the optimum must prune everything");
-  (match M2.optimal_pruned ~bound:(cost + 1) carloc_view_db p3.Query.body with
+  (match M2.optimal ~bound:(Float.succ cost) carloc body with
   | Some (order', cost') ->
-      check_int "same cost under a loose bound" cost cost';
+      check_cost "same cost under a loose bound" cost cost';
       Alcotest.(check (list string))
         "same order under a loose bound"
         (List.map Atom.to_string order)
         (List.map Atom.to_string order')
   | None -> Alcotest.fail "a loose bound must not prune the optimum");
   check_bool "relation-cells lower bound short-circuits" true
-    (M2.optimal_pruned
-       ~bound:(M2.body_relation_cells carloc_view_db p3.Query.body)
-       carloc_view_db p3.Query.body
-    = None)
+    (M2.optimal ~bound:(M2.lower_bound carloc body) carloc body = None)
 
 let width_error subgoals max_subgoals =
   Vplan_error.Error (Vplan_error.Width_limit { subgoals; max_subgoals })
@@ -151,7 +155,7 @@ let test_width_limits () =
     List.init n (fun i -> Atom.make (Printf.sprintf "t%d" i) [ Term.Var "X" ])
   in
   Alcotest.check_raises "M2 DP capped at 20" (width_error 21 20) (fun () ->
-      ignore (M2.optimal Car_loc_part.base (body 21)));
+      ignore (M2.optimal (M2.exact Car_loc_part.base) (body 21)));
   Alcotest.check_raises "permutations capped at 8" (width_error 9 8) (fun () ->
       ignore (Orderings.permutations (body 9)));
   Alcotest.check_raises "M3 optimal capped at 8" (width_error 9 8) (fun () ->
@@ -184,54 +188,63 @@ let test_explain_renders () =
     in
     contains_sub m3_text "GSR")
 
-let test_optimizer_m1 () =
+let carloc_ctx () =
   let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match Optimizer.best_m1 t with
-  | None -> Alcotest.fail "expected a rewriting"
-  | Some p -> check_int "GMR size" 1 (List.length p.Query.body)
+  Optimizer.create ~views base
+
+let test_optimizer_m1 () =
+  match Optimizer.plan Optimizer.M1 (carloc_ctx ()) Car_loc_part.query with
+  | _, None -> Alcotest.fail "expected a rewriting"
+  | _, Some c -> check_int "GMR size" 1 (List.length c.rewriting.Query.body)
+
+let exact = Optimizer.M2 Optimizer.Exact
 
 let test_optimizer_m2_correct_answers () =
   let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match Optimizer.best_m2 t with
-  | None -> Alcotest.fail "expected a rewriting"
-  | Some c ->
+  let ctx = carloc_ctx () in
+  match Optimizer.plan exact ctx query with
+  | _, None -> Alcotest.fail "expected a rewriting"
+  | _, Some c ->
       let result =
-        Materialize.answers_via_rewriting (Optimizer.view_database t) c.m2_rewriting
+        Materialize.answers_via_rewriting (Optimizer.view_database ctx) c.rewriting
       in
-      Alcotest.check relation_testable "plan answer = query answer" (Optimizer.answer t) result
+      Alcotest.check relation_testable "plan answer = query answer" (Eval.answers base query)
+        result
 
 let test_optimizer_m2_cost_order () =
   let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match Optimizer.best_m2 ~with_filters:false t with
-  | None -> Alcotest.fail "expected a rewriting"
-  | Some c ->
+  let ctx = carloc_ctx () in
+  match Optimizer.plan exact ctx query with
+  | _, None -> Alcotest.fail "expected a rewriting"
+  | _, Some c ->
       (* the chosen cost must equal the cost of the reported order *)
-      check_int "consistent" c.m2_cost
-        (M2.cost_of_order (Optimizer.view_database t) c.m2_order)
+      check_cost "consistent" c.cost (M2.cost (M2.exact (Optimizer.view_database ctx)) c.plan)
 
 let test_optimizer_m2_estimated () =
   let open Car_loc_part in
-  let t = Optimizer.create ~query ~views ~base in
-  match (Optimizer.best_m2 ~with_filters:false t, Optimizer.best_m2_estimated t) with
-  | Some true_best, Some est ->
-      check_bool "estimated route never beats the true optimum" true
-        (est.m2_cost >= true_best.m2_cost);
-      (* and the chosen plan still computes the right answer *)
-      Alcotest.check relation_testable "correct answers"
-        (Optimizer.answer t)
-        (Materialize.answers_via_rewriting (Optimizer.view_database t) est.m2_rewriting)
-  | _ -> Alcotest.fail "expected plans"
+  let ctx = carloc_ctx () in
+  match Optimizer.plan (Optimizer.M2 Optimizer.Estimated) ctx query with
+  | r, Some est -> (
+      let view_db = Optimizer.view_database ctx in
+      (* filters are exact-mode only: compare against the unfiltered
+         exact optimum over the same candidates *)
+      match Select.m2 ~rank:(Optimizer.estimate ctx) (M2.exact view_db) r.rewritings with
+      | Some true_best ->
+          check_bool "estimated route never beats the true optimum" true
+            (M2.cost (M2.exact view_db) est.plan >= true_best.cost);
+          (* and the chosen plan still computes the right answer *)
+          Alcotest.check relation_testable "correct answers" (Eval.answers base query)
+            (Materialize.answers_via_rewriting view_db est.rewriting)
+      | None -> Alcotest.fail "expected an exact plan")
+  | _, None -> Alcotest.fail "expected plans"
 
 let test_optimizer_no_rewriting () =
   let query = q "q(X, Y) :- p(X, Y), r(Y, X)." in
   let views = qs [ "v(A, B) :- p(A, B)." ] in
   let base = Database.of_facts [ ("p", [ Term.Int 1; Term.Int 2 ]) ] in
-  let t = Optimizer.create ~query ~views ~base in
-  check_bool "m1 none" true (Optimizer.best_m1 t = None);
-  check_bool "m2 none" true (Optimizer.best_m2 t = None)
+  let ctx = Optimizer.create ~views base in
+  check_bool "m1 none" true (snd (Optimizer.plan Optimizer.M1 ctx query) = None);
+  check_bool "m2 none" true (snd (Optimizer.plan exact ctx query) = None)
 
 let suite =
   [

@@ -14,13 +14,13 @@ let test_atom_cardinality_base () =
   let full = Atom.make "p" [ Term.Var "X"; Term.Var "Y" ] in
   let actual = float_of_int (Eval.relation_size db full) in
   Alcotest.(check (float 0.01)) "full scan estimate is exact" actual
-    (Estimate.atom_cardinality catalog full)
+    (Estimate.cardinality catalog [ full ])
 
 let test_constant_selection_estimate () =
   let db = uniform_db ~tuples:200 ~domain:10 [ "p" ] in
   let catalog = Estimate.analyze db in
   let selected = Atom.make "p" [ Term.Cst (Term.Int 3); Term.Var "Y" ] in
-  let estimate = Estimate.atom_cardinality catalog selected in
+  let estimate = Estimate.cardinality catalog [ selected ] in
   let actual = float_of_int (Eval.matching_count db selected) in
   (* uniform data: the 1/V rule should be within a small factor *)
   check_bool "within 3x of the truth" true
@@ -30,7 +30,7 @@ let test_missing_relation () =
   let db = uniform_db ~tuples:10 ~domain:5 [ "p" ] in
   let catalog = Estimate.analyze db in
   Alcotest.(check (float 0.0)) "missing relation is empty" 0.
-    (Estimate.atom_cardinality catalog (Atom.make "nope" [ Term.Var "X" ]))
+    (Estimate.cardinality catalog [ Atom.make "nope" [ Term.Var "X" ] ])
 
 let test_repeated_var_shrinks () =
   let db = uniform_db ~tuples:200 ~domain:10 [ "p" ] in
@@ -38,24 +38,26 @@ let test_repeated_var_shrinks () =
   let loop = Atom.make "p" [ Term.Var "X"; Term.Var "X" ] in
   let full = Atom.make "p" [ Term.Var "X"; Term.Var "Y" ] in
   check_bool "self-join selection shrinks" true
-    (Estimate.atom_cardinality catalog loop < Estimate.atom_cardinality catalog full)
+    (Estimate.cardinality catalog [ loop ] < Estimate.cardinality catalog [ full ])
+
+let optimal src body = Option.get (M2.optimal src body)
 
 let test_order_cost_positive_and_sensitive () =
   let db = uniform_db ~tuples:100 ~domain:12 [ "p"; "r" ] in
-  let catalog = Estimate.analyze db in
+  let src = M2.estimated (Estimate.analyze db) in
   let body = (q "q(X, Z) :- p(X, Y), r(Y, Z).").Query.body in
-  let cost = Estimate.order_cost catalog body in
+  let cost = M2.cost src body in
   check_bool "positive" true (cost > 0.);
   (* adding a selective atom first should not increase the estimate of
      the later intermediate results *)
   let selective = (q "q(Z) :- p(1, Y), r(Y, Z).").Query.body in
-  check_bool "selection cheaper" true (Estimate.order_cost catalog selective < cost)
+  check_bool "selection cheaper" true (M2.cost src selective < cost)
 
 let test_estimated_optimal_is_a_permutation () =
   let db = uniform_db ~tuples:60 ~domain:10 [ "p"; "r"; "s" ] in
-  let catalog = Estimate.analyze db in
+  let src = M2.estimated (Estimate.analyze db) in
   let body = (q "q(X, W) :- p(X, Y), r(Y, Z), s(Z, W).").Query.body in
-  let order, cost = Estimate.optimal catalog body in
+  let order, cost = optimal src body in
   check_bool "finite" true (Float.is_finite cost);
   Alcotest.(check (slist string String.compare))
     "permutation"
@@ -66,80 +68,59 @@ let test_estimated_plan_quality () =
   (* the estimated-optimal order, costed against TRUE sizes, can never
      beat the true optimum, and on uniform data should be close *)
   let db = uniform_db ~tuples:80 ~domain:10 [ "p"; "r"; "s" ] in
-  let catalog = Estimate.analyze db in
   let body = (q "q(X, W) :- p(X, Y), r(Y, Z), s(Z, W).").Query.body in
-  let est_order, _ = Estimate.optimal catalog body in
-  let _, true_optimal = M2.optimal db body in
-  let realized = M2.cost_of_order db est_order in
+  let est_order, _ = optimal (M2.estimated (Estimate.analyze db)) body in
+  let _, true_optimal = optimal (M2.exact db) body in
+  let realized = M2.cost (M2.exact db) est_order in
   check_bool "never beats the true optimum" true (realized >= true_optimal);
-  check_bool "within 2x on uniform data" true
-    (float_of_int realized <= 2. *. float_of_int true_optimal)
+  check_bool "within 2x on uniform data" true (realized <= 2. *. true_optimal)
 
-(* The DP and the direct coster must agree on the DP's own answer: the
-   canonical subset-profile fold makes [estimated_cost_of_order] of the
-   returned order equal to the returned cost. *)
+(* The DP and the direct coster agree exactly on the DP's own answer:
+   the canonical subset-profile fold makes [M2.cost] of the returned
+   order equal to the returned cost. *)
 let test_m2_estimated_cost_invariant () =
   let db = uniform_db ~tuples:80 ~domain:10 [ "p"; "r"; "s" ] in
-  let est = Estimate.of_stats (Stats.collect db) in
+  let src = M2.estimated (Estimate.of_stats (Stats.collect db)) in
   let body = (q "q(X, W) :- p(X, Y), r(Y, Z), s(Z, W).").Query.body in
-  let order, cost = M2.optimal_estimated est body in
-  Alcotest.(check (float 1e-6)) "order recosts to the returned cost" cost
-    (M2.estimated_cost_of_order est order);
+  let order, cost = optimal src body in
+  Alcotest.(check (float 0.)) "order recosts to the returned cost" cost (M2.cost src order);
   (* no permutation the DP considered is cheaper than its answer *)
-  check_bool "reversal is no cheaper" true
-    (M2.estimated_cost_of_order est (List.rev order) >= cost -. 1e-6);
+  check_bool "reversal is no cheaper" true (M2.cost src (List.rev order) >= cost);
   Alcotest.(check (slist string String.compare))
     "permutation"
     (List.map Atom.to_string body)
     (List.map Atom.to_string order)
-
-let test_m3_estimated_plan () =
-  let db = uniform_db ~tuples:60 ~domain:10 [ "p"; "r"; "s" ] in
-  let est = Estimate.of_stats (Stats.collect db) in
-  let head = (q "q(X) :- p(X, Y).").Query.head in
-  let body = (q "q(X, W) :- p(X, Y), r(Y, Z), s(Z, W).").Query.body in
-  let annotate = M3.supplementary ~head in
-  let plan, cost = M3.optimal_estimated est ~annotate body in
-  check_bool "finite positive" true (Float.is_finite cost && cost > 0.);
-  Alcotest.(check (float 1e-6)) "plan recosts to the returned cost" cost
-    (M3.estimated_cost_of_plan est plan);
-  Alcotest.(check (slist string String.compare))
-    "plan covers the body"
-    (List.map Atom.to_string body)
-    (List.map (fun (s : M3.step) -> Atom.to_string s.M3.subgoal) plan)
 
 let test_select_estimated_deterministic () =
   let db = uniform_db ~tuples:80 ~domain:10 [ "p"; "r" ] in
   let est = Estimate.of_stats (Stats.collect db) in
   let wide = q "q(X, Z) :- p(X, Y), r(Y, Z)." in
   let narrow = q "q(X, Y) :- p(X, Y)." in
-  match Select.best_m2_estimated est [ wide; narrow ] with
+  let select cands = Select.m2 ~rank:est (M2.estimated est) cands in
+  match select [ wide; narrow ] with
   | None -> Alcotest.fail "candidates scored"
   | Some c ->
-      check_bool "single-atom candidate is cheaper" true
-        (c.Select.est_rewriting == narrow);
-      Alcotest.(check (float 1e-6)) "cost is the candidate's own optimum"
-        (snd (M2.optimal_estimated est narrow.Query.body))
-        c.Select.est_cost;
-      (* same inputs, same choice: the fold is deterministic *)
-      (match Select.best_m2_estimated est [ wide; narrow ] with
+      check_bool "single-atom candidate is cheaper" true (c.Select.rewriting == narrow);
+      Alcotest.(check (float 0.0)) "cost is the candidate's own optimum"
+        (snd (optimal (M2.estimated est) narrow.Query.body))
+        c.Select.cost;
+      (* same inputs, same choice: the selection is deterministic *)
+      (match select [ wide; narrow ] with
       | Some c' ->
           check_bool "deterministic rewriting" true
-            (c'.Select.est_rewriting == c.Select.est_rewriting);
-          Alcotest.(check (float 0.0)) "deterministic cost" c.Select.est_cost
-            c'.Select.est_cost
+            (c'.Select.rewriting == c.Select.rewriting);
+          Alcotest.(check (float 0.0)) "deterministic cost" c.Select.cost c'.Select.cost
       | None -> Alcotest.fail "second run scored");
       (* empty candidate list has no choice *)
-      check_bool "no candidates, no choice" true
-        (Select.best_m2_estimated est [] = None)
+      check_bool "no candidates, no choice" true (select [] = None)
 
 let test_view_stats_cardinality () =
   let db = uniform_db ~tuples:100 ~domain:10 [ "p" ] in
   let base = Estimate.of_stats (Stats.collect db) in
   let v = q "v(X, Y) :- p(X, Y)." in
   let est = Estimate.view_stats base [ v ] in
-  let via_view = Estimate.atom_cardinality est (Atom.make "v" [ Term.Var "A"; Term.Var "B" ]) in
-  let direct = Estimate.atom_cardinality base (Atom.make "p" [ Term.Var "A"; Term.Var "B" ]) in
+  let via_view = Estimate.cardinality est [ Atom.make "v" [ Term.Var "A"; Term.Var "B" ] ] in
+  let direct = Estimate.cardinality base [ Atom.make "p" [ Term.Var "A"; Term.Var "B" ] ] in
   Alcotest.(check (float 0.01)) "identity view inherits the cardinality" direct via_view
 
 let suite =
@@ -152,7 +133,6 @@ let suite =
     ("estimated optimal is a permutation", `Quick, test_estimated_optimal_is_a_permutation);
     ("estimated plan quality", `Quick, test_estimated_plan_quality);
     ("m2 estimated cost invariant", `Quick, test_m2_estimated_cost_invariant);
-    ("m3 estimated plan", `Quick, test_m3_estimated_plan);
     ("select estimated deterministic", `Quick, test_select_estimated_deterministic);
     ("view stats identity cardinality", `Quick, test_view_stats_cardinality);
   ]

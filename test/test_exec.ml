@@ -167,16 +167,7 @@ let prop_profile_transparent =
       let t = Interned.of_database db in
       let plain = Exec.answers t q in
       let est = Estimate.of_stats (Stats.collect db) in
-      let estimate = function
-        | [] -> Float.nan
-        | [ a ] -> Estimate.atom_cardinality est a
-        | a :: rest ->
-            Estimate.profile_card
-              (List.fold_left
-                 (fun p b -> Estimate.join_profiles p (Estimate.atom_profile est b))
-                 (Estimate.atom_profile est a)
-                 rest)
-      in
+      let estimate = Estimate.cardinality est in
       let p = Profile.create ~name:"prop" () in
       let profiled = Exec.answers ~profile:p ~estimate t q in
       let root = Profile.finish p in

@@ -49,11 +49,13 @@ let test_plan_all_models () =
   let truth = Eval.answers base p.Planner.query in
   List.iter
     (fun cost_model ->
-      match Planner.plan ~cost_model p ~base with
-      | None -> Alcotest.fail "expected a plan"
-      | Some plan ->
+      let ctx = Optimizer.create ~views:p.Planner.views base in
+      match Planner.plan ~cost_model ctx p.Planner.query with
+      | None, _ -> Alcotest.fail "expected a plan"
+      | Some plan, completeness ->
+          check_bool "complete" true (completeness = Corecover.Complete);
           Alcotest.check relation_testable "plan computes the answer" truth
-            (Planner.execute p ~base plan))
+            (Planner.execute ctx plan))
     [ `M1; `M2; `M3 `Supplementary; `M3 `Heuristic ]
 
 let test_answer_via_views_equivalent () =

@@ -160,36 +160,51 @@ let bucket_agrees =
       let c = Corecover.gmrs ~query ~views () in
       (b.rewritings <> []) = (c.rewritings <> []))
 
-(* M2's subset DP agrees with exhaustive permutation search. *)
+(* Both cardinality sources of a random instance: the materialized
+   relations themselves, and statistics collected over them. *)
+let sources db = [ M2.exact db; M2.estimated (Estimate.of_stats (Stats.collect db)) ]
+
+let exhaustive src body =
+  List.fold_left
+    (fun acc o -> Float.min acc (M2.cost src o))
+    Float.infinity (Orderings.permutations body)
+
+(* M2's subset DP agrees exactly with exhaustive permutation search, for
+   either source (the estimated source's canonical profile fold makes
+   the order cost well-defined, so the equality is exact there too). *)
 let m2_dp_exact =
   let gen = Gen.pair gen_query gen_database in
   make_test ~name:"M2 DP = exhaustive" gen
     (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
     (fun (q, db) ->
       let body = (Query.dedup_body q).Query.body in
-      let _, dp = M2.optimal db body in
-      let _, ex = M2.optimal_exhaustive db body in
-      dp = ex)
+      List.for_all
+        (fun src ->
+          match M2.optimal src body with
+          | Some (order, dp) -> dp = exhaustive src body && M2.cost src order = dp
+          | None -> false)
+        (sources db))
 
 (* The memo and the branch-and-bound pruning are pure optimizations: with
-   a shared memo (probed twice to exercise reuse) and with a bound one
+   a shared memo (probed twice to exercise reuse) and with a bound just
    above the optimum, the DP still returns the exhaustive optimum — and a
-   bound at the optimum prunes everything. *)
+   bound at the optimum prunes everything.  Both sources. *)
 let m2_memo_pruned_exact =
   let gen = Gen.pair gen_query gen_database in
   make_test ~count:150 ~name:"M2 memoized + pruned DP = exhaustive" gen
     (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
     (fun (q, db) ->
       let body = (Query.dedup_body q).Query.body in
-      let _, ex = M2.optimal_exhaustive db body in
       let memo = Subplan.create () in
-      let _, first = M2.optimal ~memo db body in
-      let _, second = M2.optimal ~memo db body in
-      first = ex && second = ex
-      && (match M2.optimal_pruned ~memo ~bound:(ex + 1) db body with
-         | Some (_, c) -> c = ex
-         | None -> false)
-      && M2.optimal_pruned ~memo ~bound:ex db body = None)
+      List.for_all
+        (fun src ->
+          let ex = exhaustive src body in
+          let cost_of = function Some (_, c) -> c | None -> Float.nan in
+          cost_of (M2.optimal src body) = ex
+          && cost_of (M2.optimal src body) = ex
+          && cost_of (M2.optimal ~bound:(Float.succ ex) src body) = ex
+          && M2.optimal ~bound:ex src body = None)
+        (M2.exact ~memo db :: sources db))
 
 (* The connected DP is exact for its search space: it returns the minimum
    over exactly the connected-prefix orderings (so whenever some optimal
@@ -213,19 +228,22 @@ let m2_connected_exact =
     (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
     (fun (q, db) ->
       let body = (Query.dedup_body q).Query.body in
+      let src = M2.exact db in
       let connected = List.filter connected_prefix (Orderings.permutations body) in
-      match M2.optimal_connected db body with
+      match M2.optimal ~connected:true src body with
       | None -> connected = []
       | Some (order, cost) ->
           connected_prefix order
-          && cost = M2.cost_of_order db order
+          && cost = M2.cost src order
           && cost
-             = List.fold_left (fun acc o -> min acc (M2.cost_of_order db o)) max_int connected
-          && cost >= snd (M2.optimal db body))
+             = List.fold_left (fun acc o -> Float.min acc (M2.cost src o)) Float.infinity connected
+          && cost >= snd (Option.get (M2.optimal src body)))
 
-(* Parallel candidate scoring is deterministic: the shared-incumbent
-   protocol never prunes a tie, so domain count cannot change the chosen
-   rewriting, ordering or cost. *)
+(* The selection engine returns exactly what the unranked, unpruned
+   sequential fold keeps — the minimum by (optimal cost, position) —
+   with the same order and cost, for either source, any domain count and
+   either ranking catalog: a scan of the relations, or statistics.  This
+   is what lets ranking and pruning change without changing a plan. *)
 let best_m2_parallel_deterministic =
   let gen = Gen.(pair (list_size (int_range 1 5) (gen_body ~max_atoms:3)) gen_database) in
   make_test ~count:60 ~name:"best_m2: parallel = sequential" gen
@@ -236,15 +254,37 @@ let best_m2_parallel_deterministic =
     (fun (bodies, db) ->
       let head = Atom.make "q" [] in
       let candidates = List.map (fun b -> Query.make_exn head b) bodies in
-      let seq = Select.best_m2 ~memo:(Subplan.create ()) ~domains:1 db candidates in
-      let par = Select.best_m2 ~memo:(Subplan.create ()) ~domains:4 db candidates in
-      match (seq, par) with
-      | None, None -> true
-      | Some a, Some b ->
-          a.Select.m2_cost = b.Select.m2_cost
-          && Query.equal a.Select.m2_rewriting b.Select.m2_rewriting
-          && List.equal Atom.equal a.Select.m2_order b.Select.m2_order
-      | _ -> false)
+      let stats_est = Estimate.of_stats (Stats.collect db) in
+      let fold src =
+        List.fold_left
+          (fun best (p : Query.t) ->
+            let order, cost = Option.get (M2.optimal src p.Query.body) in
+            match best with
+            | Some (_, _, c) when c <= cost -> best
+            | _ -> Some (p, order, cost))
+          None candidates
+      in
+      List.for_all
+        (fun (fresh_src, oracle_src) ->
+          let oracle = fold oracle_src in
+          List.for_all
+            (fun (rank, domains) ->
+              match (oracle, Select.m2 ~domains ~rank (fresh_src ()) candidates) with
+              | None, None -> true
+              | Some (p, order, cost), Some c ->
+                  c.Select.cost = cost && c.Select.rewriting == p
+                  && List.equal Atom.equal c.Select.plan order
+              | _ -> false)
+            [
+              (Estimate.analyze db, 1);
+              (Estimate.analyze db, 4);
+              (stats_est, 1);
+              (stats_est, 4);
+            ])
+        [
+          ((fun () -> M2.exact ~memo:(Subplan.create ()) db), M2.exact db);
+          ((fun () -> M2.estimated stats_est), M2.estimated stats_est);
+        ])
 
 (* M3 plans never change the answer, and the heuristic never costs more
    than the supplementary strategy. *)

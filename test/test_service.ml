@@ -235,6 +235,22 @@ let service_stats_consistent () =
   check_int "one hit" 1 st.Service.hits;
   check_int "latency count" 3 st.Service.latency.Service.count
 
+(* Planning needs a base database: before [data load] both plan and
+   analyze raise the typed input error, not a [Failure], and it is not a
+   budget error a retry could fix. *)
+let service_plan_needs_data () =
+  let s = service () in
+  let no_data what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected No_data" what
+    | exception Vplan_error.Error Vplan_error.No_data -> ()
+  in
+  no_data "plan" (fun () -> ignore (Service.plan s Car_loc_part.query));
+  no_data "analyze" (fun () -> ignore (Service.analyze s Car_loc_part.query));
+  check_bool "not a resource error" false (Vplan_error.is_resource Vplan_error.No_data);
+  Service.set_base s Car_loc_part.base;
+  check_bool "plans once data is loaded" true (Service.plan s Car_loc_part.query <> None)
+
 (* Lifetime counters survive a catalog swap; only the generation-resets
    counter records it (regression: they used to be conflated with the
    per-catalog state). *)
@@ -350,6 +366,8 @@ let suite =
     Alcotest.test_case "service: stats identity" `Quick service_stats_consistent;
     Alcotest.test_case "service: stats survive catalog swap" `Quick
       service_stats_survive_catalog_swap;
+    Alcotest.test_case "service: plan and analyze need data" `Quick
+      service_plan_needs_data;
     service_hit_vs_fresh_qcheck;
     Alcotest.test_case "service: concurrent = sequential" `Quick
       stress_concurrent_vs_sequential;
