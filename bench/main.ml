@@ -634,7 +634,7 @@ let joinorder () =
       match r.rewritings with
       | [] -> Format.printf "%10d (no rewriting)@." n
       | p :: _ ->
-          let src = M2.exact view_db in
+          let src = M2.exact (Interned.of_database view_db) in
           let dp, dp_ms = time_ms (fun () -> M2.optimal src p.Query.body) in
           let dp_cost = match dp with Some (_, c) -> c | None -> assert false in
           let connected, conn_ms =
@@ -770,7 +770,7 @@ let estimate () =
         | p :: _ ->
             let plan src = Option.get (M2.optimal src p.Query.body) in
             let est_order, _ = plan (M2.estimated (Estimate.analyze view_db)) in
-            let exact = M2.exact view_db in
+            let exact = M2.exact (Interned.of_database view_db) in
             let realized = M2.cost exact est_order in
             let _, true_opt = plan exact in
             let ratio = realized /. Float.max 1. true_opt in
@@ -851,9 +851,10 @@ let joins ~settings () =
          must not be beatable by any order under the materialized cost *)
       let est = Estimate.of_stats (Stats.collect db) in
       let est_order, est_cost = Option.get (M2.optimal (M2.estimated est) query.Query.body) in
-      let exact_cost = M2.cost (M2.exact db) est_order in
+      let exact = M2.exact interned in
+      let exact_cost = M2.cost exact est_order in
       let cost_equal =
-        M2.optimal ~bound:exact_cost (M2.exact db) query.Query.body = None
+        M2.optimal ~bound:exact_cost exact query.Query.body = None
       in
       let speedup = if run_eval && exec_ms > 0. then eval_ms /. exec_ms else 0. in
       let rows_per_sec =
@@ -1407,7 +1408,7 @@ let optimize ~settings =
                 | Some (_, _, n_cost), Some c ->
                     if c.Select.m2_cost <> n_cost then equal := false;
                     if
-                      M2.cost (M2.exact view_db) c.Select.m2_order
+                      M2.cost (M2.exact (Interned.of_database view_db)) c.Select.m2_order
                       <> float_of_int c.Select.m2_cost
                     then equal := false
                 | None, None -> ()

@@ -194,7 +194,7 @@ let plan_cmd =
     in
     let explain_m2 (c : _ Vplan.Select.choice) =
       if explain then
-        Vplan.Explain.m2 Format.std_formatter (Vplan.Optimizer.view_database ctx) c.plan
+        Vplan.Explain.m2 Format.std_formatter (Vplan.Optimizer.image ctx) c.plan
     in
     let completeness =
       match (cost, cost_mode) with
@@ -212,7 +212,7 @@ let plan_cmd =
               print_order c;
               Format.printf "cost (M2, estimated): %.1f@." c.cost;
               Format.printf "cost (M2, realized): %.0f@."
-                (Vplan.M2.cost (Vplan.M2.exact (Vplan.Optimizer.view_database ctx)) c.plan);
+                (Vplan.M2.cost (Vplan.M2.exact (Vplan.Optimizer.image ctx)) c.plan);
               explain_m2 c)
       | `M2, `Exact ->
           report (Vplan.Optimizer.M2 Vplan.Optimizer.Exact) (fun c ->

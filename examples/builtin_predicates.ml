@@ -78,7 +78,7 @@ let () =
      more subgoals per query — which is more efficient?  Under an
      M2-style measure, cost both against the materialized views. *)
   let m2 name body =
-    let _, cost = Option.get (M2.optimal (M2.exact view_db) body) in
+    let _, cost = Option.get (M2.optimal (M2.exact (Interned.of_database view_db)) body) in
     Format.printf "%s optimal M2 cost: %.0f cells@." name cost
   in
   Format.printf "@.";

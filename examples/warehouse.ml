@@ -82,7 +82,7 @@ let () =
      the filters buy *)
   (match
      Select.m2 ~rank:(Optimizer.estimate ctx)
-       (M2.exact (Optimizer.view_database ctx))
+       (M2.exact (Optimizer.image ctx))
        r.rewritings
    with
   | Some c ->

@@ -1,7 +1,8 @@
 open Vplan_cq
 open Vplan_relational
 
-let m2 ppf db order =
+let m2 ppf img order =
+  let db = Vplan_exec.Interned.database img in
   let sizes = M2.intermediate_sizes db order in
   let n = List.length order in
   List.iteri
@@ -10,7 +11,7 @@ let m2 ppf db order =
       Format.fprintf ppf "step %d/%d: %s %a  [relation %d tuples; after: %d tuples]@." (i + 1)
         n action Atom.pp atom (Eval.relation_size db atom) ir)
     (List.combine order sizes);
-  Format.fprintf ppf "total cost: %.0f cells@." (M2.cost (M2.exact db) order)
+  Format.fprintf ppf "total cost: %.0f cells@." (M2.cost (M2.exact img) order)
 
 let m3 ppf db (plan : M3.plan) =
   let sizes = M3.gsr_sizes db plan in

@@ -8,9 +8,10 @@
 open Vplan_cq
 open Vplan_relational
 
-(** [m2 ppf db order] — one line per join step with the running
-    intermediate-relation size. *)
-val m2 : Format.formatter -> Database.t -> Atom.t list -> unit
+(** [m2 ppf img order] — one line per join step with the running
+    intermediate-relation size, over the views of the image [img]
+    ({!Optimizer.image}); the total is {!M2.cost} under [M2.exact img]. *)
+val m2 : Format.formatter -> Vplan_exec.Interned.t -> Atom.t list -> unit
 
 (** [m3 ppf db plan] — like {!m2}, also showing the attributes dropped at
     each step and the generalized supplementary relation sizes. *)

@@ -2,6 +2,7 @@ open Vplan_relational
 module Atom = Vplan_cq.Atom
 module Term = Vplan_cq.Term
 module Names = Vplan_cq.Names
+module Interned = Vplan_exec.Interned
 module Budget = Vplan_core.Budget
 module Vplan_error = Vplan_core.Vplan_error
 
@@ -43,9 +44,6 @@ end
 let lowest_index bit =
   let rec find k = if 1 lsl k = bit then k else find (k + 1) in
   find 0
-
-(* compiled atom argument: a constant to check, or a variable code *)
-type carg = Ccst of Term.const | Cvar of int
 
 let bisect (slots : int array) v =
   let lo = ref 0 and hi = ref (Array.length slots) in
@@ -93,41 +91,49 @@ let merge_sorted (a : int array) (b : int array) =
   if !k = la + lb then out else Array.sub out 0 !k
 
 (* -- hash-join primitives ------------------------------------------- *)
-(* The exact source's subplan joins: instead of
-   running every (environment, tuple) pair through compiled checks,
-   tuples passing the env-independent checks (constants, repeated fresh
-   variables) are filtered once, then grouped into a hash table keyed on
-   the positions matching already-bound slots; each environment probes
-   with its slot values.  An empty key degenerates to a cross product. *)
+(* The exact source's subplan joins run over the image's int codes: an
+   atom's rows passing the env-independent checks (constants, repeated
+   fresh variables) are selected once, then grouped into a hash table
+   keyed on the positions matching already-bound slots; each environment
+   probes with its slot values.  An empty key degenerates to a cross
+   product. *)
 
-let filter_tuples const_checks dup_checks (tuples : Term.const array array) =
-  let out = ref [] in
-  for k = Array.length tuples - 1 downto 0 do
-    let t = tuples.(k) in
-    if
-      List.for_all (fun (p, c) -> Term.equal_const c t.(p)) const_checks
-      && List.for_all (fun (p, p0) -> Term.equal_const t.(p) t.(p0)) dup_checks
-    then out := t :: !out
-  done;
-  !out
+(* compiled atom argument: a constant's code, or a variable code *)
+type carg = Ccst of int | Cvar of int
 
-let row_key slot_checks (t : Term.const array) =
-  List.map (fun (p, _) -> t.(p)) slot_checks
+(* the code of a constant the image lacks: no row carries it *)
+let absent = -1
 
-let env_key slot_checks (env : Term.const array) =
-  List.map (fun (_, j) -> env.(j)) slot_checks
+(* an atom compiled against the image: the stored relation (no rows when
+   absent or of another arity), its arguments and sorted variables *)
+type catom = { rel : Interned.rel; cargs : carg array; avars : int array }
 
-let group_by_key slot_checks filtered =
-  let tbl = Hashtbl.create (max 16 (List.length filtered)) in
-  List.iter
-    (fun t ->
-      let key = row_key slot_checks t in
-      let prev = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
-      Hashtbl.replace tbl key (t :: prev))
-    filtered;
-  tbl
+let no_rows = { Interned.arity = 0; rows = 0; data = [||] }
 
-(* Compile an atom's argument positions against a slot array. *)
+let compile_atom img code_of (a : Atom.t) =
+  let cargs =
+    Array.of_list
+      (List.map
+         (function
+           | Term.Cst c -> Ccst (Option.value (Interned.const_id img c) ~default:absent)
+           | Term.Var x -> Cvar (code_of x))
+         a.Atom.args)
+  in
+  let rel =
+    match Interned.find img a.Atom.pred with
+    | Some r when r.Interned.arity = Array.length cargs -> r
+    | Some _ | None -> no_rows
+  in
+  let avars =
+    Array.to_list cargs
+    |> List.filter_map (function Cvar v -> Some v | Ccst _ -> None)
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  { rel; cargs; avars }
+
+(* Split an atom's positions against a slot array: constant checks,
+   probe keys (position, slot) and repeated fresh variables, plus each
+   fresh variable's first position. *)
 let compile_checks (cargs : carg array) (slots : int array) =
   let const_checks = ref [] and slot_checks = ref [] and dup_checks = ref [] in
   let first_pos = Hashtbl.create 8 in
@@ -145,8 +151,49 @@ let compile_checks (cargs : carg array) (slots : int array) =
     cargs;
   (first_pos, !const_checks, !slot_checks, !dup_checks)
 
+let select_rows (rel : Interned.rel) const_checks dup_checks =
+  let get = Interned.get rel in
+  let out = ref [] in
+  for row = rel.Interned.rows - 1 downto 0 do
+    if
+      List.for_all (fun (p, c) -> get row p = c) const_checks
+      && List.for_all (fun (p, p0) -> get row p = get row p0) dup_checks
+    then out := row :: !out
+  done;
+  !out
+
+(* [index rel slot_checks rows ~empty ~add] folds the selected rows into
+   one accumulator per join key; the returned lookup maps an environment
+   to its key's accumulator.  One shared variable keys on the raw code,
+   several on a code array, none on the single accumulator of every row
+   (a cross product). *)
+let index (rel : Interned.rel) slot_checks rows ~empty ~add =
+  let get = Interned.get rel in
+  let grouped key_of =
+    let tbl = Hashtbl.create (max 16 (List.length rows)) in
+    List.iter
+      (fun row ->
+        let k = key_of row in
+        let acc = Option.value (Hashtbl.find_opt tbl k) ~default:empty in
+        Hashtbl.replace tbl k (add row acc))
+      rows;
+    fun k -> Option.value (Hashtbl.find_opt tbl k) ~default:empty
+  in
+  match slot_checks with
+  | [] ->
+      let all = List.fold_left (fun acc row -> add row acc) empty rows in
+      fun _ -> all
+  | [ (p, j) ] ->
+      let find = grouped (fun row -> get row p) in
+      fun (env : int array) -> find env.(j)
+  | checks ->
+      let ps = Array.of_list (List.map fst checks) in
+      let js = Array.of_list (List.map snd checks) in
+      let find = grouped (fun row -> Array.map (fun p -> get row p) ps) in
+      fun env -> find (Array.map (fun j -> env.(j)) js)
+
 (* value source per new slot: an existing slot or a (first occurrence)
-   tuple position *)
+   row position *)
 let sources_for prev_slots first_pos new_slots =
   Array.map
     (fun v ->
@@ -154,41 +201,33 @@ let sources_for prev_slots first_pos new_slots =
       else Hashtbl.find first_pos v)
     new_slots
 
-let build_env sources nlen (env : Term.const array) (tuple : Term.const array) =
-  Array.init nlen (fun k ->
-      let src = sources.(k) in
-      if src >= 0 then tuple.(src) else env.(-src - 1))
-
-let hash_join ~slots ~cargs ~avars ~tuples envs =
-  let new_slots = merge_sorted slots avars in
+let hash_join ~slots (ca : catom) envs =
+  let new_slots = merge_sorted slots ca.avars in
   let nlen = Array.length new_slots in
-  let first_pos, const_checks, slot_checks, dup_checks =
-    compile_checks cargs slots
-  in
-  let filtered = filter_tuples const_checks dup_checks tuples in
+  let first_pos, const_checks, slot_checks, dup_checks = compile_checks ca.cargs slots in
+  let rows = select_rows ca.rel const_checks dup_checks in
   let sources = sources_for slots first_pos new_slots in
+  let matches = index ca.rel slot_checks rows ~empty:[] ~add:List.cons in
+  let get = Interned.get ca.rel in
   let out =
-    match slot_checks with
-    | [] ->
-        List.concat_map
-          (fun env -> List.rev_map (fun t -> build_env sources nlen env t) filtered)
-          envs
-    | _ :: _ ->
-        let tbl = group_by_key slot_checks filtered in
-        List.concat_map
-          (fun env ->
-            match Hashtbl.find_opt tbl (env_key slot_checks env) with
-            | None -> []
-            | Some ts -> List.rev_map (fun t -> build_env sources nlen env t) ts)
-          envs
+    List.concat_map
+      (fun (env : int array) ->
+        List.rev_map
+          (fun row ->
+            Array.init nlen (fun k ->
+                let src = sources.(k) in
+                if src >= 0 then get row src else env.(-src - 1)))
+          (matches env))
+      envs
   in
   (new_slots, out)
 
-let carg_of code_of (a : Atom.t) =
-  Array.of_list
-    (List.map
-       (function Term.Cst c -> Ccst c | Term.Var x -> Cvar (code_of x))
-       a.Atom.args)
+(* the size of [hash_join]'s result, without building it *)
+let count_join ~slots (ca : catom) envs =
+  let _, const_checks, slot_checks, dup_checks = compile_checks ca.cargs slots in
+  let rows = select_rows ca.rel const_checks dup_checks in
+  let count = index ca.rel slot_checks rows ~empty:0 ~add:(fun _ c -> c + 1) in
+  List.fold_left (fun acc env -> acc + count env) 0 envs
 
 let local_coder () =
   let local = Hashtbl.create 16 and next = ref 0 in
@@ -201,16 +240,8 @@ let local_coder () =
         incr next;
         c
 
-let avars_of cargs =
-  Array.to_list cargs
-  |> List.filter_map (function Cvar v -> Some v | Ccst _ -> None)
-  |> List.sort_uniq Int.compare
-  |> Array.of_list
-
-let tuples_of db (a : Atom.t) =
-  match Database.find a.Atom.pred db with
-  | None -> [||]
-  | Some r -> Array.of_list (List.map Array.of_list (Relation.tuples r))
+let stored_rows img (a : Atom.t) =
+  match Interned.find img a.Atom.pred with Some r -> r.Interned.rows | None -> 0
 
 (* -- cardinality sources -------------------------------------------- *)
 
@@ -219,15 +250,15 @@ let tuples_of db (a : Atom.t) =
    (estimated).  Either way a subset's cells are a function of the atom
    set alone, which is what makes the subset DP exact. *)
 type source =
-  | Exact of { db : Database.t; memo : Subplan.t option }
+  | Exact of { img : Interned.t; memo : Subplan.t option }
   | Estimated of Estimate.t
 
-let exact ?memo db = Exact { db; memo }
+let exact ?memo img = Exact { img; memo }
 let estimated est = Estimated est
 let memo = function Exact { memo; _ } -> memo | Estimated _ -> None
 
 let atom_cells = function
-  | Exact { db; _ } -> fun a -> float_of_int (relation_cells db a)
+  | Exact { img; _ } -> fun a -> float_of_int (stored_rows img a * max 1 (Atom.arity a))
   | Estimated est -> Estimate.relation_cells_est est
 
 (* Summed smallest first, so the float total does not depend on the
@@ -255,15 +286,16 @@ let canonical body =
    or not at all when [memo] already holds the atom set from an earlier
    candidate.
 
-   Environments are flat constant arrays over the subset's sorted
-   variable codes ({!Subplan.entry}): extending one binds a handful of
-   array cells instead of rebuilding a string-keyed map per atom.
+   Environments are flat arrays of the image's constant codes over the
+   subset's sorted variable codes ({!Subplan.entry}): extending one binds
+   a handful of int cells instead of rebuilding a string-keyed map per
+   atom.
    Starting from the single empty environment, the environments of a
    subset are distinct by construction (an environment plus a matched
    tuple determines the extension), so no deduplication is ever needed,
    and the set — though not the list order — is canonical per atom
    set. *)
-let exact_cells ~memo db atoms =
+let exact_cells ~memo img atoms =
   let n = Array.length atoms in
   (* variable codes: drawn from the memo's intern table when present
      (shared across candidates, so entry slots are canonical), local
@@ -274,9 +306,7 @@ let exact_cells ~memo db atoms =
     | Some m -> fun x -> Subplan.intern m ("$" ^ x)
     | None -> local_coder ()
   in
-  let cargs = Array.map (carg_of code_of) atoms in
-  let avars = Array.map avars_of cargs in
-  let tuples = Array.map (tuples_of db) atoms in
+  let catoms = Array.map (compile_atom img code_of) atoms in
   (* memo keys: each atom rendering is interned to a small code once per
      DP, and a subset key packs the codes of its set bits in index order
      — a few bytes per atom to hash instead of the full renderings *)
@@ -293,12 +323,9 @@ let exact_cells ~memo db atoms =
     Buffer.contents b
   in
   (* Joining an entry with atom [i]: one hash build over the atom's
-     filtered tuples, one probe per environment. *)
+     selected rows, one probe per environment. *)
   let join i prev =
-    let new_slots, envs =
-      hash_join ~slots:prev.Subplan.slots ~cargs:cargs.(i) ~avars:avars.(i)
-        ~tuples:tuples.(i) prev.Subplan.envs
-    in
+    let new_slots, envs = hash_join ~slots:prev.Subplan.slots catoms.(i) prev.Subplan.envs in
     {
       Subplan.slots = new_slots;
       envs;
@@ -306,29 +333,9 @@ let exact_cells ~memo db atoms =
     }
   in
   let count_cells i prev =
-    let prev_slots = prev.Subplan.slots in
-    let new_slots = merge_sorted prev_slots avars.(i) in
-    let _, const_checks, slot_checks, dup_checks = compile_checks cargs.(i) prev_slots in
-    let filtered = filter_tuples const_checks dup_checks tuples.(i) in
-    let count =
-      match slot_checks with
-      | [] -> List.length prev.Subplan.envs * List.length filtered
-      | _ :: _ ->
-          let counts = Hashtbl.create (max 16 (List.length filtered)) in
-          List.iter
-            (fun t ->
-              let key = row_key slot_checks t in
-              let c = match Hashtbl.find_opt counts key with Some c -> c | None -> 0 in
-              Hashtbl.replace counts key (c + 1))
-            filtered;
-          List.fold_left
-            (fun acc env ->
-              match Hashtbl.find_opt counts (env_key slot_checks env) with
-              | Some c -> acc + c
-              | None -> acc)
-            0 prev.Subplan.envs
-    in
-    count * max 1 (Array.length new_slots)
+    let slots = prev.Subplan.slots in
+    count_join ~slots catoms.(i) prev.Subplan.envs
+    * max 1 (Array.length (merge_sorted slots catoms.(i).avars))
   in
   let full = (1 lsl n) - 1 in
   let entries : Subplan.entry option array = Array.make (full + 1) None in
@@ -434,7 +441,7 @@ let estimated_cells est atoms =
    ranking key) must not disturb the memo's counters. *)
 let subset_cells ~shared src atoms =
   match src with
-  | Exact { db; memo } -> exact_cells ~memo:(if shared then memo else None) db atoms
+  | Exact { img; memo } -> exact_cells ~memo:(if shared then memo else None) img atoms
   | Estimated est -> estimated_cells est atoms
 
 let cost src order =

@@ -43,10 +43,12 @@ val max_subgoals : int
 
 type source
 
-(** [exact ?memo db] sizes intermediate relations by joining the
-    relations of [db] (normally the materialized views).  [memo] shares
-    those joins across DPs against the same [db]. *)
-val exact : ?memo:Subplan.t -> Database.t -> source
+(** [exact ?memo img] sizes intermediate relations by joining the
+    relations of the interned image [img] (normally a planning context's
+    materialized views, {!Optimizer.image}) on their int codes.  An atom
+    constant [img] lacks matches nothing.  [memo] shares those joins
+    across DPs against the same [img]. *)
+val exact : ?memo:Subplan.t -> Vplan_exec.Interned.t -> source
 
 (** [estimated est] sizes intermediate relations from {!Estimate} join
     profiles.  [Estimate.join_profiles] is not associative, so each
@@ -93,7 +95,10 @@ val optimal :
   Atom.t list ->
   (Atom.t list * float) option
 
-(** {2 Exact sizes} *)
+(** {2 Exact sizes over a boxed database}
+
+    The backtracking evaluator's view of M2, for explain output, M3 and
+    as the oracle {!exact} is tested against. *)
 
 (** [intermediate_sizes db order] lists the {e tuple counts} of
     [IR_1, ..., IR_n] (widths are implied by the variables joined). *)

@@ -7,7 +7,7 @@ type t = {
   view_classes : View.t list list option;
   base : Vplan_relational.Database.t;
   est : Estimate.t;
-  view_db : Vplan_relational.Database.t option Atomic.t;
+  image : Vplan_exec.Interned.t option Atomic.t;
   memo : Subplan.t;
 }
 
@@ -18,7 +18,7 @@ let create ?view_classes ?stats ~views base =
     view_classes;
     base;
     est = Estimate.view_stats (Estimate.of_stats stats) views;
-    view_db = Atomic.make None;
+    image = Atomic.make None;
     memo = Subplan.create ();
   }
 
@@ -28,19 +28,21 @@ let memo t = t.memo
 (* Materialized on first use and published by compare-and-set (never a
    [Lazy], which must not be forced from several domains): domains racing
    on a fresh context may both materialize, and the first published
-   database — the same relations either way — is the one every caller
-   reads. *)
-let rec view_database t =
-  match Atomic.get t.view_db with
-  | Some db -> db
+   image — the same relations either way — is the one every caller
+   reads, so the memo's codes always name one dictionary. *)
+let rec image t =
+  match Atomic.get t.image with
+  | Some img -> img
   | None ->
       (* traced: on the first exact plan after a context change this
          dominates the request, and explain should show it *)
-      let db =
-        Vplan_obs.Obs.phase "materialize" (fun () -> Materialize.views t.base t.views)
+      let img =
+        Vplan_obs.Obs.phase "materialize" (fun () -> Materialize.image t.base t.views)
       in
-      ignore (Atomic.compare_and_set t.view_db None (Some db));
-      view_database t
+      ignore (Atomic.compare_and_set t.image None (Some img));
+      image t
+
+let view_database t = Vplan_exec.Interned.database (image t)
 
 type mode = Exact | Estimated
 type strategy = [ `Supplementary | `Heuristic ]
@@ -61,9 +63,8 @@ let select : type p.
       |> Option.map (fun p ->
              { Select.rewriting = p; plan = (); cost = float_of_int (M1.cost p) })
   | M2 Exact ->
-      let db = view_database t in
       Select.m2 ?budget ~domains ~filters:r.Corecover.filters ~rank:t.est
-        (M2.exact ~memo:t.memo db) candidates
+        (M2.exact ~memo:t.memo (image t)) candidates
   | M2 Estimated -> Select.m2 ?budget ~domains ~rank:t.est (M2.estimated t.est) candidates
   | M3 strategy ->
       let annotate (p : Query.t) order =

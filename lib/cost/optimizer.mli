@@ -8,10 +8,10 @@
     over one base database with its statistics.  The context holds what
     planning reuses across queries — the statistics-derived {!Estimate}
     catalog (which ranks candidates in every mode and costs them in
-    estimated mode), the materialized view relations (built on the first
-    exact use, so estimated mode never materializes a view) and the
-    cross-candidate {!Subplan} memo over them.  A context may be shared
-    across domains. *)
+    estimated mode), the materialized view relations as one resident
+    interned image (built on the first exact use, so estimated mode never
+    materializes a view) and the cross-candidate {!Subplan} memo over
+    it.  A context may be shared across domains. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -35,11 +35,18 @@ val create :
     estimates ({!Estimate.view_stats}), never a scan of view data. *)
 val estimate : t -> Estimate.t
 
-(** The materialized view relations, built on first use (under the
-    [materialize] phase). *)
+(** The materialized view relations as one interned image, built on
+    first use (under the [materialize] phase) in a single pass over the
+    interned base ({!Materialize.image}) and published once, however many
+    domains race on a fresh context.  Exact M2 costing and
+    [explain analyze] read it; it is never rebuilt per request. *)
+val image : t -> Vplan_exec.Interned.t
+
+(** The boxed view database decoded from {!image}'s rows, for M3, the
+    backtracking evaluator and explain output. *)
 val view_database : t -> Database.t
 
-(** The context's subplan memo, valid for {!view_database}. *)
+(** The context's subplan memo, valid for {!image}. *)
 val memo : t -> Subplan.t
 
 (** How M2 sizes intermediate relations: [Exact] joins the materialized

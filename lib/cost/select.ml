@@ -138,7 +138,8 @@ let m3 ?budget ?domains ~rank:est ~annotate db candidates =
 type m2_choice = { m2_rewriting : Query.t; m2_order : Atom.t list; m2_cost : int }
 
 let best_m2 ?memo ?domains ?filters db candidates =
-  m2 ?domains ?filters ~rank:(Estimate.analyze db) (M2.exact ?memo db) candidates
+  let img = Vplan_exec.Interned.of_database db in
+  m2 ?domains ?filters ~rank:(Estimate.analyze db) (M2.exact ?memo img) candidates
   |> Option.map (fun c ->
          { m2_rewriting = c.rewriting; m2_order = c.plan; m2_cost = int_of_float c.cost })
 

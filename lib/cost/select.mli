@@ -73,9 +73,12 @@ val m3 :
 (** {2 Benchmark entry points}
 
     The selection steps the end-to-end ledger times in isolation, kept
-    under their measured names.  [best_m2] ranks by [Estimate.analyze]
-    of the view database (the scan its probe measures); planning code
-    goes through {!Optimizer.plan} instead. *)
+    under their measured names.  [best_m2] interns its boxed view
+    database argument ([Interned.of_database]) and ranks by
+    [Estimate.analyze] of it (the scan its probe measures), so the
+    ledger's [cost.select_exact_ms] includes one intern and one scan;
+    planning code goes through {!Optimizer.plan} instead, over the
+    context's resident image. *)
 
 type m2_choice = { m2_rewriting : Query.t; m2_order : Atom.t list; m2_cost : int }
 

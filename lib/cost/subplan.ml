@@ -1,6 +1,6 @@
 type entry = {
   slots : int array;
-  envs : Vplan_cq.Term.const array list;
+  envs : int array list;
   cells : int;
 }
 

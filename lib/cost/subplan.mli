@@ -16,8 +16,9 @@
     the join order that produced them — though the {e list} order may
     reflect that join order.  Every consumer (cell counts, further
     extensions, match counting) is insensitive to list order.  A store
-    is valid for exactly one database; callers must {!clear} (or drop)
-    it when the underlying relations change.
+    is valid for exactly one view image (its constant codes included);
+    callers must {!clear} (or drop) it when the underlying relations
+    change.
 
     The store is domain-safe: lookups and inserts are guarded by a
     mutex, while the join evaluation itself runs outside the lock.  Two
@@ -30,9 +31,10 @@ type entry = {
   slots : int array;
       (** the subset's variables as sorted interned codes; an
           environment binds [slots.(k)] at position [k] *)
-  envs : Vplan_cq.Term.const array list;
+  envs : int array list;
       (** the distinct satisfying environments of the subset's join,
-          each a constant per slot (list order unspecified) *)
+          each a constant code of the view image per slot (list order
+          unspecified) *)
   cells : int;  (** [size(IR)] = tuples × width, the DP's cost term *)
 }
 

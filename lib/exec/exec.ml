@@ -340,11 +340,13 @@ let head_var_count (head : Atom.t) =
     head.Atom.args
   |> Names.Sset.of_list |> Names.Sset.cardinal
 
-let answers ?budget ?semijoin ?acyclic
-    ?(radix_threshold = default_radix_threshold) ?profile ?estimate t
+(* The evaluation both entry points share: [finish var_ids envs] turns
+   the satisfying environments into the result and its distinct row
+   count; [empty] is the result when a body atom can match nothing. *)
+let evaluate ?budget ?semijoin ?acyclic
+    ?(radix_threshold = default_radix_threshold) ?profile ?estimate ~empty ~finish t
     (q : Query.t) =
   let head = q.Query.head in
-  let head_arity = Atom.arity head in
   Obs.phase "hash_join" (fun () ->
   Profile.step profile ~op:"exec" ~name:head.Atom.pred (fun pnode ->
       (* The reduction policy must be settled before scheduling: the
@@ -423,7 +425,7 @@ let answers ?budget ?semijoin ?acyclic
           (* a body atom names a missing relation: the answer is empty *)
           Profile.set_rows_in pnode 0;
           Profile.set_rows_out pnode 0;
-          Relation.empty head_arity
+          empty
       | Some rev_catoms ->
           let catoms = Array.of_list (List.rev rev_catoms) in
           (* Per-operator accounting (atom rendering, state counting,
@@ -500,25 +502,57 @@ let answers ?budget ?semijoin ?acyclic
                       Profile.set_rows_out node (List.length !state);
                       Profile.set_est_rows node (est_of (List.rev !executed))))
                 catoms);
-          let tuples =
-            List.map
-              (fun env ->
-                List.map
-                  (function
-                    | Term.Cst c -> c
-                    | Term.Var x -> (
-                        match Hashtbl.find_opt var_ids x with
-                        | Some v when env.(v) >= 0 -> Interned.const t env.(v)
-                        | Some _ | None ->
-                            invalid_arg
-                              ("Exec.answers: unbound head variable " ^ x)))
-                  head.Atom.args)
-              !state
-          in
-          let result = Relation.of_tuples head_arity tuples in
+          let result, rows = finish var_ids !state in
           (match pnode with
           | Some _ ->
               Profile.set_rows_in pnode (List.length !state);
-              Profile.set_rows_out pnode (Relation.cardinality result)
+              Profile.set_rows_out pnode rows
           | None -> ());
           result))
+
+let slot var_ids x =
+  match Hashtbl.find_opt var_ids x with
+  | Some v -> v
+  | None -> invalid_arg ("Exec.answers: unbound head variable " ^ x)
+
+let answers ?budget ?semijoin ?acyclic ?radix_threshold ?profile ?estimate t
+    (q : Query.t) =
+  let head = q.Query.head in
+  let arity = Atom.arity head in
+  evaluate ?budget ?semijoin ?acyclic ?radix_threshold ?profile ?estimate
+    ~empty:(Relation.empty arity) t q ~finish:(fun var_ids envs ->
+      let tuples =
+        List.map
+          (fun env ->
+            List.map
+              (function
+                | Term.Cst c -> c | Term.Var x -> Interned.const t env.(slot var_ids x))
+              head.Atom.args)
+          envs
+      in
+      let result = Relation.of_tuples arity tuples in
+      (result, Relation.cardinality result))
+
+(* Head tuples stay int codes: variables read their environment cells,
+   constants take [code]'s (stored as [-code - 1] in [cols]).  One row per
+   environment, so a head projecting variables away can repeat rows. *)
+let rows ?profile ?estimate ~code t (q : Query.t) =
+  let head = q.Query.head in
+  let arity = Atom.arity head in
+  evaluate ?profile ?estimate ~empty:{ Interned.arity; rows = 0; data = [||] } t q
+    ~finish:(fun var_ids envs ->
+      let cols =
+        Array.of_list
+          (List.map
+             (function Term.Cst c -> -code c - 1 | Term.Var x -> slot var_ids x)
+             head.Atom.args)
+      in
+      let n = List.length envs in
+      let data = Array.make (n * arity) 0 in
+      List.iteri
+        (fun row env ->
+          Array.iteri
+            (fun k c -> data.((row * arity) + k) <- (if c >= 0 then env.(c) else -c - 1))
+            cols)
+        envs;
+      ({ Interned.arity; rows = n; data }, n))

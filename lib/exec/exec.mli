@@ -71,3 +71,18 @@ val answers :
   Interned.t ->
   Query.t ->
   Relation.t
+
+(** [rows ~code t q] — the answer of [q] as int codes, one row per
+    satisfying environment: a head variable keeps its code in [t], a
+    head constant takes [code c].  The distinct rows are exactly
+    {!answers}; a head that projects variables away can repeat some,
+    which {!Interned.derive} drops.  This is how views are materialized
+    straight into an image without boxing and re-interning their tuples.
+    [profile]/[estimate] as for {!answers}. *)
+val rows :
+  ?profile:Vplan_obs.Profile.t ->
+  ?estimate:(Atom.t list -> float) ->
+  code:(Term.const -> int) ->
+  Interned.t ->
+  Query.t ->
+  Interned.rel

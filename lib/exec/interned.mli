@@ -2,7 +2,7 @@
 
     Constants are interned to dense integer codes once per load; each
     relation's tuples are stored in a single flat row-major int array.
-    The representation is immutable after {!of_database}. *)
+    An image is immutable once built, by {!of_database} or {!derive}. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -16,6 +16,16 @@ type rel = {
 type t
 
 val of_database : Database.t -> t
+
+(** [derive base builds] — the image of relations computed over [base]
+    (materialized views over an interned base): each [(name, build)]
+    contributes [build code], a relation whose cells are codes of the
+    result's dictionary.  That dictionary is [base]'s, unchanged, extended
+    with every constant [code] is asked for that [base] lacks (a view
+    head's constant).  A build may repeat rows; the image keeps each
+    once.  The boxed {!database} is decoded from the same rows; a later
+    build of an existing name replaces it. *)
+val derive : t -> (string * ((Term.const -> int) -> rel)) list -> t
 
 (** The database this image was built from. *)
 val database : t -> Database.t

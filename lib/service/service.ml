@@ -14,7 +14,6 @@ module Metrics = Vplan_obs.Metrics
 module Obs = Vplan_obs.Obs
 module Profile = Vplan_obs.Profile
 module Exec = Vplan_exec.Exec
-module Interned = Vplan_exec.Interned
 module Hypergraph = Vplan_hypergraph.Hypergraph
 
 let requests_total = Metrics.counter "vplan_rewrite_requests_total"
@@ -352,7 +351,9 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   match plan_choice ?budget ?max_covers ~domains ~cost_mode ctx query with
   | _, None -> None
   | r, Some (rw, order, cost) ->
-      let view_db = Optimizer.view_database ctx in
+      (* the context's resident view image (first materialized here when
+         only estimated-mode plans have run on this context) *)
+      let img = Optimizer.image ctx in
       (* the per-operator estimates come from the context's statistics,
          folded in the order the engine actually ran.  The catalog itself
          was built with the context; the phase marks, in explain's tree,
@@ -360,16 +361,11 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
       let estimate =
         Obs.phase "estimate" (fun () -> Estimate.cardinality (Optimizer.estimate ctx))
       in
-      (* interned per request rather than cached on the plan context:
-         analyze is a diagnosis surface, and forcing a shared lazy cell
-         from concurrent worker domains is exactly the kind of subtlety
-         it exists to debug, not to have *)
-      let interned = Obs.phase "intern" (fun () -> Interned.of_database view_db) in
       let ordered = Query.make_exn rw.Query.head order in
       let profile = Profile.create ~name:(Query.to_string rw) () in
       let answers =
         Obs.phase "analyze_exec" (fun () ->
-            Exec.answers ?budget ~profile ~estimate interned ordered)
+            Exec.answers ?budget ~profile ~estimate img ordered)
       in
       let root = Profile.finish profile in
       let qerror = Profile.max_qerror root in

@@ -206,7 +206,8 @@ type analyze_outcome = {
 }
 
 (** [analyze t query] — {!plan}, then {e execute} the chosen plan
-    against the materialized views with an operator profile attached
+    against the planning context's resident view image
+    ({!Vplan_cost.Optimizer.image}) with an operator profile attached
     and per-operator cardinality estimates from the load-time
     statistics: the [explain analyze] backend.  The per-query q-error
     feeds the [vplan_estimate_qerror] histogram and each selection's

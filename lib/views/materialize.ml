@@ -1,15 +1,16 @@
-open Vplan_relational
+open Vplan_exec
 
-let views ?profile ?estimate base vs =
+let image ?profile ?estimate base vs =
   (* one interned columnar image of the base: every view evaluation
-     shares the constant dictionary and runs through the hash-join
-     engine (build/probe on the shared variables) *)
-  let interned = Vplan_exec.Interned.of_database base in
-  List.fold_left
-    (fun db view ->
-      Database.add_relation (View.name view)
-        (Vplan_exec.Exec.answers ?profile ?estimate interned view)
-        db)
-    Database.empty vs
+     shares its constant dictionary and runs through the hash-join
+     engine, and the answers stay int rows in that dictionary *)
+  let interned = Interned.of_database base in
+  Interned.derive interned
+    (List.map
+       (fun view ->
+         (View.name view, fun code -> Exec.rows ?profile ?estimate ~code interned view))
+       vs)
 
-let answers_via_rewriting view_db p = Eval.answers view_db p
+let views ?profile ?estimate base vs = Interned.database (image ?profile ?estimate base vs)
+
+let answers_via_rewriting view_db p = Vplan_relational.Eval.answers view_db p

@@ -11,8 +11,9 @@ let test_m1_cost () =
   Alcotest.(check (list string)) "best picks P4" [ Query.to_string p4 ]
     (List.map Query.to_string (M1.best [ p1; p2; p3; p4; p5 ]))
 
-let carloc_view_db = Materialize.views Car_loc_part.base Car_loc_part.views
-let carloc = M2.exact carloc_view_db
+let carloc_image = Materialize.image Car_loc_part.base Car_loc_part.views
+let carloc_view_db = Interned.database carloc_image
+let carloc = M2.exact carloc_image
 let optimal src body = Option.get (M2.optimal src body)
 let check_cost msg = Alcotest.(check (float 0.)) msg
 
@@ -83,7 +84,7 @@ let filter_base =
 let test_m2_filter_improves () =
   let open Car_loc_part in
   let view_db = Materialize.views filter_base views in
-  let src = M2.exact view_db in
+  let src = M2.exact (Interned.of_database view_db) in
   let r = Corecover.all_minimal ~query ~views () in
   let p2_rewriting =
     List.find (fun (p : Query.t) -> List.length p.body = 2) r.rewritings
@@ -120,7 +121,7 @@ let test_m2_connected_dp () =
 let test_m2_memo_reuse () =
   let open Car_loc_part in
   let memo = Subplan.create () in
-  let src = M2.exact ~memo carloc_view_db in
+  let src = M2.exact ~memo carloc_image in
   let _, c1 = optimal src p3.Query.body in
   let before = (Subplan.counters memo).Subplan.hits in
   let _, c2 = optimal src p3.Query.body in
@@ -155,7 +156,7 @@ let test_width_limits () =
     List.init n (fun i -> Atom.make (Printf.sprintf "t%d" i) [ Term.Var "X" ])
   in
   Alcotest.check_raises "M2 DP capped at 20" (width_error 21 20) (fun () ->
-      ignore (M2.optimal (M2.exact Car_loc_part.base) (body 21)));
+      ignore (M2.optimal (M2.exact (Interned.of_database Car_loc_part.base)) (body 21)));
   Alcotest.check_raises "permutations capped at 8" (width_error 9 8) (fun () ->
       ignore (Orderings.permutations (body 9)));
   Alcotest.check_raises "M3 optimal capped at 8" (width_error 9 8) (fun () ->
@@ -165,7 +166,7 @@ let test_width_limits () =
 let test_explain_renders () =
   let open Car_loc_part in
   let m2_text =
-    Format.asprintf "%a" (fun ppf () -> Explain.m2 ppf carloc_view_db p2.Query.body) ()
+    Format.asprintf "%a" (fun ppf () -> Explain.m2 ppf carloc_image p2.Query.body) ()
   in
   check_bool "m2 explain mentions steps" true
     (String.length m2_text > 0
@@ -218,7 +219,7 @@ let test_optimizer_m2_cost_order () =
   | _, None -> Alcotest.fail "expected a rewriting"
   | _, Some c ->
       (* the chosen cost must equal the cost of the reported order *)
-      check_cost "consistent" c.cost (M2.cost (M2.exact (Optimizer.view_database ctx)) c.plan)
+      check_cost "consistent" c.cost (M2.cost (M2.exact (Optimizer.image ctx)) c.plan)
 
 let test_optimizer_m2_estimated () =
   let open Car_loc_part in
@@ -226,12 +227,13 @@ let test_optimizer_m2_estimated () =
   match Optimizer.plan (Optimizer.M2 Optimizer.Estimated) ctx query with
   | r, Some est -> (
       let view_db = Optimizer.view_database ctx in
+      let exact = M2.exact (Optimizer.image ctx) in
       (* filters are exact-mode only: compare against the unfiltered
          exact optimum over the same candidates *)
-      match Select.m2 ~rank:(Optimizer.estimate ctx) (M2.exact view_db) r.rewritings with
+      match Select.m2 ~rank:(Optimizer.estimate ctx) exact r.rewritings with
       | Some true_best ->
           check_bool "estimated route never beats the true optimum" true
-            (M2.cost (M2.exact view_db) est.plan >= true_best.cost);
+            (M2.cost exact est.plan >= true_best.cost);
           (* and the chosen plan still computes the right answer *)
           Alcotest.check relation_testable "correct answers" (Eval.answers base query)
             (Materialize.answers_via_rewriting view_db est.rewriting)

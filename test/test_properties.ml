@@ -160,41 +160,109 @@ let bucket_agrees =
       let c = Corecover.gmrs ~query ~views () in
       (b.rewritings <> []) = (c.rewritings <> []))
 
-(* Both cardinality sources of a random instance: the materialized
-   relations themselves, and statistics collected over them. *)
-let sources db = [ M2.exact db; M2.estimated (Estimate.of_stats (Stats.collect db)) ]
+(* A random view image: up to three views over the base pool, some
+   heads carrying a constant ([Int 1], which the base may hold, or ["h"],
+   which it never does), materialized over a random base; and a body over
+   the views' predicates whose arguments mix variables from a pool of
+   four (so repeats are common) with constants the image holds or lacks
+   (["zz"]). *)
+let gen_image_case =
+  let open Gen in
+  let var = map (fun x -> Term.Var x) (oneofl var_pool) in
+  let arg consts = frequency [ (6, var); (3, map (fun c -> Term.Cst c) (oneofl consts)) ] in
+  let gen_view i =
+    let* body =
+      list_size (int_range 1 2)
+        (let* pred, arity = oneofl pred_pool in
+         let* args = list_repeat arity (arg [ Term.Int 0; Term.Int 1 ]) in
+         return (Atom.make pred args))
+    in
+    let* chosen = gen_subset (List.concat_map Atom.vars body |> List.sort_uniq String.compare) in
+    let* extra =
+      frequency
+        [ (1, return []); (1, map (fun c -> [ Term.Cst c ]) (oneofl [ Term.Int 1; Term.Str "h" ])) ]
+    in
+    let* first = bool in
+    let vars = List.map (fun x -> Term.Var x) chosen in
+    let args = if first then extra @ vars else vars @ extra in
+    return (Query.make_exn (Atom.make ("v" ^ string_of_int i) args) body)
+  in
+  let* n = int_range 1 3 in
+  let* views = flatten_l (List.init n gen_view) in
+  let* base = gen_database in
+  let* body =
+    list_size (int_range 1 4)
+      (let* (v : Query.t) = oneofl views in
+       let consts = [ Term.Int 0; Term.Int 2; Term.Str "h"; Term.Str "zz" ] in
+       let* args = list_repeat (Atom.arity v.head) (arg consts) in
+       return (Atom.make v.head.Atom.pred args))
+  in
+  return (body, views, base)
+
+let print_image_case (body, views, base) =
+  String.concat ", " (List.map Atom.to_string body)
+  ^ " || " ^ print_views views ^ " || db size " ^ string_of_int (Database.total_size base)
+
+(* The random case's body without repeated atoms, and its image. *)
+let image_case (body, views, base) =
+  ((Query.dedup_body (Query.make_exn (Atom.make "q" []) body)).Query.body,
+   Materialize.image base views)
+
+(* Both cardinality sources of an image: its relations themselves, and
+   statistics collected over them. *)
+let sources img =
+  [ M2.exact img; M2.estimated (Estimate.of_stats (Stats.collect (Interned.database img))) ]
 
 let exhaustive src body =
   List.fold_left
     (fun acc o -> Float.min acc (M2.cost src o))
     Float.infinity (Orderings.permutations body)
 
+(* The exact source over the image is M2 itself: every ordering's cost
+   equals the relation cells plus each prefix's tuple count times its
+   width, counted by the backtracking evaluator over the boxed view
+   database decoded from the same image. *)
+let m2_image_matches_eval =
+  make_test ~count:300 ~name:"M2 over the image = Eval sizes over the view database"
+    gen_image_case print_image_case (fun ((body, _, _) as case) ->
+      let _, img = image_case case in
+      let vdb = Interned.database img in
+      let eval_cost order =
+        let rel = List.fold_left (fun acc a -> acc + M2.relation_cells vdb a) 0 order in
+        let _, ir =
+          List.fold_left2
+            (fun (vars, acc) a size ->
+              let vars = Names.Sset.union vars (Atom.var_set a) in
+              (vars, acc + (size * max 1 (Names.Sset.cardinal vars))))
+            (Names.Sset.empty, 0) order
+            (M2.intermediate_sizes vdb order)
+        in
+        float_of_int (rel + ir)
+      in
+      let src = M2.exact img in
+      List.for_all (fun o -> M2.cost src o = eval_cost o) (Orderings.permutations body))
+
 (* M2's subset DP agrees exactly with exhaustive permutation search, for
    either source (the estimated source's canonical profile fold makes
    the order cost well-defined, so the equality is exact there too). *)
 let m2_dp_exact =
-  let gen = Gen.pair gen_query gen_database in
-  make_test ~name:"M2 DP = exhaustive" gen
-    (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
-    (fun (q, db) ->
-      let body = (Query.dedup_body q).Query.body in
+  make_test ~name:"M2 DP = exhaustive" gen_image_case print_image_case (fun case ->
+      let body, img = image_case case in
       List.for_all
         (fun src ->
           match M2.optimal src body with
           | Some (order, dp) -> dp = exhaustive src body && M2.cost src order = dp
           | None -> false)
-        (sources db))
+        (sources img))
 
 (* The memo and the branch-and-bound pruning are pure optimizations: with
    a shared memo (probed twice to exercise reuse) and with a bound just
    above the optimum, the DP still returns the exhaustive optimum — and a
    bound at the optimum prunes everything.  Both sources. *)
 let m2_memo_pruned_exact =
-  let gen = Gen.pair gen_query gen_database in
-  make_test ~count:150 ~name:"M2 memoized + pruned DP = exhaustive" gen
-    (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
-    (fun (q, db) ->
-      let body = (Query.dedup_body q).Query.body in
+  make_test ~count:150 ~name:"M2 memoized + pruned DP = exhaustive" gen_image_case
+    print_image_case (fun case ->
+      let body, img = image_case case in
       let memo = Subplan.create () in
       List.for_all
         (fun src ->
@@ -204,7 +272,7 @@ let m2_memo_pruned_exact =
           && cost_of (M2.optimal src body) = ex
           && cost_of (M2.optimal ~bound:(Float.succ ex) src body) = ex
           && M2.optimal ~bound:ex src body = None)
-        (M2.exact ~memo db :: sources db))
+        (M2.exact ~memo img :: sources img))
 
 (* The connected DP is exact for its search space: it returns the minimum
    over exactly the connected-prefix orderings (so whenever some optimal
@@ -228,7 +296,7 @@ let m2_connected_exact =
     (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
     (fun (q, db) ->
       let body = (Query.dedup_body q).Query.body in
-      let src = M2.exact db in
+      let src = M2.exact (Interned.of_database db) in
       let connected = List.filter connected_prefix (Orderings.permutations body) in
       match M2.optimal ~connected:true src body with
       | None -> connected = []
@@ -255,6 +323,7 @@ let best_m2_parallel_deterministic =
       let head = Atom.make "q" [] in
       let candidates = List.map (fun b -> Query.make_exn head b) bodies in
       let stats_est = Estimate.of_stats (Stats.collect db) in
+      let img = Interned.of_database db in
       let fold src =
         List.fold_left
           (fun best (p : Query.t) ->
@@ -282,7 +351,7 @@ let best_m2_parallel_deterministic =
               (stats_est, 4);
             ])
         [
-          ((fun () -> M2.exact ~memo:(Subplan.create ()) db), M2.exact db);
+          ((fun () -> M2.exact ~memo:(Subplan.create ()) img), M2.exact img);
           ((fun () -> M2.estimated stats_est), M2.estimated stats_est);
         ])
 
@@ -708,6 +777,7 @@ let suite =
     gmr_minimum;
     minicon_contained;
     bucket_agrees;
+    m2_image_matches_eval;
     m2_dp_exact;
     m2_memo_pruned_exact;
     m2_connected_exact;

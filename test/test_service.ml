@@ -304,6 +304,96 @@ let service_hit_vs_fresh_qcheck =
       && same_up_to_iso o2.Service.rewritings fresh.Corecover.rewritings)
 
 (* ------------------------------------------------------------------ *)
+(* The resident view image                                             *)
+
+let answers_of = function
+  | Some (o : Service.analyze_outcome) -> o.Service.an_answers
+  | None -> Alcotest.fail "expected an analyze outcome"
+
+let facts l = Database.of_facts (List.map (fun (p, args) -> (p, List.map (fun s -> Term.Str s) args)) l)
+
+(* The planning context's view image is built once and reused, so it
+   must go stale with neither the data nor the catalog: after
+   [set_base], analyze answers over the new rows. *)
+let image_follows_set_base () =
+  let s = service () in
+  Service.set_base s Car_loc_part.base;
+  let truth db = Relation.cardinality (Eval.answers db Car_loc_part.query) in
+  check_int "answers over the first base" (truth Car_loc_part.base)
+    (answers_of (Service.analyze s Car_loc_part.query));
+  let more =
+    facts
+      [
+        ("car", [ "honda"; "anderson" ]);
+        ("loc", [ "anderson"; "springfield" ]);
+        ("loc", [ "anderson"; "shelby" ]);
+        ("loc", [ "anderson"; "ogden" ]);
+        ("part", [ "s1"; "honda"; "springfield" ]);
+        ("part", [ "s5"; "honda"; "shelby" ]);
+        ("part", [ "s6"; "honda"; "ogden" ]);
+        ("part", [ "s7"; "honda"; "ogden" ]);
+      ]
+  in
+  check_bool "the bases differ in answer count" true (truth more <> truth Car_loc_part.base);
+  Service.set_base s more;
+  check_int "answers follow the new base" (truth more)
+    (answers_of (Service.analyze s Car_loc_part.query))
+
+(* ... and after [set_catalog]: the two catalogs swap the definitions of
+   [v1] and [v2], so the rewriting must switch views, and a stale image
+   would answer it from the wrong base relation. *)
+let image_follows_set_catalog () =
+  let query = q "q(X, Y) :- r(X, Y)." in
+  let cat defs = Catalog.create_exn (qs defs) in
+  let s = Service.create (cat [ "v1(A, B) :- r(A, B)."; "v2(A, B) :- s(A, B)." ]) in
+  let base = facts [ ("r", [ "a"; "b" ]); ("s", [ "a"; "b" ]); ("s", [ "b"; "c" ]) ] in
+  Service.set_base s base;
+  let analyzed () =
+    match Service.analyze s query with
+    | Some o ->
+        ( List.map (fun (a : Atom.t) -> a.Atom.pred) o.Service.an_rewriting.Query.body,
+          o.Service.an_answers )
+    | None -> Alcotest.fail "expected an analyze outcome"
+  in
+  let views = Alcotest.(check (list string)) in
+  let body, answers = analyzed () in
+  views "rewritten over v1" [ "v1" ] body;
+  check_int "answers under the first catalog" 1 answers;
+  Service.set_catalog s (cat [ "v1(A, B) :- s(A, B)."; "v2(A, B) :- r(A, B)." ]);
+  let body, answers = analyzed () in
+  views "rewritten over v2" [ "v2" ] body;
+  check_int "answers follow the new catalog" 1 answers
+
+(* Two domains racing on a fresh context: both plan and execute over one
+   published image, and analyze returns the same answers on both. *)
+let image_published_once () =
+  let race f =
+    let ready = Atomic.make 0 in
+    let go () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      f ()
+    in
+    let d = Domain.spawn go in
+    let mine = go () in
+    (mine, Domain.join d)
+  in
+  let ctx = Optimizer.create ~views:Car_loc_part.views Car_loc_part.base in
+  let img1, img2 =
+    race (fun () ->
+        ignore (Optimizer.plan (Optimizer.M2 Optimizer.Exact) ctx Car_loc_part.query);
+        Optimizer.image ctx)
+  in
+  check_bool "one published image" true (img1 == img2);
+  let s = service () in
+  Service.set_base s Car_loc_part.base;
+  let a1, a2 = race (fun () -> answers_of (Service.analyze s Car_loc_part.query)) in
+  check_int "identical answers" a1 a2;
+  check_int "the query's answers" (Relation.cardinality (Eval.answers Car_loc_part.base Car_loc_part.query)) a1
+
+(* ------------------------------------------------------------------ *)
 (* Concurrent dispatch                                                 *)
 
 let stress_concurrent_vs_sequential () =
@@ -369,6 +459,9 @@ let suite =
     Alcotest.test_case "service: plan and analyze need data" `Quick
       service_plan_needs_data;
     service_hit_vs_fresh_qcheck;
+    Alcotest.test_case "image: follows set_base" `Quick image_follows_set_base;
+    Alcotest.test_case "image: follows set_catalog" `Quick image_follows_set_catalog;
+    Alcotest.test_case "image: published once under a race" `Quick image_published_once;
     Alcotest.test_case "service: concurrent = sequential" `Quick
       stress_concurrent_vs_sequential;
   ]
