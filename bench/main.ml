@@ -57,7 +57,6 @@ let full =
 (* CoreCover performance knobs, settable from the command line; every
    combination produces the same rewritings. *)
 let opt_domains = ref 1
-let opt_indexed = ref true
 let opt_buckets = ref true
 
 (* resource-governance knobs: a fresh budget is created per timed query so
@@ -74,7 +73,7 @@ let budget_of_opts () =
 let corecover_gmrs ~query ~views () =
   let r =
     Corecover.gmrs ?budget:(budget_of_opts ()) ?max_covers:!opt_max_covers
-      ~indexed:!opt_indexed ~buckets:!opt_buckets ~domains:!opt_domains ~query
+      ~buckets:!opt_buckets ~domains:!opt_domains ~query
       ~views ()
   in
   (match r.completeness with
@@ -248,7 +247,6 @@ let write_json ~mode oc =
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"mode\": %S,\n" mode;
   Printf.fprintf oc "  \"domains\": %d,\n" !opt_domains;
-  Printf.fprintf oc "  \"indexed\": %b,\n" !opt_indexed;
   Printf.fprintf oc "  \"buckets\": %b,\n" !opt_buckets;
   (match !service_metrics with
   | None -> ()
@@ -2021,7 +2019,7 @@ let experiments settings =
 let usage () =
   prerr_endline
     "usage: main.exe [EXPERIMENT...] [--full | --quick | --mode quick|full] [--views N]\n\
-    \                [--domains N] [--no-index] [--no-buckets] [--out FILE.json]\n\
+    \                [--domains N] [--no-buckets] [--out FILE.json]\n\
     \                [--timeout MS] [--max-steps N] [--max-covers N]\n\
     \                [--clients N] [--port P] [--retries N] [--backoff-ms MS]\n\
     \                                            (loadgen)";
@@ -2049,9 +2047,6 @@ let () =
             is_full := true;
             parse wanted rest
         | _ -> usage ())
-    | "--no-index" :: rest ->
-        opt_indexed := false;
-        parse wanted rest
     | "--no-buckets" :: rest ->
         opt_buckets := false;
         parse wanted rest

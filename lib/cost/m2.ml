@@ -3,6 +3,7 @@ module Atom = Vplan_cq.Atom
 module Term = Vplan_cq.Term
 module Names = Vplan_cq.Names
 module Interned = Vplan_exec.Interned
+module Exec = Vplan_exec.Exec
 module Budget = Vplan_core.Budget
 module Vplan_error = Vplan_core.Vplan_error
 
@@ -44,201 +45,6 @@ end
 let lowest_index bit =
   let rec find k = if 1 lsl k = bit then k else find (k + 1) in
   find 0
-
-let bisect (slots : int array) v =
-  let lo = ref 0 and hi = ref (Array.length slots) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if slots.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let mem_sorted slots v =
-  let k = bisect slots v in
-  k < Array.length slots && slots.(k) = v
-
-let merge_sorted (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (la + lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < la && !j < lb do
-    let x = a.(!i) and y = b.(!j) in
-    if x = y then begin
-      out.(!k) <- x;
-      incr i;
-      incr j
-    end
-    else if x < y then begin
-      out.(!k) <- x;
-      incr i
-    end
-    else begin
-      out.(!k) <- y;
-      incr j
-    end;
-    incr k
-  done;
-  while !i < la do
-    out.(!k) <- a.(!i);
-    incr i;
-    incr k
-  done;
-  while !j < lb do
-    out.(!k) <- b.(!j);
-    incr j;
-    incr k
-  done;
-  if !k = la + lb then out else Array.sub out 0 !k
-
-(* -- hash-join primitives ------------------------------------------- *)
-(* The exact source's subplan joins run over the image's int codes: an
-   atom's rows passing the env-independent checks (constants, repeated
-   fresh variables) are selected once, then grouped into a hash table
-   keyed on the positions matching already-bound slots; each environment
-   probes with its slot values.  An empty key degenerates to a cross
-   product. *)
-
-(* compiled atom argument: a constant's code, or a variable code *)
-type carg = Ccst of int | Cvar of int
-
-(* the code of a constant the image lacks: no row carries it *)
-let absent = -1
-
-(* an atom compiled against the image: the stored relation (no rows when
-   absent or of another arity), its arguments and sorted variables *)
-type catom = { rel : Interned.rel; cargs : carg array; avars : int array }
-
-let no_rows = { Interned.arity = 0; rows = 0; data = [||] }
-
-let compile_atom img code_of (a : Atom.t) =
-  let cargs =
-    Array.of_list
-      (List.map
-         (function
-           | Term.Cst c -> Ccst (Option.value (Interned.const_id img c) ~default:absent)
-           | Term.Var x -> Cvar (code_of x))
-         a.Atom.args)
-  in
-  let rel =
-    match Interned.find img a.Atom.pred with
-    | Some r when r.Interned.arity = Array.length cargs -> r
-    | Some _ | None -> no_rows
-  in
-  let avars =
-    Array.to_list cargs
-    |> List.filter_map (function Cvar v -> Some v | Ccst _ -> None)
-    |> List.sort_uniq Int.compare |> Array.of_list
-  in
-  { rel; cargs; avars }
-
-(* Split an atom's positions against a slot array: constant checks,
-   probe keys (position, slot) and repeated fresh variables, plus each
-   fresh variable's first position. *)
-let compile_checks (cargs : carg array) (slots : int array) =
-  let const_checks = ref [] and slot_checks = ref [] and dup_checks = ref [] in
-  let first_pos = Hashtbl.create 8 in
-  Array.iteri
-    (fun p arg ->
-      match arg with
-      | Ccst c -> const_checks := (p, c) :: !const_checks
-      | Cvar v ->
-          if mem_sorted slots v then
-            slot_checks := (p, bisect slots v) :: !slot_checks
-          else (
-            match Hashtbl.find_opt first_pos v with
-            | Some p0 -> dup_checks := (p, p0) :: !dup_checks
-            | None -> Hashtbl.add first_pos v p))
-    cargs;
-  (first_pos, !const_checks, !slot_checks, !dup_checks)
-
-let select_rows (rel : Interned.rel) const_checks dup_checks =
-  let get = Interned.get rel in
-  let out = ref [] in
-  for row = rel.Interned.rows - 1 downto 0 do
-    if
-      List.for_all (fun (p, c) -> get row p = c) const_checks
-      && List.for_all (fun (p, p0) -> get row p = get row p0) dup_checks
-    then out := row :: !out
-  done;
-  !out
-
-(* [index rel slot_checks rows ~empty ~add] folds the selected rows into
-   one accumulator per join key; the returned lookup maps an environment
-   to its key's accumulator.  One shared variable keys on the raw code,
-   several on a code array, none on the single accumulator of every row
-   (a cross product). *)
-let index (rel : Interned.rel) slot_checks rows ~empty ~add =
-  let get = Interned.get rel in
-  let grouped key_of =
-    let tbl = Hashtbl.create (max 16 (List.length rows)) in
-    List.iter
-      (fun row ->
-        let k = key_of row in
-        let acc = Option.value (Hashtbl.find_opt tbl k) ~default:empty in
-        Hashtbl.replace tbl k (add row acc))
-      rows;
-    fun k -> Option.value (Hashtbl.find_opt tbl k) ~default:empty
-  in
-  match slot_checks with
-  | [] ->
-      let all = List.fold_left (fun acc row -> add row acc) empty rows in
-      fun _ -> all
-  | [ (p, j) ] ->
-      let find = grouped (fun row -> get row p) in
-      fun (env : int array) -> find env.(j)
-  | checks ->
-      let ps = Array.of_list (List.map fst checks) in
-      let js = Array.of_list (List.map snd checks) in
-      let find = grouped (fun row -> Array.map (fun p -> get row p) ps) in
-      fun env -> find (Array.map (fun j -> env.(j)) js)
-
-(* value source per new slot: an existing slot or a (first occurrence)
-   row position *)
-let sources_for prev_slots first_pos new_slots =
-  Array.map
-    (fun v ->
-      if mem_sorted prev_slots v then -bisect prev_slots v - 1
-      else Hashtbl.find first_pos v)
-    new_slots
-
-let hash_join ~slots (ca : catom) envs =
-  let new_slots = merge_sorted slots ca.avars in
-  let nlen = Array.length new_slots in
-  let first_pos, const_checks, slot_checks, dup_checks = compile_checks ca.cargs slots in
-  let rows = select_rows ca.rel const_checks dup_checks in
-  let sources = sources_for slots first_pos new_slots in
-  let matches = index ca.rel slot_checks rows ~empty:[] ~add:List.cons in
-  let get = Interned.get ca.rel in
-  let out =
-    List.concat_map
-      (fun (env : int array) ->
-        List.rev_map
-          (fun row ->
-            Array.init nlen (fun k ->
-                let src = sources.(k) in
-                if src >= 0 then get row src else env.(-src - 1)))
-          (matches env))
-      envs
-  in
-  (new_slots, out)
-
-(* the size of [hash_join]'s result, without building it *)
-let count_join ~slots (ca : catom) envs =
-  let _, const_checks, slot_checks, dup_checks = compile_checks ca.cargs slots in
-  let rows = select_rows ca.rel const_checks dup_checks in
-  let count = index ca.rel slot_checks rows ~empty:0 ~add:(fun _ c -> c + 1) in
-  List.fold_left (fun acc env -> acc + count env) 0 envs
-
-let local_coder () =
-  let local = Hashtbl.create 16 and next = ref 0 in
-  fun x ->
-    match Hashtbl.find_opt local x with
-    | Some c -> c
-    | None ->
-        let c = !next in
-        Hashtbl.add local x c;
-        incr next;
-        c
 
 let stored_rows img (a : Atom.t) =
   match Interned.find img a.Atom.pred with Some r -> r.Interned.rows | None -> 0
@@ -302,11 +108,20 @@ let exact_cells ~memo img atoms =
      otherwise.  The "$" prefix keeps variable names out of the atom
      renderings' namespace. *)
   let code_of =
-    match memo with
-    | Some m -> fun x -> Subplan.intern m ("$" ^ x)
-    | None -> local_coder ()
+    let codes = Hashtbl.create 16 in
+    let fresh =
+      match memo with
+      | Some m -> fun x -> Subplan.intern m ("$" ^ x)
+      | None -> fun _ -> Hashtbl.length codes
+    in
+    fun x ->
+      match Hashtbl.find_opt codes x with
+      | Some c -> c
+      | None ->
+          let c = fresh x in
+          Hashtbl.add codes x c;
+          c
   in
-  let catoms = Array.map (compile_atom img code_of) atoms in
   (* memo keys: each atom rendering is interned to a small code once per
      DP, and a subset key packs the codes of its set bits in index order
      — a few bytes per atom to hash instead of the full renderings *)
@@ -322,20 +137,18 @@ let exact_cells ~memo img atoms =
     done;
     Buffer.contents b
   in
-  (* Joining an entry with atom [i]: one hash build over the atom's
-     selected rows, one probe per environment. *)
+  (* Joining an entry with atom [i] is one step of the execution
+     engine's kernel over the image; the final subset only counts. *)
+  let step i prev = Exec.compile img ~var:code_of prev.Subplan.slots atoms.(i) in
   let join i prev =
-    let new_slots, envs = hash_join ~slots:prev.Subplan.slots catoms.(i) prev.Subplan.envs in
-    {
-      Subplan.slots = new_slots;
-      envs;
-      cells = List.length envs * max 1 (Array.length new_slots);
-    }
+    let st = step i prev in
+    let slots = Exec.slots st in
+    let envs = Exec.join st prev.Subplan.envs in
+    { Subplan.slots; envs; cells = List.length envs * max 1 (Array.length slots) }
   in
   let count_cells i prev =
-    let slots = prev.Subplan.slots in
-    count_join ~slots catoms.(i) prev.Subplan.envs
-    * max 1 (Array.length (merge_sorted slots catoms.(i).avars))
+    let st = step i prev in
+    Exec.count st prev.Subplan.envs * max 1 (Array.length (Exec.slots st))
   in
   let full = (1 lsl n) - 1 in
   let entries : Subplan.entry option array = Array.make (full + 1) None in

@@ -45,9 +45,12 @@ type source
 
 (** [exact ?memo img] sizes intermediate relations by joining the
     relations of the interned image [img] (normally a planning context's
-    materialized views, {!Optimizer.image}) on their int codes.  An atom
-    constant [img] lacks matches nothing.  [memo] shares those joins
-    across DPs against the same [img]. *)
+    materialized views, {!Optimizer.image}) with the execution engine's
+    join step ({!Vplan_exec.Exec.join}; the full subset only
+    {!Vplan_exec.Exec.count}s), so a plan's cost and its answers come
+    from one kernel.  An atom constant [img] lacks matches nothing.
+    [memo] shares the step's output ({!Subplan.entry}) across DPs
+    against the same [img]. *)
 val exact : ?memo:Subplan.t -> Vplan_exec.Interned.t -> source
 
 (** [estimated est] sizes intermediate relations from {!Estimate} join

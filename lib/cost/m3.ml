@@ -94,45 +94,31 @@ let heuristic ~views ~query ~head order =
   done;
   assemble ~head ~original:order ~modified:!modified ~renamed_back:!renamed_back
 
+(* The one evaluation of a plan: each step extends the environments by
+   its (renamed) subgoal and projects them onto the kept variables,
+   giving GSR_i; [f acc step gsr] folds over the GSRs in order. *)
+let fold_gsrs db plan f init =
+  List.fold_left
+    (fun (envs, acc) step ->
+      let envs = Eval.project ~onto:step.kept (Eval.extend db envs step.evaluated) in
+      (envs, f acc step envs))
+    ([ Eval.empty_env ], init)
+    plan
+
 let gsr_sizes db plan =
-  let _, rev_sizes =
-    List.fold_left
-      (fun (envs, sizes) step ->
-        let envs = Eval.extend db envs step.evaluated in
-        let envs = Eval.project ~onto:step.kept envs in
-        (envs, List.length envs :: sizes))
-      ([ Eval.empty_env ], [])
-      plan
-  in
-  List.rev rev_sizes
+  List.rev (snd (fold_gsrs db plan (fun acc _ envs -> List.length envs :: acc) []))
+
+let answers db ~head plan =
+  let envs, () = fold_gsrs db plan (fun () _ _ -> ()) () in
+  let tuples = List.map (fun env -> Eval.tuple_of_env env head.Atom.args) envs in
+  Relation.of_tuples (Atom.arity head) tuples
 
 (* size(·) counts cells (tuples x attributes), consistently with M2; this
    is what makes dropping an attribute visible to the cost measure even
    when it does not reduce the tuple count (the reversed orderings of
-   Example 6.1). *)
-let cost_of_plan db plan =
-  let relation_costs =
-    List.fold_left (fun acc step -> acc + M2.relation_cells db step.subgoal) 0 plan
-  in
-  let widths = List.map (fun step -> max 1 (Names.Sset.cardinal step.kept)) plan in
-  let gsr_cells =
-    List.fold_left2 (fun acc size w -> acc + (size * w)) 0 (gsr_sizes db plan) widths
-  in
-  relation_costs + gsr_cells
-
-let answers db ~head plan =
-  let envs =
-    List.fold_left
-      (fun envs step ->
-        Eval.project ~onto:step.kept (Eval.extend db envs step.evaluated))
-      [ Eval.empty_env ] plan
-  in
-  let tuples = List.map (fun env -> Eval.tuple_of_env env head.Atom.args) envs in
-  Relation.of_tuples (Atom.arity head) tuples
-
-(* Like [cost_of_plan] but abandons the evaluation as soon as the partial
-   sum reaches [bound]: the per-step terms are nonnegative, so no
-   completion can come back under it. *)
+   Example 6.1).  The evaluation is abandoned as soon as the partial sum
+   reaches [bound]: the per-step terms are nonnegative, so no completion
+   can come back under it. *)
 let cost_of_plan_bounded db ?(bound = max_int) plan =
   let relation_costs =
     List.fold_left (fun acc step -> acc + M2.relation_cells db step.subgoal) 0 plan
@@ -142,20 +128,19 @@ let cost_of_plan_bounded db ?(bound = max_int) plan =
     let exception Over in
     try
       let _, total =
-        List.fold_left
-          (fun (envs, acc) step ->
-            let envs = Eval.extend db envs step.evaluated in
-            let envs = Eval.project ~onto:step.kept envs in
-            let w = max 1 (Names.Sset.cardinal step.kept) in
-            let acc = acc + (List.length envs * w) in
+        fold_gsrs db plan
+          (fun acc step envs ->
+            let acc = acc + (List.length envs * max 1 (Names.Sset.cardinal step.kept)) in
             if relation_costs + acc >= bound then raise Over;
-            (envs, acc))
-          ([ Eval.empty_env ], 0)
-          plan
+            acc)
+          0
       in
       Some (relation_costs + total)
     with Over -> None
   end
+
+(* unbounded: only a cost saturating [max_int] is cut off *)
+let cost_of_plan db plan = Option.value (cost_of_plan_bounded db plan) ~default:max_int
 
 let optimal_pruned ?budget ?(bound = max_int) db ~annotate body =
   (* [Orderings.permutations] raises the typed width-limit error past its

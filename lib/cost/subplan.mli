@@ -27,10 +27,14 @@
 
 type t
 
+(** An atom set's join as the execution engine's step produces it
+    ({!Vplan_exec.Exec.join}): the output layout and environments of
+    extending a predecessor entry by one atom. *)
 type entry = {
   slots : int array;
-      (** the subset's variables as sorted interned codes; an
-          environment binds [slots.(k)] at position [k] *)
+      (** the subset's variables as sorted interned codes (the step's
+          layout, {!Vplan_exec.Exec.slots}); an environment binds
+          [slots.(k)] at position [k] *)
   envs : int array list;
       (** the distinct satisfying environments of the subset's join,
           each a constant code of the view image per slot (list order

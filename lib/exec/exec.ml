@@ -15,7 +15,8 @@ module Hypergraph = Vplan_hypergraph.Hypergraph
    variables) are applied in one pass before joining; oversized build
    sides are radix-partitioned; a pairwise semi-join reduction trims
    selections before any join when the head projects most variables
-   away. *)
+   away.  The join step is also M2's exact cardinality source: costing
+   and execution run the same build/probe code. *)
 
 let build_rows_c = Metrics.counter "vplan_join_build_rows"
 let probe_rows_c = Metrics.counter "vplan_join_probe_rows"
@@ -29,152 +30,260 @@ let default_radix_threshold = 65536
    below the threshold again without scattering tiny partitions. *)
 let radix_partitions = 16
 
-type carg =
-  | Const of int  (* interned constant *)
-  | Var of int  (* variable number *)
-  | Unmatchable  (* constant absent from the database: no tuple matches *)
+(* -- layouts ---------------------------------------------------------- *)
+(* An environment is a flat int array over a layout: the sorted variable
+   codes it binds, [layout.(k)] held at position [k]. *)
 
-type catom = {
+let bisect (slots : int array) v =
+  let lo = ref 0 and hi = ref (Array.length slots) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if slots.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem_sorted slots v =
+  let k = bisect slots v in
+  k < Array.length slots && slots.(k) = v
+
+let merge_sorted (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let out = Array.make (la + lb) 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la && !j < lb do
+    let x = a.(!i) and y = b.(!j) in
+    if x = y then begin
+      out.(!k) <- x;
+      incr i;
+      incr j
+    end
+    else if x < y then begin
+      out.(!k) <- x;
+      incr i
+    end
+    else begin
+      out.(!k) <- y;
+      incr j
+    end;
+    incr k
+  done;
+  while !i < la do
+    out.(!k) <- a.(!i);
+    incr i;
+    incr k
+  done;
+  while !j < lb do
+    out.(!k) <- b.(!j);
+    incr j;
+    incr k
+  done;
+  if !k = la + lb then out else Array.sub out 0 !k
+
+(* -- the join step ---------------------------------------------------- *)
+
+type step = {
   rel : Interned.rel;
+  dead : bool;  (* missing relation, other arity or absent constant *)
   const_checks : (int * int) array;  (* (pos, code) *)
   dup_checks : (int * int) array;  (* (pos, first pos of same var) *)
-  key_pairs : (int * int) array;  (* (var, pos): vars bound by earlier atoms *)
-  new_vars : (int * int) array;  (* (var, pos): vars first bound here *)
   var_pos : (int * int) array;  (* (var, first pos) for every distinct var *)
+  key_env : int array;  (* env positions of the vars bound earlier ... *)
+  key_row : int array;  (* ... and their first row positions *)
+  slots : int array;  (* the output layout *)
+  sources : int array;  (* per output position: row pos, or env pos e as -e-1 *)
 }
 
-(* Compilation happens in scheduled order: [bound] accumulates the
-   variables the already-compiled prefix binds, which is exactly what
-   splits an atom's variables into probe keys and fresh bindings. *)
-let compile t var_id bound (a : Atom.t) =
-  match Interned.find t a.Atom.pred with
-  | None -> None
-  | Some rel when rel.Interned.arity <> Atom.arity a -> None
-  | Some rel ->
-      let args =
-        Array.of_list
-          (List.map
-             (function
-               | Term.Cst c -> (
-                   match Interned.const_id t c with
-                   | Some id -> Const id
-                   | None -> Unmatchable)
-               | Term.Var x -> Var (var_id x))
-             a.Atom.args)
-      in
-      if
-        Array.exists
-          (function Unmatchable -> true | Const _ | Var _ -> false)
-          args
-      then None
-      else begin
-        let first = Hashtbl.create 8 in
-        let const_checks = ref [] and dup_checks = ref [] in
-        Array.iteri
-          (fun pos arg ->
-            match arg with
-            | Const id -> const_checks := (pos, id) :: !const_checks
-            | Var v -> (
-                match Hashtbl.find_opt first v with
-                | Some p0 -> dup_checks := (pos, p0) :: !dup_checks
-                | None -> Hashtbl.add first v pos)
-            | Unmatchable -> ())
-          args;
-        let key_pairs = ref [] and new_vars = ref [] in
-        Array.iteri
-          (fun pos arg ->
-            match arg with
-            | Var v when Hashtbl.find first v = pos ->
-                if Hashtbl.mem bound v then key_pairs := (v, pos) :: !key_pairs
-                else new_vars := (v, pos) :: !new_vars
-            | Var _ | Const _ | Unmatchable -> ())
-          args;
-        List.iter (fun (v, _) -> Hashtbl.replace bound v ()) !new_vars;
-        let key_pairs = Array.of_list (List.rev !key_pairs) in
-        let new_vars = Array.of_list (List.rev !new_vars) in
-        Some
-          {
-            rel;
-            const_checks = Array.of_list (List.rev !const_checks);
-            dup_checks = Array.of_list (List.rev !dup_checks);
-            key_pairs;
-            new_vars;
-            var_pos = Array.append key_pairs new_vars;
-          }
-      end
+let no_rows = { Interned.arity = 0; rows = 0; data = [||] }
+
+let compile t ~var layout (a : Atom.t) =
+  let args = Array.of_list a.Atom.args in
+  let rel, dead =
+    match Interned.find t a.Atom.pred with
+    | Some rel when rel.Interned.arity = Array.length args -> (rel, false)
+    | Some _ | None -> (no_rows, true)
+  in
+  let dead = ref dead in
+  let first = Hashtbl.create 8 in
+  let const_checks = ref [] and dup_checks = ref [] and var_pos = ref [] in
+  Array.iteri
+    (fun pos arg ->
+      match arg with
+      | Term.Cst c -> (
+          match Interned.const_id t c with
+          | Some id -> const_checks := (pos, id) :: !const_checks
+          | None -> dead := true)
+      | Term.Var x -> (
+          let v = var x in
+          match Hashtbl.find_opt first v with
+          | Some p0 -> dup_checks := (pos, p0) :: !dup_checks
+          | None ->
+              Hashtbl.add first v pos;
+              var_pos := (v, pos) :: !var_pos))
+    args;
+  let var_pos = Array.of_list (List.rev !var_pos) in
+  let keys = List.filter (fun (v, _) -> mem_sorted layout v) (Array.to_list var_pos) in
+  let vars = Array.map fst var_pos in
+  Array.sort Int.compare vars;
+  let slots = merge_sorted layout vars in
+  {
+    rel;
+    dead = !dead;
+    const_checks = Array.of_list (List.rev !const_checks);
+    dup_checks = Array.of_list (List.rev !dup_checks);
+    var_pos;
+    key_env = Array.of_list (List.map (fun (v, _) -> bisect layout v) keys);
+    key_row = Array.of_list (List.map snd keys);
+    slots;
+    sources =
+      Array.map
+        (fun v -> if mem_sorted layout v then -bisect layout v - 1 else Hashtbl.find first v)
+        slots;
+  }
+
+let slots st = st.slots
 
 (* One pass over the stored relation applying the env-independent checks
    (constants, repeated variables); the surviving row numbers feed every
    later build, probe and semi-join. *)
-let select ca =
-  let rel = ca.rel in
+let select st =
+  let rel = st.rel in
   let out = ref [] in
-  for row = rel.Interned.rows - 1 downto 0 do
-    if
-      Array.for_all
-        (fun (pos, code) -> Interned.get rel row pos = code)
-        ca.const_checks
-      && Array.for_all
-           (fun (pos, p0) -> Interned.get rel row pos = Interned.get rel row p0)
-           ca.dup_checks
-    then out := row :: !out
-  done;
+  if not st.dead then
+    for row = rel.Interned.rows - 1 downto 0 do
+      if
+        Array.for_all
+          (fun (pos, code) -> Interned.get rel row pos = code)
+          st.const_checks
+        && Array.for_all
+             (fun (pos, p0) -> Interned.get rel row pos = Interned.get rel row p0)
+             st.dup_checks
+      then out := row :: !out
+    done;
   Array.of_list !out
+
+(* The one keyed build: [rows] of [rel] folded into one accumulator per
+   value of the key read at [key_row].  The lookup [find arr base ps]
+   reads its key at [arr.(base + ps.(k))] — an environment (base 0, env
+   positions) or another relation's row — so joins, counts and semi-joins
+   probe the same table.  A single key hashes the raw code, wider keys an
+   array; no key puts every row in one accumulator (a cross product). *)
+let index (rel : Interned.rel) key_row rows ~empty ~add =
+  let grouped key =
+    let tbl = Hashtbl.create (max 16 (Array.length rows)) in
+    Array.iter
+      (fun row ->
+        let k = key rel.Interned.data (row * rel.Interned.arity) key_row in
+        let prev = match Hashtbl.find_opt tbl k with Some acc -> acc | None -> empty in
+        Hashtbl.replace tbl k (add row prev))
+      rows;
+    fun arr base ps -> match Hashtbl.find_opt tbl (key arr base ps) with Some acc -> acc | None -> empty
+  in
+  match Array.length key_row with
+  | 0 ->
+      let all = Array.fold_right add rows empty in
+      fun _ _ _ -> all
+  | 1 -> grouped (fun arr base ps -> arr.(base + ps.(0)))
+  | _ -> grouped (fun arr base ps -> Array.map (fun p -> arr.(base + p)) ps)
+
+let extend st env row =
+  let data = st.rel.Interned.data and base = row * st.rel.Interned.arity in
+  let src = st.sources in
+  let e = Array.make (Array.length src) 0 in
+  for k = 0 to Array.length src - 1 do
+    let s = src.(k) in
+    e.(k) <- (if s >= 0 then data.(base + s) else env.(-s - 1))
+  done;
+  e
 
 let hash_key karr = Array.fold_left (fun h x -> (h * 31) + x + 1) 17 karr
 
-let filter_rows f rows =
-  let out = ref [] in
-  Array.iter (fun r -> if f r then out := r :: !out) rows;
-  Array.of_list (List.rev !out)
+(* Join the selected rows [sel] with [envs].  [metered] accounts rows in
+   the join counters; build sides above [radix_threshold] are
+   grace-partitioned on the key hash and joined partition by
+   partition. *)
+let run ~metered budget radix_threshold pnode st sel envs =
+  match envs with
+  | [] -> []
+  | _ ->
+      let out = ref [] in
+      let keyed = Array.length st.key_row > 0 in
+      let probe rows envs =
+        if metered then begin
+          if keyed then Metrics.add build_rows_c (Array.length rows);
+          Metrics.add probe_rows_c (List.length envs)
+        end;
+        let find = index st.rel st.key_row rows ~empty:[] ~add:List.cons in
+        List.iter
+          (fun env ->
+            Budget.tick budget;
+            List.iter
+              (fun row ->
+                Budget.tick budget;
+                out := extend st env row :: !out)
+              (find env 0 st.key_env))
+          envs
+      in
+      if keyed && Array.length sel > radix_threshold then begin
+        let nparts = radix_partitions in
+        if metered then Metrics.add partitions_c nparts;
+        Profile.set_partitions pnode nparts;
+        let rel = st.rel in
+        let row_parts = Array.make nparts [] in
+        Array.iter
+          (fun row ->
+            let h =
+              hash_key (Array.map (fun p -> Interned.get rel row p) st.key_row)
+              land (nparts - 1)
+            in
+            row_parts.(h) <- row :: row_parts.(h))
+          sel;
+        let env_parts = Array.make nparts [] in
+        List.iter
+          (fun env ->
+            let h = hash_key (Array.map (fun e -> env.(e)) st.key_env) land (nparts - 1) in
+            env_parts.(h) <- env :: env_parts.(h))
+          envs;
+        for p = 0 to nparts - 1 do
+          match env_parts.(p) with
+          | [] -> ()
+          | envs -> probe (Array.of_list (List.rev row_parts.(p))) (List.rev envs)
+        done
+      end
+      else probe sel envs;
+      List.rev !out
+
+let join st envs = run ~metered:false None default_radix_threshold None st (select st) envs
+
+let count st envs =
+  let find = index st.rel st.key_row (select st) ~empty:0 ~add:(fun _ c -> c + 1) in
+  List.fold_left (fun acc env -> acc + find env 0 st.key_env) 0 envs
 
 (* One semi-join pass: filter sels.(i) down to the rows whose
-   shared-variable values appear in sels.(j).  The common single shared
-   variable hashes raw int codes; only wider keys pay for boxed
-   arrays.  Rows dropped are accounted in
-   [vplan_semijoin_rows_pruned_total]. *)
-let semijoin_pair budget catoms sels i j =
+   shared-variable values appear in sels.(j).  Rows dropped are
+   accounted in [vplan_semijoin_rows_pruned_total]. *)
+let semijoin_pair budget steps sels i j =
   let map_j = Hashtbl.create 8 in
-  Array.iter (fun (v, p) -> Hashtbl.replace map_j v p) catoms.(j).var_pos;
+  Array.iter (fun (v, p) -> Hashtbl.replace map_j v p) steps.(j).var_pos;
   let shared =
-    Array.to_list catoms.(i).var_pos
+    Array.to_list steps.(i).var_pos
     |> List.filter_map (fun (v, pi) ->
            match Hashtbl.find_opt map_j v with
            | Some pj -> Some (pi, pj)
            | None -> None)
-    |> Array.of_list
   in
-  if Array.length shared > 0 then begin
+  if shared <> [] then begin
     let before = Array.length sels.(i) in
-    let reli = catoms.(i).rel and relj = catoms.(j).rel in
-    if Array.length shared = 1 then begin
-      let keys = Hashtbl.create (max 16 (Array.length sels.(j))) in
-      let pi, pj = shared.(0) in
-      Array.iter
-        (fun row -> Hashtbl.replace keys (Interned.get relj row pj) ())
-        sels.(j);
-      sels.(i) <-
-        filter_rows
-          (fun row ->
-            Budget.tick budget;
-            Hashtbl.mem keys (Interned.get reli row pi))
-          sels.(i)
-    end
-    else begin
-      let keys = Hashtbl.create (max 16 (Array.length sels.(j))) in
-      Array.iter
-        (fun row ->
-          let key = Array.map (fun (_, pj) -> Interned.get relj row pj) shared in
-          Hashtbl.replace keys key ())
-        sels.(j);
-      sels.(i) <-
-        filter_rows
-          (fun row ->
-            Budget.tick budget;
-            Hashtbl.mem keys
-              (Array.map (fun (pi, _) -> Interned.get reli row pi) shared))
-          sels.(i)
-    end;
+    let reli = steps.(i).rel in
+    let pis = Array.of_list (List.map fst shared) in
+    let pjs = Array.of_list (List.map snd shared) in
+    let mem = index steps.(j).rel pjs sels.(j) ~empty:false ~add:(fun _ _ -> true) in
+    let kept = ref [] in
+    Array.iter
+      (fun row ->
+        Budget.tick budget;
+        if mem reli.Interned.data (row * reli.Interned.arity) pis then kept := row :: !kept)
+      sels.(i);
+    sels.(i) <- Array.of_list (List.rev !kept);
     Metrics.add semijoin_pruned_c (before - Array.length sels.(i))
   end
 
@@ -184,17 +293,17 @@ let semijoin_pair budget catoms sels i j =
    the schedule puts bound constants first — into the later, larger
    selections; a backward sweep then propagates the shrunken tails into
    the build sides of the first joins. *)
-let semijoin_reduce budget catoms sels =
+let semijoin_reduce budget steps sels =
   Obs.phase "semijoin" (fun () ->
-      let n = Array.length catoms in
+      let n = Array.length steps in
       for i = 0 to n - 2 do
         for j = i + 1 to n - 1 do
-          semijoin_pair budget catoms sels j i
+          semijoin_pair budget steps sels j i
         done
       done;
       for i = n - 2 downto 0 do
         for j = i + 1 to n - 1 do
-          semijoin_pair budget catoms sels i j
+          semijoin_pair budget steps sels i j
         done
       done)
 
@@ -206,133 +315,18 @@ let semijoin_reduce budget catoms sels =
    tree: by the running-intersection property the selections are
    globally dangling-free after 2(n-1) passes, where the pairwise
    heuristic spends O(n²) passes without that guarantee. *)
-let yannakakis_reduce budget catoms sels ~parent ~removal =
+let yannakakis_reduce budget steps sels ~parent ~removal =
   Obs.phase "yannakakis" (fun () ->
       List.iter
         (fun c ->
           let p = parent.(c) in
-          if p >= 0 then semijoin_pair budget catoms sels p c)
+          if p >= 0 then semijoin_pair budget steps sels p c)
         removal;
       List.iter
         (fun c ->
           let p = parent.(c) in
-          if p >= 0 then semijoin_pair budget catoms sels c p)
+          if p >= 0 then semijoin_pair budget steps sels c p)
         (List.rev removal))
-
-let extend ca env row =
-  let e = Array.copy env in
-  Array.iter (fun (v, p) -> e.(v) <- Interned.get ca.rel row p) ca.new_vars;
-  e
-
-(* Build a hash table over the selected rows keyed on the shared
-   variables, then probe with every accumulated environment.  The
-   single-variable key is the common case and probes an int-keyed
-   table directly. *)
-let build_probe budget ca rows envs out =
-  Metrics.add build_rows_c (Array.length rows);
-  Metrics.add probe_rows_c (List.length envs);
-  let rel = ca.rel in
-  let kp = ca.key_pairs in
-  if Array.length kp = 1 then begin
-    let v0, p0 = kp.(0) in
-    let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-    Array.iter
-      (fun row ->
-        let key = Interned.get rel row p0 in
-        let prev = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
-        Hashtbl.replace tbl key (row :: prev))
-      rows;
-    List.iter
-      (fun env ->
-        Budget.tick budget;
-        match Hashtbl.find_opt tbl env.(v0) with
-        | None -> ()
-        | Some matches ->
-            List.iter
-              (fun row ->
-                Budget.tick budget;
-                out := extend ca env row :: !out)
-              matches)
-      envs
-  end
-  else begin
-    let row_key row = Array.map (fun (_, p) -> Interned.get rel row p) kp in
-    let env_key env = Array.map (fun (v, _) -> env.(v)) kp in
-    let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-    Array.iter
-      (fun row ->
-        let key = row_key row in
-        let prev = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
-        Hashtbl.replace tbl key (row :: prev))
-      rows;
-    List.iter
-      (fun env ->
-        Budget.tick budget;
-        match Hashtbl.find_opt tbl (env_key env) with
-        | None -> ()
-        | Some matches ->
-            List.iter
-              (fun row ->
-                Budget.tick budget;
-                out := extend ca env row :: !out)
-              matches)
-      envs
-  end
-
-let step budget radix_threshold pnode ca sel state =
-  match state with
-  | [] -> []
-  | _ ->
-      let out = ref [] in
-      if Array.length ca.key_pairs = 0 then begin
-        (* no shared variable: selection-filtered cross product *)
-        Metrics.add probe_rows_c (List.length state);
-        List.iter
-          (fun env ->
-            Budget.tick budget;
-            Array.iter
-              (fun row ->
-                Budget.tick budget;
-                out := extend ca env row :: !out)
-              sel)
-          state
-      end
-      else if Array.length sel > radix_threshold then begin
-        (* grace/radix partitioning: split both sides on the key hash so
-           each build fits comfortably, then join partition by partition *)
-        let nparts = radix_partitions in
-        Metrics.add partitions_c nparts;
-        Profile.set_partitions pnode nparts;
-        let rel = ca.rel in
-        let kp = ca.key_pairs in
-        let row_parts = Array.make nparts [] in
-        Array.iter
-          (fun row ->
-            let h =
-              hash_key (Array.map (fun (_, p) -> Interned.get rel row p) kp)
-              land (nparts - 1)
-            in
-            row_parts.(h) <- row :: row_parts.(h))
-          sel;
-        let env_parts = Array.make nparts [] in
-        List.iter
-          (fun env ->
-            let h =
-              hash_key (Array.map (fun (v, _) -> env.(v)) kp) land (nparts - 1)
-            in
-            env_parts.(h) <- env :: env_parts.(h))
-          state;
-        for p = 0 to nparts - 1 do
-          match env_parts.(p) with
-          | [] -> ()
-          | envs ->
-              build_probe budget ca
-                (Array.of_list (List.rev row_parts.(p)))
-                (List.rev envs) out
-        done
-      end
-      else build_probe budget ca sel state out;
-      List.rev !out
 
 let head_var_count (head : Atom.t) =
   List.filter_map
@@ -342,7 +336,9 @@ let head_var_count (head : Atom.t) =
 
 (* The evaluation both entry points share: [finish var_ids envs] turns
    the satisfying environments into the result and its distinct row
-   count; [empty] is the result when a body atom can match nothing. *)
+   count; [empty] is the result when a body atom can match nothing.
+   Variables are numbered in join order, so every step's layout is
+   [0 .. k-1] and an environment is indexed by variable number. *)
 let evaluate ?budget ?semijoin ?acyclic
     ?(radix_threshold = default_radix_threshold) ?profile ?estimate ~empty ~finish t
     (q : Query.t) =
@@ -354,7 +350,8 @@ let evaluate ?budget ?semijoin ?acyclic
          the evaluator's selectivity order.  The default mirrors the
          pairwise heuristic's trigger — reduce iff the head projects
          variables away — so acyclic bodies take the fast path exactly
-         where the pairwise reduction used to run. *)
+         where the pairwise reduction used to run.  The body is
+         classified only when that path can be taken. *)
       let body_vars =
         List.fold_left
           (fun s a -> Names.Sset.union s (Atom.var_set a))
@@ -366,22 +363,15 @@ let evaluate ?budget ?semijoin ?acyclic
         | None -> head_var_count head < Names.Sset.cardinal body_vars
       in
       let jt =
-        match acyclic with
-        | Some false -> None
-        | Some true | None -> (
-            match Hypergraph.classify q.Query.body with
-            | Hypergraph.Acyclic tr when Array.length tr.Hypergraph.atoms > 1 ->
-                Some tr
-            | Hypergraph.Acyclic _ | Hypergraph.Cyclic -> None)
-      in
-      let yk_on =
-        match jt with
-        | None -> false
-        | Some _ -> ( match acyclic with Some b -> b | None -> semijoin_on)
+        if Option.value acyclic ~default:semijoin_on then
+          match Hypergraph.classify q.Query.body with
+          | Hypergraph.Acyclic tr when Array.length tr.Hypergraph.atoms > 1 -> Some tr
+          | Hypergraph.Acyclic _ | Hypergraph.Cyclic -> None
+        else None
       in
       let ordered, tree_info =
         match jt with
-        | Some tr when yk_on ->
+        | Some tr ->
             let order = Hypergraph.join_order tr in
             let pos_of = Array.make (Array.length tr.Hypergraph.atoms) (-1) in
             List.iteri (fun k i -> pos_of.(i) <- k) order;
@@ -394,40 +384,32 @@ let evaluate ?budget ?semijoin ?acyclic
             let removal = List.map (fun i -> pos_of.(i)) tr.Hypergraph.removal in
             ( List.map (fun i -> tr.Hypergraph.atoms.(i)) order,
               Some (parent, removal) )
-        | Some _ | None ->
-            (Eval.schedule (Interned.database t) q.Query.body, None)
+        | None -> (Eval.schedule (Interned.database t) q.Query.body, None)
       in
       let var_ids = Hashtbl.create 16 in
-      let n_vars = ref 0 in
-      let var_id x =
+      let var x =
         match Hashtbl.find_opt var_ids x with
         | Some v -> v
         | None ->
-            let v = !n_vars in
+            let v = Hashtbl.length var_ids in
             Hashtbl.add var_ids x v;
-            incr n_vars;
             v
       in
-      let bound = Hashtbl.create 16 in
-      let compiled =
+      let _, rev_steps =
         List.fold_left
-          (fun acc a ->
-            match acc with
-            | None -> None
-            | Some acc -> (
-                match compile t var_id bound a with
-                | Some ca -> Some (ca :: acc)
-                | None -> None))
-          (Some []) ordered
+          (fun (layout, acc) a ->
+            let st = compile t ~var layout a in
+            (st.slots, st :: acc))
+          ([||], []) ordered
       in
-      match compiled with
-      | None ->
-          (* a body atom names a missing relation: the answer is empty *)
-          Profile.set_rows_in pnode 0;
-          Profile.set_rows_out pnode 0;
-          empty
-      | Some rev_catoms ->
-          let catoms = Array.of_list (List.rev rev_catoms) in
+      let steps = Array.of_list (List.rev rev_steps) in
+      if Array.exists (fun st -> st.dead) steps then begin
+        (* a body atom can match nothing: the answer is empty *)
+        Profile.set_rows_in pnode 0;
+        Profile.set_rows_out pnode 0;
+        empty
+      end
+      else begin
           (* Per-operator accounting (atom rendering, state counting,
              the estimate callback) only happens under [Some profile];
              the [None] path executes exactly the uninstrumented code. *)
@@ -440,19 +422,19 @@ let evaluate ?budget ?semijoin ?acyclic
           in
           let sels =
             match profile with
-            | None -> Array.map select catoms
+            | None -> Array.map select steps
             | Some _ ->
                 Array.mapi
-                  (fun i ca ->
+                  (fun i st ->
                     let a = atoms.(i) in
                     Profile.step profile ~op:"select" ~name:a.Atom.pred
                       ~detail:(Atom.to_string a) (fun node ->
-                        let sel = select ca in
-                        Profile.set_rows_in node ca.rel.Interned.rows;
+                        let sel = select st in
+                        Profile.set_rows_in node st.rel.Interned.rows;
                         Profile.set_rows_out node (Array.length sel);
                         Profile.set_est_rows node (est_of [ a ]);
                         sel))
-                  catoms
+                  steps
           in
           (match tree_info with
           | Some (parent, removal) ->
@@ -461,54 +443,53 @@ let evaluate ?budget ?semijoin ?acyclic
                   (match node with
                   | Some _ -> Profile.set_rows_in node (sum_sels sels)
                   | None -> ());
-                  yannakakis_reduce budget catoms sels ~parent ~removal;
+                  yannakakis_reduce budget steps sels ~parent ~removal;
                   match node with
                   | Some _ -> Profile.set_rows_out node (sum_sels sels)
                   | None -> ())
           | None ->
-              if semijoin_on && Array.length catoms > 1 then
+              if semijoin_on && Array.length steps > 1 then
                 Profile.step profile ~op:"semijoin" (fun node ->
                     (match node with
                     | Some _ -> Profile.set_rows_in node (sum_sels sels)
                     | None -> ());
-                    semijoin_reduce budget catoms sels;
+                    semijoin_reduce budget steps sels;
                     match node with
                     | Some _ -> Profile.set_rows_out node (sum_sels sels)
                     | None -> ()));
-          let state = ref [ Array.make (max 1 !n_vars) (-1) ] in
+          let join_step pnode i state =
+            run ~metered:true budget radix_threshold pnode steps.(i) sels.(i) state
+          in
+          let state = ref [ [||] ] in
           (match profile with
-          | None ->
-              Array.iteri
-                (fun i ca ->
-                  state := step budget radix_threshold None ca sels.(i) !state)
-                catoms
+          | None -> Array.iteri (fun i _ -> state := join_step None i !state) steps
           | Some _ ->
               let executed = ref [] in
               Array.iteri
-                (fun i ca ->
+                (fun i st ->
                   let a = atoms.(i) in
                   executed := a :: !executed;
                   let op =
                     if i = 0 then "scan"
-                    else if Array.length ca.key_pairs = 0 then "cross"
+                    else if Array.length st.key_row = 0 then "cross"
                     else "join"
                   in
                   Profile.step profile ~op ~name:a.Atom.pred
                     ~detail:(Atom.to_string a) (fun node ->
                       Profile.set_rows_in node (List.length !state);
                       Profile.set_build_rows node (Array.length sels.(i));
-                      state :=
-                        step budget radix_threshold node ca sels.(i) !state;
+                      state := join_step node i !state;
                       Profile.set_rows_out node (List.length !state);
                       Profile.set_est_rows node (est_of (List.rev !executed))))
-                catoms);
+                steps);
           let result, rows = finish var_ids !state in
           (match pnode with
           | Some _ ->
               Profile.set_rows_in pnode (List.length !state);
               Profile.set_rows_out pnode rows
           | None -> ());
-          result))
+          result
+      end))
 
 let slot var_ids x =
   match Hashtbl.find_opt var_ids x with
@@ -536,10 +517,10 @@ let answers ?budget ?semijoin ?acyclic ?radix_threshold ?profile ?estimate t
 (* Head tuples stay int codes: variables read their environment cells,
    constants take [code]'s (stored as [-code - 1] in [cols]).  One row per
    environment, so a head projecting variables away can repeat rows. *)
-let rows ?profile ?estimate ~code t (q : Query.t) =
+let rows ~code t (q : Query.t) =
   let head = q.Query.head in
   let arity = Atom.arity head in
-  evaluate ?profile ?estimate ~empty:{ Interned.arity; rows = 0; data = [||] } t q
+  evaluate ~empty:{ Interned.arity; rows = 0; data = [||] } t q
     ~finish:(fun var_ids envs ->
       let cols =
         Array.of_list

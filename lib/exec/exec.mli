@@ -15,7 +15,10 @@
     than the radix threshold are grace-partitioned on the key hash.
     [answers] agrees with [Eval.answers] on every query and in every
     path configuration (the QCheck oracle properties in
-    [test/test_exec.ml] and [test/test_hypergraph.ml]).
+    [test/test_exec.ml] and [test/test_hypergraph.ml]).  The join step
+    itself is exposed ({!compile}, {!join}, {!count}): M2's exact
+    cardinality source sizes intermediate relations with it, so costing
+    and execution share one kernel.
 
     Instrumentation: the whole evaluation runs under an [Obs] phase
     ["hash_join"] (the pairwise reduction under ["semijoin"], the
@@ -24,7 +27,8 @@
     [vplan_join_partitions_total], [vplan_acyclic_queries_total] and
     [vplan_semijoin_rows_pruned_total] account rows entering builds,
     probes issued, radix partitions created, fast-path evaluations
-    taken, and rows dropped by semi-join passes.  When a [Budget] is
+    taken, and rows dropped by semi-join passes — for {!answers} and
+    {!rows} only, never for the exposed step.  When a [Budget] is
     supplied, one step is charged per probe and per produced row, so a
     step limit truncates evaluation mid-probe with the usual
     [Vplan_error]. *)
@@ -77,12 +81,42 @@ val answers :
     head constant takes [code c].  The distinct rows are exactly
     {!answers}; a head that projects variables away can repeat some,
     which {!Interned.derive} drops.  This is how views are materialized
-    straight into an image without boxing and re-interning their tuples.
-    [profile]/[estimate] as for {!answers}. *)
-val rows :
-  ?profile:Vplan_obs.Profile.t ->
-  ?estimate:(Atom.t list -> float) ->
-  code:(Term.const -> int) ->
-  Interned.t ->
-  Query.t ->
-  Interned.rel
+    straight into an image without boxing and re-interning their
+    tuples. *)
+val rows : code:(Term.const -> int) -> Interned.t -> Query.t -> Interned.rel
+
+(** {2 The join step}
+
+    The build/probe step {!answers} and {!rows} run on, exposed for
+    M2's exact cardinality source ({!Vplan_cost.M2.exact}) so that what
+    a plan costs and what it returns come from one kernel.
+
+    An environment is a flat [int array] of constant codes over a
+    {e layout}: the strictly increasing variable codes it binds, code
+    [layout.(k)] held at position [k].  The single empty environment
+    [[||]] over the empty layout [[||]] starts every join. *)
+
+type step
+
+(** [compile t ~var layout a] — atom [a] compiled against the image [t]
+    for environments over [layout]; [var] gives each variable its code.
+    Variables of [a] in [layout] become probe keys, the others are bound
+    by the step.  A missing relation, one of another arity, or a
+    constant [t] lacks makes a step that matches nothing. *)
+val compile : Interned.t -> var:(string -> int) -> int array -> Atom.t -> step
+
+(** The layout of the step's output: [layout] merged with [a]'s
+    variable codes. *)
+val slots : step -> int array
+
+(** [join st envs] — every extension of an environment of [envs] by a
+    matching row of the atom, over {!slots}: one pass selects the rows
+    passing the atom's constants and repeated variables, one hash build
+    over them (radix-partitioned past {!default_radix_threshold}), one
+    probe per environment.  Distinct environments give distinct
+    results.  Charges no budget and moves no counter. *)
+val join : step -> int array list -> int array list
+
+(** [count st envs] — [List.length (join st envs)], from per-key match
+    counts, without building the result. *)
+val count : step -> int array list -> int

@@ -34,8 +34,7 @@ type result = {
    representative (view tuple, core) pair per class.  The budget is the
    same object throughout, so a deadline tripping in any stage (or any
    worker domain) stops the remaining ones at their next tick. *)
-let prepare ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~query
-    ~views =
+let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
   let qm = Obs.phase "minimize" (fun () -> Minimize.minimize ?budget query) in
   (* Subgoal sets are bitmasks in a native int ([Tuple_core.mask], the
      cover universe): more subgoals than bits would overflow silently. *)
@@ -63,10 +62,7 @@ let prepare ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~query
         classes)
   in
   let representative_views = Equiv_class.representatives view_classes in
-  let engine = if indexed then `Indexed else `Nested_loop in
-  let view_tuples =
-    View_tuple.compute ?budget ~engine ~domains ~query:qm representative_views
-  in
+  let view_tuples = View_tuple.compute ?budget ~domains ~query:qm representative_views in
   let tuple_classes =
     Obs.phase "tuple_cores" (fun () ->
         let with_cores =
@@ -95,8 +91,8 @@ let prepare ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~query
 let build_rewriting (qm : Query.t) (chosen : View_tuple.t list) =
   Query.make_exn qm.head (List.map (fun tv -> tv.View_tuple.atom) chosen)
 
-let run ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~verify
-    ~query ~views ~covers_of =
+let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
+    ~covers_of =
   (* Anytime degradation: a budget tripping before any cover was produced
      (during minimization, view-tuple or tuple-core computation) yields an
      empty-but-sound result rather than an exception.  Input errors such
@@ -123,8 +119,7 @@ let run ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~verify
   in
   match
     let qm, view_classes, view_tuples, tuple_classes, reps =
-      prepare ~budget ~view_classes ~group_views ~indexed ~buckets ~domains
-        ~query ~views
+      prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views
     in
     let nonempty =
       List.filter (fun (_, core) -> not (Tuple_core.is_empty core)) reps
@@ -192,26 +187,22 @@ let run ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~verify
   | r -> r
   | exception Vplan_error.Error e when Vplan_error.is_resource e -> fallback e
 
-let gmrs ?budget ?view_classes ?max_covers ?(group_views = true)
-    ?(indexed = true) ?(buckets = true) ?(domains = 1) ?(verify = false) ~query
-    ~views () =
-  run ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~verify
-    ~query ~views
+let gmrs ?budget ?view_classes ?max_covers ?(group_views = true) ?(buckets = true)
+    ?(domains = 1) ?(verify = false) ~query ~views () =
+  run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
     ~covers_of:(fun ~budget ~universe sets ->
       Set_cover.minimum_covers_anytime ?budget ?max_results:max_covers ~universe sets)
 
-let all_minimal ?budget ?view_classes ?(group_views = true) ?(indexed = true)
-    ?(buckets = true) ?(domains = 1) ?(verify = false) ?(max_results = 10_000)
-    ~query ~views () =
-  run ~budget ~view_classes ~group_views ~indexed ~buckets ~domains ~verify
-    ~query ~views
+let all_minimal ?budget ?view_classes ?(group_views = true) ?(buckets = true)
+    ?(domains = 1) ?(verify = false) ?(max_results = 10_000) ~query ~views () =
+  run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
     ~covers_of:(fun ~budget ~universe sets ->
       Set_cover.irredundant_covers_anytime ?budget ~max_results ~universe sets)
 
 let has_rewriting ~query ~views =
   let qm, _, _, _, reps =
-    prepare ~budget:None ~view_classes:None ~group_views:true ~indexed:true
-      ~buckets:true ~domains:1 ~query ~views
+    prepare ~budget:None ~view_classes:None ~group_views:true ~buckets:true ~domains:1
+      ~query ~views
   in
   let universe = (1 lsl List.length qm.Query.body) - 1 in
   let union = List.fold_left (fun acc (_, core) -> acc lor core.Tuple_core.mask) 0 reps in

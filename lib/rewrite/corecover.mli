@@ -61,14 +61,11 @@ type result = {
     when present it overrides [group_views]/[buckets] for that stage.
     The caller must guarantee the classes partition exactly [views] under
     view equivalence — the result is then identical to grouping in-call.
-    [indexed] (default [true]) evaluates views over the canonical database
-    with the hash-indexed engine ({!Vplan_relational.Indexed_db}) instead
-    of the plain nested-loop join.
     [buckets] (default [true]) buckets views by canonical signature before
     the pairwise equivalence checks and view tuples by core bitmask.
     [domains] (default 1) fans the per-view evaluation and per-tuple core
     computation across that many domains.
-    All four toggles are pure performance knobs: every combination returns
+    All three toggles are pure performance knobs: every combination returns
     the same [result].
     [verify] (default [false]) double-checks every produced rewriting with
     the expansion-equivalence test and raises [Failure] on a counterexample
@@ -90,7 +87,6 @@ val gmrs :
   ?view_classes:View.t list list ->
   ?max_covers:int ->
   ?group_views:bool ->
-  ?indexed:bool ->
   ?buckets:bool ->
   ?domains:int ->
   ?verify:bool ->
@@ -110,7 +106,6 @@ val all_minimal :
   ?budget:Vplan_core.Budget.t ->
   ?view_classes:View.t list list ->
   ?group_views:bool ->
-  ?indexed:bool ->
   ?buckets:bool ->
   ?domains:int ->
   ?verify:bool ->

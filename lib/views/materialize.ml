@@ -1,6 +1,6 @@
 open Vplan_exec
 
-let image ?profile ?estimate base vs =
+let image base vs =
   (* one interned columnar image of the base: every view evaluation
      shares its constant dictionary and runs through the hash-join
      engine, and the answers stay int rows in that dictionary *)
@@ -8,9 +8,9 @@ let image ?profile ?estimate base vs =
   Interned.derive interned
     (List.map
        (fun view ->
-         (View.name view, fun code -> Exec.rows ?profile ?estimate ~code interned view))
+         (View.name view, fun code -> Exec.rows ~code interned view))
        vs)
 
-let views ?profile ?estimate base vs = Interned.database (image ?profile ?estimate base vs)
+let views base vs = Interned.database (image base vs)
 
 let answers_via_rewriting view_db p = Vplan_relational.Eval.answers view_db p

@@ -9,23 +9,11 @@ open Vplan_relational
 (** [image base vs] evaluates every view definition on [base] into one
     interned image ({!Vplan_exec.Interned.derive}): the view relations as
     int rows over [base]'s dictionary, and their boxed database decoded
-    from the same rows.  [profile]/[estimate] are forwarded to
-    {!Vplan_exec.Exec.rows}: with a profile attached, each view's
-    evaluation appears as its own [exec] subtree. *)
-val image :
-  ?profile:Vplan_obs.Profile.t ->
-  ?estimate:(Atom.t list -> float) ->
-  Database.t ->
-  View.t list ->
-  Vplan_exec.Interned.t
+    from the same rows. *)
+val image : Database.t -> View.t list -> Vplan_exec.Interned.t
 
 (** [views base vs] — the boxed database of {!image}. *)
-val views :
-  ?profile:Vplan_obs.Profile.t ->
-  ?estimate:(Atom.t list -> float) ->
-  Database.t ->
-  View.t list ->
-  Database.t
+val views : Database.t -> View.t list -> Database.t
 
 (** [answers_via_rewriting view_db p] evaluates a rewriting [p] over the
     materialized view database. *)

@@ -10,28 +10,19 @@ let equal t1 t2 = Atom.equal t1.atom t2.atom
 let compare t1 t2 = Atom.compare t1.atom t2.atom
 let pp ppf t = Atom.pp ppf t.atom
 
-let compute ?budget ?(engine = `Indexed) ?(domains = 1) ~query views =
-  let canonical, answers =
+let compute ?budget ?(domains = 1) ~query views =
+  let canonical, idb =
     Vplan_obs.Obs.phase "canonical_db" (fun () ->
         let canonical = Canonical.freeze query in
-        let db = Canonical.database canonical in
-        let answers =
-          match engine with
-          | `Nested_loop -> Eval.answers db
-          | `Indexed ->
-              (* one interned database for all views: each (predicate,
-                 bound positions) index is built once; index construction
-                 is mutex-guarded, so the parallel fan-out can share
-                 it *)
-              let idb = Indexed_db.of_database db in
-              Indexed_db.answers idb
-        in
-        (canonical, answers))
+        (* one interned database for all views: each (predicate, bound
+           positions) index is built once; index construction is
+           mutex-guarded, so the parallel fan-out can share it *)
+        (canonical, Indexed_db.of_database (Canonical.database canonical)))
   in
   let tuples_of_view view =
     (* one tick per view: cancellation reaches each worker between views *)
     Vplan_core.Budget.tick budget;
-    let result = answers view in
+    let result = Indexed_db.answers idb view in
     Relation.fold
       (fun tuple acc ->
         let args = Canonical.thaw_tuple canonical tuple in

@@ -222,25 +222,55 @@ let exhaustive src body =
    equals the relation cells plus each prefix's tuple count times its
    width, counted by the backtracking evaluator over the boxed view
    database decoded from the same image. *)
+let m2_matches_eval img orders =
+  let vdb = Interned.database img in
+  let eval_cost order =
+    let rel = List.fold_left (fun acc a -> acc + M2.relation_cells vdb a) 0 order in
+    let _, ir =
+      List.fold_left2
+        (fun (vars, acc) a size ->
+          let vars = Names.Sset.union vars (Atom.var_set a) in
+          (vars, acc + (size * max 1 (Names.Sset.cardinal vars))))
+        (Names.Sset.empty, 0) order
+        (M2.intermediate_sizes vdb order)
+    in
+    float_of_int (rel + ir)
+  in
+  let src = M2.exact img in
+  List.for_all (fun o -> M2.cost src o = eval_cost o) orders
+
 let m2_image_matches_eval =
   make_test ~count:300 ~name:"M2 over the image = Eval sizes over the view database"
     gen_image_case print_image_case (fun ((body, _, _) as case) ->
       let _, img = image_case case in
-      let vdb = Interned.database img in
-      let eval_cost order =
-        let rel = List.fold_left (fun acc a -> acc + M2.relation_cells vdb a) 0 order in
-        let _, ir =
-          List.fold_left2
-            (fun (vars, acc) a size ->
-              let vars = Names.Sset.union vars (Atom.var_set a) in
-              (vars, acc + (size * max 1 (Names.Sset.cardinal vars))))
-            (Names.Sset.empty, 0) order
-            (M2.intermediate_sizes vdb order)
-        in
-        float_of_int (rel + ir)
+      m2_matches_eval img (Orderings.permutations body))
+
+(* The same equality where a join builds on a view relation above the
+   kernel's radix threshold: every ordering below joins v onto {w} or
+   {u, w}, building on its 70000 selected rows grace-partitioned.  (The
+   orderings starting at v would only make the oracle enumerate 70000
+   environments.) *)
+let m2_image_matches_eval_radix =
+  ( "M2 over the image = Eval sizes over the view database, radix build",
+    `Quick,
+    fun () ->
+      let fact p args = (p, List.map (fun i -> Term.Int i) args) in
+      let img =
+        Interned.of_database
+          (Database.of_facts
+             ((fact "u" [ 0 ] :: List.init 4 (fun y -> fact "w" [ y; y mod 2 ]))
+             @ List.init 70_000 (fun x -> fact "v" [ x; x mod 50 ])))
       in
-      let src = M2.exact img in
-      List.for_all (fun o -> M2.cost src o = eval_cost o) (Orderings.permutations body))
+      let rows = match Interned.find img "v" with Some r -> r.Interned.rows | None -> 0 in
+      Alcotest.(check bool) "v above the radix threshold" true
+        (rows > Exec.default_radix_threshold);
+      let v, w, u =
+        match (Parser.parse_rule_exn "q() :- v(X, Y), w(Y, Z), u(Z).").Query.body with
+        | [ v; w; u ] -> (v, w, u)
+        | _ -> assert false
+      in
+      Alcotest.(check bool) "M2 cost = Eval cost" true
+        (m2_matches_eval img [ [ w; v; u ]; [ w; u; v ]; [ u; w; v ] ]) )
 
 (* M2's subset DP agrees exactly with exhaustive permutation search, for
    either source (the estimated source's canonical profile fold makes
@@ -691,7 +721,7 @@ let set_cover_props =
           List.for_all (fun c' -> List.length c' = k) covers
           && List.for_all (fun i -> List.length i >= k) irr)
 
-(* The CoreCover performance toggles — view grouping, indexed evaluation,
+(* The CoreCover performance toggles — view grouping,
    signature/mask bucketing, parallel fan-out — are pure optimizations:
    every configuration must produce the same rewritings on generated
    star/chain workloads. *)
@@ -721,7 +751,6 @@ let corecover_configs_agree =
             (fun variant -> List.equal Query.equal reference (rewritings (variant ())))
             [
               (fun () -> Corecover.gmrs ~group_views:false ~query ~views ());
-              (fun () -> Corecover.gmrs ~indexed:false ~query ~views ());
               (fun () -> Corecover.gmrs ~buckets:false ~query ~views ());
               (fun () -> Corecover.gmrs ~domains:4 ~query ~views ());
             ])
@@ -761,6 +790,34 @@ let corecover_budget_anytime =
               List.equal Query.equal reference r.Corecover.rewritings
           | Corecover.Truncated e -> Vplan_error.is_resource e)
 
+(* View tuples run on [Indexed_db]; the backtracking evaluator is the
+   oracle: the same tuples, in the same order, as thawing [Eval.answers]
+   of every view over the canonical database. *)
+let view_tuples_match_eval =
+  let shapes =
+    [ ("star", Generator.Star); ("chain", Generator.Chain); ("cycle", Generator.Cycle);
+      ("clique", Generator.Clique); ("random", Generator.Random_shape) ]
+  in
+  let gen = Gen.(triple (oneofl shapes) (int_range 1 30) (int_range 0 10_000)) in
+  make_test ~count:100 ~name:"view tuples = Eval over the canonical database" gen
+    (fun ((name, _), num_views, seed) ->
+      Printf.sprintf "%s views=%d seed=%d" name num_views seed)
+    (fun ((_, shape), num_views, seed) ->
+      let inst = Generator.generate { Generator.default with shape; num_views; seed } in
+      let query = inst.Generator.query and views = inst.views in
+      let c = Canonical.freeze query in
+      let db = Canonical.database c in
+      let expected =
+        List.concat_map
+          (fun v ->
+            List.map
+              (fun tuple -> Atom.make (View.name v) (Canonical.thaw_tuple c tuple))
+              (Relation.tuples (Eval.answers db v)))
+          views
+      in
+      List.equal Atom.equal expected
+        (List.map (fun tv -> tv.View_tuple.atom) (View_tuple.compute ~query views)))
+
 let suite =
   [
     parser_roundtrip;
@@ -778,6 +835,7 @@ let suite =
     minicon_contained;
     bucket_agrees;
     m2_image_matches_eval;
+    m2_image_matches_eval_radix;
     m2_dp_exact;
     m2_memo_pruned_exact;
     m2_connected_exact;
@@ -797,5 +855,6 @@ let suite =
     datalog_engines_agree;
     set_cover_props;
     corecover_configs_agree;
+    view_tuples_match_eval;
     corecover_budget_anytime;
   ]
