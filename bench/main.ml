@@ -569,7 +569,7 @@ let example61 () =
       @ pairs "s" [ (2, 2); (4, 4); (6, 6); (8, 8) ]
       @ pairs "t" [ (1, 2); (3, 4); (5, 6); (7, 8) ])
   in
-  let view_db = Materialize.views base views in
+  let img = Materialize.image base views in
   Format.printf "%-24s %-18s %8s@." "plan" "strategy" "cost";
   let report name (p : Query.t) strategy =
     let plan =
@@ -579,7 +579,7 @@ let example61 () =
     in
     Format.printf "%-24s %-18s %8d@." name
       (match strategy with `Supplementary -> "supplementary" | `Heuristic -> "heuristic")
-      (M3.cost_of_plan view_db plan)
+      (M3.cost_of_plan img plan)
   in
   report "P1 = v1(A,B),v2(A,C)" p1 `Supplementary;
   report "P2 = v1(A,B),v2(A,B)" p2 `Supplementary;
@@ -627,12 +627,11 @@ let joinorder () =
       let inst = Generator.generate_with_rewriting config in
       let query = inst.Generator.query and views = inst.views in
       let base = Generator.base_database ~tuples:12 ~domain:10 inst in
-      let view_db = Materialize.views base views in
       let r = Corecover.gmrs ~query ~views () in
       match r.rewritings with
       | [] -> Format.printf "%10d (no rewriting)@." n
       | p :: _ ->
-          let src = M2.exact (Interned.of_database view_db) in
+          let src = M2.exact (Materialize.image base views) in
           let dp, dp_ms = time_ms (fun () -> M2.optimal src p.Query.body) in
           let dp_cost = match dp with Some (_, c) -> c | None -> assert false in
           let connected, conn_ms =
@@ -761,14 +760,14 @@ let estimate () =
         let base =
           Datagen.for_query_skewed (Prng.create (900 + run)) ~tuples:25 ~domain:12 query
         in
-        let view_db = Materialize.views base views in
+        let img = Materialize.image base views in
         let r = Corecover.gmrs ~query ~views () in
         (match r.rewritings with
         | [] -> ()
         | p :: _ ->
             let plan src = Option.get (M2.optimal src p.Query.body) in
-            let est_order, _ = plan (M2.estimated (Estimate.analyze view_db)) in
-            let exact = M2.exact (Interned.of_database view_db) in
+            let est_order, _ = plan (M2.estimated (Estimate.analyze (Interned.database img))) in
+            let exact = M2.exact img in
             let realized = M2.cost exact est_order in
             let _, true_opt = plan exact in
             let ratio = realized /. Float.max 1. true_opt in

@@ -225,7 +225,7 @@ let plan_cmd =
               Format.printf "plan: %a@." Vplan.M3.pp_plan c.plan;
               Format.printf "cost (M3): %.0f@." c.cost;
               if explain then
-                Vplan.Explain.m3 Format.std_formatter (Vplan.Optimizer.view_database ctx) c.plan)
+                Vplan.Explain.m3 Format.std_formatter (Vplan.Optimizer.image ctx) c.plan)
     in
     Format.printf "query answer size: %d@."
       (Vplan.Relation.cardinality (Vplan.Eval.answers base query));

@@ -27,7 +27,8 @@ let () =
       @ pairs "s" [ (2, 2); (4, 4); (6, 6); (8, 8) ]
       @ pairs "t" [ (1, 2); (3, 4); (5, 6); (7, 8) ])
   in
-  let view_db = Materialize.views base views in
+  let img = Materialize.image base views in
+  let view_db = Interned.database img in
   Format.printf "v1 = %a@.v2 = %a@." Relation.pp
     (Database.find_exn "v1" view_db)
     Relation.pp
@@ -41,9 +42,9 @@ let () =
     in
     Format.printf "%-22s plan %a@." name M3.pp_plan plan;
     Format.printf "%-22s GSR tuple counts: %s, cost: %d cells@." ""
-      (String.concat ", " (List.map string_of_int (M3.gsr_sizes view_db plan)))
-      (M3.cost_of_plan view_db plan);
-    Format.printf "%-22s answers: %a@." "" Relation.pp (M3.answers view_db ~head:p.head plan)
+      (String.concat ", " (List.map string_of_int (M3.gsr_sizes img plan)))
+      (M3.cost_of_plan img plan);
+    Format.printf "%-22s answers: %a@." "" Relation.pp (M3.answers img ~head:p.head plan)
   in
   Format.printf "@.-- supplementary-relation approach --@.";
   report "P1 (fresh variable)" p1 `Supplementary;

@@ -81,9 +81,7 @@ let () =
   Format.printf "@.query answer: %d tuples@." (Relation.cardinality truth);
   match m2 with
   | Some c ->
-      let via_sources =
-        Materialize.answers_via_rewriting (Optimizer.view_database ctx) c.rewriting
-      in
+      let via_sources = Exec.answers (Optimizer.image ctx) c.rewriting in
       Format.printf "via sources:  %d tuples (%s)@."
         (Relation.cardinality via_sources)
         (if Relation.equal truth via_sources then "identical" else "MISMATCH")

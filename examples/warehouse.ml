@@ -91,9 +91,7 @@ let () =
   (match Optimizer.plan (Optimizer.M2 Optimizer.Exact) ctx query with
   | _, Some c ->
       Format.printf "M2 with filters:    cost %.0f for %a@." c.cost Query.pp c.rewriting;
-      let result =
-        Materialize.answers_via_rewriting (Optimizer.view_database ctx) c.rewriting
-      in
+      let result = Exec.answers (Optimizer.image ctx) c.rewriting in
       Format.printf "@.answer: %d tuples (%s)@."
         (Relation.cardinality result)
         (if Relation.equal result (Eval.answers base query) then "matches the query"

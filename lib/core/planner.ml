@@ -4,6 +4,7 @@ open Vplan_relational
 open Vplan_rewrite
 open Vplan_cost
 open Vplan_baselines
+open Vplan_exec
 
 type problem = {
   query : Query.t;
@@ -78,11 +79,10 @@ let plan ?budget ?max_covers ~cost_model ctx query =
           Annotated { rewriting = c.rewriting; plan = c.plan; cost = int_of_float c.cost })
 
 let execute ctx p =
-  let view_db = Optimizer.view_database ctx in
+  let img = Optimizer.image ctx in
   match p with
-  | Logical rewriting | Ordered { rewriting; _ } ->
-      Materialize.answers_via_rewriting view_db rewriting
-  | Annotated { rewriting; plan; _ } -> M3.answers view_db ~head:rewriting.Query.head plan
+  | Logical rewriting | Ordered { rewriting; _ } -> Exec.answers img rewriting
+  | Annotated { rewriting; plan; _ } -> M3.answers img ~head:rewriting.Query.head plan
 
 let answer_via_views ~cost_model problem ~base =
   let ctx = Optimizer.create ~views:problem.views base in
@@ -91,4 +91,7 @@ let answer_via_views ~cost_model problem ~base =
   | None -> (
       match Minicon.maximally_contained ~query:problem.query ~views:problem.views () with
       | None -> `No_rewriting
-      | Some union -> `Fallback_certain (Eval.answers_ucq (Optimizer.view_database ctx) union))
+      | Some union ->
+          let img = Optimizer.image ctx and empty = Relation.empty (Ucq.head_arity union) in
+          let add acc d = Relation.union acc (Exec.answers img d) in
+          `Fallback_certain (List.fold_left add empty (Ucq.disjuncts union)))

@@ -56,14 +56,14 @@ val plan :
   Query.t ->
   plan option * Vplan_rewrite.Corecover.completeness
 
-(** [execute ctx p] runs a plan against the context's materialized views
-    and returns the answer relation. *)
+(** [execute ctx p] runs a plan against the context's view image
+    ({!Vplan_cost.Optimizer.image}) and returns the answer relation. *)
 val execute : Vplan_cost.Optimizer.t -> plan -> Relation.t
 
 (** [answer_via_views ~cost_model problem ~base] — the full pipeline:
     plan, then execute over the views materialized once ([`Fallback_certain]
-    when only the open-world union is available).  This is the one-call
-    API. *)
+    when only the open-world union is available, evaluated over the same
+    image).  This is the one-call API. *)
 val answer_via_views :
   cost_model:cost_model ->
   problem ->

@@ -1,31 +1,31 @@
 open Vplan_cq
-open Vplan_relational
 
-let m2 ppf img order =
-  let db = Vplan_exec.Interned.database img in
-  let sizes = M2.intermediate_sizes db order in
-  let n = List.length order in
-  List.iteri
-    (fun i (atom, ir) ->
-      let action = if i = 0 then "scan" else "join" in
-      Format.fprintf ppf "step %d/%d: %s %a  [relation %d tuples; after: %d tuples]@." (i + 1)
-        n action Atom.pp atom (Eval.relation_size db atom) ir)
-    (List.combine order sizes);
-  Format.fprintf ppf "total cost: %.0f cells@." (M2.cost (M2.exact img) order)
-
-let m3 ppf db (plan : M3.plan) =
-  let sizes = M3.gsr_sizes db plan in
+(* One line per step of an M3 plan, [detail step size] closing its
+   bracket, then the plan's total. *)
+let steps ppf img (plan : M3.plan) detail =
   let n = List.length plan in
   List.iteri
-    (fun i ((step : M3.step), gsr) ->
+    (fun i ((step : M3.step), size) ->
       let action = if i = 0 then "scan" else "join" in
       let dropped =
         match step.dropped with [] -> "" | ds -> "  drop {" ^ String.concat ", " ds ^ "}"
       in
-      Format.fprintf ppf "step %d/%d: %s %a%s  [relation %d tuples; GSR: %d tuples x %d attrs]@."
-        (i + 1) n action Atom.pp step.subgoal dropped
-        (Eval.relation_size db step.subgoal)
-        gsr
-        (Names.Sset.cardinal step.kept))
-    (List.combine plan sizes);
-  Format.fprintf ppf "total cost: %d cells@." (M3.cost_of_plan db plan)
+      Format.fprintf ppf "step %d/%d: %s %a%s  [relation %d tuples; %s]@." (i + 1) n action
+        Atom.pp step.subgoal dropped
+        (Vplan_exec.Interned.cardinality img step.subgoal.Atom.pred)
+        (detail step size))
+    (List.combine plan (M3.gsr_sizes img plan));
+  Format.fprintf ppf "total cost: %d cells@." (M3.cost_of_plan img plan)
+
+(* An M2 plan is the M3 plan that drops nothing (its head keeps every
+   variable): the supplementary relations are the intermediate
+   relations, and the costs agree. *)
+let m2 ppf img order =
+  let vars = List.sort_uniq String.compare (List.concat_map Atom.vars order) in
+  let head = Atom.make "ir" (List.map (fun x -> Term.Var x) vars) in
+  let plan = M3.supplementary ~head order in
+  steps ppf img plan (fun _ ir -> Printf.sprintf "after: %d tuples" ir)
+
+let m3 ppf img plan =
+  steps ppf img plan (fun (step : M3.step) gsr ->
+      Printf.sprintf "GSR: %d tuples x %d attrs" gsr (Names.Sset.cardinal step.kept))

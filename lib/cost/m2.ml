@@ -1,4 +1,3 @@
-open Vplan_relational
 module Atom = Vplan_cq.Atom
 module Term = Vplan_cq.Term
 module Names = Vplan_cq.Names
@@ -11,20 +10,6 @@ let max_subgoals = 20
 
 let width_limit n =
   raise (Vplan_error.Error (Vplan_error.Width_limit { subgoals = n; max_subgoals }))
-
-let relation_cells db (a : Atom.t) =
-  Eval.relation_size db a * max 1 (Atom.arity a)
-
-let intermediate_sizes db order =
-  let _, rev_sizes =
-    List.fold_left
-      (fun (envs, sizes) atom ->
-        let envs = Eval.extend db envs atom in
-        (envs, List.length envs :: sizes))
-      ([ Eval.empty_env ], [])
-      order
-  in
-  List.rev rev_sizes
 
 (* Variable sets as bitsets over a per-body variable index: emptiness-of-
    intersection (the connectivity test) becomes a word operation instead
@@ -46,8 +31,8 @@ let lowest_index bit =
   let rec find k = if 1 lsl k = bit then k else find (k + 1) in
   find 0
 
-let stored_rows img (a : Atom.t) =
-  match Interned.find img a.Atom.pred with Some r -> r.Interned.rows | None -> 0
+let relation_cells img (a : Atom.t) =
+  Interned.cardinality img a.Atom.pred * max 1 (Atom.arity a)
 
 (* -- cardinality sources -------------------------------------------- *)
 
@@ -64,7 +49,7 @@ let estimated est = Estimated est
 let memo = function Exact { memo; _ } -> memo | Estimated _ -> None
 
 let atom_cells = function
-  | Exact { img; _ } -> fun a -> float_of_int (stored_rows img a * max 1 (Atom.arity a))
+  | Exact { img; _ } -> fun a -> float_of_int (relation_cells img a)
   | Estimated est -> Estimate.relation_cells_est est
 
 (* Summed smallest first, so the float total does not depend on the

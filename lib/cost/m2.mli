@@ -31,7 +31,6 @@
     exactly. *)
 
 open Vplan_cq
-open Vplan_relational
 module Budget = Vplan_core.Budget
 
 (** Bodies longer than this are rejected with
@@ -98,15 +97,7 @@ val optimal :
   Atom.t list ->
   (Atom.t list * float) option
 
-(** {2 Exact sizes over a boxed database}
-
-    The backtracking evaluator's view of M2, for explain output, M3 and
-    as the oracle {!exact} is tested against. *)
-
-(** [intermediate_sizes db order] lists the {e tuple counts} of
-    [IR_1, ..., IR_n] (widths are implied by the variables joined). *)
-val intermediate_sizes : Database.t -> Atom.t list -> int list
-
-(** [relation_cells db atom] — [size(g)] of a stored relation: cardinality
-    times arity (at least 1). *)
-val relation_cells : Database.t -> Atom.t -> int
+(** [relation_cells img atom] — [size(g)] of a stored relation of the
+    image: its row count times the atom's arity (at least 1); 0 when
+    [img] has no relation of that name. *)
+val relation_cells : Vplan_exec.Interned.t -> Atom.t -> int

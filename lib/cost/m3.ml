@@ -1,6 +1,8 @@
 open Vplan_cq
 open Vplan_relational
 open Vplan_views
+module Interned = Vplan_exec.Interned
+module Exec = Vplan_exec.Exec
 
 type step = {
   subgoal : Atom.t;
@@ -94,24 +96,50 @@ let heuristic ~views ~query ~head order =
   done;
   assemble ~head ~original:order ~modified:!modified ~renamed_back:!renamed_back
 
-(* The one evaluation of a plan: each step extends the environments by
-   its (renamed) subgoal and projects them onto the kept variables,
-   giving GSR_i; [f acc step gsr] folds over the GSRs in order. *)
-let fold_gsrs db plan f init =
-  List.fold_left
-    (fun (envs, acc) step ->
-      let envs = Eval.project ~onto:step.kept (Eval.extend db envs step.evaluated) in
-      (envs, f acc step envs))
-    ([ Eval.empty_env ], init)
-    plan
+(* The one evaluation of a plan, on the execution engine's step over the
+   image: each step joins the environments with its (renamed) subgoal
+   and projects them onto the kept variables, giving GSR_i; [f acc step
+   gsr] folds over the GSRs in order.  Variables are coded by first
+   binding ([var]); [layout] holds the last GSR's codes. *)
+let fold_gsrs img plan f init =
+  let codes = Hashtbl.create 16 in
+  let var x =
+    match Hashtbl.find_opt codes x with
+    | Some v -> v
+    | None ->
+        let v = Hashtbl.length codes in
+        Hashtbl.add codes x v;
+        v
+  in
+  let (layout, envs), acc =
+    List.fold_left
+      (fun ((layout, envs), acc) step ->
+        let st = Exec.compile img ~var layout step.evaluated in
+        let kept = List.map var (Names.Sset.elements step.kept) |> List.sort Int.compare in
+        let kept = Array.of_list kept in
+        let envs = Exec.project (Exec.slots st) kept (Exec.join st envs) in
+        ((kept, envs), f acc step envs))
+      (([||], [ [||] ]), init)
+      plan
+  in
+  ((var, layout, envs), acc)
 
-let gsr_sizes db plan =
-  List.rev (snd (fold_gsrs db plan (fun acc _ envs -> List.length envs :: acc) []))
+let gsr_sizes img plan =
+  List.rev (snd (fold_gsrs img plan (fun acc _ envs -> List.length envs :: acc) []))
 
-let answers db ~head plan =
-  let envs, () = fold_gsrs db plan (fun () _ _ -> ()) () in
-  let tuples = List.map (fun env -> Eval.tuple_of_env env head.Atom.args) envs in
-  Relation.of_tuples (Atom.arity head) tuples
+let answers img ~head plan =
+  let (var, layout, envs), () = fold_gsrs img plan (fun () _ _ -> ()) () in
+  let cols =
+    List.map
+      (function
+        | Term.Cst c -> Fun.const c
+        | Term.Var x ->
+            let k = Option.get (Array.find_index (Int.equal (var x)) layout) in
+            fun env -> Interned.const img env.(k))
+      head.Atom.args
+  in
+  let tuple env = List.map (fun col -> col env) cols in
+  Relation.of_tuples (Atom.arity head) (List.map tuple envs)
 
 (* size(·) counts cells (tuples x attributes), consistently with M2; this
    is what makes dropping an attribute visible to the cost measure even
@@ -119,16 +147,16 @@ let answers db ~head plan =
    Example 6.1).  The evaluation is abandoned as soon as the partial sum
    reaches [bound]: the per-step terms are nonnegative, so no completion
    can come back under it. *)
-let cost_of_plan_bounded db ?(bound = max_int) plan =
+let cost_of_plan_bounded img ?(bound = max_int) plan =
   let relation_costs =
-    List.fold_left (fun acc step -> acc + M2.relation_cells db step.subgoal) 0 plan
+    List.fold_left (fun acc step -> acc + M2.relation_cells img step.subgoal) 0 plan
   in
   if relation_costs >= bound then None
   else begin
     let exception Over in
     try
       let _, total =
-        fold_gsrs db plan
+        fold_gsrs img plan
           (fun acc step envs ->
             let acc = acc + (List.length envs * max 1 (Names.Sset.cardinal step.kept)) in
             if relation_costs + acc >= bound then raise Over;
@@ -140,9 +168,9 @@ let cost_of_plan_bounded db ?(bound = max_int) plan =
   end
 
 (* unbounded: only a cost saturating [max_int] is cut off *)
-let cost_of_plan db plan = Option.value (cost_of_plan_bounded db plan) ~default:max_int
+let cost_of_plan img plan = Option.value (cost_of_plan_bounded img plan) ~default:max_int
 
-let optimal_pruned ?budget ?(bound = max_int) db ~annotate body =
+let optimal_pruned ?budget ?(bound = max_int) img ~annotate body =
   (* [Orderings.permutations] raises the typed width-limit error past its
      cap, which also bounds this fold. *)
   match Orderings.permutations body with
@@ -154,14 +182,9 @@ let optimal_pruned ?budget ?(bound = max_int) db ~annotate body =
             Vplan_core.Budget.tick budget;
             let plan = annotate order in
             let current = match best with Some (_, c) -> c | None -> bound in
-            match cost_of_plan_bounded db ~bound:current plan with
+            match cost_of_plan_bounded img ~bound:current plan with
             | Some c -> Some (plan, c)
             | None -> best)
           None perms
       in
       best
-
-let optimal db ~annotate body =
-  match optimal_pruned db ~annotate body with
-  | Some r -> r
-  | None -> assert false (* unbounded search over a non-empty permutation list *)

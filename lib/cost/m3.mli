@@ -47,38 +47,36 @@ val supplementary : head:Atom.t -> Atom.t list -> plan
     [query]. *)
 val heuristic : views:View.t list -> query:Query.t -> head:Atom.t -> Atom.t list -> plan
 
-(** [cost_of_plan db plan] evaluates the plan against the (view)
-    database. *)
-val cost_of_plan : Database.t -> plan -> int
+(** [cost_of_plan img plan] evaluates the plan over the materialized
+    views [img] ({!Optimizer.image}): each step is an
+    {!Vplan_exec.Exec.join} then an {!Vplan_exec.Exec.project} onto its
+    kept variables, the kernel that executes plans. *)
+val cost_of_plan : Vplan_exec.Interned.t -> plan -> int
 
-(** [gsr_sizes db plan] lists [size(GSR_1), ..., size(GSR_n)]. *)
-val gsr_sizes : Database.t -> plan -> int list
+(** [gsr_sizes img plan] lists [size(GSR_1), ..., size(GSR_n)]. *)
+val gsr_sizes : Vplan_exec.Interned.t -> plan -> int list
 
-(** [answers db ~head plan] executes the plan and returns the final answer
+(** [answers img ~head plan] executes the plan and returns the final answer
     relation — used to check that dropping never changes the result. *)
-val answers : Database.t -> head:Atom.t -> plan -> Relation.t
+val answers : Vplan_exec.Interned.t -> head:Atom.t -> plan -> Relation.t
 
-(** [cost_of_plan_bounded db ?bound plan] — like {!cost_of_plan}, but
+(** [cost_of_plan_bounded img ?bound plan] — like {!cost_of_plan}, but
     returns [None] as soon as the running total reaches [bound] (every
     per-step term is nonnegative, so the final cost could only be
     larger).  [Some c] implies [c < bound]. *)
-val cost_of_plan_bounded : Database.t -> ?bound:int -> plan -> int option
+val cost_of_plan_bounded : Vplan_exec.Interned.t -> ?bound:int -> plan -> int option
 
-(** [optimal db ~annotate body] enumerates all orderings of [body],
-    annotates each with [annotate] and returns a cheapest plan with its
-    cost.  Raises [Vplan_error.Error (Width_limit _)] past
-    {!Orderings.max_subgoals}. *)
-val optimal : Database.t -> annotate:(Atom.t list -> plan) -> Atom.t list -> plan * int
-
-(** [optimal_pruned ?bound db ~annotate body] — branch-and-bound variant
-    of {!optimal}: [None] when no plan costs less than [bound], otherwise
-    the same result as {!optimal}.  Each candidate ordering's evaluation
-    is itself abandoned once it exceeds the best cost seen so far.
-    [budget] is ticked once per permutation. *)
+(** [optimal_pruned ?bound img ~annotate body] enumerates all orderings
+    of [body], annotates each with [annotate] and returns a cheapest
+    plan with its cost (the first ordering attaining it), or [None] when
+    no plan costs less than [bound].  Each candidate ordering's
+    evaluation is abandoned once it exceeds the best cost seen so far.
+    [budget] is ticked once per permutation.  Raises
+    [Vplan_error.Error (Width_limit _)] past {!Orderings.max_subgoals}. *)
 val optimal_pruned :
   ?budget:Vplan_core.Budget.t ->
   ?bound:int ->
-  Database.t ->
+  Vplan_exec.Interned.t ->
   annotate:(Atom.t list -> plan) ->
   Atom.t list ->
   (plan * int) option

@@ -42,8 +42,6 @@ let rec image t =
       ignore (Atomic.compare_and_set t.image None (Some img));
       image t
 
-let view_database t = Vplan_exec.Interned.database (image t)
-
 type mode = Exact | Estimated
 type strategy = [ `Supplementary | `Heuristic ]
 
@@ -72,7 +70,7 @@ let select : type p.
         | `Supplementary -> M3.supplementary ~head:p.head order
         | `Heuristic -> M3.heuristic ~views:t.views ~query ~head:p.head order
       in
-      Select.m3 ?budget ~domains ~rank:t.est ~annotate (view_database t) candidates
+      Select.m3 ?budget ~domains ~rank:t.est ~annotate (image t) candidates
 
 let plan ?budget ?max_covers ?(domains = 1) model t query =
   let r =

@@ -38,13 +38,9 @@ val estimate : t -> Estimate.t
 (** The materialized view relations as one interned image, built on
     first use (under the [materialize] phase) in a single pass over the
     interned base ({!Materialize.image}) and published once, however many
-    domains race on a fresh context.  Exact M2 costing and
-    [explain analyze] read it; it is never rebuilt per request. *)
+    domains race on a fresh context.  Costing, explain output and
+    execution all read it; it is never rebuilt per request. *)
 val image : t -> Vplan_exec.Interned.t
-
-(** The boxed view database decoded from {!image}'s rows, for M3, the
-    backtracking evaluator and explain output. *)
-val view_database : t -> Database.t
 
 (** The context's subplan memo, valid for {!image}. *)
 val memo : t -> Subplan.t

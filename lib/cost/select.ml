@@ -115,7 +115,7 @@ let m2 ?budget ?domains ?(filters = []) ~rank:est src candidates =
   | _ -> ());
   result
 
-let m3 ?budget ?domains ~rank:est ~annotate db candidates =
+let m3 ?budget ?domains ~rank:est ~annotate img candidates =
   Obs.phase "plan_select" @@ fun () ->
   let score ~bound (p : Query.t) =
     (* M3 costs are integers: below the float bound means below its
@@ -126,11 +126,11 @@ let m3 ?budget ?domains ~rank:est ~annotate db candidates =
       match tree_seed p.Query.body with
       | None -> bound
       | Some order -> (
-          match M3.cost_of_plan_bounded db ~bound (annotate order) with
+          match M3.cost_of_plan_bounded img ~bound (annotate order) with
           | Some c when c + 1 < bound -> c + 1
           | Some _ | None -> bound)
     in
-    M3.optimal_pruned ?budget ~bound db ~annotate p.Query.body
+    M3.optimal_pruned ?budget ~bound img ~annotate p.Query.body
     |> Option.map (fun (plan, c) -> ((p, plan), float_of_int c))
   in
   run ?budget ?domains ~score (rank est candidates)

@@ -57,16 +57,16 @@ val m2 :
   Query.t list ->
   Atom.t list choice option
 
-(** [m3 ~rank ~annotate db candidates] — the M3-cheapest candidate over
-    the materialized views [db] under the per-candidate annotation
-    function (supplementary or renaming heuristic), branch-and-bound over
-    the permutation search of each. *)
+(** [m3 ~rank ~annotate img candidates] — the M3-cheapest candidate over
+    the materialized views of the image [img] under the per-candidate
+    annotation function (supplementary or renaming heuristic),
+    branch-and-bound over the permutation search of each. *)
 val m3 :
   ?budget:Vplan_core.Budget.t ->
   ?domains:int ->
   rank:Estimate.t ->
   annotate:(Query.t -> Atom.t list -> M3.plan) ->
-  Database.t ->
+  Vplan_exec.Interned.t ->
   Query.t list ->
   M3.plan choice option
 

@@ -8,8 +8,8 @@ module Hypergraph = Vplan_hypergraph.Hypergraph
 
 (* Hash-join evaluation of conjunctive queries over an Interned.t.
 
-   Atoms are joined in the same static order as the backtracking
-   evaluator ([Eval.schedule]); each step is a build/probe hash join
+   Atoms are joined in the backtracking evaluator's static order
+   ([Hypergraph.schedule]); each step is a build/probe hash join
    keyed on the variables shared between the accumulated environments
    and the next atom.  Per-atom selections (constants, repeated
    variables) are applied in one pass before joining; oversized build
@@ -258,6 +258,19 @@ let count st envs =
   let find = index st.rel st.key_row (select st) ~empty:0 ~add:(fun _ c -> c + 1) in
   List.fold_left (fun acc env -> acc + find env 0 st.key_env) 0 envs
 
+(* Environments from distinct joins are distinct: only dropping a slot
+   can collapse two, and then each restriction is kept once. *)
+let project layout onto envs =
+  if Array.length onto = Array.length layout then envs
+  else
+    let pos = Array.map (bisect layout) onto in
+    let seen = Hashtbl.create 64 in
+    List.filter_map
+      (fun env ->
+        let e = Array.map (fun p -> env.(p)) pos in
+        if Hashtbl.mem seen e then None else (Hashtbl.add seen e (); Some e))
+      envs
+
 (* One semi-join pass: filter sels.(i) down to the rows whose
    shared-variable values appear in sels.(j).  Rows dropped are
    accounted in [vplan_semijoin_rows_pruned_total]. *)
@@ -384,7 +397,9 @@ let evaluate ?budget ?semijoin ?acyclic
             let removal = List.map (fun i -> pos_of.(i)) tr.Hypergraph.removal in
             ( List.map (fun i -> tr.Hypergraph.atoms.(i)) order,
               Some (parent, removal) )
-        | None -> (Eval.schedule (Interned.database t) q.Query.body, None)
+        | None ->
+            let size (a : Atom.t) = Interned.cardinality t a.Atom.pred in
+            (Hypergraph.schedule ~size q.Query.body, None)
       in
       let var_ids = Hashtbl.create 16 in
       let var x =

@@ -6,19 +6,19 @@
     after a bottom-up then top-down semi-join program that leaves every
     selection globally dangling-free in 2(n-1) passes, so intermediate
     join results are bounded by input plus output size.  Cyclic bodies
-    fall back to the general path with zero behavior change: the
-    backtracking evaluator's static schedule
-    ({!Vplan_relational.Eval.schedule}) and, when the head projects
+    fall back to the general path: the backtracking evaluator's greedy
+    schedule ({!Vplan_hypergraph.Hypergraph.schedule}) over the image's
+    row counts and, when the head projects
     variables away, the O(n²) pairwise semi-join reduction.  Each step
     is a build/probe hash join keyed on the variables shared between
     the accumulated environments and the next atom; build sides larger
     than the radix threshold are grace-partitioned on the key hash.
-    [answers] agrees with [Eval.answers] on every query and in every
-    path configuration (the QCheck oracle properties in
+    [answers] agrees with the backtracking evaluator on every query and
+    in every path configuration (the QCheck oracle properties in
     [test/test_exec.ml] and [test/test_hypergraph.ml]).  The join step
-    itself is exposed ({!compile}, {!join}, {!count}): M2's exact
-    cardinality source sizes intermediate relations with it, so costing
-    and execution share one kernel.
+    itself is exposed ({!compile}, {!join}, {!count}, {!project}): M2
+    and M3 size intermediate relations with it, so costing and
+    execution share one kernel.
 
     Instrumentation: the whole evaluation runs under an [Obs] phase
     ["hash_join"] (the pairwise reduction under ["semijoin"], the
@@ -44,8 +44,8 @@ val default_radix_threshold : int
 val radix_partitions : int
 
 (** [answers ?budget ?semijoin ?acyclic ?radix_threshold t q] — the
-    answer relation of [q] (distinct head tuples), equal to
-    [Eval.answers (Interned.database t) q].
+    answer relation of [q] (distinct head tuples) over the relations of
+    [t].
 
     [acyclic] controls the Yannakakis fast path: [Some true] forces it
     whenever the body is acyclic with ≥ 2 atoms, [Some false] forces
@@ -88,8 +88,8 @@ val rows : code:(Term.const -> int) -> Interned.t -> Query.t -> Interned.rel
 (** {2 The join step}
 
     The build/probe step {!answers} and {!rows} run on, exposed for
-    M2's exact cardinality source ({!Vplan_cost.M2.exact}) so that what
-    a plan costs and what it returns come from one kernel.
+    costing ({!Vplan_cost.M2.exact}, {!Vplan_cost.M3}) so that what a
+    plan costs and what it returns come from one kernel.
 
     An environment is a flat [int array] of constant codes over a
     {e layout}: the strictly increasing variable codes it binds, code
@@ -120,3 +120,8 @@ val join : step -> int array list -> int array list
 (** [count st envs] — [List.length (join st envs)], from per-key match
     counts, without building the result. *)
 val count : step -> int array list -> int
+
+(** [project layout onto envs] — [envs] over [layout] restricted to
+    [onto], a strictly increasing subset of [layout], each distinct
+    restriction once: M3's attribute dropping. *)
+val project : int array -> int array -> int array list -> int array list

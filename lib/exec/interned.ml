@@ -5,7 +5,7 @@ open Vplan_relational
    codes once per load, and each relation's tuples live in one flat
    row-major int array.  A tuple value is two adds and a load away, with
    no per-tuple boxing — the representation the hash-join inner loops
-   iterate over. *)
+   iterate over, and the only form an image keeps. *)
 
 type rel = {
   arity : int;
@@ -14,22 +14,27 @@ type rel = {
 }
 
 type t = {
-  db : Database.t;
   const_ids : (Term.const, int) Hashtbl.t;
   consts : Term.const array;  (* code -> constant *)
   rels : (string, rel) Hashtbl.t;
 }
 
-let database t = t.db
 let const_id t c = Hashtbl.find_opt t.const_ids c
 let const t id = t.consts.(id)
-let num_consts t = Array.length t.consts
 let find t name = Hashtbl.find_opt t.rels name
+let cardinality t name = match find t name with Some r -> r.rows | None -> 0
 
 let get r row col = r.data.((row * r.arity) + col)
 
-let decode consts r row = List.init r.arity (fun col -> consts.(get r row col))
-let tuple_of_row t = decode t.consts
+let tuple_of_row t r row = List.init r.arity (fun col -> t.consts.(get r row col))
+
+let database t =
+  Hashtbl.fold
+    (fun name r db ->
+      Database.add_relation name
+        (Relation.of_tuples r.arity (List.init r.rows (tuple_of_row t r)))
+        db)
+    t.rels Database.empty
 
 (* A growing dictionary over [const_ids]: [intern] hands out the next
    code, from [first] on, to a constant it has not seen; the second
@@ -71,24 +76,21 @@ let of_database db =
   List.iter
     (fun name -> Hashtbl.add rels name (encode intern (Database.find_exn name db)))
     (Database.predicates db);
-  { db; const_ids; consts = consts (); rels }
+  { const_ids; consts = consts (); rels }
+
+(* [r] with each repeated row kept once, found by hashing the int rows. *)
+let dedup r =
+  let seen = Hashtbl.create (max 16 r.rows) in
+  for row = 0 to r.rows - 1 do
+    Hashtbl.replace seen (Array.sub r.data (row * r.arity) r.arity) ()
+  done;
+  let rows = Hashtbl.length seen in
+  if rows = r.rows then r
+  else { r with rows; data = Array.concat (Hashtbl.fold (fun k () acc -> k :: acc) seen []) }
 
 let derive base builds =
   let const_ids = Hashtbl.copy base.const_ids in
   let intern, added = dictionary const_ids (Array.length base.consts) in
-  let built = List.map (fun (name, build) -> (name, build intern)) builds in
-  let consts = Array.append base.consts (added ()) in
-  (* the boxed relations are decoded from the very rows just built; the
-     set they form is smaller only when a build repeated rows, and then
-     (only then) the rows are re-encoded from it, once each *)
   let rels = Hashtbl.create 16 in
-  let db =
-    List.fold_left
-      (fun db (name, r) ->
-        let relation = Relation.of_tuples r.arity (List.init r.rows (decode consts r)) in
-        Hashtbl.replace rels name
-          (if Relation.cardinality relation = r.rows then r else encode intern relation);
-        Database.add_relation name relation db)
-      Database.empty built
-  in
-  { db; const_ids; consts; rels }
+  List.iter (fun (name, build) -> Hashtbl.replace rels name (dedup (build intern))) builds;
+  { const_ids; consts = Array.append base.consts (added ()); rels }

@@ -1,8 +1,9 @@
 (** Interned, columnar relation storage for the hash-join engine.
 
     Constants are interned to dense integer codes once per load; each
-    relation's tuples are stored in a single flat row-major int array.
-    An image is immutable once built, by {!of_database} or {!derive}. *)
+    relation's tuples are stored in a single flat row-major int array,
+    each tuple once, with no boxed copy.  An image is immutable once
+    built, by {!of_database} or {!derive}. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -23,11 +24,13 @@ val of_database : Database.t -> t
     result's dictionary.  That dictionary is [base]'s, unchanged, extended
     with every constant [code] is asked for that [base] lacks (a view
     head's constant).  A build may repeat rows; the image keeps each
-    once.  The boxed {!database} is decoded from the same rows; a later
-    build of an existing name replaces it. *)
+    once, by hashing the int rows.  A later build of an existing name
+    replaces it. *)
 val derive : t -> (string * ((Term.const -> int) -> rel)) list -> t
 
-(** The database this image was built from. *)
+(** [database t] decodes the relations of [t], on each call: for the
+    backtracking evaluator and the certain-answer paths, never for a
+    planning request. *)
 val database : t -> Database.t
 
 (** [const_id t c] — the dense code of [c], or [None] if [c] does not
@@ -37,10 +40,11 @@ val const_id : t -> Term.const -> int option
 (** [const t id] — the constant behind a code. *)
 val const : t -> int -> Term.const
 
-val num_consts : t -> int
-
 (** [find t pred] — the stored relation named [pred]. *)
 val find : t -> string -> rel option
+
+(** [cardinality t pred] — the row count of [pred], 0 when absent. *)
+val cardinality : t -> string -> int
 
 (** [get r row col] — per-column accessor into the flat array. *)
 val get : rel -> int -> int -> int

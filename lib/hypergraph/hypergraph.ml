@@ -86,6 +86,28 @@ let tree_order body =
   | Cyclic -> None
   | Acyclic t -> Some (List.map (fun i -> t.atoms.(i)) (join_order t))
 
+(* Selectivity-ordered scheduling: repeatedly pick the atom with the most
+   bound arguments (constants, or variables bound by an already-scheduled
+   atom), tie-breaking on smaller relation, then on original position.  A
+   static greedy order — reordering a join never changes the resulting
+   environment set, only the intermediate sizes. *)
+let schedule ~size atoms =
+  let bound_args bound (a : Atom.t) =
+    List.length
+      (List.filter (function Term.Cst _ -> true | Term.Var x -> Names.Sset.mem x bound) a.args)
+  in
+  let rec pick bound acc = function
+    | [] -> List.rev acc
+    | first :: _ as remaining ->
+        let score (i, a) = (-bound_args bound a, size a, i) in
+        let i, a =
+          List.fold_left (fun best c -> if score c < score best then c else best) first remaining
+        in
+        pick (Names.Sset.union bound (Atom.var_set a)) (a :: acc)
+          (List.filter (fun (j, _) -> j <> i) remaining)
+  in
+  pick Names.Sset.empty [] (List.mapi (fun i a -> (i, a)) atoms)
+
 let children t =
   let kids = Array.make (Array.length t.atoms) [] in
   (* removal is children-before-parents; fold right so each child list

@@ -44,6 +44,13 @@ val join_order : tree -> int list
     [body]. *)
 val tree_order : Atom.t list -> Atom.t list option
 
+(** [schedule ~size atoms] is the selectivity-first static join order
+    of both evaluators: repeatedly pick the atom with the most bound
+    arguments (constants, or variables of atoms already picked),
+    tie-breaking on smaller [size] (its stored relation's cardinality),
+    then on original position. *)
+val schedule : size:(Atom.t -> int) -> Atom.t list -> Atom.t list
+
 (** [children t] is the child adjacency of the join tree, children in
     removal order. *)
 val children : tree -> int list array

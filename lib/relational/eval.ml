@@ -4,7 +4,6 @@ type env = Term.const Names.Smap.t
 
 let empty_env = Names.Smap.empty
 let env_find env x = Names.Smap.find_opt x env
-let env_bindings env = Names.Smap.bindings env
 
 let env_of_bindings l =
   List.fold_left (fun e (x, c) -> Names.Smap.add x c e) empty_env l
@@ -41,39 +40,10 @@ end)
 let dedup envs = Env_set.elements (Env_set.of_list envs)
 let extend db envs atom = dedup (List.concat_map (fun e -> match_atom db e atom) envs)
 
-(* Selectivity-ordered scheduling: repeatedly pick the atom with the most
-   bound arguments (constants, or variables bound by an already-scheduled
-   atom), tie-breaking on smaller relation, then on original position.  A
-   static greedy order — reordering a join never changes the resulting
-   environment set, only the intermediate sizes. *)
-let schedule db atoms =
-  let relation_card (a : Atom.t) =
-    match Database.find a.pred db with Some r -> Relation.cardinality r | None -> 0
-  in
-  let rec pick bound acc = function
-    | [] -> List.rev acc
-    | remaining ->
-        let score (i, (a : Atom.t)) =
-          let b =
-            List.length
-              (List.filter
-                 (function
-                   | Term.Cst _ -> true
-                   | Term.Var x -> Names.Sset.mem x bound)
-                 a.args)
-          in
-          (-b, relation_card a, i)
-        in
-        let best =
-          List.fold_left
-            (fun best cand -> if score cand < score best then cand else best)
-            (List.hd remaining) (List.tl remaining)
-        in
-        let bound = Names.Sset.union bound (Atom.var_set (snd best)) in
-        pick bound (snd best :: acc)
-          (List.filter (fun (i, _) -> i <> fst best) remaining)
-  in
-  pick Names.Sset.empty [] (List.mapi (fun i a -> (i, a)) atoms)
+let relation_size db (a : Atom.t) =
+  match Database.find a.pred db with Some r -> Relation.cardinality r | None -> 0
+
+let schedule db = Vplan_hypergraph.Hypergraph.schedule ~size:(relation_size db)
 
 (* Starting from the single empty environment, every environment alive
    after k join steps binds exactly the variables of the k processed
@@ -108,9 +78,6 @@ let answers db (q : Query.t) =
   Relation.of_tuples (Atom.arity q.head) tuples
 
 let matching_count db atom = List.length (match_atom db empty_env atom)
-
-let relation_size db (a : Atom.t) =
-  match Database.find a.pred db with Some r -> Relation.cardinality r | None -> 0
 
 let answers_ucq db u =
   match List.map (answers db) (Ucq.disjuncts u) with

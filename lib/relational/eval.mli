@@ -13,23 +13,15 @@ type env
 
 val empty_env : env
 val env_find : env -> string -> Term.const option
-val env_bindings : env -> (string * Term.const) list
 val env_of_bindings : (string * Term.const) list -> env
 
-(** [match_atom db env atom] extends [env] in every way that makes [atom]
-    a fact of [db].  Constants and already-bound variables act as
-    selections; repeated variables enforce equality. *)
-val match_atom : Database.t -> env -> Atom.t -> env list
-
-(** [extend db envs atom] joins a set of environments with an atom:
-    [List.concat_map (fun e -> match_atom db e atom) envs], deduplicated. *)
+(** [extend db envs atom] extends each environment in every way that makes
+    [atom] a fact of [db], deduplicated. *)
 val extend : Database.t -> env list -> Atom.t -> env list
 
 (** [schedule db atoms] is the selectivity-first static join order used by
-    {!satisfying_envs}: repeatedly pick the atom with the most bound
-    arguments, tie-breaking on smaller relation, then original position.
-    Exposed so other evaluators (the hash-join engine in [Vplan_exec])
-    drive the same order. *)
+    {!satisfying_envs}: {!Vplan_hypergraph.Hypergraph.schedule} over the
+    cardinalities of [db]'s relations ({!relation_size}). *)
 val schedule : Database.t -> Atom.t list -> Atom.t list
 
 (** [satisfying_envs db atoms] joins all atoms, starting from the empty

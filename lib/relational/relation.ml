@@ -38,7 +38,6 @@ let of_tuples arity tuples =
     tuples;
   { arity; tuples = Tuple_set.of_list tuples }
 let tuples r = Tuple_set.elements r.tuples
-let tuple_set r = r.tuples
 let mem tuple r = Tuple_set.mem tuple r.tuples
 let fold f r acc = Tuple_set.fold f r.tuples acc
 let iter f r = Tuple_set.iter f r.tuples

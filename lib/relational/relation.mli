@@ -8,8 +8,6 @@ open Vplan_cq
 
 type tuple = Term.const list
 
-module Tuple_set : Set.S with type elt = tuple
-
 type t
 
 (** [empty arity] is the empty relation of the given arity. *)
@@ -26,7 +24,6 @@ val add : tuple -> t -> t
 
 val of_tuples : int -> tuple list -> t
 val tuples : t -> tuple list
-val tuple_set : t -> Tuple_set.t
 val mem : tuple -> t -> bool
 val fold : (tuple -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (tuple -> unit) -> t -> unit

@@ -12,5 +12,3 @@ let image base vs =
        vs)
 
 let views base vs = Interned.database (image base vs)
-
-let answers_via_rewriting view_db p = Vplan_relational.Eval.answers view_db p

@@ -12,7 +12,6 @@ let test_m1_cost () =
     (List.map Query.to_string (M1.best [ p1; p2; p3; p4; p5 ]))
 
 let carloc_image = Materialize.image Car_loc_part.base Car_loc_part.views
-let carloc_view_db = Interned.database carloc_image
 let carloc = M2.exact carloc_image
 let optimal src body = Option.get (M2.optimal src body)
 let check_cost msg = Alcotest.(check (float 0.)) msg
@@ -23,7 +22,9 @@ let test_m2_cost_of_order () =
   (* v4 materializes to the 3 query answers + any (m,d,c,s) joins; cost =
      size(v4) + size(IR_1) where IR_1 selects dealer anderson *)
   check_bool "positive" true (cost_p4 > 0.);
-  let sizes = M2.intermediate_sizes carloc_view_db p4.Query.body in
+  let sizes =
+    Oracle.M2.intermediate_sizes (Interned.database carloc_image) p4.Query.body
+  in
   check_int "one intermediate" 1 (List.length sizes)
 
 let test_m2_dp_matches_exhaustive () =
@@ -53,8 +54,9 @@ let test_m2_intermediate_independent_of_prefix_order () =
   (* size(IR_n) is the same for every ordering: it is the full join *)
   let finals =
     List.map
-      (fun order -> List.nth (M2.intermediate_sizes carloc_view_db order)
-                      (List.length order - 1))
+      (fun order ->
+        List.nth (Oracle.M2.intermediate_sizes (Interned.database carloc_image) order)
+          (List.length order - 1))
       (Orderings.permutations p2.Query.body)
   in
   match finals with
@@ -83,8 +85,8 @@ let filter_base =
 
 let test_m2_filter_improves () =
   let open Car_loc_part in
-  let view_db = Materialize.views filter_base views in
-  let src = M2.exact (Interned.of_database view_db) in
+  let img = Materialize.image filter_base views in
+  let src = M2.exact img in
   let r = Corecover.all_minimal ~query ~views () in
   let p2_rewriting =
     List.find (fun (p : Query.t) -> List.length p.body = 2) r.rewritings
@@ -96,7 +98,7 @@ let test_m2_filter_improves () =
   let filtered = Query.make_exn p2_rewriting.Query.head body in
   Alcotest.check relation_testable "filtered rewriting correct"
     (Eval.answers filter_base query)
-    (Materialize.answers_via_rewriting view_db filtered)
+    (Exec.answers img filtered)
 
 let test_m2_connected_dp () =
   let open Car_loc_part in
@@ -161,7 +163,9 @@ let test_width_limits () =
       ignore (Orderings.permutations (body 9)));
   Alcotest.check_raises "M3 optimal capped at 8" (width_error 9 8) (fun () ->
       let head = Atom.make "q" [] in
-      ignore (M3.optimal Car_loc_part.base ~annotate:(M3.supplementary ~head) (body 9)))
+      ignore
+        (M3.optimal_pruned (Interned.of_database Car_loc_part.base)
+           ~annotate:(M3.supplementary ~head) (body 9)))
 
 let test_explain_renders () =
   let open Car_loc_part in
@@ -177,7 +181,7 @@ let test_explain_renders () =
     |> List.exists (fun l -> String.length l >= 5 && String.sub l 0 5 = "total"));
   let plan = M3.supplementary ~head:p2.Query.head p2.Query.body in
   let m3_text =
-    Format.asprintf "%a" (fun ppf () -> Explain.m3 ppf carloc_view_db plan) ()
+    Format.asprintf "%a" (fun ppf () -> Explain.m3 ppf carloc_image plan) ()
   in
   check_bool "m3 explain shows drops" true
     (String.length m3_text > 0
@@ -206,9 +210,7 @@ let test_optimizer_m2_correct_answers () =
   match Optimizer.plan exact ctx query with
   | _, None -> Alcotest.fail "expected a rewriting"
   | _, Some c ->
-      let result =
-        Materialize.answers_via_rewriting (Optimizer.view_database ctx) c.rewriting
-      in
+      let result = Exec.answers (Optimizer.image ctx) c.rewriting in
       Alcotest.check relation_testable "plan answer = query answer" (Eval.answers base query)
         result
 
@@ -226,7 +228,6 @@ let test_optimizer_m2_estimated () =
   let ctx = carloc_ctx () in
   match Optimizer.plan (Optimizer.M2 Optimizer.Estimated) ctx query with
   | r, Some est -> (
-      let view_db = Optimizer.view_database ctx in
       let exact = M2.exact (Optimizer.image ctx) in
       (* filters are exact-mode only: compare against the unfiltered
          exact optimum over the same candidates *)
@@ -236,7 +237,7 @@ let test_optimizer_m2_estimated () =
             (M2.cost exact est.plan >= true_best.cost);
           (* and the chosen plan still computes the right answer *)
           Alcotest.check relation_testable "correct answers" (Eval.answers base query)
-            (Materialize.answers_via_rewriting view_db est.rewriting)
+            (Exec.answers (Optimizer.image ctx) est.rewriting)
       | None -> Alcotest.fail "expected an exact plan")
   | _, None -> Alcotest.fail "expected plans"
 

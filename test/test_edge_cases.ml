@@ -9,13 +9,13 @@ open Helpers
 let closed_world_check ~query ~views ~base =
   let r = Corecover.all_minimal ~verify:true ~query ~views () in
   let truth = Eval.answers base query in
-  let view_db = Materialize.views base views in
+  let img = Materialize.image base views in
   List.iter
     (fun p ->
       Alcotest.check relation_testable
         ("rewriting " ^ Query.to_string p)
         truth
-        (Materialize.answers_via_rewriting view_db p))
+        (Exec.answers img p))
     r.Corecover.rewritings;
   r
 

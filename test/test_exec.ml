@@ -189,6 +189,50 @@ let prop_profile_transparent =
              && n.Profile.dur_ms >= 0.)
            nodes)
 
+(* -- the shared greedy schedule ------------------------------------- *)
+
+let image_rows img (a : Atom.t) = Interned.cardinality img a.Atom.pred
+
+(* The general path joins in [Hypergraph.schedule] order over the image's
+   row counts: the order [Eval.schedule] gives over the decoded database,
+   for a base image and for a derived one whose builds repeat rows (v's
+   six built rows keep two, which puts v ahead of u's four; undeduplicated
+   counts would not).  A profile shows the engine executing that order. *)
+let test_schedule_shared () =
+  let base =
+    db_of_facts
+      (List.init 4 (fun i -> ("w", [ i ])) @ List.init 6 (fun i -> ("r", [ i mod 2; i ])))
+  in
+  let derived =
+    Materialize.image base [ parse "v(X) :- r(X, Y)."; parse "u(X) :- w(X)." ]
+  in
+  Alcotest.(check int) "v keeps each row once" 2
+    (image_rows derived (Atom.make "v" [ Term.Var "A" ]));
+  List.iter
+    (fun (img, q) ->
+      let body = q.Query.body in
+      let order = Hypergraph.schedule ~size:(image_rows img) body in
+      Alcotest.(check (list string))
+        (Format.asprintf "image order = Eval.schedule on %a" Query.pp q)
+        (List.map Atom.to_string (Eval.schedule (Interned.database img) body))
+        (List.map Atom.to_string order);
+      let p = Profile.create ~name:"schedule" () in
+      ignore (Exec.answers ~profile:p img q);
+      let executed =
+        Profile.preorder (Profile.finish p)
+        |> List.filter (fun n -> List.mem n.Profile.op [ "scan"; "join"; "cross" ])
+        |> List.map (fun n -> n.Profile.detail)
+      in
+      Alcotest.(check (list string)) "executed in that order"
+        (List.map Atom.to_string order) executed)
+    [
+      (Interned.of_database base, parse "q(X, Y, Z) :- r(X, Y), w(X), r(0, Z).");
+      (derived, parse "q(A) :- u(A), v(A).");
+    ];
+  Alcotest.(check (list string)) "v first" [ "v(A)"; "u(A)" ]
+    (List.map Atom.to_string
+       (Hypergraph.schedule ~size:(image_rows derived) (parse "q(A) :- u(A), v(A).").Query.body))
+
 let suite =
   [
     Alcotest.test_case "interning roundtrip" `Quick test_intern_roundtrip;
@@ -199,6 +243,7 @@ let suite =
     Alcotest.test_case "radix partitioning at threshold edge" `Quick test_radix_threshold_edge;
     Alcotest.test_case "budget truncation mid-probe" `Quick test_budget_truncation;
     Alcotest.test_case "join counters move" `Quick test_counters_move;
+    Alcotest.test_case "shared greedy schedule" `Quick test_schedule_shared;
     QCheck_alcotest.to_alcotest prop_oracle_equivalence;
     QCheck_alcotest.to_alcotest prop_profile_transparent;
   ]

@@ -4,7 +4,8 @@
 open Vplan
 open Helpers
 
-let view_db_61 = Materialize.views Example_6_1.base Example_6_1.views
+let image_61 = Materialize.image Example_6_1.base Example_6_1.views
+let view_db_61 = Interned.database image_61
 
 let test_figure5_views () =
   (* the materialized views of Figure 5 *)
@@ -28,10 +29,10 @@ let test_example61_costs () =
      beats P2; the heuristic recovers P1's cost for P2 *)
   let open Example_6_1 in
   let cost_suppl (p : Query.t) =
-    M3.cost_of_plan view_db_61 (M3.supplementary ~head:p.head p.body)
+    M3.cost_of_plan image_61 (M3.supplementary ~head:p.head p.body)
   in
   let cost_heur (p : Query.t) =
-    M3.cost_of_plan view_db_61 (M3.heuristic ~views ~query ~head:p.head p.body)
+    M3.cost_of_plan image_61 (M3.heuristic ~views ~query ~head:p.head p.body)
   in
   let f1 = cost_suppl p1 and f2 = cost_suppl p2 in
   check_bool "costM3(F1) < costM3(F2)" true (f1 < f2);
@@ -46,7 +47,7 @@ let test_example61_reversed_order () =
   let open Example_6_1 in
   let rev (p : Query.t) = List.rev p.body in
   let cost_suppl (p : Query.t) order =
-    M3.cost_of_plan view_db_61 (M3.supplementary ~head:p.head order)
+    M3.cost_of_plan image_61 (M3.supplementary ~head:p.head order)
   in
   check_bool "reversed: P1 still beats P2" true (cost_suppl p1 (rev p1) < cost_suppl p2 (rev p2))
 
@@ -54,7 +55,7 @@ let test_m3_plans_compute_answers () =
   let open Example_6_1 in
   let truth = Eval.answers base query in
   let check_plan name plan (p : Query.t) =
-    Alcotest.check relation_testable name truth (M3.answers view_db_61 ~head:p.head plan)
+    Alcotest.check relation_testable name truth (M3.answers image_61 ~head:p.head plan)
   in
   List.iter
     (fun (p : Query.t) ->
@@ -70,9 +71,9 @@ let test_heuristic_never_worse () =
     (fun (p : Query.t) ->
       List.iter
         (fun order ->
-          let cs = M3.cost_of_plan view_db_61 (M3.supplementary ~head:p.head order) in
+          let cs = M3.cost_of_plan image_61 (M3.supplementary ~head:p.head order) in
           let ch =
-            M3.cost_of_plan view_db_61 (M3.heuristic ~views ~query ~head:p.head order)
+            M3.cost_of_plan image_61 (M3.heuristic ~views ~query ~head:p.head order)
           in
           check_bool "heuristic <= supplementary" true (ch <= cs))
         (Orderings.permutations p.body))
@@ -81,18 +82,18 @@ let test_heuristic_never_worse () =
 let test_m3_optimal () =
   let open Example_6_1 in
   let annotate order = M3.supplementary ~head:p1.Query.head order in
-  let plan, cost = M3.optimal view_db_61 ~annotate p1.Query.body in
+  let plan, cost = Option.get (M3.optimal_pruned image_61 ~annotate p1.Query.body) in
   check_int "two steps" 2 (List.length plan);
   check_bool "cost positive" true (cost > 0);
   (* optimal over orderings is at most the written order's cost *)
   check_bool "no worse than given order" true
-    (cost <= M3.cost_of_plan view_db_61 (annotate p1.Query.body))
+    (cost <= M3.cost_of_plan image_61 (annotate p1.Query.body))
 
 let test_m3_gsr_sizes () =
   let open Example_6_1 in
   let plan = M3.heuristic ~views ~query ~head:p2.Query.head p2.Query.body in
   Alcotest.(check (list int)) "GSR sizes 1,1 (paper)" [ 1; 1 ]
-    (M3.gsr_sizes view_db_61 plan)
+    (M3.gsr_sizes image_61 plan)
 
 let test_optimizer_m3 () =
   let open Example_6_1 in
@@ -102,17 +103,17 @@ let test_optimizer_m3 () =
   | Some s, Some h ->
       check_bool "heuristic no worse" true (h.cost <= s.cost);
       Alcotest.check relation_testable "m3 plan computes the answer" (Eval.answers base query)
-        (M3.answers (Optimizer.view_database ctx) ~head:h.rewriting.Query.head h.plan)
+        (M3.answers (Optimizer.image ctx) ~head:h.rewriting.Query.head h.plan)
   | _ -> Alcotest.fail "expected plans"
 
 (* dropping on the car-loc-part instance as a second scenario *)
 let test_m3_carloc () =
   let open Car_loc_part in
-  let view_db = Materialize.views base views in
+  let img = Materialize.image base views in
   let truth = Eval.answers base query in
   let plan = M3.heuristic ~views ~query ~head:p2.Query.head p2.Query.body in
   Alcotest.check relation_testable "car-loc-part heuristic plan answers" truth
-    (M3.answers view_db ~head:p2.Query.head plan)
+    (M3.answers img ~head:p2.Query.head plan)
 
 let suite =
   [

@@ -112,9 +112,9 @@ let corecover_closed_world =
       | [] -> true
       | rewritings ->
           let truth = Eval.answers base query in
-          let view_db = Materialize.views base views in
+          let img = Materialize.image base views in
           List.for_all
-            (fun p -> Relation.equal truth (Materialize.answers_via_rewriting view_db p))
+            (fun p -> Relation.equal truth (Exec.answers img p))
             rewritings)
 
 (* CoreCover agrees with the naive Theorem 3.1 search on existence and on
@@ -225,14 +225,14 @@ let exhaustive src body =
 let m2_matches_eval img orders =
   let vdb = Interned.database img in
   let eval_cost order =
-    let rel = List.fold_left (fun acc a -> acc + M2.relation_cells vdb a) 0 order in
+    let rel = List.fold_left (fun acc a -> acc + Oracle.M2.relation_cells vdb a) 0 order in
     let _, ir =
       List.fold_left2
         (fun (vars, acc) a size ->
           let vars = Names.Sset.union vars (Atom.var_set a) in
           (vars, acc + (size * max 1 (Names.Sset.cardinal vars))))
         (Names.Sset.empty, 0) order
-        (M2.intermediate_sizes vdb order)
+        (Oracle.M2.intermediate_sizes vdb order)
     in
     float_of_int (rel + ir)
   in
@@ -271,6 +271,59 @@ let m2_image_matches_eval_radix =
       in
       Alcotest.(check bool) "M2 cost = Eval cost" true
         (m2_matches_eval img [ [ w; v; u ]; [ w; u; v ]; [ u; w; v ] ]) )
+
+(* M3 over the image (the execution engine's join and projecting steps)
+   is the backtracking oracle over the view relations evaluated straight
+   off the base: GSR sizes, costs, bounded costs at a random bound and
+   at the cost itself, and answers, for every ordering of the body under
+   both strategies.  The head keeps a random subset of the body's
+   variables, so the supplementary rule drops attributes and projections
+   collapse rows; the heuristic tests renamings against the rewriting's
+   own expansion. *)
+let m3_image_matches_eval =
+  let gen =
+    Gen.(
+      let* ((body, _, _) as case) = gen_image_case in
+      let* head_vars =
+        gen_subset (List.concat_map Atom.vars body |> List.sort_uniq String.compare)
+      in
+      let* bound = int_range 0 120 in
+      return (case, head_vars, bound))
+  in
+  make_test ~count:150 ~name:"M3 over the image = Eval oracle" gen
+    (fun (case, head_vars, bound) ->
+      print_image_case case ^ " || head " ^ String.concat "," head_vars ^ " || bound "
+      ^ string_of_int bound)
+    (fun ((body, views, base), head_vars, bound) ->
+      let img = Materialize.image base views in
+      let vdb =
+        List.fold_left
+          (fun db (v : Query.t) -> Database.add_relation (View.name v) (Eval.answers base v) db)
+          Database.empty views
+      in
+      let head = Atom.make "q" (List.map (fun x -> Term.Var x) head_vars) in
+      let rewriting = Query.make_exn head body in
+      let heuristic =
+        match Expansion.expand ~views rewriting with
+        | Ok query -> [ M3.heuristic ~views ~query ~head ]
+        | Error `Unsatisfiable -> []
+      in
+      List.for_all
+        (fun order ->
+          List.for_all
+            (fun annotate ->
+              let plan = annotate order in
+              let cost = Oracle.M3.cost_of_plan vdb plan in
+              M3.gsr_sizes img plan = Oracle.M3.gsr_sizes vdb plan
+              && M3.cost_of_plan img plan = cost
+              && List.for_all
+                   (fun bound ->
+                     M3.cost_of_plan_bounded img ~bound plan
+                     = Oracle.M3.cost_of_plan_bounded vdb ~bound plan)
+                   [ bound; cost; cost + 1 ]
+              && Relation.equal (M3.answers img ~head plan) (Oracle.M3.answers vdb ~head plan))
+            (M3.supplementary ~head :: heuristic))
+        (Orderings.permutations body))
 
 (* M2's subset DP agrees exactly with exhaustive permutation search, for
    either source (the estimated source's canonical profile fold makes
@@ -395,13 +448,13 @@ let m3_correct_and_dominant =
       match r.rewritings with
       | [] -> true
       | (p : Query.t) :: _ ->
-          let view_db = Materialize.views base views in
+          let img = Materialize.image base views in
           let truth = Eval.answers base query in
           let suppl = M3.supplementary ~head:p.head p.body in
           let heur = M3.heuristic ~views ~query ~head:p.head p.body in
-          Relation.equal truth (M3.answers view_db ~head:p.head suppl)
-          && Relation.equal truth (M3.answers view_db ~head:p.head heur)
-          && M3.cost_of_plan view_db heur <= M3.cost_of_plan view_db suppl)
+          Relation.equal truth (M3.answers img ~head:p.head suppl)
+          && Relation.equal truth (M3.answers img ~head:p.head heur)
+          && M3.cost_of_plan img heur <= M3.cost_of_plan img suppl)
 
 (* Inverse rules: certain answers are sound (never exceed the true
    answer) and agree with MiniCon's maximally-contained union. *)
@@ -836,6 +889,7 @@ let suite =
     bucket_agrees;
     m2_image_matches_eval;
     m2_image_matches_eval_radix;
+    m3_image_matches_eval;
     m2_dp_exact;
     m2_memo_pruned_exact;
     m2_connected_exact;

@@ -135,7 +135,8 @@ let test_group_generic () =
 
 let test_materialize_closed_world () =
   let open Car_loc_part in
-  let view_db = Materialize.views base views in
+  let img = Materialize.image base views in
+  let view_db = Interned.database img in
   (* v1 and v5 have identical definitions, hence identical relations *)
   Alcotest.check relation_testable "v1 = v5"
     (Database.find_exn "v1" view_db) (Database.find_exn "v5" view_db);
@@ -144,7 +145,7 @@ let test_materialize_closed_world () =
   List.iter
     (fun (name, p) ->
       Alcotest.check relation_testable name truth
-        (Materialize.answers_via_rewriting view_db p))
+        (Exec.answers img p))
     [ ("P1", p1); ("P2", p2); ("P3", p3); ("P4", p4); ("P5", p5) ]
 
 let test_view_validate_set () =
