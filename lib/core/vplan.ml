@@ -117,6 +117,7 @@ module Recursive_views = Vplan_datalog.Recursive_views
    rewrite cache, concurrent request dispatch *)
 module Catalog = Vplan_service.Catalog
 module Rewrite_cache = Vplan_service.Rewrite_cache
+module Reply_template = Vplan_service.Reply_template
 module Service = Vplan_service.Service
 
 (* durability: checksummed snapshots, write-ahead journal, crash

@@ -12,12 +12,13 @@ type t =
   | Width_limit of { subgoals : int; max_subgoals : int }
   | Parse of parse_error
   | No_data
+  | Invariant of string
 
 exception Error of t
 
 let is_resource = function
   | Timeout _ | Step_limit _ | Cover_limit _ | Cancelled -> true
-  | Width_limit _ | Parse _ | No_data -> false
+  | Width_limit _ | Parse _ | No_data | Invariant _ -> false
 
 let parse_to_string e = Printf.sprintf "%d:%d: %s" e.line e.col e.msg
 
@@ -35,6 +36,7 @@ let to_string = function
         subgoals max_subgoals
   | Parse e -> parse_to_string e
   | No_data -> "no base database loaded (use: data load FILE)"
+  | Invariant what -> "internal invariant broken: " ^ what
 
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 

@@ -32,14 +32,17 @@ type t =
   | No_data
       (** a request needs a base database (plan, analyze) and none is
           loaded *)
+  | Invariant of string
+      (** an internal invariant did not hold: a library bug, reported
+          to the request instead of an [assert false] *)
 
 exception Error of t
 
 (** [is_resource e] is [true] for the budget-style errors — [Timeout],
     [Step_limit], [Cover_limit] and [Cancelled] — after which an anytime
     caller may return a sound-but-incomplete result.  [Width_limit] and
-    [Parse] are input errors, and [No_data] a missing precondition:
-    retrying with a bigger budget cannot help. *)
+    [Parse] are input errors, [No_data] a missing precondition and
+    [Invariant] a bug: retrying with a bigger budget cannot help. *)
 val is_resource : t -> bool
 
 (** Render the error as one deterministic human-readable line (elapsed

@@ -115,12 +115,11 @@ exception Write_failed
    a stalled client blocks only its own worker, and only up to the
    patience cap — then it is treated as a connection error. *)
 let write_all fd data =
-  let b = Bytes.of_string data in
-  let len = Bytes.length b in
+  let len = String.length data in
   let rounds = ref 0 in
   let rec go off =
     if off < len then
-      match Unix.write fd b off (len - off) with
+      match Unix.write_substring fd data off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           incr rounds;
@@ -136,11 +135,10 @@ let write_all fd data =
    client that cannot absorb a few bytes while flooding us is dropped —
    the poller must never block on one connection. *)
 let direct_send t conn data =
-  let b = Bytes.of_string data in
-  let len = Bytes.length b in
+  let len = String.length data in
   let rec go off =
     if off < len then
-      match Unix.write conn.fd b off (len - off) with
+      match Unix.write_substring conn.fd data off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (_, _, _) ->
           Metrics.incr connection_errors_total;

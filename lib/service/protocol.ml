@@ -1,6 +1,10 @@
 (* The line protocol, shared by every front end.  Handlers render into
    a buffer-backed formatter so one request produces one [reply]; the
-   stdio loop prints it, the TCP server frames it onto the socket. *)
+   stdio loop prints it, the TCP server frames it onto the socket.
+   Rewrite answers ([rewrite], [batch]) are the exception to the
+   formatter: their rewriting lines are spliced from the cache entry's
+   reply template ({!Service.rewrite_reply}) straight into the reply
+   buffer, so a hit builds no [Query.t] and makes no [Format] call. *)
 
 open Vplan_cq
 module Budget = Vplan_core.Budget
@@ -257,53 +261,50 @@ let cmd_catalog shared ppf rest =
   | _ ->
       err ppf "usage: catalog load FILE | catalog add <rule>. | catalog remove NAME"
 
-let print_outcome ?(spans = []) (sess : session) ppf query
-    (o : Service.outcome) =
+(* The rewritings go straight from the reply template into the reply
+   buffer: the formatter is flushed first, so the splice lands after
+   everything printed so far. *)
+let print_reply ?(spans = []) (sess : session) buf ppf query (r : Service.reply) =
   let source =
-    match o.Service.source with
+    match r.Service.reply_source with
     | Service.Hit -> "hit"
     | Service.Miss -> "miss"
     | Service.Bypass -> "bypass"
   in
   let trace = next_trace_id sess.shared in
-  Format.fprintf ppf "ok %d %s trace=%d@."
-    (List.length o.Service.rewritings)
-    source trace;
-  slow_log sess ~trace ~ms:o.Service.ms (Printf.sprintf "source=%s" source);
-  let slow = is_slow sess ~ms:o.Service.ms in
+  Format.fprintf ppf "ok %d %s trace=%d@." r.Service.reply_count source trace;
+  slow_log sess ~trace ~ms:r.Service.reply_ms (Printf.sprintf "source=%s" source);
+  let slow = is_slow sess ~ms:r.Service.reply_ms in
   let truncated =
-    match o.Service.completeness with
+    match r.Service.reply_completeness with
     | Vplan_rewrite.Corecover.Complete -> ""
     | Vplan_rewrite.Corecover.Truncated reason -> Vplan_error.to_string reason
   in
-  Recorder.append ~kind:"rewrite" ~trace ~latency_ms:o.Service.ms ~source
+  Recorder.append ~kind:"rewrite" ~trace ~latency_ms:r.Service.reply_ms ~source
     ~mode:(mode_string sess.cost_mode)
     ~classification:(classification_of query)
-    ~answers:(List.length o.Service.rewritings)
-    ~truncated ~slow
+    ~answers:r.Service.reply_count ~truncated ~slow
     ~detail:(Atom.to_string query.Query.head)
     ~spans:(if slow then spans else [])
     ();
-  List.iter (fun p -> Format.fprintf ppf "%a@." Query.pp p) o.Service.rewritings;
-  match o.Service.completeness with
-  | Vplan_rewrite.Corecover.Complete -> ()
-  | Vplan_rewrite.Corecover.Truncated reason ->
-      Format.fprintf ppf "truncated: %s@." (Vplan_error.to_string reason)
+  Format.pp_print_flush ppf ();
+  Reply_template.render buf r.Service.reply_lines r.Service.reply_names;
+  if truncated <> "" then Format.fprintf ppf "truncated: %s@." truncated
 
-let cmd_rewrite (sess : session) ppf rest =
+let cmd_rewrite (sess : session) buf ppf rest =
   let shared = sess.shared in
   with_service shared ppf (fun s ->
       match Parser.parse_rule rest with
       | Error e -> err ppf "%s" (Vplan_error.parse_to_string e)
       | Ok query ->
-          let outcome, spans =
+          let reply, spans =
             traced_if_armed sess (fun () ->
-                Service.rewrite ?budget:(fresh_budget sess)
+                Service.rewrite_reply ?budget:(fresh_budget sess)
                   ?max_covers:sess.max_covers ~domains:shared.domains s query)
           in
-          print_outcome ~spans sess ppf query outcome)
+          print_reply ~spans sess buf ppf query reply)
 
-let cmd_batch (sess : session) ppf ~read_line rest =
+let cmd_batch (sess : session) buf ppf ~read_line rest =
   let shared = sess.shared in
   match int_of_string_opt rest with
   | None | Some 0 -> err ppf "usage: batch N (then N rewrite-request lines)"
@@ -327,7 +328,7 @@ let cmd_batch (sess : session) ppf ~read_line rest =
             (* the whole batch fans out over the domain pool; answers
                come back in request order *)
             List.iter2
-              (print_outcome sess ppf)
+              (print_reply sess buf ppf)
               queries
               (Service.rewrite_batch
                  ~make_budget:(fun () -> fresh_budget sess)
@@ -578,15 +579,13 @@ let cmd_explain (sess : session) ppf rest =
                 in
                 ((match outcome with Some _ -> "plan" | None -> "plan none"), spans)
             | None ->
-                let outcome, spans =
+                let reply, spans =
                   Trace.run (fun () ->
-                      Service.rewrite ?budget:(fresh_budget sess)
+                      Service.rewrite_reply ?budget:(fresh_budget sess)
                         ?max_covers:sess.max_covers ~domains:shared.domains s
                         query)
                 in
-                ( Printf.sprintf "rewrite %d"
-                    (List.length outcome.Service.rewritings),
-                  spans )
+                (Printf.sprintf "rewrite %d" reply.Service.reply_count, spans)
           in
           let ms = Budget.elapsed_ms clock in
           Format.fprintf ppf "ok explain %s request=%.3fms traced=%.3fms spans=%d@."
@@ -763,7 +762,7 @@ let extra_lines line =
   else match int_of_string_opt rest with Some n when n > 0 -> n | _ -> 0
 
 (* [true] = keep the connection; [false] = close after this reply. *)
-let dispatch (sess : session) ppf ~read_line line =
+let dispatch (sess : session) buf ppf ~read_line line =
   let shared = sess.shared in
   let line = String.trim line in
   if line = "" then true
@@ -773,8 +772,8 @@ let dispatch (sess : session) ppf ~read_line line =
     | "quit" | "exit" -> false
     | "help" -> help ppf; true
     | "catalog" -> cmd_catalog shared ppf rest; true
-    | "rewrite" -> cmd_rewrite sess ppf rest; true
-    | "batch" -> cmd_batch sess ppf ~read_line rest; true
+    | "rewrite" -> cmd_rewrite sess buf ppf rest; true
+    | "batch" -> cmd_batch sess buf ppf ~read_line rest; true
     | "data" -> cmd_data sess ppf rest; true
     | "plan" -> cmd_plan sess ppf rest; true
     | "explain" ->
@@ -798,7 +797,7 @@ let handle shared sess ~read_line line =
   (* fault containment: a request that raises yields one "err" line and
      the connection (and every other connection) lives on *)
   let keep =
-    try dispatch sess ppf ~read_line line with
+    try dispatch sess buf ppf ~read_line line with
     | Vplan_error.Error e ->
         err ppf "%s" (Vplan_error.to_string e);
         true

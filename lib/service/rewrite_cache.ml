@@ -85,14 +85,15 @@ let add t key value =
   let node = { key; value; prev = None; next = None } in
   Hashtbl.replace t.table key node;
   push_front t node;
+  (* over capacity, the list holds at least the node just pushed *)
   if Hashtbl.length t.table > t.capacity then
-    match t.lru with
-    | Some victim ->
+    Option.iter
+      (fun victim ->
         unlink t victim;
         Hashtbl.remove t.table victim.key;
         t.evictions <- t.evictions + 1;
-        Metrics.incr evictions_total
-    | None -> assert false
+        Metrics.incr evictions_total)
+      t.lru
 
 let clear t =
   Hashtbl.reset t.table;

@@ -80,6 +80,15 @@ type cost_mode = Optimizer.mode = Exact | Estimated
 
 type plan_cost = Cells of int | Cells_est of float
 
+type reply = {
+  reply_count : int;
+  reply_source : source;
+  reply_completeness : Corecover.completeness;
+  reply_ms : float;
+  reply_lines : Reply_template.t;
+  reply_names : string array;
+}
+
 type plan_outcome = {
   plan_rewriting : Query.t;
   plan_order : Atom.t list;
@@ -88,11 +97,22 @@ type plan_outcome = {
   plan_ms : float;
 }
 
-(* Cached entries keep the canonical query alongside the result: on a
-   hit the requested canonical form is compared against it, so even a
-   (never observed) canonical-form collision could only cause a recompute,
-   never a wrong answer. *)
-type entry = { canon : Query.t; result : Corecover.result }
+(* A CoreCover result in the variables of the query it ran on: the
+   canonical query for a cache entry, the request itself when it is
+   uncacheable.  Only what a request reads is kept: no view tuples, cores
+   or classes.  [vars] is [Query.vars canon], the template's slots.  The
+   canonical query is kept so that a hit compares it against the
+   requested one: even a (never observed) canonical-form collision could
+   only cause a recompute, never a wrong answer. *)
+type entry = {
+  canon : Query.t;
+  vars : string array;
+  minimized_query : Query.t;
+  rewritings : Query.t list;
+  stats : Corecover.stats;
+  count : int;
+  template : Reply_template.t;
+}
 
 (* A loaded base database with its statistics, published together. *)
 type data = { base : Database.t; stats : Stats.t }
@@ -176,21 +196,6 @@ let set_base ?stats t db =
       t.data <- Some { base = db; stats };
       t.pctx <- None)
 
-(* [sigma] maps caller variables to canonical ones, bijectively and only
-   var-to-var; its inverse renames canonical-variable results back. *)
-let invert sigma =
-  Subst.of_list
-    (List.map
-       (fun (x, term) ->
-         match term with
-         | Term.Var y -> (y, Term.Var x)
-         | Term.Cst _ -> assert false)
-       (Subst.bindings sigma))
-
-let rename_result inv (r : Corecover.result) =
-  ( List.map (fun p -> Query.apply inv p) r.Corecover.rewritings,
-    Query.apply inv r.Corecover.minimized_query )
-
 let record t ~probed ~completeness ~ms =
   Metrics.incr requests_total;
   Metrics.observe request_ms ms;
@@ -212,22 +217,56 @@ let record t ~probed ~completeness ~ms =
       t.lat_sum <- t.lat_sum +. ms;
       if ms > t.lat_max then t.lat_max <- ms)
 
-let outcome_of ~source ~ms rewritings minimized_query (r : Corecover.result) =
+let invariant what = raise (Vplan_error.Error (Vplan_error.Invariant what))
+
+let entry_of canon (r : Corecover.result) =
+  let vars = Array.of_list (Query.vars canon) in
   {
-    rewritings;
-    minimized_query;
-    completeness = r.Corecover.completeness;
-    corecover_stats = r.Corecover.stats;
-    source;
-    ms;
+    canon;
+    vars;
+    minimized_query = r.Corecover.minimized_query;
+    rewritings = r.Corecover.rewritings;
+    stats = r.Corecover.stats;
+    count = List.length r.Corecover.rewritings;
+    template = Reply_template.make ~vars r.Corecover.rewritings;
   }
 
-let rewrite ?budget ?max_covers ?(domains = 1) t query =
+(* [sigma] maps caller variables to canonical ones, bijectively and only
+   var-to-var; the caller's name for each of the entry's slots is its
+   inverse. *)
+let names_of e sigma =
+  let caller = Hashtbl.create (Array.length e.vars) in
+  List.iter
+    (fun (x, term) ->
+      match term with
+      | Term.Var y -> Hashtbl.replace caller y x
+      | Term.Cst _ -> invariant ("canonicalization bound " ^ x ^ " to a constant"))
+    (Subst.bindings sigma);
+  Array.map
+    (fun y ->
+      match Hashtbl.find_opt caller y with
+      | Some x -> x
+      | None -> invariant ("canonical variable " ^ y ^ " has no caller name"))
+    e.vars
+
+(* One request, resolved: the entry that answers it and the caller's
+   names for its slots.  Canonicalize, probe, run and publish happen
+   here and only here; [rewrite] and [rewrite_reply] differ only in how
+   they project the result. *)
+let resolve ?budget ?max_covers ~domains t query =
   let clock = Budget.create () in
-  let finish ~probed ~source (rewritings, minimized_query) r =
+  let finish ~probed ~source ~completeness e names =
     let ms = Budget.elapsed_ms clock in
-    record t ~probed ~completeness:r.Corecover.completeness ~ms;
-    outcome_of ~source ~ms rewritings minimized_query r
+    record t ~probed ~completeness ~ms;
+    ( {
+        reply_count = e.count;
+        reply_source = source;
+        reply_completeness = completeness;
+        reply_ms = ms;
+        reply_lines = e.template;
+        reply_names = names;
+      },
+      e )
   in
   (* snapshot the catalog: a concurrent [set_catalog] must not mix
      generations within one request *)
@@ -239,42 +278,68 @@ let rewrite ?budget ?max_covers ?(domains = 1) t query =
   in
   match Normalize.canonicalize query with
   | None ->
-      (* canonical-labeling search blew its cap: uncacheable, run as-is *)
+      (* canonical-labeling search blew its cap: uncacheable, run as-is,
+         in the caller's own variables *)
       let r = run query in
-      finish ~probed:false ~source:Bypass
-        (r.Corecover.rewritings, r.Corecover.minimized_query)
-        r
+      let e = entry_of query r in
+      finish ~probed:false ~source:Bypass ~completeness:r.Corecover.completeness e e.vars
   | Some (canon, sigma) -> (
       let key = Query.to_string canon in
-      let inv = invert sigma in
       let cached =
         locked t (fun () ->
             if t.cat != cat then None
             else
               match Rewrite_cache.find t.cache key with
-              | Some e when Query.equal e.canon canon -> Some e.result
+              | Some e when Query.equal e.canon canon -> Some e
               | Some _ | None -> None)
       in
       match cached with
-      | Some r -> finish ~probed:true ~source:Hit (rename_result inv r) r
+      | Some e ->
+          finish ~probed:true ~source:Hit ~completeness:Corecover.Complete e (names_of e sigma)
       | None ->
           let r = run canon in
+          let e = entry_of canon r in
           let source =
             match r.Corecover.completeness with
             | Corecover.Complete ->
                 locked t (fun () ->
                     (* only publish results computed against the live
                        catalog generation *)
-                    if t.cat == cat then Rewrite_cache.add t.cache key { canon; result = r });
+                    if t.cat == cat then Rewrite_cache.add t.cache key e);
                 Miss
             | Corecover.Truncated _ -> Bypass
           in
-          finish ~probed:true ~source (rename_result inv r) r)
+          finish ~probed:true ~source ~completeness:r.Corecover.completeness e
+            (names_of e sigma))
+
+let rewrite_reply ?budget ?max_covers ?(domains = 1) t query =
+  fst (resolve ?budget ?max_covers ~domains t query)
+
+let rewrite ?budget ?max_covers ?(domains = 1) t query =
+  let reply, e = resolve ?budget ?max_covers ~domains t query in
+  let rewritings, minimized_query =
+    (* an uncacheable request's entry is already in its own variables *)
+    if reply.reply_names == e.vars then (e.rewritings, e.minimized_query)
+    else
+      let inv =
+        Subst.of_list
+          (Array.to_list (Array.map2 (fun y x -> (y, Term.Var x)) e.vars reply.reply_names))
+      in
+      (List.map (Query.apply inv) e.rewritings, Query.apply inv e.minimized_query)
+  in
+  {
+    rewritings;
+    minimized_query;
+    completeness = reply.reply_completeness;
+    corecover_stats = e.stats;
+    source = reply.reply_source;
+    ms = reply.reply_ms;
+  }
 
 let rewrite_batch ?(make_budget = fun () -> None) ?max_covers ?(domains = 1) t
     queries =
   Parallel.map ~domains
-    (fun query -> rewrite ?budget:(make_budget ()) ?max_covers t query)
+    (fun query -> rewrite_reply ?budget:(make_budget ()) ?max_covers t query)
     queries
 
 (* Reuse the cached planning context when both the catalog and the data

@@ -3,15 +3,24 @@
 
     Requests are keyed by the order-insensitive canonical form of the
     query ({!Vplan_rewrite.Normalize.canonicalize}): every request is
-    renamed into canonical variables, CoreCover runs on the canonical
-    query (reusing the catalog's precomputed view classes), and the
-    result is renamed back into the caller's variables.  Because the
-    canonical form is complete for isomorphism, two requests share a
-    cache entry iff they are the same query up to variable renaming and
-    subgoal reordering — and because {e every} request goes through the
-    canonical query, a cache hit is observationally identical to a fresh
-    run: same rewritings, same completeness, same statistics, in the
-    caller's own variables.
+    renamed into canonical variables and CoreCover runs on the
+    canonical query (reusing the catalog's precomputed view classes).
+    Because the canonical form is complete for isomorphism, two
+    requests share a cache entry iff they are the same query up to
+    variable renaming and subgoal reordering — and because {e every}
+    request goes through the canonical query, a cache hit is
+    observationally identical to a fresh run: same rewritings, same
+    completeness, same statistics, in the caller's own variables.
+
+    A cache entry holds the result in canonical variables: the
+    rewritings, the minimized query and the statistics, plus the
+    rewritings pre-rendered as a {!Reply_template} whose holes are the
+    canonical query's variables.  One resolve path (canonicalize,
+    probe, run, publish) serves two projections.  {!rewrite} renames
+    the result back into the caller's variables as [Query.t] values.
+    {!rewrite_reply} — the wire protocol's path — returns the template
+    with the caller's name for each slot, so a hit renders by splicing
+    bytes: no renaming, no [Query.t], no formatter.
 
     Only [Complete] results are cached.  A [Truncated] result reflects
     the requester's budget, not the query, so it bypasses the cache
@@ -44,7 +53,21 @@ type outcome = {
   completeness : Corecover.completeness;
   corecover_stats : Corecover.stats;
   source : source;
-  ms : float;  (** wall-clock latency of this request *)
+  ms : float;  (** wall-clock latency of resolving this request *)
+}
+
+(** A rewrite answer for the wire: what {!outcome} says, with the
+    rewritings left as a template.  [Reply_template.render buf
+    reply_lines reply_names] appends them in the caller's variables,
+    byte for byte what [Format] prints for {!outcome}'s [rewritings]
+    (one [Query.pp] per line). *)
+type reply = {
+  reply_count : int;  (** number of rewritings *)
+  reply_source : source;
+  reply_completeness : Corecover.completeness;
+  reply_ms : float;  (** wall-clock latency of resolving this request *)
+  reply_lines : Reply_template.t;
+  reply_names : string array;  (** the caller's name for each slot *)
 }
 
 type latency = {
@@ -150,18 +173,32 @@ val rewrite :
   Query.t ->
   outcome
 
+(** [rewrite_reply t query] is {!rewrite}'s request, answered as a
+    {!reply}: the same cache, counters and budgets, without building
+    renamed [Query.t] values.
+    @raise Vplan_core.Vplan_error.Error [Invariant] if canonicalization
+    ever produced a non-bijective renaming. *)
+val rewrite_reply :
+  ?budget:Vplan_core.Budget.t ->
+  ?max_covers:int ->
+  ?domains:int ->
+  t ->
+  Query.t ->
+  reply
+
 (** [rewrite_batch t queries] serves independent requests over a domain
-    pool, returning outcomes in request order.  [domains] is the pool
-    width (each request runs CoreCover sequentially); [make_budget] is
-    called once per request {e in the worker}, so deadlines start when
-    the request is picked up, not when the batch was submitted. *)
+    pool, returning {!rewrite_reply} answers in request order.
+    [domains] is the pool width (each request runs CoreCover
+    sequentially); [make_budget] is called once per request {e in the
+    worker}, so deadlines start when the request is picked up, not when
+    the batch was submitted. *)
 val rewrite_batch :
   ?make_budget:(unit -> Vplan_core.Budget.t option) ->
   ?max_covers:int ->
   ?domains:int ->
   t ->
   Query.t list ->
-  outcome list
+  reply list
 
 (** [plan t query] serves an end-to-end request through
     {!Vplan_cost.Optimizer.plan}: CoreCover{^ *} candidates (all minimal

@@ -107,3 +107,17 @@ module Example_4_2 = struct
   let v2 = q "v2(X, Y) :- a2(X, Z2), b2(Z2, Y)."
   let views = [ v; v1; v2 ]
 end
+
+(* Rewritings as the server printed them through [Format], one
+   [Query.pp] per line. *)
+let format_lines rewritings =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  List.iter (fun p -> Format.fprintf ppf "%a@." Query.pp p) rewritings;
+  Buffer.contents buf
+
+(* A wire reply's rewriting lines, spliced from its template. *)
+let reply_lines (r : Service.reply) =
+  let buf = Buffer.create 256 in
+  Reply_template.render buf r.Service.reply_lines r.Service.reply_names;
+  Buffer.contents buf

@@ -85,3 +85,68 @@ let print_instance (q, views) = print_query q ^ " || " ^ print_views views
 
 let print_with_db (q, views, db) =
   print_instance (q, views) ^ " || db size " ^ string_of_int (Database.total_size db)
+
+(* Instances for the wire renderer.  Caller variables are named like the
+   canonical labels ("V0", "V1", "V10" beside "V1"), so a renderer that
+   confused a caller name with a canonical one, or one label with a
+   prefix of another, shows.  Three shapes: a small random query with
+   [Int] and [Str] constants, repeated variables and head constants; a
+   chain whose 11-13 variables are all distinguished; and a chain with
+   more than 24 existential variables, which canonicalization refuses
+   (uncacheable). *)
+let label_like n = List.init n (fun i -> "V" ^ string_of_int i) @ [ "X0"; "V01" ]
+
+let var x = Term.Var x
+let xvar i = var ("X" ^ string_of_int i)
+
+(* [x0, x1], [x1, x2], ..., [x(n-1), xn] *)
+let chain pred n = List.init n (fun i -> Atom.make pred [ xvar i; xvar (i + 1) ])
+
+(* [q] with its variables renamed to a random choice of [names]. *)
+let gen_named names (q : Query.t) =
+  let open Gen in
+  let+ names = shuffle_l names in
+  let vars = Query.vars q in
+  let picked = List.filteri (fun i _ -> i < List.length vars) names in
+  Query.apply (Subst.of_list (List.map2 (fun x n -> (x, var n)) vars picked)) q
+
+let edge_view name pred =
+  Query.make_exn (Atom.make name [ var "A"; var "B" ]) [ Atom.make pred [ var "A"; var "B" ] ]
+
+let gen_wire_instance =
+  let open Gen in
+  let small =
+    let* query = gen_query in
+    let* views = gen_views ~max_views:3 ~max_atoms:2 in
+    let* d_is_int = bool in
+    let* head_consts =
+      list_size (int_range 0 2) (oneofl [ Term.Cst (Term.Int 7); Term.Cst (Term.Str "c") ])
+    in
+    let int_d = function Term.Cst (Term.Str "d") when d_is_int -> Term.Cst (Term.Int 1) | t -> t in
+    let body =
+      List.map
+        (fun (a : Atom.t) -> Atom.make a.Atom.pred (List.map int_d a.Atom.args))
+        query.Query.body
+    in
+    let head = Atom.make "q" (query.Query.head.Atom.args @ head_consts) in
+    let+ query = gen_named (label_like 11) (Query.make_exn head body) in
+    (query, views)
+  in
+  let wide =
+    let* n = int_range 10 12 in
+    let pair =
+      Query.make_exn
+        (Atom.make "v1" [ var "A"; var "B"; var "C" ])
+        [ Atom.make "r" [ var "A"; var "B" ]; Atom.make "r" [ var "B"; var "C" ] ]
+    in
+    let all_distinguished = Query.make_exn (Atom.make "q" (List.init (n + 1) xvar)) (chain "r" n) in
+    let+ query = gen_named (label_like 14) all_distinguished in
+    (query, [ edge_view "v0" "r"; pair ])
+  in
+  let uncacheable =
+    let* n = int_range 26 28 in
+    let head = Atom.make "q" [ xvar 0; Term.Cst (Term.Int 5); xvar n ] in
+    let+ query = gen_named (label_like 30) (Query.make_exn head (chain "p" n)) in
+    (query, [ edge_view "v0" "p" ])
+  in
+  frequency [ (8, small); (1, wide); (1, uncacheable) ]

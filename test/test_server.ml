@@ -134,6 +134,50 @@ let protocol_extra_lines () =
   check_int "rewrite" 0 (Protocol.extra_lines "rewrite q(X) :- a(X).");
   check_int "malformed batch" 0 (Protocol.extra_lines "batch many")
 
+(* A rewrite reply splices the rewritings from a cached template; it
+   must read exactly as the [Format] rendering of [Service.rewrite]'s
+   outcome for the same request: a miss, a renamed hit, a batch of two
+   and a bypass (more than 24 existential variables: uncacheable). *)
+let protocol_replies_match_format () =
+  let shared = Protocol.create_shared ~domains:1 () in
+  let file = write_views ~tag:"reply" Car_loc_part.views in
+  load_catalog shared file;
+  let sess = Protocol.new_session shared in
+  let reference = Service.create (Catalog.create_exn Car_loc_part.views) in
+  let trace = ref 0 in
+  let expected source rules =
+    String.concat ""
+      (List.map
+         (fun rule ->
+           incr trace;
+           let o = Service.rewrite reference (q rule) in
+           Printf.sprintf "ok %d %s trace=%d\n" (List.length o.Service.rewritings) source !trace
+           ^ format_lines o.Service.rewritings)
+         rules)
+  in
+  let check what lines source rules =
+    let want = expected source rules in
+    Alcotest.(check string) what want (Protocol.handle_lines shared sess lines).Protocol.text
+  in
+  let query = "q1(S, C) :- car(M, anderson), loc(anderson, C), part(S, M, C)." in
+  let renamed = "q1(V1, V0) :- part(V1, V2, V0), loc(anderson, V0), car(V2, anderson)." in
+  let other = "q1(A, B) :- car(M, anderson), loc(anderson, B), part(A, M, B)." in
+  let fresh = "q(S, M) :- part(S, M, C)." in
+  let uncacheable =
+    "q1(S, C) :- car(M, anderson), loc(anderson, C), part(S, M, C), "
+    ^ String.concat ", " (List.init 25 (Printf.sprintf "car(V%d, anderson)"))
+    ^ "."
+  in
+  check "miss" [ "rewrite " ^ query ] "miss" [ query ];
+  check "renamed hit" [ "rewrite " ^ renamed ] "hit" [ renamed ];
+  let hit = expected "hit" [ other ] in
+  let want = hit ^ expected "miss" [ fresh ] in
+  Alcotest.(check string)
+    "batch of two" want
+    (Protocol.handle_lines shared sess [ "batch 2"; other; fresh ]).Protocol.text;
+  check "bypass" [ "rewrite " ^ uncacheable ] "bypass" [ uncacheable ];
+  Sys.remove file
+
 (* ------------------------------------------------------------------ *)
 (* Net_server fixtures                                                 *)
 
@@ -389,6 +433,8 @@ let suite =
       protocol_sessions_isolated;
     Alcotest.test_case "protocol: multi-line framing hints" `Quick
       protocol_extra_lines;
+    Alcotest.test_case "protocol: rewrite replies = Format of the outcome" `Quick
+      protocol_replies_match_format;
     Alcotest.test_case "tcp: roundtrip, hit attribution, batch, quit" `Quick
       server_roundtrip;
     Alcotest.test_case "tcp: client disconnect is contained" `Quick

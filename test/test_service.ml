@@ -303,6 +303,43 @@ let service_hit_vs_fresh_qcheck =
       && o2.Service.source = Service.Hit
       && same_up_to_iso o2.Service.rewritings fresh.Corecover.rewritings)
 
+(* The wire path splices a template with the caller's names; the
+   library path renames [Query.t] values and prints them through
+   [Format].  They must agree byte for byte on a miss, on a hit, on a hit
+   from a permuted variant with other names, on an uncacheable bypass and
+   on a truncated run. *)
+let reply_template_qcheck =
+  make_qcheck ~count:200 ~name:"reply template = Query.pp of the renamed rewritings"
+    Qcheck_gens.gen_wire_instance Qcheck_gens.print_instance (fun (query, views) ->
+      let cat = Catalog.create_exn views in
+      let same (r : Service.reply) (o : Service.outcome) =
+        r.Service.reply_count = List.length o.Service.rewritings
+        && r.Service.reply_completeness = o.Service.completeness
+        && String.equal (reply_lines r) (format_lines o.Service.rewritings)
+      in
+      let s = Service.create cat in
+      let miss = Service.rewrite_reply s query in
+      let hit = Service.rewrite s query in
+      (* "V1" -> "V10", "V10" -> "V100": injective, and label-like *)
+      let variant =
+        let renamed =
+          Query.apply
+            (Subst.of_list (List.map (fun x -> (x, Term.Var (x ^ "0"))) (Query.vars query)))
+            query
+        in
+        Query.make_exn renamed.Query.head (List.rev renamed.Query.body)
+      in
+      let variant_hit = Service.rewrite_reply s variant in
+      let variant_fresh = Service.rewrite (Service.create cat) variant in
+      let s' = Service.create cat in
+      let truncated = Service.rewrite_reply ~max_covers:1 s' query in
+      let truncated_ref = Service.rewrite ~max_covers:1 s' query in
+      same miss hit
+      && hit.Service.source
+         = (if miss.Service.reply_source = Service.Miss then Service.Hit else Service.Bypass)
+      && same variant_hit variant_fresh
+      && same truncated truncated_ref)
+
 (* ------------------------------------------------------------------ *)
 (* The resident view image                                             *)
 
@@ -417,14 +454,15 @@ let stress_concurrent_vs_sequential () =
     Service.rewrite_batch ~domains:4 s workload
   in
   List.iter2
-    (fun (a : Service.outcome) (b : Service.outcome) ->
-      check_bool "same rewritings under concurrency" true
-        (List.for_all2 Query.equal a.Service.rewritings b.Service.rewritings);
+    (fun (a : Service.outcome) (b : Service.reply) ->
+      Alcotest.(check string)
+        "same rewritings under concurrency" (format_lines a.Service.rewritings)
+        (reply_lines b);
       check_bool "same completeness" true
-        (a.Service.completeness = b.Service.completeness))
+        (a.Service.completeness = b.Service.reply_completeness))
     sequential concurrent;
   let s = service () in
-  let (_ : Service.outcome list) = Service.rewrite_batch ~domains:4 s workload in
+  let (_ : Service.reply list) = Service.rewrite_batch ~domains:4 s workload in
   let st = Service.stats s in
   check_int "every request accounted" (List.length workload) st.Service.requests;
   check_int "identity holds under concurrency" st.Service.requests
@@ -459,6 +497,7 @@ let suite =
     Alcotest.test_case "service: plan and analyze need data" `Quick
       service_plan_needs_data;
     service_hit_vs_fresh_qcheck;
+    reply_template_qcheck;
     Alcotest.test_case "image: follows set_base" `Quick image_follows_set_base;
     Alcotest.test_case "image: follows set_catalog" `Quick image_follows_set_catalog;
     Alcotest.test_case "image: published once under a race" `Quick image_published_once;
