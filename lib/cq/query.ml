@@ -44,7 +44,8 @@ let existential_vars q =
   let hv = head_var_set q in
   List.filter (fun x -> not (Names.Sset.mem x hv)) (vars q)
 
-let is_distinguished q x = Names.Sset.mem x (head_var_set q)
+let is_distinguished q x =
+  List.exists (function Term.Var y -> String.equal x y | Term.Cst _ -> false) q.head.args
 
 let constants q =
   List.concat_map Atom.constants (q.head :: q.body)

@@ -1,7 +1,6 @@
 open Vplan_cq
 open Vplan_views
 module Minimize = Vplan_containment.Minimize
-module Parallel = Vplan_parallel.Parallel
 module Budget = Vplan_core.Budget
 module Vplan_error = Vplan_core.Vplan_error
 module Obs = Vplan_obs.Obs
@@ -66,9 +65,8 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
   let tuple_classes =
     Obs.phase "tuple_cores" (fun () ->
         let with_cores =
-          Parallel.map ?budget ~domains
-            (fun tv -> (tv, Tuple_core.compute ?budget ~query:qm tv))
-            view_tuples
+          List.combine view_tuples
+            (Tuple_core.cores ?budget ~domains ~query:qm view_tuples)
         in
         (* [same_cover] is mask equality, so hash-bucketing by mask gives
            the same classes in one probe per tuple instead of a pairwise

@@ -1,10 +1,10 @@
 open Vplan_cq
 open Vplan_views
+module Budget = Vplan_core.Budget
 
 type t = {
   subgoals : Atom.t list;
   mask : int;
-  mapping : Subst.t;
 }
 
 let is_empty c = c.mask = 0
@@ -15,186 +15,302 @@ let pp ppf c =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Atom.pp)
     c.subgoals
 
-(* The search enumerates, for every subset of query subgoals, the ways to
-   map each included subgoal into an atom of the view-tuple expansion
-   under Definition 4.1's constraints, then keeps the inclusion-maximal
-   consistent subsets.  Queries have few subgoals (8 in the paper's
-   experiments), so the exhaustive search with unification pruning is
-   cheap in practice. *)
-
-type ctx = {
-  query : Query.t;
-  tv_args : Names.Sset.t;  (* variables appearing in the view tuple *)
-  expansion : Atom.t list;
-  existentials : Names.Sset.t;  (* fresh variables of the expansion *)
+(* The query, compiled once per request.  A query term is an integer
+   code: variables are 0 .. num_vars - 1 and constants follow. *)
+type compiled = {
   body : Atom.t array;
-  var_occurrences : int Names.Smap.t;  (* var -> bitmask of subgoals using it *)
+  args : int array array;  (* per subgoal, the code of each argument *)
+  num_vars : int;
+  num_terms : int;
+  var_ids : (string, int) Hashtbl.t;
+  const_codes : (Term.const, int) Hashtbl.t;
+  pinned : bool array;  (* per term: a constant or a distinguished variable *)
+  occurrences : int array;  (* per variable, the bitmask of subgoals using it *)
 }
 
-let make_ctx ~query tv =
-  let body = Array.of_list query.Query.body in
+(* A term the query lacks (a view's own constant) codes as -1, which no
+   query term matches. *)
+let term_code var_ids const_codes = function
+  | Term.Var x -> Option.value ~default:(-1) (Hashtbl.find_opt var_ids x)
+  | Term.Cst c -> Option.value ~default:(-1) (Hashtbl.find_opt const_codes c)
+
+let compile (query : Query.t) =
+  let body = Array.of_list query.body in
   if Array.length body > 62 then
     raise
       (Vplan_core.Vplan_error.Error
          (Width_limit { subgoals = Array.length body; max_subgoals = 62 }));
-  let expansion, existentials = View_tuple.expansion ~avoid:(Query.var_set query) tv in
-  let var_occurrences =
-    Array.to_list body
-    |> List.mapi (fun i a -> (i, a))
-    |> List.fold_left
-         (fun m (i, a) ->
-           List.fold_left
-             (fun m x ->
-               let mask = match Names.Smap.find_opt x m with Some v -> v | None -> 0 in
-               Names.Smap.add x (mask lor (1 lsl i)) m)
-             m (Atom.vars a))
-         Names.Smap.empty
+  let vars = Query.vars query in
+  let num_vars = List.length vars in
+  let var_ids = Hashtbl.create 16 and const_codes = Hashtbl.create 8 in
+  List.iteri (fun i x -> Hashtbl.replace var_ids x i) vars;
+  let constants = Query.constants query in
+  List.iteri (fun i c -> Hashtbl.replace const_codes c (num_vars + i)) constants;
+  let args =
+    Array.map
+      (fun (a : Atom.t) -> Array.of_list (List.map (term_code var_ids const_codes) a.args))
+      body
   in
+  let num_terms = num_vars + List.length constants in
+  let pinned = Array.init num_terms (fun c -> c >= num_vars) in
+  List.iter
+    (function Term.Var x -> pinned.(Hashtbl.find var_ids x) <- true | Term.Cst _ -> ())
+    query.head.args;
+  let occurrences = Array.make num_vars 0 in
+  Array.iteri
+    (fun i codes ->
+      Array.iter
+        (fun c -> if c < num_vars then occurrences.(c) <- occurrences.(c) lor (1 lsl i))
+        codes)
+    args;
   {
-    query;
-    tv_args = Atom.var_set tv.View_tuple.atom;
-    expansion;
-    existentials;
     body;
-    var_occurrences;
+    args;
+    num_vars;
+    num_terms;
+    var_ids;
+    const_codes;
+    pinned;
+    occurrences;
   }
 
-(* Extend the partial mapping by sending subgoal [a] to expansion atom
-   [e], enforcing: constants match; distinguished variables and variables
-   of the view tuple map to themselves; every other variable maps to an
-   existential variable of the expansion.  The last restriction is what
-   makes the tuple-core unique (Lemma 4.2) and lets the per-tuple mappings
-   combine seamlessly into one containment mapping from the query to a
-   rewriting's expansion: a variable mapped onto another view-tuple
-   argument would collide with that argument's own identity image. *)
-let constrained_unify ctx subst (a : Atom.t) (e : Atom.t) =
-  if (not (String.equal a.pred e.Atom.pred)) || Atom.arity a <> Atom.arity e then None
-  else
-    List.fold_left2
-      (fun acc pat target ->
-        match acc with
-        | None -> None
-        | Some s -> (
-            match pat with
-            | Term.Cst c -> (
-                match target with
-                | Term.Cst c' when Term.equal_const c c' -> Some s
-                | Term.Cst _ | Term.Var _ -> None)
-            | Term.Var x ->
-                let must_be_identity =
-                  Query.is_distinguished ctx.query x || Names.Sset.mem x ctx.tv_args
-                in
-                if must_be_identity then
-                  if Term.equal target (Term.Var x) then Subst.extend x target s else None
-                else (
-                  match target with
-                  | Term.Var y when Names.Sset.mem y ctx.existentials ->
-                      Subst.extend x target s
-                  | Term.Var _ | Term.Cst _ -> None)))
-      (Some subst) a.args e.args
-
-(* One-to-one on arguments: the map {arg of G -> image} must be injective,
-   where constants map to themselves and variables via the substitution. *)
-let injective ctx subst mask =
-  let args =
-    let acc = ref Term.Set.empty in
-    Array.iteri
-      (fun i a -> if mask land (1 lsl i) <> 0 then acc := Term.Set.union !acc (Atom.terms a))
-      ctx.body;
-    Term.Set.elements !acc
+(* The expansion of a view tuple over codes: a head variable of the view
+   stands for the tuple's argument at its position, and every other
+   variable is existential number e, coded [num_terms + e].  The tuple was
+   produced by evaluating the view, so a repeated head variable carries
+   equal arguments and its first position decides. *)
+let expand qc (tv : View_tuple.t) =
+  let term_code = term_code qc.var_ids qc.const_codes in
+  let tuple = Array.of_list (List.map term_code tv.atom.args) in
+  (* the position of [x] among the view's head arguments, or -1 *)
+  let rec position x i = function
+    | Term.Var y :: _ when String.equal x y -> i
+    | _ :: head -> position x (i + 1) head
+    | [] -> -1
   in
-  let images =
-    List.map
-      (function
-        | Term.Cst _ as c -> c
-        | Term.Var x as v -> ( match Subst.find x subst with Some t -> t | None -> v))
-      args
+  let existentials = ref [] and num_existentials = ref 0 in
+  let code = function
+    | Term.Cst _ as t -> term_code t
+    | Term.Var x -> (
+        match position x 0 tv.view.head.args with
+        | -1 -> (
+            match List.assoc_opt x !existentials with
+            | Some e -> e
+            | None ->
+                let e = qc.num_terms + !num_existentials in
+                existentials := (x, e) :: !existentials;
+                incr num_existentials;
+                e)
+        | i -> tuple.(i))
   in
-  List.length (List.sort_uniq Term.compare images) = List.length args
+  let atoms =
+    Array.of_list
+      (List.map
+         (fun (a : Atom.t) -> (a.pred, Array.of_list (List.map code a.args)))
+         tv.view.body)
+  in
+  (tuple, atoms, !num_existentials)
 
-(* Property (3): a variable mapped to an existential expansion variable
-   drags every subgoal using it into G. *)
-let closure_ok ctx subst mask =
-  Names.Smap.for_all
-    (fun x occurrences ->
-      if occurrences land mask = 0 then true
-      else
-        match Subst.find x subst with
-        | Some (Term.Var y) when Names.Sset.mem y ctx.existentials ->
-            occurrences land mask = occurrences
-        | Some _ | None -> true)
-    ctx.var_occurrences
+(* Definition 4.1 over codes.  A variable is fixed when it is
+   distinguished or an argument of the view tuple: it must map to itself,
+   as a constant does.  Every other variable is free and must map to an
+   existential of the expansion, injectively; by property (3) a free
+   variable drags in every subgoal using it.  A core is therefore a union
+   of free-variable components (subgoals linked by shared free
+   variables), and injectivity can only fail between two free variables
+   sent to one existential.  [assign] maps free variables to existentials
+   and [owner] back; [trail] records bindings for undo. *)
+type search = {
+  qc : compiled;
+  fixed : bool array;  (* per term: constants and fixed variables *)
+  targets : int array array;  (* per subgoal, the expansion atoms it fits *)
+  images : int array array;  (* per expansion atom, its argument codes *)
+  assign : int array;
+  owner : int array;
+  trail : int array;
+  mutable top : int;
+  budget : Budget.t option;
+}
 
-let candidates ?budget ctx =
-  let n = Array.length ctx.body in
-  let results = ref [] in
-  let rec go i subst mask =
-    Vplan_core.Budget.tick budget;
-    if i = n then begin
-      if injective ctx subst mask && closure_ok ctx subst mask then
-        results := (mask, subst) :: !results
-    end
+let undo st mark =
+  while st.top > mark do
+    st.top <- st.top - 1;
+    let v = st.trail.(st.top) in
+    st.owner.(st.assign.(v) - st.qc.num_terms) <- -1;
+    st.assign.(v) <- -1
+  done
+
+(* Send subgoal [i] to expansion atom [j]: constants and fixed variables
+   already match (the targets are filtered for it), so only the free
+   variables' bindings remain to check. *)
+let bind st i j =
+  let args = st.qc.args.(i) and image = st.images.(j) in
+  let rec go p =
+    p = Array.length args
+    ||
+    let v = args.(p) in
+    (st.fixed.(v)
+    ||
+    let e = image.(p) in
+    let cur = st.assign.(v) in
+    if cur >= 0 then cur = e
+    else if st.owner.(e - st.qc.num_terms) >= 0 then false
     else begin
-      (* exclude subgoal i *)
-      go (i + 1) subst mask;
-      (* include subgoal i, one target expansion atom at a time *)
-      List.iter
-        (fun e ->
-          match constrained_unify ctx subst ctx.body.(i) e with
-          | Some subst' -> go (i + 1) subst' (mask lor (1 lsl i))
-          | None -> ())
-        ctx.expansion
+      st.assign.(v) <- e;
+      st.owner.(e - st.qc.num_terms) <- v;
+      st.trail.(st.top) <- v;
+      st.top <- st.top + 1;
+      true
+    end)
+    && go (p + 1)
+  in
+  go 0
+
+(* Depth-first over [subgoals.(k..)] times each one's targets; [cont]
+   runs on a complete mapping, and a [false] from it backtracks.  On
+   [false] the bindings are as on entry. *)
+let rec search st subgoals k cont =
+  Budget.tick st.budget;
+  if k = Array.length subgoals then cont ()
+  else
+    let i = subgoals.(k) in
+    let targets = st.targets.(i) in
+    let rec try_from t =
+      t < Array.length targets
+      &&
+      let mark = st.top in
+      (bind st i targets.(t) && search st subgoals (k + 1) cont)
+      || begin
+           undo st mark;
+           try_from (t + 1)
+         end
+    in
+    try_from 0
+
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+let members mask =
+  let subgoals = Array.make (popcount mask) 0 in
+  let rec fill i k =
+    if k < Array.length subgoals then
+      if mask land (1 lsl i) <> 0 then begin
+        subgoals.(k) <- i;
+        fill (i + 1) (k + 1)
+      end
+      else fill (i + 1) k
+  in
+  fill 0 0;
+  subgoals
+
+let admits st subgoals =
+  let found = search st subgoals 0 (fun () -> true) in
+  undo st 0;
+  found
+
+(* Only reached on non-minimal input, where the valid components'
+   union is not itself valid: branch and bound over the components,
+   including before excluding, for a largest valid union. *)
+let largest st valid =
+  let comps = Array.of_list (List.map (fun m -> (m, members m)) valid) in
+  let best = ref 0 and best_size = ref 0 in
+  let rec pick c mask size remaining =
+    Budget.tick st.budget;
+    if size + remaining <= !best_size then false
+    else if c = Array.length comps then begin
+      best := mask;
+      best_size := size;
+      false
     end
+    else
+      let m, subgoals = comps.(c) in
+      let remaining = remaining - Array.length subgoals in
+      ignore
+        (search st subgoals 0 (fun () ->
+             pick (c + 1) (mask lor m) (size + Array.length subgoals) remaining));
+      pick (c + 1) mask size remaining
   in
-  go 0 Subst.empty 0;
-  !results
+  let total = Array.fold_left (fun acc (_, s) -> acc + Array.length s) 0 comps in
+  ignore (pick 0 0 0 total);
+  !best
 
-let restrict_mapping subst mask (body : Atom.t array) =
-  let vars = ref Names.Sset.empty in
-  Array.iteri
-    (fun i a -> if mask land (1 lsl i) <> 0 then vars := Names.Sset.union !vars (Atom.var_set a))
-    body;
-  Subst.of_list
-    (List.filter (fun (x, _) -> Names.Sset.mem x !vars) (Subst.bindings subst))
-
-let of_candidate ctx (mask, subst) =
-  let subgoals =
-    Array.to_list ctx.body
-    |> List.mapi (fun i a -> (i, a))
-    |> List.filter_map (fun (i, a) -> if mask land (1 lsl i) <> 0 then Some a else None)
+let core ?budget qc (tv : View_tuple.t) =
+  let n = Array.length qc.body in
+  let tuple, expansion, num_existentials = expand qc tv in
+  let fixed = Array.copy qc.pinned in
+  Array.iter (fun c -> if c >= 0 then fixed.(c) <- true) tuple;
+  let fits i (pred, image) =
+    let args = qc.args.(i) in
+    String.equal pred qc.body.(i).Atom.pred
+    && Array.length image = Array.length args
+    &&
+    let rec go p =
+      p = Array.length args
+      ||
+      let c = args.(p) in
+      (if fixed.(c) then image.(p) = c else image.(p) >= qc.num_terms)
+      && go (p + 1)
+    in
+    go 0
   in
-  { subgoals; mask; mapping = restrict_mapping subst mask ctx.body }
-
-let compute_all_maximal ?budget ~query tv =
-  let ctx = make_ctx ~query tv in
-  let cands = candidates ?budget ctx in
-  let maximal =
-    List.filter
-      (fun (mask, _) ->
-        not
-          (List.exists
-             (fun (mask', _) -> mask <> mask' && mask land mask' = mask)
-             cands))
-      cands
+  let targets =
+    Array.init n (fun i ->
+        let acc = ref [] in
+        for j = Array.length expansion - 1 downto 0 do
+          if fits i expansion.(j) then acc := j :: !acc
+        done;
+        Array.of_list !acc)
   in
-  (* Deduplicate by covered set: different witnessing mappings for the
-     same subgoal set represent the same core. *)
-  let dedup =
-    List.fold_left
-      (fun acc ((mask, _) as cand) ->
-        if List.exists (fun (m, _) -> m = mask) acc then acc else cand :: acc)
-      [] maximal
+  let st =
+    {
+      qc;
+      fixed;
+      targets;
+      images = Array.map snd expansion;
+      assign = Array.make qc.num_vars (-1);
+      owner = Array.make num_existentials (-1);
+      trail = Array.make qc.num_vars 0;
+      top = 0;
+      budget;
+    }
   in
-  List.rev_map (of_candidate ctx) dedup
+  let neighbours =
+    Array.init n (fun i ->
+        Array.fold_left
+          (fun m c -> if fixed.(c) then m else m lor qc.occurrences.(c))
+          (1 lsl i) qc.args.(i))
+  in
+  let rec close m =
+    let m' = ref m in
+    for i = 0 to n - 1 do
+      if m land (1 lsl i) <> 0 then m' := !m' lor neighbours.(i)
+    done;
+    if !m' = m then m else close !m'
+  in
+  let seen = ref 0 and valid = ref [] in
+  for i = 0 to n - 1 do
+    if !seen land (1 lsl i) = 0 then begin
+      let component = close neighbours.(i) in
+      seen := !seen lor component;
+      let subgoals = members component in
+      if Array.for_all (fun g -> targets.(g) <> [||]) subgoals && admits st subgoals then
+        valid := component :: !valid
+    end
+  done;
+  let valid = List.rev !valid in
+  let union = List.fold_left ( lor ) 0 valid in
+  (* Lemma 4.2: for a minimal query every valid G lies in the union, and
+     the union is valid *)
+  let mask =
+    match valid with
+    | [] | [ _ ] -> union
+    | _ -> if admits st (members union) then union else largest st valid
+  in
+  let subgoals = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list qc.body) in
+  { subgoals; mask }
 
-let compute ?budget ~query tv =
-  match compute_all_maximal ?budget ~query tv with
-  | [] -> { subgoals = []; mask = 0; mapping = Subst.empty }
-  | [ core ] -> core
-  | multiple ->
-      (* Lemma 4.2 guarantees uniqueness for minimal queries; if the input
-         was not minimal, fall back to the largest candidate. *)
-      List.fold_left
-        (fun best c ->
-          if List.length c.subgoals > List.length best.subgoals then c else best)
-        (List.hd multiple) (List.tl multiple)
+let cores ?budget ?domains ~query tvs =
+  match tvs with
+  | [] -> []
+  | _ ->
+      let qc = compile query in
+      Vplan_parallel.Parallel.map ?budget ?domains (core ?budget qc) tvs

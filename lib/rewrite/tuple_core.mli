@@ -14,8 +14,16 @@
       that use [X].
 
     Lemma 4.2: the tuple-core of a view tuple for a minimal query is
-    unique.  {!compute} returns it; {!compute_all_maximal} exposes the raw
-    maximal candidates so that uniqueness can be property-tested. *)
+    unique.
+
+    The core is computed over integer codes.  A variable that is
+    distinguished or an argument of the tuple maps to itself; every other
+    variable must map to an existential of the expansion, so by (3) a
+    core is a union of {e free-variable components}: subgoals linked by
+    shared variables of the second kind.  Each component is searched on
+    its own, then the union of the valid ones jointly; for a minimal
+    query that union is the core.  When it is not valid (non-minimal
+    input only), the largest valid union of components is returned. *)
 
 open Vplan_cq
 open Vplan_views
@@ -23,7 +31,6 @@ open Vplan_views
 type t = {
   subgoals : Atom.t list;  (** covered subgoals, in query-body order *)
   mask : int;  (** same set as a bitmask over body positions *)
-  mapping : Subst.t;  (** the witnessing containment mapping φ *)
 }
 
 val is_empty : t -> bool
@@ -32,13 +39,17 @@ val pp : Format.formatter -> t -> unit
 (** [same_cover c1 c2] compares cores by covered subgoal set only. *)
 val same_cover : t -> t -> bool
 
-(** [compute ~query tv] computes the tuple-core of [tv] for the (minimal)
-    [query].  Raises [Vplan_error.Error (Width_limit _)] when the query
-    body exceeds 62 subgoals.  A [?budget] is ticked at every node of the
-    subset search. *)
-val compute : ?budget:Vplan_core.Budget.t -> query:Query.t -> View_tuple.t -> t
+(** [cores ~query tvs] computes the tuple-core of every view tuple in
+    [tvs], in order, for the (minimal) [query], which is compiled once.
+    Raises [Vplan_error.Error (Width_limit _)] when [tvs] is not empty
+    and the query body exceeds 62 subgoals.
 
-(** All inclusion-maximal candidate cores — singleton for minimal queries
-    (Lemma 4.2). *)
-val compute_all_maximal :
-  ?budget:Vplan_core.Budget.t -> query:Query.t -> View_tuple.t -> t list
+    [domains] (default 1) fans the tuples out as
+    {!Vplan_parallel.Parallel.map} does; the result is independent of
+    the worker count.  A [?budget] is ticked at every search node. *)
+val cores :
+  ?budget:Vplan_core.Budget.t ->
+  ?domains:int ->
+  query:Query.t ->
+  View_tuple.t list ->
+  t list

@@ -7,9 +7,8 @@ let relevant_views ~query ~views =
   let qm = Minimize.minimize query in
   List.filter
     (fun view ->
-      View_tuple.compute ~query:qm [ view ]
-      |> List.exists (fun tv ->
-             not (Tuple_core.is_empty (Tuple_core.compute ~query:qm tv))))
+      Tuple_core.cores ~query:qm (View_tuple.compute ~query:qm [ view ])
+      |> List.exists (fun core -> not (Tuple_core.is_empty core)))
     views
 
 let minimal_answering_set ~query ~views =

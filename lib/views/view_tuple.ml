@@ -30,34 +30,17 @@ let compute ?budget ?(domains = 1) ~query views =
       result []
     |> List.rev
   in
+  (* a view with a body predicate the query lacks matches nothing in D_Q *)
+  let preds = Names.sset_of_list (Query.body_preds query) in
+  let matchable (view : View.t) =
+    List.for_all (fun (a : Atom.t) -> Names.Sset.mem a.pred preds) view.body
+  in
   Vplan_obs.Obs.phase "view_tuples" (fun () ->
       let tuples =
-        List.concat (Vplan_parallel.Parallel.map ?budget ~domains tuples_of_view views)
+        List.concat
+          (Vplan_parallel.Parallel.map ?budget ~domains tuples_of_view
+             (List.filter matchable views))
       in
       Vplan_obs.Trace.annotate "views" (float_of_int (List.length views));
       Vplan_obs.Trace.annotate "tuples" (float_of_int (List.length tuples));
       tuples)
-
-let expansion ~avoid tv =
-  let avoid = Names.Sset.union avoid (Atom.var_set tv.atom) in
-  let view', _ = Query.rename_apart ~avoid tv.view in
-  (* Bind the renamed head variables to the tuple's arguments.  The tuple
-     was produced by evaluating the view, so repeated head variables carry
-     equal arguments and binding never conflicts. *)
-  let theta =
-    List.fold_left2
-      (fun s head_arg tuple_arg ->
-        match head_arg with
-        | Term.Var x -> Subst.bind x tuple_arg s
-        | Term.Cst _ -> s)
-      Subst.empty view'.Query.head.Atom.args tv.atom.Atom.args
-  in
-  let body = List.map (Atom.apply theta) view'.Query.body in
-  let existentials =
-    List.fold_left
-      (fun acc (a : Atom.t) ->
-        Names.Sset.union acc
-          (Names.Sset.filter (fun x -> not (Subst.mem x theta)) (Atom.var_set a)))
-      Names.Sset.empty view'.Query.body
-  in
-  (body, existentials)

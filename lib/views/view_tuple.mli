@@ -21,6 +21,11 @@ val pp : Format.formatter -> t -> unit
 (** [compute ~query views] computes [T(Q,V)].  The query should normally
     be minimized first (CoreCover step 1).
 
+    Only views whose body predicates all occur in the query are
+    evaluated: any other view has no tuple over the canonical database.
+    On the 272 representative star views of the end-to-end catalog,
+    50.9 per query pass the filter.  The output order is unchanged.
+
     The views are evaluated over the canonical database by
     {!Vplan_relational.Indexed_db}, which interns it once and probes
     lazily built hash indexes; it yields the same tuples, in the same
@@ -38,18 +43,13 @@ val pp : Format.formatter -> t -> unit
     many domains ({!Vplan_parallel.Parallel.map}); the result is
     independent of the worker count.
 
-    A [?budget] is ticked once per view (in whichever domain evaluates
-    it) and shared with the fan-out's exception barrier, so a deadline or
-    cancellation stops all workers within one view evaluation. *)
+    A [?budget] is ticked once per evaluated view (in whichever domain
+    evaluates it) and shared with the fan-out's exception barrier, so a
+    deadline or cancellation stops all workers within one view
+    evaluation. *)
 val compute :
   ?budget:Vplan_core.Budget.t ->
   ?domains:int ->
   query:Query.t ->
   View.t list ->
   t list
-
-(** [expansion ~avoid tv] is the expansion [t{_v}{^exp}] of the view tuple:
-    the view's body with head variables bound to the tuple's arguments and
-    existential variables renamed fresh (avoiding [avoid]).  Returns the
-    atom list together with the set of those fresh existential variables. *)
-val expansion : avoid:Names.Sset.t -> t -> Atom.t list * Names.Sset.t

@@ -60,3 +60,143 @@ module M3 = struct
 
   let cost_of_plan db plan = Option.get (cost_of_plan_bounded db plan)
 end
+
+(* The exhaustive tuple-core search: every include/exclude choice of the
+   query subgoals, times every expansion atom an included subgoal maps
+   into under Definition 4.1's constraints, filtered for the
+   inclusion-maximal consistent subsets.  Production code searches
+   free-variable components over integer codes; this is the reference it
+   is tested against, and its mappings are the witnesses. *)
+module Tuple_core = struct
+  type t = {
+    subgoals : Atom.t list;
+    mask : int;
+    mapping : Subst.t;  (* the witnessing containment mapping *)
+  }
+
+  (* The expansion of a view tuple: the view's body with head variables
+     bound to the tuple's arguments and existential variables renamed
+     fresh (avoiding [avoid]), with the set of those fresh variables. *)
+  let expansion ~avoid (tv : View_tuple.t) =
+    let avoid = Names.Sset.union avoid (Atom.var_set tv.atom) in
+    let view', _ = Query.rename_apart ~avoid tv.view in
+    let theta =
+      List.fold_left2
+        (fun s head_arg tuple_arg ->
+          match head_arg with
+          | Term.Var x -> Subst.bind x tuple_arg s
+          | Term.Cst _ -> s)
+        Subst.empty view'.Query.head.Atom.args tv.atom.Atom.args
+    in
+    let body = List.map (Atom.apply theta) view'.Query.body in
+    let existentials =
+      List.fold_left
+        (fun acc (a : Atom.t) ->
+          Names.Sset.union acc
+            (Names.Sset.filter (fun x -> not (Subst.mem x theta)) (Atom.var_set a)))
+        Names.Sset.empty view'.Query.body
+    in
+    (body, existentials)
+
+  (* Extend the mapping by sending subgoal [a] to expansion atom [e]:
+     constants match, distinguished variables and variables of the view
+     tuple map to themselves, every other variable to an existential. *)
+  let constrained_unify ~query ~tv_args ~existentials subst (a : Atom.t) (e : Atom.t) =
+    if (not (String.equal a.pred e.Atom.pred)) || Atom.arity a <> Atom.arity e then None
+    else
+      List.fold_left2
+        (fun acc pat target ->
+          match (acc, pat) with
+          | None, _ -> None
+          | Some s, Term.Cst c -> (
+              match target with
+              | Term.Cst c' when Term.equal_const c c' -> Some s
+              | Term.Cst _ | Term.Var _ -> None)
+          | Some s, Term.Var x ->
+              if Query.is_distinguished query x || Names.Sset.mem x tv_args then
+                if Term.equal target (Term.Var x) then Subst.extend x target s else None
+              else (
+                match target with
+                | Term.Var y when Names.Sset.mem y existentials -> Subst.extend x target s
+                | Term.Var _ | Term.Cst _ -> None))
+        (Some subst) a.args e.args
+
+  let compute_all_maximal ~query (tv : View_tuple.t) =
+    let body = Array.of_list query.Query.body in
+    let n = Array.length body in
+    let expansion, existentials = expansion ~avoid:(Query.var_set query) tv in
+    let tv_args = Atom.var_set tv.atom in
+    let covered mask = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) query.Query.body in
+    (* one-to-one on the arguments of G *)
+    let injective subst mask =
+      let args =
+        Term.Set.elements
+          (List.fold_left (fun acc a -> Term.Set.union acc (Atom.terms a)) Term.Set.empty
+             (covered mask))
+      in
+      let image = function
+        | Term.Cst _ as c -> c
+        | Term.Var x as v -> Option.value ~default:v (Subst.find x subst)
+      in
+      List.length (List.sort_uniq Term.compare (List.map image args)) = List.length args
+    in
+    (* property (3) *)
+    let closed subst mask =
+      List.for_all
+        (fun x ->
+          match Subst.find x subst with
+          | Some (Term.Var y) when Names.Sset.mem y existentials ->
+              List.for_all
+                (fun (a : Atom.t) -> not (List.mem x (Atom.vars a)))
+                (List.filteri (fun i _ -> mask land (1 lsl i) = 0) query.Query.body)
+          | Some _ | None -> true)
+        (Query.vars query)
+    in
+    let results = ref [] in
+    let rec go i subst mask =
+      if i = n then begin
+        if injective subst mask && closed subst mask then results := (mask, subst) :: !results
+      end
+      else begin
+        go (i + 1) subst mask;
+        List.iter
+          (fun e ->
+            match constrained_unify ~query ~tv_args ~existentials subst body.(i) e with
+            | Some subst' -> go (i + 1) subst' (mask lor (1 lsl i))
+            | None -> ())
+          expansion
+      end
+    in
+    go 0 Subst.empty 0;
+    let cands = !results in
+    let maximal =
+      List.filter
+        (fun (mask, _) ->
+          not (List.exists (fun (mask', _) -> mask <> mask' && mask land mask' = mask) cands))
+        cands
+    in
+    let dedup =
+      List.fold_left
+        (fun acc ((mask, _) as c) -> if List.mem_assoc mask acc then acc else c :: acc)
+        [] maximal
+    in
+    List.rev_map
+      (fun (mask, subst) ->
+        let vars = List.concat_map Atom.vars (covered mask) in
+        let mapping =
+          Subst.of_list (List.filter (fun (x, _) -> List.mem x vars) (Subst.bindings subst))
+        in
+        { subgoals = covered mask; mask; mapping })
+      dedup
+
+  (* the unique maximal core, or for non-minimal input the first of the
+     largest *)
+  let compute ~query tv =
+    match compute_all_maximal ~query tv with
+    | [] -> { subgoals = []; mask = 0; mapping = Subst.empty }
+    | first :: rest ->
+        List.fold_left
+          (fun best c ->
+            if List.length c.subgoals > List.length best.subgoals then c else best)
+          first rest
+end

@@ -88,8 +88,95 @@ let tuple_core_unique =
     (fun (query, views) ->
       let query = Minimize.minimize query in
       List.for_all
-        (fun tv -> List.length (Tuple_core.compute_all_maximal ~query tv) = 1)
+        (fun tv -> List.length (Oracle.Tuple_core.compute_all_maximal ~query tv) = 1)
         (View_tuple.compute ~query views))
+
+(* The component search against the exhaustive enumerator: each core is
+   one of the enumerator's largest maximal candidates, which for a
+   minimal query is the unique core. *)
+let cores_match_oracle ~query views =
+  let tvs = View_tuple.compute ~query views in
+  List.for_all2
+    (fun tv (core : Tuple_core.t) ->
+      let maximal = Oracle.Tuple_core.compute_all_maximal ~query tv in
+      let size (c : Oracle.Tuple_core.t) = List.length c.subgoals in
+      let largest = List.fold_left (fun acc c -> max acc (size c)) 0 maximal in
+      List.exists
+        (fun (c : Oracle.Tuple_core.t) ->
+          size c = largest && c.mask = core.mask
+          && List.equal Atom.equal c.subgoals core.subgoals)
+        maximal)
+    tvs
+    (Tuple_core.cores ~query tvs)
+
+let tuple_cores_match_oracle_workloads =
+  let shapes =
+    [ ("star", Generator.Star); ("chain", Generator.Chain); ("cycle", Generator.Cycle);
+      ("clique", Generator.Clique); ("path", Generator.Path);
+      ("random", Generator.Random_shape) ]
+  in
+  let gen =
+    Gen.(
+      pair (triple (oneofl shapes) (int_range 1 12) (int_range 0 2))
+        (triple (int_range 3 8) (int_range 0 10_000) (int_range 0 255)))
+  in
+  make_test ~count:200 ~name:"tuple-cores = enumerator oracle (generated, minimized)" gen
+    (fun (((name, _), num_views, hidden), (subgoals, seed, keep)) ->
+      Printf.sprintf "%s views=%d hidden=%d subgoals=%d seed=%d keep=%d" name num_views
+        hidden subgoals seed keep)
+    (fun (((_, shape), num_views, hidden), (query_subgoals, seed, keep)) ->
+      let inst =
+        Generator.generate
+          {
+            Generator.default with
+            shape;
+            num_views;
+            nondistinguished_per_view = hidden;
+            query_subgoals;
+            seed;
+          }
+      in
+      let q = inst.Generator.query in
+      (* project the head onto the variables picked by [keep] *)
+      let head =
+        Atom.make q.Query.head.Atom.pred
+          (List.filteri (fun i _ -> (keep lsr (i mod 8)) land 1 = 1) q.Query.head.Atom.args)
+      in
+      let query = Minimize.minimize (Query.make_exn head q.Query.body) in
+      cores_match_oracle ~query inst.views)
+
+(* Random queries with constants and repeated variables, minimized or
+   not.  The doubled instances append a copy of the body with its
+   nondistinguished variables renamed, and bring a view over the
+   original body: the copy folds back, so the query is not minimal, and
+   both copies' components compete for the view's existentials. *)
+let tuple_cores_match_oracle_random =
+  let doubled =
+    Gen.map
+      (fun (q : Query.t) ->
+        let head = Query.head_vars q in
+        let copy =
+          Subst.of_list
+            (List.filter_map
+               (fun x -> if List.mem x head then None else Some (x, Term.Var (x ^ "c")))
+               (Query.vars q))
+        in
+        let view = Query.make_exn (Atom.make "w" q.head.Atom.args) q.body in
+        (Query.make_exn q.head (q.body @ List.map (Atom.apply copy) q.body), [ view ]))
+      gen_query
+  in
+  let gen =
+    Gen.(
+      triple
+        (oneof [ map (fun q -> (q, [])) gen_query; doubled ])
+        (gen_views ~max_views:3 ~max_atoms:3) bool)
+  in
+  make_test ~count:300 ~name:"tuple-cores = enumerator oracle (constants, non-minimal)" gen
+    (fun ((q, own), views, minimize) ->
+      print_instance (q, own @ views) ^ if minimize then " (minimized)" else "")
+    (fun ((query, own), views, minimize) ->
+      let query = if minimize then Minimize.minimize query else query in
+      cores_match_oracle ~query (own @ views))
 
 (* CoreCover soundness: every produced rewriting is an equivalent
    rewriting (symbolic check). *)
@@ -685,8 +772,9 @@ let theorem_4_1 =
           | Ok p ->
               let covered =
                 List.fold_left
-                  (fun acc tv -> acc lor (Tuple_core.compute ~query:qm tv).Tuple_core.mask)
-                  0 chosen
+                  (fun acc (core : Tuple_core.t) -> acc lor core.mask)
+                  0
+                  (Tuple_core.cores ~query:qm chosen)
               in
               let universe = (1 lsl List.length qm.Query.body) - 1 in
               Expansion.is_equivalent_rewriting ~views ~query p
@@ -881,6 +969,8 @@ let suite =
     minimize_correct;
     minimize_semantics_preserved;
     tuple_core_unique;
+    tuple_cores_match_oracle_workloads;
+    tuple_cores_match_oracle_random;
     corecover_sound;
     corecover_closed_world;
     corecover_matches_naive;

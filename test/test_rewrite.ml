@@ -7,11 +7,12 @@ open Helpers
 (* ---------------- tuple-cores ---------------- *)
 
 let core_strings ~query ~views =
-  View_tuple.compute ~query views
-  |> List.map (fun tv ->
-         let core = Tuple_core.compute ~query tv in
-         ( Atom.to_string tv.View_tuple.atom,
-           List.map Atom.to_string core.Tuple_core.subgoals ))
+  let tvs = View_tuple.compute ~query views in
+  List.map2
+    (fun tv (core : Tuple_core.t) ->
+      (Atom.to_string tv.View_tuple.atom, List.map Atom.to_string core.subgoals))
+    tvs
+    (Tuple_core.cores ~query tvs)
 
 let test_table2_tuple_cores () =
   (* Table 2 of the paper, verbatim *)
@@ -54,30 +55,44 @@ let test_tuple_core_uniqueness () =
           check_int
             ("unique core for " ^ Atom.to_string tv.View_tuple.atom)
             1
-            (List.length (Tuple_core.compute_all_maximal ~query tv)))
+            (List.length (Oracle.Tuple_core.compute_all_maximal ~query tv)))
         (View_tuple.compute ~query views))
     checks
 
 let test_tuple_core_mapping_is_witness () =
-  (* the recorded mapping must send each covered subgoal into the view
-     tuple's expansion *)
-  let open Example_4_1 in
-  let query = Minimize.minimize query in
+  (* every core covers the subgoals the enumerator's witnessing mapping
+     sends into the view tuple's expansion.  In the second instance Z is
+     free and maps to the view's existential Y, so the identity is no
+     witness. *)
+  let checks =
+    [
+      (Example_4_1.query, Example_4_1.views);
+      (q "q(X) :- a(X, Z), b(Z).", qs [ "v(X) :- a(X, Y), b(Y)." ]);
+    ]
+  in
   List.iter
-    (fun tv ->
-      let core = Tuple_core.compute ~query tv in
-      if not (Tuple_core.is_empty core) then begin
-        let expansion, _ = View_tuple.expansion ~avoid:(Query.var_set query) tv in
-        List.iter
-          (fun g ->
-            let image = Atom.apply core.Tuple_core.mapping g in
-            check_bool
-              ("image of " ^ Atom.to_string g ^ " in expansion")
-              true
-              (List.exists (Atom.equal image) expansion))
-          core.Tuple_core.subgoals
-      end)
-    (View_tuple.compute ~query views)
+    (fun (query, views) ->
+      let query = Minimize.minimize query in
+      let tvs = View_tuple.compute ~query views in
+      List.iter2
+        (fun tv (core : Tuple_core.t) ->
+          let witness = Oracle.Tuple_core.compute ~query tv in
+          check_int "same cover as the enumerator" witness.mask core.mask;
+          let expansion, _ = Oracle.Tuple_core.expansion ~avoid:(Query.var_set query) tv in
+          List.iter
+            (fun g ->
+              check_bool
+                ("image of " ^ Atom.to_string g ^ " in expansion")
+                true
+                (List.exists (Atom.equal (Atom.apply witness.mapping g)) expansion))
+            core.subgoals)
+        tvs
+        (Tuple_core.cores ~query tvs))
+    checks;
+  (* the free-variable instance has a nonempty core *)
+  let query = q "q(X) :- a(X, Z), b(Z)." in
+  Alcotest.(check (list string)) "v(X) covers both" [ "a(X,Z)"; "b(Z)" ]
+    (List.assoc "v(X)" (core_strings ~query ~views:(qs [ "v(X) :- a(X, Y), b(Y)." ])))
 
 let test_distinguished_blocks_core () =
   (* a view hiding a distinguished query variable cannot cover the

@@ -102,7 +102,7 @@ let test_view_tuple_expansion () =
   let v2_tuple =
     List.find (fun tv -> tv.View_tuple.view.Query.head.Atom.pred = "v2") tuples
   in
-  let atoms, existentials = View_tuple.expansion ~avoid:(Query.var_set query) v2_tuple in
+  let atoms, existentials = Oracle.Tuple_core.expansion ~avoid:(Query.var_set query) v2_tuple in
   check_int "two base atoms" 2 (List.length atoms);
   check_int "one existential (E)" 1 (Names.Sset.cardinal existentials);
   (* the existential must avoid the query's variables *)
