@@ -76,9 +76,7 @@ module Set_cover = Vplan_rewrite.Set_cover
 module Corecover = Vplan_rewrite.Corecover
 module Classify = Vplan_rewrite.Classify
 module Lattice = Vplan_rewrite.Lattice
-module Naive = Vplan_rewrite.Naive
 module Normalize = Vplan_rewrite.Normalize
-module View_selection = Vplan_rewrite.View_selection
 
 (* cost models and optimizer *)
 module Orderings = Vplan_cost.Orderings

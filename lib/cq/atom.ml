@@ -23,7 +23,10 @@ let vars a =
   in
   loop Names.Sset.empty [] a.args
 
-let var_set a = Names.sset_of_list (vars a)
+let var_set a =
+  List.fold_left
+    (fun acc t -> match t with Term.Var x -> Names.Sset.add x acc | Term.Cst _ -> acc)
+    Names.Sset.empty a.args
 let terms a = Term.Set.of_list a.args
 
 let constants a =

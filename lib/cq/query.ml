@@ -3,14 +3,19 @@ type t = {
   body : Atom.t list;
 }
 
-let body_var_set body =
-  List.fold_left (fun acc a -> Names.Sset.union acc (Atom.var_set a)) Names.Sset.empty body
+let occurs_in x (a : Atom.t) =
+  List.exists (function Term.Var y -> String.equal x y | Term.Cst _ -> false) a.args
 
+(* Safety scans instead of building sets: this runs once per rewriting a
+   cover yields.  Only the error path builds sets, for its sorted list. *)
 let make head body =
-  let bvars = body_var_set body in
-  let missing = Names.Sset.diff (Atom.var_set head) bvars in
-  if Names.Sset.is_empty missing then Ok { head; body }
+  let safe = function Term.Cst _ -> true | Term.Var x -> List.exists (occurs_in x) body in
+  if List.for_all safe head.Atom.args then Ok { head; body }
   else
+    let bvars =
+      List.fold_left (fun acc a -> Names.Sset.union acc (Atom.var_set a)) Names.Sset.empty body
+    in
+    let missing = Names.Sset.diff (Atom.var_set head) bvars in
     Error
       (Format.asprintf "unsafe query: head variable(s) %s not in body"
          (String.concat ", " (Names.Sset.elements missing)))

@@ -23,6 +23,7 @@ type result = {
   tuple_classes : View_tuple.t list list;
   filters : View_tuple.t list;
   rewritings : Query.t list;
+  covers : int list list;
   completeness : completeness;
   stats : stats;
 }
@@ -86,9 +87,6 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
   let reps = Equiv_class.representatives tuple_classes in
   (qm, view_classes, view_tuples, tuple_classes, reps)
 
-let build_rewriting (qm : Query.t) (chosen : View_tuple.t list) =
-  Query.make_exn qm.head (List.map (fun tv -> tv.View_tuple.atom) chosen)
-
 let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
     ~covers_of =
   (* Anytime degradation: a budget tripping before any cover was produced
@@ -105,6 +103,7 @@ let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~vie
       tuple_classes = [];
       filters = [];
       rewritings = [];
+      covers = [];
       completeness = Truncated e;
       stats =
         {
@@ -119,42 +118,45 @@ let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~vie
     let qm, view_classes, view_tuples, tuple_classes, reps =
       prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views
     in
+    (* the set-cover instance: the nonempty cores, each with its index
+       in [reps] *)
     let nonempty =
-      List.filter (fun (_, core) -> not (Tuple_core.is_empty core)) reps
+      List.filter (fun (_, (_, core)) -> not (Tuple_core.is_empty core))
+        (List.mapi (fun i rep -> (i, rep)) reps)
     in
     let filters =
       List.filter_map
         (fun (tv, core) -> if Tuple_core.is_empty core then Some tv else None)
         reps
     in
-    let tuples = Array.of_list (List.map fst nonempty) in
-    let sets = Array.of_list (List.map (fun (_, c) -> c.Tuple_core.mask) nonempty) in
+    let index = Array.of_list (List.map fst nonempty) in
+    let sets = Array.of_list (List.map (fun (_, (_, c)) -> c.Tuple_core.mask) nonempty) in
+    let atoms = Array.of_list (List.map (fun (tv, _) -> tv.View_tuple.atom) reps) in
     let universe = (1 lsl List.length qm.Query.body) - 1 in
     let outcome = Obs.phase "set_cover" (fun () -> covers_of ~budget ~universe sets) in
-    let rewritings =
-      List.map
-        (fun cover -> build_rewriting qm (List.map (fun i -> tuples.(i)) cover))
-        outcome.Set_cover.covers
-    in
-    let rewritings =
-      if not verify then rewritings
+    let covers = List.map (List.map (fun i -> index.(i))) outcome.Set_cover.covers in
+    let rewriting cover = Query.make_exn qm.head (List.map (fun i -> atoms.(i)) cover) in
+    let covers, rewritings =
+      if not verify then (covers, List.map rewriting covers)
       else
         Obs.phase "verify" (fun () ->
             (* Keep only rewritings fully verified before a budget cutoff,
-               so everything returned was actually double-checked. *)
+               so everything returned was actually double-checked; their
+               covers are kept with them. *)
             let verified = ref [] in
             (try
                List.iter
-                 (fun p ->
+                 (fun cover ->
+                   let p = rewriting cover in
                    if Expansion.is_equivalent_rewriting ?budget ~views ~query p then
-                     verified := p :: !verified
+                     verified := (cover, p) :: !verified
                    else
                      failwith
                        (Format.asprintf
                           "CoreCover produced a non-equivalent rewriting: %a" Query.pp p))
-                 rewritings
+                 covers
              with Vplan_error.Error e when Vplan_error.is_resource e -> ());
-            List.rev !verified)
+            List.split (List.rev !verified))
     in
     let completeness =
       match Option.bind budget Budget.stopped with
@@ -172,6 +174,7 @@ let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~vie
       tuple_classes = List.map (List.map fst) tuple_classes;
       filters;
       rewritings;
+      covers;
       completeness;
       stats =
         {

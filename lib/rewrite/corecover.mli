@@ -46,6 +46,12 @@ type result = {
   filters : View_tuple.t list;
       (** representative empty-core view tuples (M2 filter candidates) *)
   rewritings : Query.t list;
+  covers : int list list;
+      (** the cover each rewriting came from, one-to-one and in order with
+          [rewritings]: indices into [cores], in body order.  Rewriting
+          [i] is [Query.make_exn minimized_query.head] of the atoms of
+          cover [i]'s view tuples.  Under [verify] or a budget only the
+          covers of the returned rewritings are kept. *)
   completeness : completeness;
       (** [Complete] unless a budget or cover cap cut the run short *)
   stats : stats;

@@ -1,22 +1,29 @@
 (** Rewriting lines, pre-rendered with variable holes.
 
-    A template holds a list of rewritings rendered exactly as
-    [Format.printf "%a@." Query.pp] prints each one, except that every
-    occurrence of a variable of [vars] is a hole.  A hole's slot is
-    that variable's index in [vars] (for a cached result, [Query.vars]
-    of the canonical query), so filling the holes with another query's
-    names for the same slots renames the rewritings without building a
-    [Query.t] or touching a formatter.  Constants and variables outside
-    [vars] stay literal. *)
+    A template holds one line per cover of a CoreCover result, each
+    reading exactly as [Format.printf "%a@." Query.pp] prints the
+    rewriting [head :- atoms of the cover], except that every occurrence
+    of a variable of [vars] is a hole.  A hole's slot is that variable's
+    index in [vars] (for a cached result, [Query.vars] of the canonical
+    query), so filling the holes with another query's names for the same
+    slots renames the rewritings without building a rewriting or
+    touching a formatter.  Constants and variables outside [vars] stay
+    literal.
+
+    The head and each atom are rendered once, however many lines share
+    them: the template is a table of rendered fragments plus, per line,
+    the fragment indices of its body. *)
 
 open Vplan_cq
 
 type t
 
-(** [make ~vars rewritings] renders [rewritings] once. *)
-val make : vars:string array -> Query.t list -> t
+(** [make ~vars ~head ~atoms covers] renders one line per cover, in
+    order: [head] and the atoms [atoms.(i)] for each index [i] of the
+    cover, in cover order.  Only atoms some cover uses are rendered. *)
+val make : vars:string array -> head:Atom.t -> atoms:Atom.t array -> int list list -> t
 
-(** [render buf t names] appends the rewritings, one per line, with
-    slot [i] filled by [names.(i)].  [names] must cover every slot of
-    [vars]. *)
+(** [render buf t names] appends the lines, each ending in a newline,
+    with slot [i] filled by [names.(i)].  [names] must cover every slot
+    of [vars]. *)
 val render : Buffer.t -> t -> string array -> unit

@@ -1,6 +1,7 @@
 open Vplan_cq
 module Corecover = Vplan_rewrite.Corecover
 module Normalize = Vplan_rewrite.Normalize
+module View_tuple = Vplan_views.View_tuple
 module Parallel = Vplan_parallel.Parallel
 module Budget = Vplan_core.Budget
 module Vplan_error = Vplan_core.Vplan_error
@@ -228,7 +229,10 @@ let entry_of canon (r : Corecover.result) =
     rewritings = r.Corecover.rewritings;
     stats = r.Corecover.stats;
     count = List.length r.Corecover.rewritings;
-    template = Reply_template.make ~vars r.Corecover.rewritings;
+    template =
+      (let atoms = List.map (fun (tv, _) -> tv.View_tuple.atom) r.Corecover.cores in
+       Reply_template.make ~vars ~head:r.Corecover.minimized_query.Query.head
+         ~atoms:(Array.of_list atoms) r.Corecover.covers);
   }
 
 (* [sigma] maps caller variables to canonical ones, bijectively and only

@@ -61,6 +61,98 @@ module M3 = struct
   let cost_of_plan db plan = Option.get (cost_of_plan_bounded db plan)
 end
 
+(* [Query.make]'s safety check as a set difference: the union of the
+   body's variable sets must contain the head's.  Production code scans
+   the body instead and builds sets only for the error text. *)
+let query_safety head body =
+  let bvars =
+    List.fold_left (fun acc a -> Names.Sset.union acc (Atom.var_set a)) Names.Sset.empty body
+  in
+  let missing = Names.Sset.diff (Atom.var_set head) bvars in
+  if Names.Sset.is_empty missing then Ok ()
+  else
+    Error
+      (Format.asprintf "unsafe query: head variable(s) %s not in body"
+         (String.concat ", " (Names.Sset.elements missing)))
+
+(* The naive GMR search of Theorem 3.1, the oracle for CoreCover: try
+   every combination of 1, 2, ... view tuples as a candidate body,
+   testing expansion-equivalence with the query, and stop at the first
+   size that yields rewritings.  A query with a rewriting has one with
+   at most as many subgoals as the query (Levy et al. 1995), so the
+   search is bounded.  Exponential in the number of view tuples: small
+   instances only. *)
+module Naive = struct
+  let rec combinations k l =
+    if k = 0 then [ [] ]
+    else
+      match l with
+      | [] -> []
+      | x :: rest ->
+          List.map (fun c -> x :: c) (combinations (k - 1) rest) @ combinations k rest
+
+  let candidate_rewriting (qm : Query.t) tuples =
+    let body = List.map (fun tv -> tv.View_tuple.atom) tuples in
+    match Query.make qm.head body with Ok p -> Some p | Error _ -> None
+
+  (* the equivalent rewritings made of exactly [k] distinct view tuples *)
+  let rewritings_of_size ~query ~views k =
+    let qm = Minimize.minimize query in
+    let tuples = View_tuple.compute ~query:qm views in
+    combinations k tuples
+    |> List.filter_map (candidate_rewriting qm)
+    |> List.filter (Expansion.is_equivalent_rewriting ~views ~query)
+
+  let gmrs ~query ~views =
+    let qm = Minimize.minimize query in
+    let bound = List.length qm.Query.body in
+    let rec try_size k =
+      if k > bound then []
+      else
+        match rewritings_of_size ~query ~views k with
+        | [] -> try_size (k + 1)
+        | found -> found
+    in
+    try_size 1
+end
+
+(* Minimizing a view set without losing query-answering power, the
+   companion work the paper cites as [18] (Li-Bawa-Ullman, ICDT 2001):
+   keep the views with a view tuple of nonempty tuple-core, then drop
+   views greedily while an equivalent rewriting remains. *)
+module View_selection = struct
+  let is_answering_set ~query views = Corecover.has_rewriting ~query ~views
+
+  let relevant_views ~query ~views =
+    let qm = Minimize.minimize query in
+    List.filter
+      (fun view ->
+        Tuple_core.cores ~query:qm (View_tuple.compute ~query:qm [ view ])
+        |> List.exists (fun core -> not (Tuple_core.is_empty core)))
+      views
+
+  (* [None] when even the full set admits no rewriting *)
+  let minimal_answering_set ~query ~views =
+    if not (is_answering_set ~query views) then None
+    else begin
+      (* start from the relevant views only, then drop greedily *)
+      let start =
+        let relevant = relevant_views ~query ~views in
+        if is_answering_set ~query relevant then relevant else views
+      in
+      let rec shrink kept =
+        let try_drop v =
+          let without = List.filter (fun v' -> v' != v) kept in
+          if is_answering_set ~query without then Some without else None
+        in
+        match List.find_map try_drop kept with
+        | Some smaller -> shrink smaller
+        | None -> kept
+      in
+      Some (shrink start)
+    end
+end
+
 (* The exhaustive tuple-core search: every include/exclude choice of the
    query subgoals, times every expansion atom an included subgoal maps
    into under Definition 4.1's constraints, filtered for the

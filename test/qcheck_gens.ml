@@ -150,3 +150,28 @@ let gen_wire_instance =
     (query, [ edge_view "v0" "p" ])
   in
   frequency [ (8, small); (1, wide); (1, uncacheable) ]
+
+(* Instances with many rewritings: every view is a nonempty
+   sub-sequence of the query's body, exporting its variables except,
+   now and then, one, so several covers exist and share view tuples. *)
+let gen_covered_instance =
+  let open Gen in
+  let* query = gen_query_with ~pred:"q" ~max_atoms:4 in
+  let* n = int_range 2 4 in
+  let gen_view i =
+    let* body = gen_subset query.Query.body in
+    let* first = oneofl query.Query.body in
+    let body = if body = [] then [ first ] else body in
+    let vars = List.concat_map Atom.vars body |> List.sort_uniq String.compare in
+    let* hidden =
+      if vars = [] then return []
+      else frequency [ (3, return []); (1, map (fun x -> [ x ]) (oneofl vars)) ]
+    in
+    let head = List.filter (fun x -> not (List.mem x hidden)) vars in
+    let head = if head = [] then vars else head in
+    return
+      (Query.make_exn (Atom.make ("v" ^ string_of_int i) (List.map var head)) body)
+  in
+  let+ views = flatten_l (List.init n gen_view) in
+  (query, views)
+

@@ -100,6 +100,16 @@ let test_query_safety () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg
 
+(* The error path builds sets: missing variables sorted, comma-separated,
+   each once, constants never blamed. *)
+let test_query_unsafe_message () =
+  let v x = Term.Var x in
+  let head = Atom.make "q" [ v "Y"; Term.Cst (Term.Int 3); v "X"; v "Z"; v "Y" ] in
+  match Query.make head [ Atom.make "p" [ v "Z"; Term.Cst (Term.Str "Y") ] ] with
+  | Ok _ -> Alcotest.fail "unsafe query accepted"
+  | Error msg ->
+      Alcotest.(check string) "message" "unsafe query: head variable(s) X, Y not in body" msg
+
 let test_query_vars () =
   let query = q "q(X, Y) :- p(X, Z), r(Z, Y, c)." in
   Alcotest.(check (list string)) "head vars" [ "X"; "Y" ] (Query.head_vars query);
@@ -200,6 +210,7 @@ let suite =
     ("atom basics", `Quick, test_atom_basics);
     ("atom unify", `Quick, test_atom_unify);
     ("query safety", `Quick, test_query_safety);
+    ("query unsafe message", `Quick, test_query_unsafe_message);
     ("query vars", `Quick, test_query_vars);
     ("query rename_apart", `Quick, test_query_rename_apart);
     ("query canonical", `Quick, test_query_canonical);

@@ -211,7 +211,7 @@ let corecover_matches_naive =
   make_test ~count:60 ~name:"CoreCover matches the naive GMR search" gen print_instance
     (fun (query, views) ->
       let cc = (Corecover.gmrs ~query ~views ()).rewritings in
-      let naive = Naive.gmrs ~query ~views in
+      let naive = Oracle.Naive.gmrs ~query ~views in
       match (cc, naive) with
       | [], [] -> true
       | p :: _, n :: _ -> List.length p.Query.body = List.length n.Query.body
@@ -787,14 +787,14 @@ let view_selection_correct =
   make_test ~count:80 ~name:"minimal answering sets are minimal and sufficient" gen
     print_instance
     (fun (query, views) ->
-      match View_selection.minimal_answering_set ~query ~views with
+      match Oracle.View_selection.minimal_answering_set ~query ~views with
       | None -> not (Corecover.has_rewriting ~query ~views)
       | Some kept ->
-          View_selection.is_answering_set ~query kept
+          Oracle.View_selection.is_answering_set ~query kept
           && List.for_all
                (fun v ->
                  not
-                   (View_selection.is_answering_set ~query
+                   (Oracle.View_selection.is_answering_set ~query
                       (List.filter (fun v' -> v' != v) kept)))
                kept)
 
@@ -959,6 +959,74 @@ let view_tuples_match_eval =
       List.equal Atom.equal expected
         (List.map (fun tv -> tv.View_tuple.atom) (View_tuple.compute ~query views)))
 
+(* [Query.make] scans the body for each head variable; the oracle takes
+   the set difference.  Heads carry constants (a [Str] constant may be
+   spelled like a variable) and repeated variables; bodies may be empty
+   or hold 0-ary atoms. *)
+let query_make_matches_oracle =
+  let term =
+    Gen.frequency
+      [
+        (6, Gen.map (fun x -> Term.Var x) (Gen.oneofl [ "X"; "Y"; "Z"; "W" ]));
+        (1, Gen.map (fun i -> Term.Cst (Term.Int i)) (Gen.int_range 0 2));
+        (1, Gen.map (fun c -> Term.Cst (Term.Str c)) (Gen.oneofl [ "c"; "X" ]));
+      ]
+  in
+  let atom pred = Gen.map (Atom.make pred) (Gen.list_size (Gen.int_range 0 3) term) in
+  let gen =
+    Gen.pair (atom "q")
+      (Gen.list_size (Gen.int_range 0 4) (Gen.bind (Gen.oneofl [ "p"; "r" ]) atom))
+  in
+  make_test ~count:500 ~name:"Query.make = the set-based safety check" gen
+    (fun (head, body) ->
+      Atom.to_string head ^ " :- " ^ String.concat ", " (List.map Atom.to_string body))
+    (fun (head, body) ->
+      match (Query.make head body, Oracle.query_safety head body) with
+      | Ok q, Ok () -> q.Query.head == head && q.Query.body == body
+      | Error msg, Error expected -> String.equal msg expected
+      | Ok _, Error _ | Error _, Ok () -> false)
+
+(* [covers] is aligned one-to-one with [rewritings]: each rewriting is
+   the minimized head over its cover's view-tuple atoms, also when
+   [verify] or a budget keeps only a prefix of the rewritings. *)
+let covers_align_with_rewritings =
+  let gen =
+    Gen.map
+      (fun ((query, views), max_steps) -> (query, views, max_steps))
+      (Gen.pair
+         (Gen.frequency [ (1, gen_wire_instance); (2, gen_covered_instance) ])
+         (Gen.int_range 1 300))
+  in
+  make_test ~count:200 ~name:"CoreCover covers align with rewritings" gen
+    (fun (query, views, max_steps) ->
+      print_instance (query, views) ^ " || max_steps " ^ string_of_int max_steps)
+    (fun (query, views, max_steps) ->
+      let aligned (r : Corecover.result) =
+        let atoms =
+          Array.of_list (List.map (fun (tv, _) -> tv.View_tuple.atom) r.Corecover.cores)
+        in
+        let head = r.Corecover.minimized_query.Query.head in
+        List.length r.Corecover.covers = List.length r.Corecover.rewritings
+        && List.for_all2
+             (fun cover p ->
+               Query.equal p (Query.make_exn head (List.map (Array.get atoms) cover)))
+             r.Corecover.covers r.Corecover.rewritings
+      in
+      let budget () = Budget.create ~max_steps () in
+      List.for_all aligned
+        [
+          Corecover.gmrs ~query ~views ();
+          Corecover.gmrs ~verify:true ~query ~views ();
+          Corecover.gmrs ~max_covers:1 ~query ~views ();
+          Corecover.gmrs ~budget:(budget ()) ~query ~views ();
+          Corecover.gmrs ~budget:(budget ()) ~verify:true ~query ~views ();
+          Corecover.all_minimal ~query ~views ();
+          Corecover.all_minimal ~verify:true ~query ~views ();
+          Corecover.all_minimal ~max_results:1 ~query ~views ();
+          Corecover.all_minimal ~budget:(budget ()) ~query ~views ();
+          Corecover.all_minimal ~budget:(budget ()) ~verify:true ~query ~views ();
+        ])
+
 let suite =
   [
     parser_roundtrip;
@@ -1001,4 +1069,6 @@ let suite =
     corecover_configs_agree;
     view_tuples_match_eval;
     corecover_budget_anytime;
+    query_make_matches_oracle;
+    covers_align_with_rewritings;
   ]

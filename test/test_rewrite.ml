@@ -214,7 +214,7 @@ let test_corecover_matches_naive () =
   List.iter
     (fun (query, views) ->
       let cc = Corecover.gmrs ~verify:true ~query ~views () in
-      let naive = Naive.gmrs ~query ~views in
+      let naive = Oracle.Naive.gmrs ~query ~views in
       check_bool "both found or neither" true
         (cc.rewritings <> [] = (naive <> []));
       match (cc.rewritings, naive) with
@@ -329,7 +329,7 @@ let test_lemma_3_2_rejects_non_rewriting () =
 
 let test_relevant_views () =
   let open Car_loc_part in
-  let relevant = View_selection.relevant_views ~query ~views in
+  let relevant = Oracle.View_selection.relevant_views ~query ~views in
   (* v3 has an empty tuple-core and cannot cover anything *)
   Alcotest.(check (slist string String.compare))
     "v3 filtered out" [ "v1"; "v2"; "v4"; "v5" ]
@@ -337,14 +337,14 @@ let test_relevant_views () =
 
 let test_minimal_answering_set () =
   let open Car_loc_part in
-  (match View_selection.minimal_answering_set ~query ~views with
+  (match Oracle.View_selection.minimal_answering_set ~query ~views with
   | None -> Alcotest.fail "expected an answering set"
   | Some kept ->
       check_int "a single view suffices (v4 or v1+v2)" 1 (List.length kept);
-      check_bool "still answers" true (View_selection.is_answering_set ~query kept));
+      check_bool "still answers" true (Oracle.View_selection.is_answering_set ~query kept));
   (* without v4, the minimum is the pair {v1 or v5, v2} *)
   let without_v4 = List.filter (fun v -> View.name v <> "v4") views in
-  match View_selection.minimal_answering_set ~query ~views:without_v4 with
+  match Oracle.View_selection.minimal_answering_set ~query ~views:without_v4 with
   | None -> Alcotest.fail "expected an answering set"
   | Some kept -> check_int "two views needed" 2 (List.length kept)
 
@@ -352,16 +352,16 @@ let test_minimal_answering_none () =
   let query = q "q(X, Y) :- p(X, Y), r(Y, X)." in
   let views = qs [ "v(A, B) :- p(A, B)." ] in
   check_bool "no answering set" true
-    (View_selection.minimal_answering_set ~query ~views = None)
+    (Oracle.View_selection.minimal_answering_set ~query ~views = None)
 
 (* ---------------- naive oracle ---------------- *)
 
 let test_naive_sizes () =
   let open Car_loc_part in
-  check_int "no 0-ary rewriting" 0 (List.length (Naive.rewritings_of_size ~query ~views 0));
-  check_int "one 1-subgoal rewriting" 1 (List.length (Naive.rewritings_of_size ~query ~views 1));
-  check_bool "2-subgoal rewritings exist" true
-    (List.length (Naive.rewritings_of_size ~query ~views 2) > 0)
+  let of_size k = List.length (Oracle.Naive.rewritings_of_size ~query ~views k) in
+  check_int "no 0-ary rewriting" 0 (of_size 0);
+  check_int "one 1-subgoal rewriting" 1 (of_size 1);
+  check_bool "2-subgoal rewritings exist" true (of_size 2 > 0)
 
 let suite =
   [

@@ -340,6 +340,52 @@ let reply_template_qcheck =
       && same variant_hit variant_fresh
       && same truncated truncated_ref)
 
+(* Lines share fragments: each atom is rendered once and spliced into
+   every line whose cover uses it.  Shared atoms carry [Int] and [Str]
+   constants (one spelled like a slot variable) and variables outside
+   [vars], which stay literal; an atom no cover uses is never rendered. *)
+let reply_template_shared_atoms () =
+  let v x = Term.Var x in
+  let head = Atom.make "q" [ v "X"; v "Y"; Term.Cst (Term.Int 7) ] in
+  let atoms =
+    [|
+      Atom.make "v1" [ v "X"; Term.Cst (Term.Int 42); v "Z" ];
+      Atom.make "v2" [ Term.Cst (Term.Str "anderson"); v "Y"; v "X" ];
+      Atom.make "v3" [ v "Y"; Term.Cst (Term.Str "X"); v "W" ];
+      Atom.make "unused" [ v "X" ];
+    |]
+  in
+  let covers = [ [ 0; 1 ]; [ 1; 2; 0 ]; [ 1 ]; [ 2; 0 ] ] in
+  let t = Reply_template.make ~vars:[| "X"; "Y" |] ~head ~atoms covers in
+  let render names =
+    let buf = Buffer.create 64 in
+    Reply_template.render buf t names;
+    Buffer.contents buf
+  in
+  let expected names =
+    let s =
+      Subst.of_list (List.map2 (fun x n -> (x, Term.Var n)) [ "X"; "Y" ] names)
+    in
+    format_lines
+      (List.map
+         (fun c -> Query.apply s (Query.make_exn head (List.map (Array.get atoms) c)))
+         covers)
+  in
+  Alcotest.(check string)
+    "renamed"
+    "q(A,B10,7) :- v1(A,42,Z), v2(anderson,B10,A)\n\
+     q(A,B10,7) :- v2(anderson,B10,A), v3(B10,X,W), v1(A,42,Z)\n\
+     q(A,B10,7) :- v2(anderson,B10,A)\n\
+     q(A,B10,7) :- v3(B10,X,W), v1(A,42,Z)\n"
+    (render [| "A"; "B10" |]);
+  Alcotest.(check string) "= Query.pp" (expected [ "A"; "B10" ]) (render [| "A"; "B10" |]);
+  Alcotest.(check string) "identity names" (expected [ "X"; "Y" ]) (render [| "X"; "Y" |]);
+  Alcotest.(check string)
+    "no covers" ""
+    (let buf = Buffer.create 8 in
+     Reply_template.render buf (Reply_template.make ~vars:[||] ~head ~atoms []) [||];
+     Buffer.contents buf)
+
 (* ------------------------------------------------------------------ *)
 (* The resident view image                                             *)
 
@@ -498,6 +544,8 @@ let suite =
       service_plan_needs_data;
     service_hit_vs_fresh_qcheck;
     reply_template_qcheck;
+    Alcotest.test_case "reply template: covers share atoms" `Quick
+      reply_template_shared_atoms;
     Alcotest.test_case "image: follows set_base" `Quick image_follows_set_base;
     Alcotest.test_case "image: follows set_catalog" `Quick image_follows_set_catalog;
     Alcotest.test_case "image: published once under a race" `Quick image_published_once;
