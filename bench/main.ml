@@ -1713,10 +1713,7 @@ let loadgen_bench ~settings =
       Protocol.install_catalog shared
         (Catalog.create_exn (List.map View.of_query views));
       let handler () =
-        let sess = Protocol.new_session shared in
-        fun lines ->
-          let reply = Protocol.handle_lines shared sess lines in
-          { Net_server.body = reply.Protocol.text; close = reply.Protocol.close }
+        Protocol.handle_lines_into shared (Protocol.new_session shared)
       in
       let srv =
         Net_server.create ~workers:!server_workers

@@ -205,16 +205,22 @@ let () =
         | line -> Some line
         | exception End_of_file -> None
       in
+      (* the same reply path as a TCP worker: one retained buffer,
+         written out with no reply-sized copy *)
+      let out = Vplan.Net_server.reply_buffer () in
       let rec loop () =
         if interactive then (
           print_string "vplan> ";
           flush stdout);
         match input_line stdin with
         | line ->
-            let reply = Vplan.Protocol.handle shared session ~read_line line in
-            print_string reply.Vplan.Protocol.text;
+            let close =
+              Vplan.Protocol.handle_into shared session out ~read_line line
+            in
+            Buffer.output_buffer stdout out;
             flush stdout;
-            if not reply.Vplan.Protocol.close then loop ()
+            Vplan.Net_server.recycle out;
+            if not close then loop ()
         | exception End_of_file -> ()
       in
       loop ();
@@ -222,12 +228,7 @@ let () =
   | Tcp ->
       let handler () =
         let session = Vplan.Protocol.new_session shared in
-        fun lines ->
-          let reply = Vplan.Protocol.handle_lines shared session lines in
-          {
-            Vplan.Net_server.body = reply.Vplan.Protocol.text;
-            close = reply.Vplan.Protocol.close;
-          }
+        Vplan.Protocol.handle_lines_into shared session
       in
       let server =
         Vplan.Net_server.create ~host:!host ~port:!port ~workers:!workers

@@ -2,8 +2,6 @@ module Bounded_queue = Vplan_parallel.Bounded_queue
 module Pool = Vplan_parallel.Pool
 module Metrics = Vplan_obs.Metrics
 
-type response = { body : string; close : bool }
-
 (* -- metrics ------------------------------------------------------- *)
 
 let connections_active = Metrics.gauge "vplan_connections_active"
@@ -23,7 +21,7 @@ type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* bytes of a partial line *)
   pending : string Queue.t;  (* complete lines not yet dispatched *)
-  chandle : string list -> response;
+  chandle : Buffer.t -> string list -> bool;
   mutable busy : bool;  (* a worker owns a request of this conn *)
   mutable eof : bool;
   mutable dead : bool;  (* fd closed (or about to be) *)
@@ -40,7 +38,7 @@ type t = {
   queue : job Bounded_queue.t;
   max_requests : int option;
   extra_lines : string -> int;
-  handler : unit -> string list -> response;
+  handler : unit -> Buffer.t -> string list -> bool;
   conns : (int, conn) Hashtbl.t;
   by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* live fds only *)
   stopping : bool Atomic.t;
@@ -54,6 +52,18 @@ type t = {
 (* Never grow a request line without bound: a client that streams
    gigabytes with no newline is shed by disconnect. *)
 let max_line_bytes = 1 lsl 20
+
+(* A worker's reply buffer starts at [initial_reply_bytes] and keeps
+   whatever it grew to, up to [max_retained_bytes]: a reply past that is
+   served, then the buffer drops back to its initial bytes.  The ceiling
+   matches the request-line cap, so the catalog's largest replies (a few
+   hundred KB) never shrink and regrow. *)
+let initial_reply_bytes = 1 lsl 16
+let max_retained_bytes = max_line_bytes
+
+(* [Unix.write] copies through a 64 KiB stack buffer per call; the
+   worker stages at most that much of its reply at a time. *)
+let write_chunk_bytes = 1 lsl 16
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
@@ -105,21 +115,36 @@ let stop t =
 
 (* -- writing ------------------------------------------------------- *)
 
-let frame body =
-  let n = String.length body in
-  if n = 0 || body.[n - 1] = '\n' then body ^ ".\n" else body ^ "\n.\n"
+let frame buf =
+  let n = Buffer.length buf in
+  if n > 0 && Buffer.nth buf (n - 1) <> '\n' then Buffer.add_char buf '\n';
+  Buffer.add_string buf ".\n"
+
+let reply_buffer () = Buffer.create initial_reply_bytes
+
+let recycle buf =
+  if Buffer.length buf > max_retained_bytes then Buffer.reset buf
+  else Buffer.clear buf
+
+let framed text =
+  let buf = Buffer.create (String.length text + 3) in
+  Buffer.add_string buf text;
+  frame buf;
+  Buffer.contents buf
+
+let busy_reply = framed "err busy"
+let budget_reply = framed "err request budget exhausted"
 
 exception Write_failed
 
 (* Blocking-with-patience write on a nonblocking fd, used by workers:
    a stalled client blocks only its own worker, and only up to the
    patience cap — then it is treated as a connection error. *)
-let write_all fd data =
-  let len = String.length data in
+let write_all fd data len =
   let rounds = ref 0 in
   let rec go off =
     if off < len then
-      match Unix.write_substring fd data off (len - off) with
+      match Unix.write fd data off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           incr rounds;
@@ -128,6 +153,21 @@ let write_all fd data =
           go off
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error (_, _, _) -> raise Write_failed
+  in
+  go 0
+
+(* The whole reply, staged through the worker's [chunk]: [Buffer.t]
+   lends its bytes only by copy, and a retained chunk takes that copy
+   without a reply-sized allocation. *)
+let write_buffer fd chunk buf =
+  let len = Buffer.length buf in
+  let rec go off =
+    if off < len then begin
+      let n = min (Bytes.length chunk) (len - off) in
+      Buffer.blit buf off chunk 0 n;
+      write_all fd chunk n;
+      go (off + n)
+    end
   in
   go 0
 
@@ -271,7 +311,7 @@ let rec try_dispatch t conn =
           | None -> false
         in
         if over_budget then begin
-          direct_send t conn (frame "err request budget exhausted");
+          direct_send t conn budget_reply;
           close_conn t conn
         end
         else
@@ -286,7 +326,7 @@ let rec try_dispatch t conn =
                unbounded latency *)
             Metrics.incr requests_shed_total;
             Vplan_obs.Recorder.append ~kind:"shed" ~truncated:"busy" ();
-            direct_send t conn (frame "err busy");
+            direct_send t conn busy_reply;
             if not conn.close_after then try_dispatch t conn
             else close_conn t conn
           end
@@ -327,24 +367,32 @@ let process_completions t =
 (* -- workers ------------------------------------------------------- *)
 
 let worker_loop t =
+  let out = reply_buffer () in
+  let chunk = Bytes.create write_chunk_bytes in
   let rec loop () =
     match Bounded_queue.pop t.queue with
     | None -> ()
     | Some job ->
         Metrics.set queue_depth (Bounded_queue.length t.queue);
-        let resp =
-          try job.jc.chandle job.jlines
+        let close =
+          try job.jc.chandle out job.jlines
           with e ->
             (* the protocol layer contains its own failures; this
-               catches handler bugs so the serving tier survives them *)
-            { body = "err internal: " ^ Printexc.to_string e; close = false }
+               catches handler bugs so the serving tier survives them,
+               dropping whatever the handler wrote before it raised *)
+            Buffer.clear out;
+            Buffer.add_string out "err internal: ";
+            Buffer.add_string out (Printexc.to_string e);
+            false
         in
-        (match write_all job.jc.fd (frame resp.body) with
-        | () -> if resp.close then job.jc.close_after <- true
+        frame out;
+        (match write_buffer job.jc.fd chunk out with
+        | () -> if close then job.jc.close_after <- true
         | exception Write_failed ->
             (* client went away mid-response: contain to this conn *)
             Metrics.incr connection_errors_total;
             job.jc.close_after <- true);
+        recycle out;
         Metrics.incr net_requests_total;
         Metrics.observe net_request_ms (now_ms () -. job.jstart);
         (* coalesced wake: only the transition empty -> nonempty needs a

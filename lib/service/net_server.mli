@@ -31,25 +31,35 @@
     what lets a client know one has ended without parsing every
     command.  Empty request lines are ignored.
 
+    {b Reply buffers.}  Each worker domain owns one output buffer, kept
+    between requests.  A request function appends its reply to that
+    buffer; the worker appends the terminator in place ({!frame}) and
+    writes to the socket from the buffer, 64 KiB at a time through a
+    retained staging chunk, so no reply becomes a fresh string.  The
+    buffer's contents are valid only until the write returns: the
+    worker then empties it for its next request.  It keeps its
+    capacity up to a fixed ceiling (1 MiB, the request-line cap);
+    after a reply larger than that it drops back to its initial 64 KiB.
+
     {b Drain.}  {!stop} (async-signal-safe; wire it to [SIGTERM])
     closes the listener, lets queued and in-flight requests finish,
     then closes every connection and returns from {!run}. *)
 
 type t
 
-(** One response: body text (the terminator line is appended by the
-    server) and whether to close the connection after writing it. *)
-type response = { body : string; close : bool }
-
 (** [create ~handler ()] builds a server; no domain is spawned until
     {!run}.
 
     [handler] is called once per accepted connection and returns that
     connection's request function — the closure is where per-session
-    state lives.  The request function receives a complete framed
-    request (first line plus any extra lines) and must return its
-    response; it runs on a worker domain, so anything it shares must
-    be domain-safe.
+    state lives.  The request function receives the worker's reply
+    buffer, empty, and a complete framed request (first line plus any
+    extra lines).  It appends its reply to the buffer, without the
+    terminator, and returns [true] to close the connection once the
+    reply is written.  It must not keep the buffer past its return.
+    If it raises, whatever it appended is dropped and the reply is one
+    ["err internal: ..."] line.  It runs on a worker domain, so
+    anything it shares must be domain-safe.
 
     [extra_lines line] tells the poller how many lines beyond the
     first the request starting with [line] occupies (0 for every
@@ -71,9 +81,23 @@ val create :
   ?queue_capacity:int ->
   ?max_requests:int ->
   ?extra_lines:(string -> int) ->
-  handler:(unit -> string list -> response) ->
+  handler:(unit -> Buffer.t -> string list -> bool) ->
   unit ->
   t
+
+(** [frame buf] appends the terminator line in place: [".\n"] after a
+    newline-terminated or empty reply, ["\n.\n"] otherwise. *)
+val frame : Buffer.t -> unit
+
+(** A fresh reply buffer, 64 KiB: what each worker starts with, and
+    what any other front end that serves the protocol from one
+    retained buffer should use. *)
+val reply_buffer : unit -> Buffer.t
+
+(** [recycle buf] empties a reply buffer for its next reply, keeping its
+    capacity unless the last reply passed the 1 MiB ceiling, in which
+    case it drops back to the capacity it was created with. *)
+val recycle : Buffer.t -> unit
 
 (** The port actually bound (useful with [~port:0]). *)
 val port : t -> int

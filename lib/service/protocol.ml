@@ -1,6 +1,7 @@
 (* The line protocol, shared by every front end.  Handlers render into
-   a buffer-backed formatter so one request produces one [reply]; the
-   stdio loop prints it, the TCP server frames it onto the socket.
+   a formatter over the caller's buffer: the TCP server passes its
+   worker's retained buffer and frames it onto the socket in place, the
+   stdio loop prints its own, and [handle] is the one-string projection.
    Rewrite answers ([rewrite], [batch]) are the exception to the
    formatter: their rewriting lines are spliced from the cache entry's
    reply template ({!Service.rewrite_reply}) straight into the reply
@@ -115,11 +116,6 @@ let slow_log (sess : session) ~trace ~ms detail =
    line. *)
 let traced_if_armed (sess : session) f =
   if sess.slow_ms <> None then Trace.run_scoped f else (f (), [])
-
-let classification_of (query : Query.t) =
-  match Hypergraph.classify query.Query.body with
-  | Hypergraph.Acyclic _ -> "acyclic"
-  | Hypergraph.Cyclic -> "cyclic"
 
 let mode_string = function
   | Service.Exact -> "exact"
@@ -282,7 +278,7 @@ let print_reply ?(spans = []) (sess : session) buf ppf query (r : Service.reply)
   in
   Recorder.append ~kind:"rewrite" ~trace ~latency_ms:r.Service.reply_ms ~source
     ~mode:(mode_string sess.cost_mode)
-    ~classification:(classification_of query)
+    ~classification:r.Service.reply_classification
     ~answers:r.Service.reply_count ~truncated ~slow
     ~detail:(Atom.to_string query.Query.head)
     ~spans:(if slow then spans else [])
@@ -394,7 +390,7 @@ let cmd_plan (sess : session) ppf rest =
               let slow = is_slow sess ~ms:o.Service.plan_ms in
               Recorder.append ~kind:"plan" ~trace ~latency_ms:o.Service.plan_ms
                 ~mode:(mode_string sess.cost_mode)
-                ~classification:(classification_of query)
+                ~classification:(Service.classification query)
                 ~slow
                 ~detail:(Atom.to_string query.Query.head)
                 ~spans:(if slow then spans else [])
@@ -602,15 +598,9 @@ let cmd_explain (sess : session) ppf rest =
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
-  if m = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i + m <= n do
-      if String.sub s !i m = sub then found := true else incr i
-    done;
-    !found
-  end
+  let rec matches i j = j = m || (s.[i + j] = sub.[j] && matches i (j + 1)) in
+  let rec from i = i + m <= n && (matches i 0 || from (i + 1)) in
+  from 0
 
 (* the recorder is process-global, so these answer even before a
    catalog loads — a recorder dump must work on a wedged server *)
@@ -790,9 +780,8 @@ let dispatch (sess : session) buf ppf ~read_line line =
     | "set" -> cmd_set sess ppf rest; true
     | other -> err ppf "unknown command %S (try: help)" other; true
 
-let handle shared sess ~read_line line =
+let handle_into shared sess buf ~read_line line =
   assert (sess.shared == shared);
-  let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   (* fault containment: a request that raises yields one "err" line and
      the connection (and every other connection) lives on *)
@@ -806,11 +795,11 @@ let handle shared sess ~read_line line =
         true
   in
   Format.pp_print_flush ppf ();
-  { text = Buffer.contents buf; close = not keep }
+  not keep
 
-let handle_lines shared sess lines =
+let handle_lines_into shared sess buf lines =
   match lines with
-  | [] -> { text = ""; close = false }
+  | [] -> false
   | first :: rest ->
       let remaining = ref rest in
       let read_line () =
@@ -820,4 +809,15 @@ let handle_lines shared sess lines =
             remaining := tl;
             Some l
       in
-      handle shared sess ~read_line first
+      handle_into shared sess buf ~read_line first
+
+let contents f =
+  let buf = Buffer.create 256 in
+  let close = f buf in
+  { text = Buffer.contents buf; close }
+
+let handle shared sess ~read_line line =
+  contents (fun buf -> handle_into shared sess buf ~read_line line)
+
+let handle_lines shared sess lines =
+  contents (fun buf -> handle_lines_into shared sess buf lines)

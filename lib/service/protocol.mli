@@ -81,14 +81,35 @@ val install_catalog : shared -> Catalog.t -> unit
     request before dispatching it to a worker. *)
 val extra_lines : string -> int
 
-(** [handle shared session ~read_line line] serves one request.
-    [read_line] supplies the extra lines of a multi-line request
-    ([None] at end of input).  Never raises: failures become a single
-    ["err ..."] line. *)
+(** [handle_into shared session buf ~read_line line] serves one
+    request, appending its reply (newline-terminated lines) to [buf],
+    and returns [true] when the connection should close after the
+    reply is delivered.  [read_line] supplies the extra lines of a
+    multi-line request ([None] at end of input).  Never raises:
+    failures become a single ["err ..."] line.  This is the one
+    request path; the TCP server passes each worker's retained buffer. *)
+val handle_into :
+  shared ->
+  session ->
+  Buffer.t ->
+  read_line:(unit -> string option) ->
+  string ->
+  bool
+
+(** [handle_lines_into shared session buf lines] is {!handle_into} on
+    the first line with the rest fed through [read_line] — the shape a
+    framed network request arrives in.  The empty list appends
+    nothing. *)
+val handle_lines_into : shared -> session -> Buffer.t -> string list -> bool
+
+(** {!handle_into} into a fresh buffer, as a {!reply}. *)
 val handle :
   shared -> session -> read_line:(unit -> string option) -> string -> reply
 
-(** [handle_lines shared session lines] is {!handle} on the first line
-    with the rest fed through [read_line] — the shape a framed network
-    request arrives in.  The empty list yields an empty reply. *)
+(** {!handle_lines_into} into a fresh buffer, as a {!reply}. *)
 val handle_lines : shared -> session -> string list -> reply
+
+(** [contains_sub s sub] — whether [sub] occurs in [s], compared in
+    place; the empty string occurs everywhere.  [recorder grep]'s
+    matcher. *)
+val contains_sub : string -> string -> bool

@@ -23,14 +23,19 @@ let add_varint b n =
   in
   go n
 
+(* A loop, not a local recursive function: [render] reads a varint per
+   hole and per atom use, and a closure over [s] and [i] would be
+   allocated on every read. *)
 let read_varint s i =
-  let rec go shift acc =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     let c = Char.code (String.unsafe_get s !i) in
     incr i;
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c < 0x80 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := c >= 0x80
+  done;
+  !acc
 
 let make ~vars ~(head : Atom.t) ~atoms covers =
   let slot = Hashtbl.create (Array.length vars) in
@@ -86,34 +91,60 @@ let make ~vars ~(head : Atom.t) ~atoms covers =
     lines = Buffer.contents lines;
   }
 
+(* One fill scratch per domain, kept between renders: each fragment is
+   filled into [filled] once and copied from there per use, so a render
+   allocates nothing the size of its reply.  [filled] keeps what it grew
+   to up to [max_retained] bytes, the serving tier's reply-buffer
+   ceiling; a larger fill is served, then dropped for a fresh
+   [initial_fill]. *)
+type scratch = { mutable filled : Bytes.t; mutable ends : int array }
+
+let initial_fill = 4096
+let max_retained = 1 lsl 20
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { filled = Bytes.create initial_fill; ends = Array.make 64 0 })
+
 let render buf t names =
-  (* fill each fragment's holes once, then copy it per use *)
+  let s = Domain.DLS.get scratch in
   let n = (Array.length t.bounds / 2) - 1 in
-  let filled = Buffer.create (String.length t.text + (8 * n)) in
-  let ends = Array.make (n + 1) 0 in
+  if Array.length s.ends <= n then s.ends <- Array.make (2 * (n + 1)) 0;
+  let len = ref 0 in
+  let add str off k =
+    if !len + k > Bytes.length s.filled then begin
+      let grown = Bytes.create (max (!len + k) (2 * Bytes.length s.filled)) in
+      Bytes.blit s.filled 0 grown 0 !len;
+      s.filled <- grown
+    end;
+    Bytes.blit_string str off s.filled !len k;
+    len := !len + k
+  in
   for k = 0 to n - 1 do
     let pos = ref t.bounds.(2 * k) and i = ref t.bounds.((2 * k) + 1) in
     while !i < t.bounds.((2 * k) + 3) do
       let gap = read_varint t.holes i in
       let slot = read_varint t.holes i in
-      Buffer.add_substring filled t.text !pos gap;
-      Buffer.add_string filled names.(slot);
+      add t.text !pos gap;
+      add names.(slot) 0 (String.length names.(slot));
       pos := !pos + gap
     done;
-    Buffer.add_substring filled t.text !pos (t.bounds.((2 * k) + 2) - !pos);
-    ends.(k + 1) <- Buffer.length filled
+    add t.text !pos (t.bounds.((2 * k) + 2) - !pos);
+    s.ends.(k + 1) <- !len
   done;
-  let filled = Buffer.contents filled in
-  let piece k = Buffer.add_substring buf filled ends.(k) (ends.(k + 1) - ends.(k)) in
+  let piece k =
+    Buffer.add_subbytes buf s.filled s.ends.(k) (s.ends.(k + 1) - s.ends.(k))
+  in
   (* [Query.pp]'s layout *)
   let i = ref 0 in
   while !i < String.length t.lines do
-    let len = read_varint t.lines i in
+    let atoms = read_varint t.lines i in
     piece 0;
     Buffer.add_string buf " :- ";
-    for j = 1 to len do
+    for j = 1 to atoms do
       if j > 1 then Buffer.add_string buf ", ";
       piece (read_varint t.lines i)
     done;
     Buffer.add_char buf '\n'
-  done
+  done;
+  if Bytes.length s.filled > max_retained then s.filled <- Bytes.create initial_fill

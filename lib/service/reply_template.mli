@@ -25,5 +25,12 @@ val make : vars:string array -> head:Atom.t -> atoms:Atom.t array -> int list li
 
 (** [render buf t names] appends the lines, each ending in a newline,
     with slot [i] filled by [names.(i)].  [names] must cover every slot
-    of [vars]. *)
+    of [vars].
+
+    Each fragment is filled once, into a scratch that belongs to the
+    calling domain and is kept between calls, then copied from there
+    into [buf] per use.  So a render allocates nothing the size of its
+    reply: the scratch keeps what it grew to, up to 1 MiB of filled
+    fragments, and only a larger fill leaves a fresh 4 KiB scratch
+    behind.  Renders on different domains never share a scratch. *)
 val render : Buffer.t -> t -> string array -> unit

@@ -88,6 +88,7 @@ type reply = {
   reply_ms : float;
   reply_lines : Reply_template.t;
   reply_names : string array;
+  reply_classification : string;
 }
 
 type plan_outcome = {
@@ -113,6 +114,7 @@ type entry = {
   stats : Corecover.stats;
   count : int;
   template : Reply_template.t;
+  classification : string;
 }
 
 (* A loaded base database with its statistics, published together. *)
@@ -218,6 +220,11 @@ let record t ~probed ~completeness ~ms =
       t.lat_sum <- t.lat_sum +. ms;
       if ms > t.lat_max then t.lat_max <- ms)
 
+let classification (q : Query.t) =
+  match Hypergraph.classify q.Query.body with
+  | Hypergraph.Acyclic _ -> "acyclic"
+  | Hypergraph.Cyclic -> "cyclic"
+
 let invariant what = raise (Vplan_error.Error (Vplan_error.Invariant what))
 
 let entry_of canon (r : Corecover.result) =
@@ -233,6 +240,9 @@ let entry_of canon (r : Corecover.result) =
       (let atoms = List.map (fun (tv, _) -> tv.View_tuple.atom) r.Corecover.cores in
        Reply_template.make ~vars ~head:r.Corecover.minimized_query.Query.head
          ~atoms:(Array.of_list atoms) r.Corecover.covers);
+    (* [canon] is isomorphic to every query the entry answers, so one
+       GYO run labels all of them *)
+    classification = classification canon;
   }
 
 (* [sigma] maps caller variables to canonical ones, bijectively and only
@@ -269,6 +279,7 @@ let resolve ?budget ?max_covers ~domains t query =
         reply_ms = ms;
         reply_lines = e.template;
         reply_names = names;
+        reply_classification = e.classification;
       },
       e )
   in
@@ -438,11 +449,6 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
       in
       let root = Profile.finish profile in
       let qerror = Profile.max_qerror root in
-      let classification =
-        match Hypergraph.classify ordered.Query.body with
-        | Hypergraph.Acyclic _ -> "acyclic"
-        | Hypergraph.Cyclic -> "cyclic"
-      in
       if not (Float.is_nan qerror) then Metrics.observe estimate_qerror_h qerror;
       let ms = Budget.elapsed_ms clock in
       Metrics.incr analyze_requests_total;
@@ -464,7 +470,7 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
           an_cost = cost;
           an_candidates = List.length r.Corecover.rewritings;
           an_answers = Vplan_relational.Relation.cardinality answers;
-          an_classification = classification;
+          an_classification = classification ordered;
           an_qerror = qerror;
           an_profile = root;
           an_ms = ms;

@@ -68,6 +68,9 @@ type reply = {
   reply_ms : float;  (** wall-clock latency of resolving this request *)
   reply_lines : Reply_template.t;
   reply_names : string array;  (** the caller's name for each slot *)
+  reply_classification : string;
+      (** the query's GYO class, ["acyclic"] or ["cyclic"]: computed
+          once per cache entry, on the canonical query *)
 }
 
 type latency = {
@@ -172,6 +175,10 @@ val rewrite :
   t ->
   Query.t ->
   outcome
+
+(** [classification q] — the GYO class of [q]'s body, ["acyclic"] or
+    ["cyclic"], as the flight recorder labels requests. *)
+val classification : Query.t -> string
 
 (** [rewrite_reply t query] is {!rewrite}'s request, answered as a
     {!reply}: the same cache, counters and budgets, without building

@@ -178,6 +178,108 @@ let protocol_replies_match_format () =
   check "bypass" [ "rewrite " ^ uncacheable ] "bypass" [ uncacheable ];
   Sys.remove file
 
+(* [n] unary subgoals over p1..pn, against a catalog with one view per
+   pair of them: every perfect matching of the subgoals is a minimal
+   rewriting, so n = 8 answers 105 lines (about 20 KB) and n = 10 answers
+   945 (about 230 KB).  [name] spells the variables, so two spellings of
+   one [n] are isomorphic. *)
+let pair_views =
+  List.concat
+    (List.init 10 (fun i ->
+         List.init (9 - i) (fun d ->
+             let i = i + 1 in
+             let j = i + d + 1 in
+             q (Printf.sprintf "w%d_%d(A, B) :- p%d(A), p%d(B)." i j i j))))
+
+let pairs_query ?(name = Printf.sprintf "Variable%d") n =
+  let vars = List.init n (fun i -> name (i + 1)) in
+  Printf.sprintf "q(%s) :- %s." (String.concat ", " vars)
+    (String.concat ", " (List.mapi (fun i x -> Printf.sprintf "p%d(%s)" (i + 1) x) vars))
+
+(* The recorder's label comes from the cache entry, classified once on
+   the canonical query; a hit must still carry the caller's class. *)
+let protocol_hit_classification () =
+  let triangle = q "e(A, B) :- edge(A, B)." in
+  let shared = Protocol.create_shared ~domains:1 () in
+  let file = write_views ~tag:"class" (triangle :: Car_loc_part.views) in
+  load_catalog shared file;
+  let sess = Protocol.new_session shared in
+  let label rule =
+    match Hypergraph.classify (q rule).Query.body with
+    | Hypergraph.Acyclic _ -> "acyclic"
+    | Hypergraph.Cyclic -> "cyclic"
+  in
+  let hit_class rule =
+    let line = first_line (Protocol.handle_lines shared sess [ "rewrite " ^ rule ]) in
+    match Scanf.sscanf_opt line "ok %d hit trace=%d" (fun _ t -> t) with
+    | None -> Alcotest.failf "expected a hit, got %s" line
+    | Some trace -> (
+        match Recorder.find_trace trace with
+        | Some r -> r.Recorder.classification
+        | None -> Alcotest.failf "trace %d not recorded" trace)
+  in
+  List.iter
+    (fun (miss, hit, want) ->
+      ignore (Protocol.handle_lines shared sess [ "rewrite " ^ miss ]);
+      Alcotest.(check string) (want ^ " label") want (label hit);
+      Alcotest.(check string) (want ^ " hit") want (hit_class hit))
+    [
+      ( "q1(S, C) :- car(M, anderson), loc(anderson, C), part(S, M, C).",
+        "q1(P, K) :- part(P, N, K), loc(anderson, K), car(N, anderson).",
+        "acyclic" );
+      ( "t(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(Z, X).",
+        "t(B, C, A) :- edge(A, B), edge(C, A), edge(B, C).",
+        "cyclic" );
+    ];
+  Sys.remove file
+
+let protocol_contains_sub () =
+  let yes what s sub = check_bool what true (Protocol.contains_sub s sub) in
+  let no what s sub = check_bool what false (Protocol.contains_sub s sub) in
+  yes "empty needle" "kind=rewrite" "";
+  yes "empty needle, empty haystack" "" "";
+  yes "match at the start" "kind=rewrite" "kind";
+  yes "match at the end" "kind=rewrite" "rewrite";
+  yes "whole string" "rewrite" "rewrite";
+  no "no match" "kind=rewrite" "plan";
+  no "needle runs past the end" "kind=rewrite" "rewrites";
+  no "longer than the haystack" "ab" "abc";
+  no "empty haystack" "" "a"
+
+(* A hit through the retained-buffer path allocates nothing the size of
+   its reply: the reply is rendered into the caller's buffer and framed
+   in place.  Words allocated straight into the major heap (blocks over
+   256 words, which the minor heap never takes) are [major - promoted];
+   a copy of the ~20 KB reply alone would be about 2.5k of them. *)
+let protocol_hit_allocation () =
+  let shared = Protocol.create_shared ~domains:1 () in
+  let file = write_views ~tag:"alloc" pair_views in
+  load_catalog shared file;
+  let sess = Protocol.new_session shared in
+  let buf = Net_server.reply_buffer () in
+  let lines = [ "rewrite " ^ pairs_query 8 ] in
+  let serve () =
+    ignore (Protocol.handle_lines_into shared sess buf lines);
+    Net_server.frame buf;
+    let n = Buffer.length buf in
+    Net_server.recycle buf;
+    n
+  in
+  (* the miss, then one hit to grow the retained buffers *)
+  ignore (serve ());
+  let size = serve () in
+  check_bool "reply over 2 KB" true (size > 2048);
+  let hits = 100 in
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to hits do
+    ignore (serve ())
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int hits in
+  if direct >= 256. then
+    Alcotest.failf "%.0f direct-major words per hit (reply %d bytes)" direct size;
+  Sys.remove file
+
 (* ------------------------------------------------------------------ *)
 (* Net_server fixtures                                                 *)
 
@@ -187,12 +289,7 @@ let with_protocol_server ?(workers = 2) ?(queue = 64) ?max_requests ~views f =
   let shared = Protocol.create_shared ~domains:1 () in
   let file = write_views ~tag:"srv" views in
   load_catalog shared file;
-  let handler () =
-    let sess = Protocol.new_session shared in
-    fun lines ->
-      let reply = Protocol.handle_lines shared sess lines in
-      { Net_server.body = reply.Protocol.text; close = reply.Protocol.close }
-  in
+  let handler () = Protocol.handle_lines_into shared (Protocol.new_session shared) in
   let srv =
     Net_server.create ~workers ~queue_capacity:queue ?max_requests
       ~extra_lines:Protocol.extra_lines ~handler ()
@@ -259,6 +356,125 @@ let server_survives_disconnect () =
       | [] -> Alcotest.fail "empty response");
       Loadgen.Client.close c)
 
+(* A raw client: the exact bytes the server writes, terminators
+   included. *)
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  fd
+
+(* Send one request line, then read until [len] bytes have arrived or
+   the server closes. *)
+let raw_exchange fd request len =
+  let line = request ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let got = Bytes.create len in
+  let rec go off =
+    if off = len then off
+    else match Unix.read fd got off (len - off) with 0 -> off | n -> go (off + n)
+  in
+  Bytes.sub_string got 0 (go 0)
+
+let framed text =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf text;
+  Net_server.frame buf;
+  Buffer.contents buf
+
+(* Each reply on the wire is [frame] of what [Protocol.handle_lines]
+   answers a reference server fed the same requests.  One worker serves
+   every request from one retained buffer: a reply over 100 KB (more
+   than the buffer's initial size and the 64 KiB write chunk), then
+   shorter ones, so a stale byte of an earlier reply would show.  [quit]
+   answers the empty body. *)
+let server_large_then_short () =
+  with_protocol_server ~workers:1 ~views:pair_views (fun port _shared ->
+      let reference = Protocol.create_shared ~domains:1 () in
+      let file = write_views ~tag:"ref" pair_views in
+      load_catalog reference file;
+      let rsess = Protocol.new_session reference in
+      let fd = raw_connect port in
+      let big = "rewrite " ^ pairs_query 10 in
+      List.iter
+        (fun request ->
+          let want = framed (Protocol.handle_lines reference rsess [ request ]).Protocol.text in
+          if request == big then check_bool "reply over 100 KB" true (String.length want > 100_000);
+          Alcotest.(check string) request want (raw_exchange fd request (String.length want)))
+        [
+          big;
+          "rewrite " ^ pairs_query 2;
+          "rewrite " ^ pairs_query ~name:(Printf.sprintf "Y%d") 10;
+          "health";
+          "quit";
+        ];
+      check_bool "closed after quit" true (Unix.read fd (Bytes.create 1) 0 1 = 0);
+      Unix.close fd;
+      Sys.remove file)
+
+(* A bare [Net_server] whose request function writes the bodies the
+   framing and fault rules are about, from one worker. *)
+let filler = String.make 999 'x' ^ "\n"
+
+let with_body_server f =
+  let handler () buf = function
+    | [ "empty" ] -> false
+    | [ "bare" ] ->
+        Buffer.add_string buf "no newline";
+        false
+    | [ "lines"; n ] ->
+        for _ = 1 to int_of_string n do
+          Buffer.add_string buf filler
+        done;
+        false
+    | [ "boom" ] ->
+        Buffer.add_string buf "partial output\n";
+        failwith "boom"
+    | _ ->
+        Buffer.add_string buf "ok\n";
+        false
+  in
+  let extra_lines l = if String.starts_with ~prefix:"lines" l then 1 else 0 in
+  let srv = Net_server.create ~workers:1 ~extra_lines ~handler () in
+  let d = Domain.spawn (fun () -> Net_server.run srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Net_server.stop srv;
+      Domain.join d)
+    (fun () -> f (Net_server.port srv))
+
+(* An empty body is framed as ".", an unterminated one gains its
+   newline; a 2 MB reply (past the 1 MiB ceiling, so the buffer drops
+   back to its initial size) is followed by a short one. *)
+let server_framing () =
+  with_body_server (fun port ->
+      let fd = raw_connect port in
+      let lines n = String.concat "" (List.init n (fun _ -> filler)) in
+      List.iter
+        (fun (request, body) ->
+          let want = framed body in
+          Alcotest.(check string) request want (raw_exchange fd request (String.length want)))
+        [
+          ("lines\n120", lines 120);
+          ("bare", "no newline");
+          ("empty", "");
+          ("lines\n2100", lines 2100);
+          ("ok", "ok\n");
+          ("bare", "no newline");
+        ];
+      Unix.close fd)
+
+(* A request function that writes part of a reply and then raises: the
+   wire carries exactly the internal error, and the connection's next
+   request is answered cleanly. *)
+let server_handler_raises () =
+  with_body_server (fun port ->
+      let fd = raw_connect port in
+      let want = "err internal: Failure(\"boom\")\n.\n" in
+      Alcotest.(check string) "error only" want (raw_exchange fd "boom" (String.length want));
+      Alcotest.(check string) "next is clean" "ok\n.\n" (raw_exchange fd "ok" 5);
+      Unix.close fd)
+
 (* Per-connection request budget: the budget is the connection's, not
    the process's — a fresh connection starts fresh. *)
 let server_request_budget () =
@@ -294,13 +510,14 @@ let server_request_budget () =
 let server_sheds_when_full () =
   let gate = Atomic.make false in
   let handler () =
-   fun lines ->
+   fun buf lines ->
     (match lines with
     | [ "slow" ] ->
         let rec wait () = if not (Atomic.get gate) then (Unix.sleepf 0.005; wait ()) in
         wait ()
     | _ -> ());
-    { Net_server.body = "ok done\n"; close = false }
+    Buffer.add_string buf "ok done\n";
+    false
   in
   let srv = Net_server.create ~workers:1 ~queue_capacity:1 ~handler () in
   let d = Domain.spawn (fun () -> Net_server.run srv) in
@@ -435,8 +652,20 @@ let suite =
       protocol_extra_lines;
     Alcotest.test_case "protocol: rewrite replies = Format of the outcome" `Quick
       protocol_replies_match_format;
+    Alcotest.test_case "protocol: a hit's recorder class is the caller's" `Quick
+      protocol_hit_classification;
+    Alcotest.test_case "protocol: contains_sub compares in place" `Quick
+      protocol_contains_sub;
+    Alcotest.test_case "protocol: a hit allocates no reply-sized block" `Quick
+      protocol_hit_allocation;
     Alcotest.test_case "tcp: roundtrip, hit attribution, batch, quit" `Quick
       server_roundtrip;
+    Alcotest.test_case "tcp: large reply then short ones = frame of handle_lines"
+      `Quick server_large_then_short;
+    Alcotest.test_case "tcp: empty, unterminated and oversized bodies" `Quick
+      server_framing;
+    Alcotest.test_case "tcp: a raising handler yields only err internal" `Quick
+      server_handler_raises;
     Alcotest.test_case "tcp: client disconnect is contained" `Quick
       server_survives_disconnect;
     Alcotest.test_case "tcp: per-connection request budget" `Quick
