@@ -65,7 +65,6 @@ module Parallel = Vplan_parallel.Parallel
 (* view machinery *)
 module View = Vplan_views.View
 module Expansion = Vplan_views.Expansion
-module Canonical = Vplan_views.Canonical
 module View_tuple = Vplan_views.View_tuple
 module Materialize = Vplan_views.Materialize
 module Equiv_class = Vplan_views.Equiv_class

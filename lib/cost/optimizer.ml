@@ -4,7 +4,7 @@ open Vplan_rewrite
 
 type t = {
   views : View.t list;
-  view_classes : View.t list list option;
+  view_classes : View_tuple.Classes.t option;
   base : Vplan_relational.Database.t;
   est : Estimate.t;
   image : Vplan_exec.Interned.t option Atomic.t;

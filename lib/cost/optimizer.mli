@@ -22,10 +22,10 @@ type t
 (** [create ~views base] — a planning context for [views] over [base].
     [stats] are [base]'s statistics, collected here when absent;
     [view_classes], when given, is the equivalence-class partition of
-    [views] CoreCover{^ *} reuses instead of regrouping (see
-    {!Vplan_rewrite.Corecover.all_minimal}). *)
+    [views], representatives compiled, that CoreCover{^ *} reuses
+    instead of regrouping (see {!Vplan_rewrite.Corecover.all_minimal}). *)
 val create :
-  ?view_classes:View.t list list ->
+  ?view_classes:View_tuple.Classes.t ->
   ?stats:Vplan_stats.Stats.t ->
   views:View.t list ->
   Database.t ->

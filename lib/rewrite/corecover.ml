@@ -28,12 +28,13 @@ type result = {
   stats : stats;
 }
 
-(* Steps 1-3 of both variants: minimize, compute view tuples over the
-   canonical database, compute tuple-cores, group views into equivalence
-   classes and view tuples into same-core classes, and keep one
-   representative (view tuple, core) pair per class.  The budget is the
-   same object throughout, so a deadline tripping in any stage (or any
-   worker domain) stops the remaining ones at their next tick. *)
+(* Steps 1-3 of both variants: minimize, group views into equivalence
+   classes, compute view tuples by matching the representatives'
+   compiled bodies into the query, compute tuple-cores, group view
+   tuples into same-core classes, and keep one representative (view
+   tuple, core) pair per class.  The budget is the same object
+   throughout, so a deadline tripping in any stage (or any worker
+   domain) stops the remaining ones at their next tick. *)
 let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
   let qm = Obs.phase "minimize" (fun () -> Minimize.minimize ?budget query) in
   (* Subgoal sets are bitmasks in a native int ([Tuple_core.mask], the
@@ -46,28 +47,29 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
               subgoals = List.length qm.Query.body;
               max_subgoals = Sys.int_size - 1;
             }));
-  let view_classes =
+  let classes =
     Obs.phase "view_classes" (fun () ->
-        (* a resident catalog (lib/service) groups its views once and
-           passes the classes in; per-call grouping is the cold-start
-           path *)
+        (* a resident catalog (lib/service) groups and compiles its views
+           once and passes the classes in; per-call grouping is the
+           cold-start path *)
         let classes =
           match view_classes with
           | Some classes -> classes
           | None ->
-              if group_views then Equiv_class.group_views ?budget ~buckets views
-              else List.map (fun v -> [ v ]) views
+              View_tuple.Classes.compile
+                (if group_views then Equiv_class.group_views ?budget ~buckets views
+                 else List.map (fun v -> [ v ]) views)
         in
-        Trace.annotate "classes" (float_of_int (List.length classes));
+        Trace.annotate "classes"
+          (float_of_int (List.length (View_tuple.Classes.members classes)));
         classes)
   in
-  let representative_views = Equiv_class.representatives view_classes in
-  let view_tuples = View_tuple.compute ?budget ~domains ~query:qm representative_views in
+  let code, coded = View_tuple.compute_coded ?budget ~domains ~query:qm classes in
+  let view_tuples = List.map (fun (tv : View_tuple.coded) -> tv.tuple) coded in
   let tuple_classes =
     Obs.phase "tuple_cores" (fun () ->
         let with_cores =
-          List.combine view_tuples
-            (Tuple_core.cores ?budget ~domains ~query:qm view_tuples)
+          List.combine view_tuples (Tuple_core.cores ?budget ~domains code coded)
         in
         (* [same_cover] is mask equality, so hash-bucketing by mask gives
            the same classes in one probe per tuple instead of a pairwise
@@ -85,7 +87,7 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
         classes)
   in
   let reps = Equiv_class.representatives tuple_classes in
-  (qm, view_classes, view_tuples, tuple_classes, reps)
+  (qm, View_tuple.Classes.members classes, view_tuples, tuple_classes, reps)
 
 let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
     ~covers_of =

@@ -62,14 +62,16 @@ type result = {
 
     [group_views] (default [true]) groups equivalent views first.
     [view_classes] supplies a precomputed equivalence-class partition of
-    [views] (as built once by a resident {e catalog},
-    {!Vplan_service.Catalog}), skipping the per-call grouping entirely;
-    when present it overrides [group_views]/[buckets] for that stage.
-    The caller must guarantee the classes partition exactly [views] under
-    view equivalence — the result is then identical to grouping in-call.
+    [views] with each class's representative already compiled for
+    view-tuple matching ({!View_tuple.Classes.t}, as built once by a
+    resident {e catalog}, {!Vplan_service.Catalog}), skipping the
+    per-call grouping and compilation entirely; when present it
+    overrides [group_views]/[buckets] for that stage.  The caller must
+    guarantee the classes partition exactly [views] under view
+    equivalence — the result is then identical to grouping in-call.
     [buckets] (default [true]) buckets views by canonical signature before
     the pairwise equivalence checks and view tuples by core bitmask.
-    [domains] (default 1) fans the per-view evaluation and per-tuple core
+    [domains] (default 1) fans the per-view matching and per-tuple core
     computation across that many domains.
     All three toggles are pure performance knobs: every combination returns
     the same [result].
@@ -90,7 +92,7 @@ type result = {
     i.e. 62 on 64-bit) — an input error, raised even under a budget. *)
 val gmrs :
   ?budget:Vplan_core.Budget.t ->
-  ?view_classes:View.t list list ->
+  ?view_classes:View_tuple.Classes.t ->
   ?max_covers:int ->
   ?group_views:bool ->
   ?buckets:bool ->
@@ -110,7 +112,7 @@ val gmrs :
     {!gmrs}. *)
 val all_minimal :
   ?budget:Vplan_core.Budget.t ->
-  ?view_classes:View.t list list ->
+  ?view_classes:View_tuple.Classes.t ->
   ?group_views:bool ->
   ?buckets:bool ->
   ?domains:int ->

@@ -15,6 +15,13 @@ let check_query = Alcotest.check query_testable
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 
+(* every view tuple of [views] on [query], each with its tuple-core *)
+let tuples_with_cores ~query views =
+  let code, coded = View_tuple.compute_coded ~query (View_tuple.Classes.of_views views) in
+  List.combine
+    (List.map (fun (tv : View_tuple.coded) -> tv.tuple) coded)
+    (Tuple_core.cores code coded)
+
 (* The car-loc-part example (Example 1.1), used throughout the paper. *)
 module Car_loc_part = struct
   let query = q "q1(S, C) :- car(M, anderson), loc(anderson, C), part(S, M, C)."

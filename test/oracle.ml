@@ -75,6 +75,55 @@ let query_safety head body =
       (Format.asprintf "unsafe query: head variable(s) %s not in body"
          (String.concat ", " (Names.Sset.elements missing)))
 
+(* The canonical database of a query (Section 3.3): every variable is
+   frozen to a distinct constant and each body atom becomes a fact.
+   Frozen constants are spelled "@x" for variable x; the parser accepts
+   neither '@' in identifiers nor variables starting lower-case, so they
+   cannot collide with constants of queries or views.  Applying the
+   views to [D_Q] and thawing the answers is the textbook definition of
+   the view tuples production code computes by matching. *)
+module Canonical = struct
+  type t = {
+    db : Database.t;
+    back : Term.t Names.Smap.t;  (* frozen spelling -> original variable *)
+  }
+
+  let frozen_term = function Term.Cst c -> c | Term.Var x -> Term.Str ("@" ^ x)
+
+  let freeze (q : Query.t) =
+    let back =
+      List.fold_left
+        (fun m x -> Names.Smap.add ("@" ^ x) (Term.Var x) m)
+        Names.Smap.empty (Query.vars q)
+    in
+    let db =
+      List.fold_left
+        (fun db (a : Atom.t) -> Database.add_fact a.pred (List.map frozen_term a.args) db)
+        Database.empty q.body
+    in
+    { db; back }
+
+  let database t = t.db
+
+  let thaw_const t c =
+    match c with
+    | Term.Str s -> Option.value ~default:(Term.Cst c) (Names.Smap.find_opt s t.back)
+    | Term.Int _ -> Term.Cst c
+
+  let thaw_tuple t tuple = List.map (thaw_const t) tuple
+
+  (* [T(Q,V)] by [evaluate] over [D_Q], view by view, each view's
+     answers thawed in the relation's order *)
+  let view_tuples ~evaluate ~query views =
+    let c = freeze query in
+    List.concat_map
+      (fun v ->
+        List.map
+          (fun tuple -> Atom.make (View.name v) (thaw_tuple c tuple))
+          (Relation.tuples (evaluate c.db v)))
+      views
+end
+
 (* The naive GMR search of Theorem 3.1, the oracle for CoreCover: try
    every combination of 1, 2, ... view tuples as a candidate body,
    testing expansion-equivalence with the query, and stop at the first
@@ -127,8 +176,8 @@ module View_selection = struct
     let qm = Minimize.minimize query in
     List.filter
       (fun view ->
-        Tuple_core.cores ~query:qm (View_tuple.compute ~query:qm [ view ])
-        |> List.exists (fun core -> not (Tuple_core.is_empty core)))
+        Helpers.tuples_with_cores ~query:qm [ view ]
+        |> List.exists (fun (_, core) -> not (Tuple_core.is_empty core)))
       views
 
   (* [None] when even the full set admits no rewriting *)

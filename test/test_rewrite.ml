@@ -7,12 +7,10 @@ open Helpers
 (* ---------------- tuple-cores ---------------- *)
 
 let core_strings ~query ~views =
-  let tvs = View_tuple.compute ~query views in
-  List.map2
-    (fun tv (core : Tuple_core.t) ->
+  List.map
+    (fun (tv, (core : Tuple_core.t)) ->
       (Atom.to_string tv.View_tuple.atom, List.map Atom.to_string core.subgoals))
-    tvs
-    (Tuple_core.cores ~query tvs)
+    (tuples_with_cores ~query views)
 
 let test_table2_tuple_cores () =
   (* Table 2 of the paper, verbatim *)
@@ -73,9 +71,8 @@ let test_tuple_core_mapping_is_witness () =
   List.iter
     (fun (query, views) ->
       let query = Minimize.minimize query in
-      let tvs = View_tuple.compute ~query views in
-      List.iter2
-        (fun tv (core : Tuple_core.t) ->
+      List.iter
+        (fun (tv, (core : Tuple_core.t)) ->
           let witness = Oracle.Tuple_core.compute ~query tv in
           check_int "same cover as the enumerator" witness.mask core.mask;
           let expansion, _ = Oracle.Tuple_core.expansion ~avoid:(Query.var_set query) tv in
@@ -86,8 +83,7 @@ let test_tuple_core_mapping_is_witness () =
                 true
                 (List.exists (Atom.equal (Atom.apply witness.mapping g)) expansion))
             core.subgoals)
-        tvs
-        (Tuple_core.cores ~query tvs))
+        (tuples_with_cores ~query views))
     checks;
   (* the free-variable instance has a nonempty core *)
   let query = q "q(X) :- a(X, Z), b(Z)." in
@@ -112,6 +108,69 @@ let test_existential_closure_drags_subgoals () =
   Alcotest.(check (list string)) "v cannot cover p alone" [] (List.assoc "v(X)" cores);
   Alcotest.(check (list string)) "w covers both" [ "p(X,Z)"; "r(Z,Y)" ]
     (List.assoc "w(X,Y)" cores)
+
+(* ---------------- allocation guards ---------------- *)
+
+(* Minor words allocated by [f] (run once first, so nothing lazy is
+   counted), which is deterministic where wall-clock time under a loaded
+   machine is not. *)
+let words f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  let result = f () in
+  (result, Gc.minor_words () -. w0)
+
+(* An 8-subgoal star query over a star catalog of 40 views, one hidden
+   variable per view, so cores have existentials to place. *)
+let star_catalog () =
+  let inst =
+    Generator.generate
+      {
+        Generator.default with
+        shape = Generator.Star;
+        num_views = 40;
+        nondistinguished_per_view = 1;
+      }
+  in
+  (Minimize.minimize inst.Generator.query, Catalog.create_exn inst.views)
+
+(* Tuple-cores write each tuple's expansion into scratch arrays reused
+   across the tuples: a tuple allocates its returned core and its list
+   cells, not an expansion, a target list or a search record. *)
+let test_cores_allocation_guard () =
+  let query, cat = star_catalog () in
+  let code, coded = View_tuple.compute_coded ~query (Catalog.view_classes cat) in
+  let n = List.length coded in
+  check_bool "enough tuples to measure" true (n >= 10);
+  let cores, w = words (fun () -> Tuple_core.cores code coded) in
+  check_bool "some core has an existential to place" true
+    (List.exists2
+       (fun (tv : View_tuple.coded) (c : Tuple_core.t) ->
+         View_tuple.Pattern.num_vars tv.pattern > View_tuple.Pattern.num_head_vars tv.pattern
+         && not (Tuple_core.is_empty c))
+       coded cores);
+  check_bool
+    (Printf.sprintf "at most 150 words per tuple (%.0f words, %d tuples)" w n)
+    true
+    (w /. float_of_int n <= 150.)
+
+(* A catalog compiles its representatives once: matching through its
+   classes allocates less than matching the same classes compiled in
+   the call. *)
+let test_catalog_matching_allocation_guard () =
+  let query, cat = star_catalog () in
+  let members = View_tuple.Classes.members (Catalog.view_classes cat) in
+  let atoms (_, coded) = List.map (fun (tv : View_tuple.coded) -> tv.tuple.atom) coded in
+  let resident, w_resident =
+    words (fun () -> View_tuple.compute_coded ~query (Catalog.view_classes cat))
+  in
+  let in_call, w_in_call =
+    words (fun () -> View_tuple.compute_coded ~query (View_tuple.Classes.compile members))
+  in
+  check_bool "same tuples" true (List.equal Atom.equal (atoms resident) (atoms in_call));
+  check_bool
+    (Printf.sprintf "resident %.0f words < compiled in the call %.0f words" w_resident w_in_call)
+    true (w_resident < w_in_call)
 
 (* ---------------- set cover ---------------- *)
 
@@ -371,6 +430,8 @@ let suite =
     ("tuple-core mapping witness", `Quick, test_tuple_core_mapping_is_witness);
     ("distinguished variable blocks core", `Quick, test_distinguished_blocks_core);
     ("existential closure (property 3)", `Quick, test_existential_closure_drags_subgoals);
+    ("tuple-cores allocate no expansion per tuple", `Quick, test_cores_allocation_guard);
+    ("catalog classes match without compiling", `Quick, test_catalog_matching_allocation_guard);
     ("minimum covers", `Quick, test_minimum_covers);
     ("multiple minimum covers", `Quick, test_minimum_covers_multiple);
     ("no cover", `Quick, test_no_cover);

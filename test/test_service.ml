@@ -110,6 +110,7 @@ let sorted_classes classes =
          | _ -> compare c1 c2)
 
 let same_partition c1 c2 = sorted_classes c1 = sorted_classes c2
+let classes cat = View_tuple.Classes.members (Catalog.view_classes cat)
 
 let catalog_incremental_add () =
   let all = Car_loc_part.views in
@@ -123,7 +124,7 @@ let catalog_incremental_add () =
   check_int "generation bumped" 2 (Catalog.generation grown);
   check_int "all views present" (List.length all) (Catalog.num_views grown);
   check_bool "incremental = from scratch (as classes, in order)" true
-    (Catalog.view_classes scratch = Catalog.view_classes grown);
+    (classes scratch = classes grown);
   (* v1 and v5 are equivalent: 5 views, 4 classes *)
   check_int "classes" 4 (Catalog.num_classes scratch)
 
@@ -138,7 +139,8 @@ let catalog_remove () =
   check_int "member gone" 4 (Catalog.num_views without);
   let scratch = Catalog.create_exn (List.filter (fun v -> View.name v <> "v1") Car_loc_part.views) in
   check_bool "partition equal to from-scratch grouping" true
-    (same_partition (Catalog.view_classes without) (Catalog.view_classes scratch));
+    (same_partition (classes without) (classes scratch));
+  check_bool "in the same class and member order" true (classes without = classes scratch);
   (match Catalog.remove_views cat [ "nope" ] with
   | Ok _ -> Alcotest.fail "removing an unknown view must fail"
   | Error _ -> ());
@@ -156,6 +158,77 @@ let catalog_classes_drive_corecover () =
   check_bool "same rewritings" true
     (List.for_all2 Query.equal with_catalog.Corecover.rewritings
        without.Corecover.rewritings)
+
+(* A catalog grown by [add_views], shrunk by [remove_views] (class
+   representatives included, so their classes fall to their next
+   members) and restored from its persisted parts renders CoreCover's
+   output byte for byte as a catalog built from scratch on its view
+   list: the same rewritings, atoms in the same order, and the same
+   representative view tuples and cores. *)
+let catalog_generations_render_as_scratch () =
+  let inst query_subgoals =
+    Generator.generate
+      {
+        Generator.default with
+        shape = Generator.Star;
+        query_subgoals;
+        num_views = 40;
+        nondistinguished_per_view = 1;
+      }
+  in
+  let views = (inst 8).Generator.views in
+  let queries = List.map (fun n -> (inst n).Generator.query) [ 3; 4; 5; 6; 7; 8 ] in
+  let rendered cat =
+    List.concat_map
+      (fun query ->
+        let r =
+          Corecover.gmrs ~view_classes:(Catalog.view_classes cat) ~query
+            ~views:(Catalog.views cat) ()
+        in
+        List.map Query.to_string r.Corecover.rewritings
+        @ List.map
+            (fun (tv, core) ->
+              Format.asprintf "%a covers %a" View_tuple.pp tv Tuple_core.pp core)
+            r.Corecover.cores)
+      queries
+  in
+  let check step cat =
+    Alcotest.(check (list string))
+      step
+      (rendered (Catalog.create_exn (Catalog.views cat)))
+      (rendered cat)
+  in
+  let ok = function Ok c -> c | Error e -> Alcotest.fail e in
+  let first = List.filteri (fun i _ -> i < 20) views
+  and rest = List.filteri (fun i _ -> i >= 20) views in
+  let grown = ok (Catalog.add_views (Catalog.create_exn first) rest) in
+  check "add" grown;
+  (* the representative of every class with another member goes, and
+     every third single-member class *)
+  let removed =
+    List.concat
+      (List.mapi
+         (fun i cls ->
+           match cls with
+           | rep :: _ :: _ -> [ View.name rep ]
+           | [ v ] when i mod 3 = 1 -> [ View.name v ]
+           | _ -> [])
+         (classes grown))
+  in
+  check_bool "a representative with a successor is removed" true
+    (List.exists (fun cls -> List.length cls > 1) (classes grown));
+  let shrunk = ok (Catalog.remove_views grown removed) in
+  check "remove" shrunk;
+  let restored =
+    ok
+      (Catalog.restore ~generation:(Catalog.generation shrunk) ~views:(Catalog.views shrunk)
+         ~keyed:(Catalog.keyed shrunk))
+  in
+  check "restore" restored;
+  check "add back"
+    (ok
+       (Catalog.add_views restored
+          (List.filter (fun v -> List.mem (View.name v) removed) views)))
 
 (* ------------------------------------------------------------------ *)
 (* Service: cache correctness                                          *)
@@ -527,6 +600,8 @@ let suite =
     Alcotest.test_case "catalog: incremental add = from scratch" `Quick
       catalog_incremental_add;
     Alcotest.test_case "catalog: remove and errors" `Quick catalog_remove;
+    Alcotest.test_case "catalog: generations render as from scratch" `Quick
+      catalog_generations_render_as_scratch;
     Alcotest.test_case "catalog classes drive corecover" `Quick
       catalog_classes_drive_corecover;
     Alcotest.test_case "service: hit is observationally identical" `Quick

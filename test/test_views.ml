@@ -71,14 +71,15 @@ let test_rewritings_not_equivalent_as_queries () =
 
 let test_canonical_database () =
   let open Car_loc_part in
-  let c = Canonical.freeze query in
-  let db = Canonical.database c in
+  let c = Oracle.Canonical.freeze query in
+  let db = Oracle.Canonical.database c in
   check_int "three facts" 3 (Database.total_size db);
   (* constants of the query stay; variables freeze and thaw back *)
-  let frozen_m = Canonical.frozen_term c (Term.Var "M") in
-  Alcotest.check term_testable "thaw variable" (Term.Var "M") (Canonical.thaw_const c frozen_m);
+  let frozen_m = Oracle.Canonical.frozen_term (Term.Var "M") in
+  Alcotest.check term_testable "thaw variable" (Term.Var "M")
+    (Oracle.Canonical.thaw_const c frozen_m);
   Alcotest.check term_testable "constant passes through" (Term.Cst (Term.Str "anderson"))
-    (Canonical.thaw_const c (Term.Str "anderson"))
+    (Oracle.Canonical.thaw_const c (Term.Str "anderson"))
 
 let test_view_tuples_carloc () =
   let open Car_loc_part in
@@ -116,6 +117,28 @@ let test_view_with_constant_no_tuple () =
   let query = q "q(X) :- e(X, Y)." in
   let views = qs [ "v(A) :- e(A, b)." ] in
   check_int "no tuples" 0 (List.length (View_tuple.compute ~query views))
+
+let test_view_head_constant_query_lacks () =
+  (* a head constant that occurs nowhere in the query is still an
+     argument of the tuple, and of the rewriting built from it *)
+  let query = q "q(X) :- r(X, Y)." in
+  List.iter
+    (fun (view, tuple, rewriting) ->
+      let views = qs [ view ] in
+      let atoms =
+        List.map (fun tv -> Atom.to_string tv.View_tuple.atom) (View_tuple.compute ~query views)
+      in
+      Alcotest.(check (list string)) "T(Q,V)" [ tuple ] atoms;
+      let cat = Catalog.create_exn views in
+      let r = Corecover.gmrs ~view_classes:(Catalog.view_classes cat) ~query ~views () in
+      Alcotest.(check (list string))
+        "GMRs" [ rewriting ]
+        (List.map Query.to_string r.rewritings))
+    [
+      ("v(X, c) :- r(X, Y).", "v(X,c)", "q(X) :- v(X,c)");
+      ("w(X, 7) :- r(X, Y).", "w(X,7)", "q(X) :- w(X,7)");
+      ("u(c, X, X, 7) :- r(X, Y).", "u(c,X,X,7)", "q(X) :- u(c,X,X,7)");
+    ]
 
 let test_view_equivalence_classes () =
   let open Car_loc_part in
@@ -177,6 +200,7 @@ let suite =
     ("view tuples Example 4.1", `Quick, test_view_tuples_example41);
     ("view tuple expansion", `Quick, test_view_tuple_expansion);
     ("view constant blocks tuple", `Quick, test_view_with_constant_no_tuple);
+    ("view head constant the query lacks", `Quick, test_view_head_constant_query_lacks);
     ("view equivalence classes", `Quick, test_view_equivalence_classes);
     ("generic grouping", `Quick, test_group_generic);
     ("materialize closed world", `Quick, test_materialize_closed_world);
