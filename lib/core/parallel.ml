@@ -27,16 +27,19 @@ let chunk_bounds ~workers n =
       let len = base + if w < extra then 1 else 0 in
       (start, start + len))
 
-let map ?budget ?(domains = 1) f xs =
+let map_init ?budget ?(domains = 1) ~init f xs =
   let n = List.length xs in
   let workers = max 1 (min domains n) in
-  if workers = 1 then List.map f xs
+  if workers = 1 then
+    let s = init () in
+    List.map (fun x -> f s x) xs
   else begin
     let arr = Array.of_list xs in
     let bounds = chunk_bounds ~workers n in
     let run_chunk w =
       let start, stop = bounds.(w) in
-      List.init (stop - start) (fun i -> f arr.(start + i))
+      let s = init () in
+      List.init (stop - start) (fun i -> f s arr.(start + i))
     in
     let attempt w =
       match run_chunk w with
@@ -77,3 +80,5 @@ let map ?budget ?(domains = 1) f xs =
         List.concat_map (function Ok r -> r | Error _ -> assert false)
           (Array.to_list results)
   end
+
+let map ?budget ?domains f xs = map_init ?budget ?domains ~init:ignore (fun () x -> f x) xs

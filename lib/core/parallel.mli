@@ -32,3 +32,14 @@ val recommended : unit -> int
     mutable state unless that state is itself domain-safe. *)
 val map :
   ?budget:Vplan_core.Budget.t -> ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+
+(** [map_init ~init f xs] is [map (f (init ())) xs], except that [init]
+    runs once per chunk, in the domain that maps the chunk: each chunk
+    gets its own ['s], such as a scratch buffer [f] may mutate. *)
+val map_init :
+  ?budget:Vplan_core.Budget.t ->
+  ?domains:int ->
+  init:(unit -> 's) ->
+  ('s -> 'a -> 'b) ->
+  'a list ->
+  'b list
