@@ -3,13 +3,15 @@ open Vplan_relational
 module Histogram = Vplan_stats.Histogram
 module Stats = Vplan_stats.Stats
 
-type relation_stats = {
+type relation = {
   card : float;
-  distinct : float array; (* per column *)
-  hists : Histogram.t option array; (* per column; [||] when not collected *)
+  distinct : float array;
+  hists : Histogram.t option array;
 }
 
-type t = relation_stats Names.Smap.t
+type t = relation Names.Smap.t
+
+let find t pred = Names.Smap.find_opt pred t
 
 let analyze db =
   List.fold_left
@@ -54,80 +56,146 @@ let of_stats stats =
       Names.Smap.add pred rs acc)
     Names.Smap.empty (Stats.bindings stats)
 
-let missing_stats = { card = 0.; distinct = [||]; hists = [||] }
+(* -- coded profiles -------------------------------------------------- *)
 
-let stats_for t pred =
-  match Names.Smap.find_opt pred t with Some s -> Some s | None -> Some missing_stats
+(* A dense variable index: the names sorted by [String.compare], so
+   index order is the key order of a [Names.Smap]; a name's code is its
+   position, found by binary search. *)
+type vars = string array
 
-(* A profile of an atom or of a join prefix: estimated cardinality plus a
-   per-variable distinct-value estimate. *)
-type profile = {
-  p_card : float;
-  p_dv : float Names.Smap.t;
-}
+(* [x] inserted into the sorted, duplicate-free [names]; [names] itself
+   when already there *)
+let rec insert x names =
+  match names with
+  | [] -> [ x ]
+  | y :: ys ->
+      let c = String.compare x y in
+      if c < 0 then x :: names
+      else if c = 0 then names
+      else
+        let ys' = insert x ys in
+        if ys' == ys then names else y :: ys'
 
-let unit_profile = { p_card = 1.; p_dv = Names.Smap.empty }
-let profile_card p = p.p_card
-let profile_width p = max 1 (Names.Smap.cardinal p.p_dv)
+let index atoms =
+  let add names = function Term.Var x -> insert x names | Term.Cst _ -> names in
+  Array.of_list (List.fold_left (fun acc (a : Atom.t) -> List.fold_left add acc a.args) [] atoms)
 
-let cap_dv card dv = Names.Smap.map (fun v -> Float.min v (Float.max card 1.)) dv
+(* [-1] when [x] is not indexed *)
+let code (vars : vars) x =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = String.compare x vars.(mid) in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length vars)
 
-(* Selections local to one atom: constants and repeated variables.
-   When the column carries a histogram, a constant's selectivity is read
+(* A profile is one float array: the cardinality, the width (variables
+   present, at least 1), then one distinct count per indexed variable,
+   [absent] where the atom or join has no such variable.  Distinct
+   counts are at least 1 or nan, never [absent]. *)
+type profile = float array
+
+let card_slot = 0
+let width_slot = 1
+let header = 2
+let absent = -1.
+
+let profile_card (p : profile) = p.(card_slot)
+let profile_width (p : profile) = int_of_float p.(width_slot)
+
+let empty_profile vars card =
+  let p = Array.make (header + Array.length vars) absent in
+  p.(card_slot) <- card;
+  p.(width_slot) <- 1.;
+  p
+
+(* Caps every present distinct count at [max card 1] and records the
+   width. *)
+let finish (p : profile) card =
+  let cap = Float.max card 1. and width = ref 0 in
+  for k = header to Array.length p - 1 do
+    let v = p.(k) in
+    if v <> absent then begin
+      p.(k) <- Float.min v cap;
+      incr width
+    end
+  done;
+  p.(width_slot) <- float_of_int (max 1 !width);
+  p
+
+let column_dv stats i = if i < Array.length stats.distinct then stats.distinct.(i) else 1.
+
+(* When the column carries a histogram, a constant's selectivity is read
    off its bucket instead of assuming a uniform 1/V(R,i). *)
-let atom_profile t (a : Atom.t) =
-  match stats_for t a.pred with
-  | None | Some { card = 0.; _ } -> { p_card = 0.; p_dv = Names.Smap.empty }
+let const_selectivity stats i c =
+  let dv = column_dv stats i in
+  match c with
+  | Term.Int n when i < Array.length stats.hists -> (
+      match stats.hists.(i) with
+      | Some h -> Histogram.eq_fraction ~distinct:(int_of_float dv) h n
+      | None -> 1. /. dv)
+  | Term.Int _ | Term.Str _ -> 1. /. dv
+
+(* Selections local to one atom: constants and repeated variables,
+   applied in argument order to the cardinality slot.  A predicate
+   without statistics, or an empty relation, has no variables. *)
+let atom_profile t vars (a : Atom.t) =
+  match find t a.pred with
+  | None -> empty_profile vars 0.
+  | Some stats when stats.card = 0. -> empty_profile vars 0.
   | Some stats ->
-      let column_dv i =
-        if i < Array.length stats.distinct then stats.distinct.(i) else 1.
-      in
-      let const_selectivity i c =
-        let dv = column_dv i in
-        let uniform = 1. /. dv in
-        match c with
-        | Term.Int n when i < Array.length stats.hists -> (
-            match stats.hists.(i) with
-            | Some h -> Histogram.eq_fraction ~distinct:(int_of_float dv) h n
-            | None -> uniform)
-        | Term.Int _ | Term.Str _ -> uniform
-      in
-      let card = ref stats.card in
-      let dv = ref Names.Smap.empty in
+      let p = empty_profile vars stats.card in
       List.iteri
         (fun i term ->
           match term with
-          | Term.Cst c -> card := !card *. const_selectivity i c
-          | Term.Var x -> (
-              match Names.Smap.find_opt x !dv with
-              | None -> dv := Names.Smap.add x (column_dv i) !dv
-              | Some existing ->
-                  (* a repeated variable within the atom: equality between
-                     two columns *)
-                  card := !card /. Float.max existing (column_dv i);
-                  dv := Names.Smap.add x (Float.min existing (column_dv i)) !dv))
+          | Term.Cst c -> p.(card_slot) <- p.(card_slot) *. const_selectivity stats i c
+          | Term.Var x ->
+              let k = code vars x in
+              if k < 0 then invalid_arg ("Estimate.atom_profile: unindexed variable " ^ x);
+              let k = header + k and dv = column_dv stats i in
+              let existing = p.(k) in
+              if existing = absent then p.(k) <- dv
+              else begin
+                (* a repeated variable within the atom: equality between
+                   two columns *)
+                p.(card_slot) <- p.(card_slot) /. Float.max existing dv;
+                p.(k) <- Float.min existing dv
+              end)
         a.args;
-      let card = Float.max !card 0. in
-      { p_card = card; p_dv = cap_dv card !dv }
+      let card = Float.max p.(card_slot) 0. in
+      p.(card_slot) <- card;
+      finish p card
 
-let join_profiles left right =
-  let shared =
-    Names.Smap.filter (fun x _ -> Names.Smap.mem x right.p_dv) left.p_dv
-  in
-  let selectivity =
-    Names.Smap.fold
-      (fun x vl acc ->
-        let vr = Names.Smap.find x right.p_dv in
-        acc /. Float.max vl vr)
-      shared 1.
-  in
-  let card = left.p_card *. right.p_card *. selectivity in
-  let dv =
-    Names.Smap.union
-      (fun _ vl vr -> Some (Float.min vl vr))
-      left.p_dv right.p_dv
-  in
-  { p_card = Float.max card 0.; p_dv = cap_dv card dv }
+(* Index order is [Names.Smap] key order, so the shared variables'
+   selectivity divides in the order the map-based fold did, and every
+   estimate is bit-identical to it. *)
+let join_profiles (l : profile) (r : profile) =
+  let p = Array.make (Array.length l) absent in
+  let selectivity = ref 1. in
+  for k = header to Array.length l - 1 do
+    let vl = l.(k) and vr = r.(k) in
+    if vl <> absent then
+      if vr <> absent then begin
+        selectivity := !selectivity /. Float.max vl vr;
+        p.(k) <- Float.min vl vr
+      end
+      else p.(k) <- vl
+    else if vr <> absent then p.(k) <- vr
+  done;
+  let card = l.(card_slot) *. r.(card_slot) *. !selectivity in
+  p.(card_slot) <- Float.max card 0.;
+  finish p card
+
+(* The profile of a join prefix, folded left to right.  Starting from
+   the first atom's profile rather than joining it to the unit profile
+   changes no bit: that join multiplies the cardinality by 1 and caps
+   the distinct counts where they are already capped. *)
+let fold_profiles t vars = function
+  | [] -> empty_profile vars 1.
+  | a :: rest ->
+      List.fold_left (fun p b -> join_profiles p (atom_profile t vars b)) (atom_profile t vars a) rest
 
 (* Estimated stats for view relations: a view's cardinality is the
    estimated size of its body join, and each head column's distinct
@@ -137,32 +205,28 @@ let join_profiles left right =
 let view_stats t views =
   List.fold_left
     (fun acc (v : Query.t) ->
-      let profile =
-        List.fold_left
-          (fun p a -> join_profiles p (atom_profile t a))
-          unit_profile v.Query.body
-      in
-      let card = profile.p_card in
+      let vars = index v.Query.body in
+      let profile = fold_profiles t vars v.Query.body in
+      let card = profile.(card_slot) in
       let distinct =
         Array.of_list
           (List.map
              (function
                | Term.Var x -> (
-                   match Names.Smap.find_opt x profile.p_dv with
-                   | Some dv -> Float.min dv (Float.max card 1.)
-                   | None -> 1.)
+                   let k = code vars x in
+                   if k >= 0 && profile.(header + k) <> absent then
+                     Float.min profile.(header + k) (Float.max card 1.)
+                   else 1.)
                | Term.Cst _ -> 1.)
              v.Query.head.Atom.args)
       in
-      Names.Smap.add v.Query.head.Atom.pred
-        { card; distinct; hists = [||] }
-        acc)
+      Names.Smap.add v.Query.head.Atom.pred { card; distinct; hists = [||] } acc)
     t views
 
 (* size(g) on estimated statistics: stored cardinality times arity —
    the estimated counterpart of [M2.relation_cells]. *)
 let relation_cells_est t (a : Atom.t) =
-  match stats_for t a.Atom.pred with
+  match find t a.Atom.pred with
   | Some s -> s.card *. float_of_int (max 1 (Atom.arity a))
   | None -> 0.
 
@@ -171,6 +235,4 @@ let relation_cells_est t (a : Atom.t) =
    supplies the order it actually ran (the fold is not associative). *)
 let cardinality t = function
   | [] -> Float.nan
-  | a :: rest ->
-      (List.fold_left (fun p b -> join_profiles p (atom_profile t b)) (atom_profile t a) rest)
-        .p_card
+  | atoms -> profile_card (fold_profiles t (index atoms) atoms)

@@ -23,6 +23,14 @@
 open Vplan_cq
 open Vplan_relational
 
+(** The statistics the catalog holds for one relation. *)
+type relation = {
+  card : float;
+  distinct : float array;  (** per column, each at least 1 *)
+  hists : Vplan_stats.Histogram.t option array;
+      (** per column; [[||]] when not collected *)
+}
+
 type t
 
 (** [analyze db] scans every relation once and builds the catalog
@@ -33,10 +41,16 @@ val analyze : Database.t -> t
     including per-column histograms. *)
 val of_stats : Vplan_stats.Stats.t -> t
 
+(** [find t pred] — the statistics of relation [pred]; [None] when the
+    catalog has none (estimated as an empty relation). *)
+val find : t -> string -> relation option
+
 (** [view_stats t views] extends [t] with estimated statistics for each
     view relation: cardinality = estimated body join size, head-column
     distinct counts read off the join profile.  Views are given as their
-    definitions; the head predicate names the view relation. *)
+    definitions; the head predicate names the view relation.  Every
+    view's body is estimated over [t] alone, never over another view's
+    new statistics. *)
 val view_stats : t -> Query.t list -> t
 
 (** [cardinality t atoms] — estimated rows of the join of [atoms], after
@@ -50,20 +64,39 @@ val cardinality : t -> Atom.t list -> float
     A profile carries the estimated cardinality and per-variable
     distinct counts of an atom or join prefix; M2's estimated
     cardinality source folds these instead of materializing intermediate
-    relations. *)
+    relations, and {!view_stats} and {!cardinality} fold the same
+    profiles.
+
+    {b Representation.}  Profiles are coded over a {!vars} index: the
+    distinct variable names of a set of atoms, numbered densely in
+    [String.compare] order.  A profile is one float array — the
+    cardinality, the width, then one distinct count per indexed
+    variable, with a marker for the variables the atom or join does not
+    contain.  Joining two profiles is one pass over the index with no
+    string comparison and one allocation.
+
+    {b Fold order.}  {!join_profiles} divides by the shared variables'
+    [max] distinct counts in index order, and [String.compare] order is
+    the key order of a [Names.Smap]: every division, [min] and cap
+    happens in the order the map-based profiles (kept as the test
+    oracle) did them, so every estimate is bit-identical to theirs. *)
+
+(** A dense variable index over a set of atoms. *)
+type vars
+
+(** [index atoms] — the index of the variables of [atoms]. *)
+val index : Atom.t list -> vars
 
 type profile
 
-(** The profile of the empty join prefix (one empty tuple). *)
-val unit_profile : profile
+(** [atom_profile t vars atom] — the atom after its local selections;
+    every variable of [atom] must be in [vars]. *)
+val atom_profile : t -> vars -> Atom.t -> profile
 
-(** [atom_profile t atom] — the atom after its local selections. *)
-val atom_profile : t -> Atom.t -> profile
-
-(** [join_profiles l r] — equi-join on the shared variables.
-    Commutative; not associative (distinct counts are capped by the
-    cardinality as they propagate), so fold in a canonical order when a
-    subset's profile must be well-defined. *)
+(** [join_profiles l r] — equi-join on the shared variables; both over
+    the same index.  Commutative; not associative (distinct counts are
+    capped by the cardinality as they propagate), so fold in a canonical
+    order when a subset's profile must be well-defined. *)
 val join_profiles : profile -> profile -> profile
 
 val profile_card : profile -> float

@@ -47,6 +47,7 @@ type source =
 let exact ?memo img = Exact { img; memo }
 let estimated est = Estimated est
 let memo = function Exact { memo; _ } -> memo | Estimated _ -> None
+let estimator = function Estimated est -> Some est | Exact _ -> None
 
 let atom_cells = function
   | Exact { img; _ } -> fun a -> float_of_int (relation_cells img a)
@@ -54,24 +55,100 @@ let atom_cells = function
 
 (* Summed smallest first, so the float total does not depend on the
    order the atoms arrive in. *)
-let relation_total src atoms =
-  Array.map (atom_cells src) atoms
-  |> Array.to_list |> List.sort Float.compare
-  |> List.fold_left ( +. ) 0.
+let sum_cells cells =
+  Array.sort Float.compare cells;
+  Array.fold_left ( +. ) 0. cells
+
+let relation_total src atoms = sum_cells (Array.map (atom_cells src) atoms)
+
+(* -- layouts and prepared bodies ------------------------------------ *)
 
 (* Canonical atom indexing (sorted by rendering, ties by position): a
    subset of a body is a bitmask over it.  The memo's keys read subsets
    off in this order, so candidates sharing an atom set share entries;
    and the estimated source folds profiles along it, pinning the
-   non-associative [Estimate.join_profiles] to one value per subset. *)
-let canonical body =
-  let n = List.length body in
-  if n > max_subgoals then width_limit n;
-  let atoms = Array.of_list body in
-  let ids = Array.map Atom.to_string atoms in
-  let perm = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> String.compare ids.(i) ids.(j)) perm;
-  Array.map (fun i -> atoms.(i)) perm
+   non-associative [Estimate.join_profiles] to one value per subset.
+
+   A layout lays a set of bodies out at once, rendering each distinct
+   atom once; each body's canonical order sorts its positions by those
+   renderings. *)
+type layout = {
+  reps : Atom.t array;  (* each distinct atom once *)
+  keys : string array;  (* its rendering *)
+  laid : (Atom.t array * int array) list;
+      (* per body: its atoms in canonical order, and their distinct ids *)
+}
+
+let layout bodies =
+  let ids = Hashtbl.create 64 and reps = ref [] and count = ref 0 in
+  let id_of a =
+    match Hashtbl.find_opt ids a with
+    | Some i -> i
+    | None ->
+        let i = !count in
+        Hashtbl.add ids a i;
+        reps := a :: !reps;
+        incr count;
+        i
+  in
+  let raw =
+    List.map
+      (fun body ->
+        let n = List.length body in
+        if n > max_subgoals then width_limit n;
+        let atoms = Array.of_list body in
+        (atoms, Array.map id_of atoms))
+      bodies
+  in
+  let reps = Array.of_list (List.rev !reps) in
+  let keys = Array.map Atom.to_string reps in
+  let canonical (atoms, ids) =
+    let perm = Array.init (Array.length atoms) Fun.id in
+    Array.stable_sort (fun i j -> String.compare keys.(ids.(i)) keys.(ids.(j))) perm;
+    (Array.map (fun i -> atoms.(i)) perm, Array.map (fun i -> ids.(i)) perm)
+  in
+  { reps; keys; laid = List.map canonical raw }
+
+(* A body prepared under one source.  Its subset sizes are built on
+   first use and then filled state by state: [single] serves the costing
+   of single orders, [dp] the DP.  They are one table for the estimated
+   source; for the exact source only the DP's shares the memo, so
+   costing a single order (a seed, a ranking key) never moves the
+   memo's counters. *)
+type body = {
+  src : source;
+  atoms : Atom.t array;  (* canonical order *)
+  keys : string array;  (* each atom's rendering *)
+  rel : float;  (* relation total *)
+  aprof : Estimate.profile array;  (* estimated source: each atom's profile *)
+  mutable single : (int -> float) option;
+  mutable dp : (int -> float) option;
+}
+
+let prepare layout src =
+  let dcells = Array.map (atom_cells src) layout.reps in
+  let dprof =
+    match src with
+    | Exact _ -> [||]
+    | Estimated est ->
+        let vars = Estimate.index (Array.to_list layout.reps) in
+        Array.map (Estimate.atom_profile est vars) layout.reps
+  in
+  List.map
+    (fun (atoms, ids) ->
+      {
+        src;
+        atoms;
+        keys = Array.map (fun i -> layout.keys.(i)) ids;
+        rel = sum_cells (Array.map (fun i -> dcells.(i)) ids);
+        aprof = (if Array.length dprof = 0 then [||] else Array.map (fun i -> dprof.(i)) ids);
+        single = None;
+        dp = None;
+      })
+    layout.laid
+
+let prepare_one src body =
+  match prepare (layout [ body ]) src with [ b ] -> b | _ -> assert false
 
 (* Exact cells: envs(S) is computed from envs(S minus one atom) once —
    or not at all when [memo] already holds the atom set from an earlier
@@ -86,7 +163,7 @@ let canonical body =
    tuple determines the extension), so no deduplication is ever needed,
    and the set — though not the list order — is canonical per atom
    set. *)
-let exact_cells ~memo img atoms =
+let exact_cells ~memo img atoms keys =
   let n = Array.length atoms in
   (* variable codes: drawn from the memo's intern table when present
      (shared across candidates, so entry slots are canonical), local
@@ -113,7 +190,7 @@ let exact_cells ~memo img atoms =
   let codes =
     match memo with
     | None -> [||]
-    | Some m -> Array.map (fun a -> Subplan.intern m (Atom.to_string a)) atoms
+    | Some m -> Array.map (Subplan.intern m) keys
   in
   let subset_key s =
     let b = Buffer.create (4 * n) in
@@ -215,45 +292,61 @@ let exact_cells ~memo img atoms =
 
 (* Estimated cells: each subset's profile folds its lowest-bit chain
    over the canonical indexing, so it is well-defined however the subset
-   is reached. *)
-let estimated_cells est atoms =
-  let aprof = Array.map (Estimate.atom_profile est) atoms in
-  let profiles = Array.make (1 lsl Array.length atoms) None in
-  let rec profile_of s =
-    if s = 0 then Estimate.unit_profile
-    else
-      match profiles.(s) with
-      | Some p -> p
-      | None ->
-          let bit = s land -s in
-          let p = Estimate.join_profiles (profile_of (s lxor bit)) aprof.(lowest_index bit) in
-          profiles.(s) <- Some p;
-          p
-  in
-  fun s ->
-    let p = profile_of s in
-    Estimate.profile_card p *. float_of_int (Estimate.profile_width p)
+   is reached.  A singleton's profile is its atom's: joining the unit
+   profile changes no bit of it.  A subset not yet profiled holds
+   [unset], the first atom's profile; so may a singleton, which is
+   re-derived for free. *)
+let estimated_cells aprof =
+  let n = Array.length aprof in
+  if n = 0 then fun _ -> 0.
+  else begin
+    let unset = aprof.(0) in
+    let profiles = Array.make (1 lsl n) unset in
+    let rec profile_of s =
+      let p = profiles.(s) in
+      if p != unset then p
+      else begin
+        let bit = s land -s in
+        let i = lowest_index bit in
+        let p =
+          if s = bit then aprof.(i)
+          else Estimate.join_profiles (profile_of (s lxor bit)) aprof.(i)
+        in
+        profiles.(s) <- p;
+        p
+      end
+    in
+    fun s ->
+      let p = profile_of s in
+      Estimate.profile_card p *. float_of_int (Estimate.profile_width p)
+  end
 
-(* [cells s] = size(IR) of subset [s] of the canonical [atoms].  Only the
-   DP shares entries through the memo: costing a single order (a seed, a
-   ranking key) must not disturb the memo's counters. *)
-let subset_cells ~shared src atoms =
-  match src with
-  | Exact { img; memo } -> exact_cells ~memo:(if shared then memo else None) img atoms
-  | Estimated est -> estimated_cells est atoms
+(* [cells b ~shared s] = size(IR) of subset [s] of the canonical atoms. *)
+let cells b ~shared =
+  match ((if shared then b.dp else b.single), b.src) with
+  | Some f, _ -> f
+  | None, Estimated _ ->
+      let f = estimated_cells b.aprof in
+      b.single <- Some f;
+      b.dp <- Some f;
+      f
+  | None, Exact { img; memo } ->
+      let f = exact_cells ~memo:(if shared then memo else None) img b.atoms b.keys in
+      if shared then b.dp <- Some f else b.single <- Some f;
+      f
 
-let cost src order =
+let cost_of b order =
   match order with
   | [] -> 0.
   | _ ->
-      let atoms = canonical order in
-      let cells = subset_cells ~shared:false src atoms in
+      let atoms = b.atoms in
+      let cells = cells b ~shared:false in
       (* each atom of the order takes an unused canonical index (bodies
          may repeat an atom) *)
       let used = Array.make (Array.length atoms) false in
       let index_of a =
         let rec go i =
-          if (not used.(i)) && Atom.equal atoms.(i) a then begin
+          if (not used.(i)) && (atoms.(i) == a || Atom.equal atoms.(i) a) then begin
             used.(i) <- true;
             i
           end
@@ -268,8 +361,10 @@ let cost src order =
             (s, acc +. cells s))
           (0, 0.) order
       in
-      relation_total src atoms +. ir
+      b.rel +. ir
 
+let lower_bound_of b = b.rel
+let cost src order = match order with [] -> 0. | _ -> cost_of (prepare_one src order) order
 let lower_bound src body = relation_total src (Array.of_list body)
 
 (* Per-atom variable masks over a dense local index, for the connected
@@ -311,15 +406,15 @@ let var_masks atoms =
    ordering of an accepted result never depends on how tight the bound
    was — the property the parallel candidate loop's determinism rests
    on. *)
-let optimal ?(connected = false) ?budget ?(bound = Float.infinity) src body =
-  let n = List.length body in
+let optimal_of ?(connected = false) ?budget ?(bound = Float.infinity) b =
+  let atoms = b.atoms in
+  let n = Array.length atoms in
   if n = 0 then if 0. < bound then Some ([], 0.) else None
   else begin
-    let atoms = canonical body in
-    let rel = relation_total src atoms in
+    let rel = b.rel in
     if not (rel < bound) then None
     else begin
-      let cells = subset_cells ~shared:true src atoms in
+      let cells = cells b ~shared:true in
       let full = (1 lsl n) - 1 in
       (* subset variable masks, built incrementally and only when the
          connected mode asks ([||] marks unset) *)
@@ -397,3 +492,6 @@ let optimal ?(connected = false) ?budget ?(bound = Float.infinity) src body =
       end
     end
   end
+
+let optimal ?connected ?budget ?bound src body =
+  optimal_of ?connected ?budget ?bound (prepare_one src body)

@@ -20,6 +20,8 @@
     DP serves both, with the accelerations the candidate-selection engine
     ({!Select}) relies on:
 
+    - a prepared body ({!prepare}) — canonical order, relation total and
+      subset sizes — that every pass over a candidate reads;
     - a cross-candidate {!Subplan} memo shares environment sets between
       candidates whose subgoal subsets coincide (exact source);
     - an optional [bound] turns the DP into branch-and-bound: states that
@@ -54,12 +56,66 @@ val exact : ?memo:Subplan.t -> Vplan_exec.Interned.t -> source
 
 (** [estimated est] sizes intermediate relations from {!Estimate} join
     profiles.  [Estimate.join_profiles] is not associative, so each
-    subset's profile is pinned to a canonical fold order: the DP's cost
-    of the order it returns equals {!cost} of that order exactly. *)
+    subset's profile is pinned to a canonical fold order (its lowest-bit
+    chain over the canonical atom order): the DP's cost of the order it
+    returns equals {!cost} of that order exactly. *)
 val estimated : Estimate.t -> source
 
 (** The memo an exact source shares, if any. *)
 val memo : source -> Subplan.t option
+
+(** The catalog an estimated source folds, if any. *)
+val estimator : source -> Estimate.t option
+
+(** {2 Prepared bodies}
+
+    Costing a body first lays it out: its atoms in canonical order
+    (sorted by rendering, ties by position — a subset is a bitmask over
+    it, independent of the order the body arrives in), its relation
+    total, and a table of subset sizes.  The table is built on first
+    use and filled state by state as a pass asks for it, so a bounded
+    DP never sizes a state it prunes:
+
+    - the estimated source keeps one profile (cardinality, width and
+      distinct counts, {!Estimate.profile}) per subset, each folded from
+      its lowest-bit predecessor, and every pass over the body reads the
+      same table;
+    - the exact source keeps two: the DP's, which shares the
+      {!Subplan} memo, and one for costing single orders, which never
+      touches the memo (so its counters describe the DP alone).
+
+    {!Select.m2} lays all its candidates out at once and prepares each
+    one once: ranking, the bound check, the tree seed (exact source)
+    and the DP read the same prepared body.  {!cost} and {!optimal}
+    prepare the one body they are given; {!lower_bound} needs no
+    table. *)
+
+(** A set of bodies laid out together: each distinct atom rendered
+    once, each body in canonical order. *)
+type layout
+
+(** [layout bodies] — raises [Vplan_error.Error (Width_limit _)] when a
+    body is longer than {!max_subgoals}. *)
+val layout : Atom.t list list -> layout
+
+type body
+
+(** [prepare layout src] — the bodies of [layout], in order, prepared
+    under [src]: each distinct atom's relation cells (and, for the
+    estimated source, its profile over one variable index of the whole
+    layout) computed once. *)
+val prepare : layout -> source -> body list
+
+(** [cost_of b order] — {!cost} of [order], a permutation of [b]'s
+    body. *)
+val cost_of : body -> Atom.t list -> float
+
+(** [lower_bound_of b] — {!lower_bound} of [b]'s body. *)
+val lower_bound_of : body -> float
+
+(** [optimal_of b] — {!optimal} of [b]'s body. *)
+val optimal_of :
+  ?connected:bool -> ?budget:Budget.t -> ?bound:float -> body -> (Atom.t list * float) option
 
 (** {2 Costing} *)
 

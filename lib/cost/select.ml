@@ -23,14 +23,14 @@ let tree_seed body =
 
 (* Rank candidates cheapest-estimated-first so the incumbent starts
    strong; keep the original position for the deterministic tie-break.
-   A single candidate needs no estimate at all. *)
-let rank est (candidates : Query.t list) =
+   A single candidate needs no estimate at all: [keys] is only asked
+   for two or more. *)
+let rank keys candidates =
   let indexed = List.mapi (fun i p -> (i, p)) candidates in
   match indexed with
   | [] | [ _ ] -> indexed
   | _ ->
-      let src = M2.estimated est in
-      List.map (fun (i, p) -> (M2.cost src p.Query.body, i, p)) indexed
+      List.map2 (fun k (i, p) -> (k, i, p)) (keys ()) indexed
       |> List.stable_sort (fun (a, i, _) (b, j, _) ->
              match Float.compare a b with 0 -> Int.compare i j | c -> c)
       |> List.map (fun (_, i, p) -> (i, p))
@@ -79,34 +79,49 @@ let m2 ?budget ?domains ?(filters = []) ~rank:est src candidates =
   Obs.phase "plan_select" @@ fun () ->
   let memo = M2.memo src in
   let memo_before = if Trace.enabled () then Option.map Subplan.counters memo else None in
-  let score ~bound (p : Query.t) =
-    let body = p.Query.body in
+  let layout = M2.layout (List.map (fun (p : Query.t) -> p.Query.body) candidates) in
+  let bodies = M2.prepare layout src in
+  (* the tree seed bounds materialization; an estimated state is one
+     profile join, cheaper than finding the tree order (the DP's result
+     is the same either way) *)
+  let seed body = match M2.estimator src with Some _ -> None | None -> tree_seed body in
+  let score ~bound ((p : Query.t), b) =
     (* the quick reject the DP would apply anyway, hoisted so the tree
        order is never costed for a hopeless candidate; filter atoms only
        ever ADD relation cells, so it is sound with filters too *)
-    if M2.lower_bound src body >= bound then None
+    if M2.lower_bound_of b >= bound then None
     else
       match filters with
       | [] -> (
           let bound, seeded =
-            match tree_seed body with
+            match seed p.Query.body with
             | None -> (bound, None)
             | Some order ->
-                let c = M2.cost src order in
+                let c = M2.cost_of b order in
                 if Float.succ c < bound then (Float.succ c, Some (order, c))
                 else (bound, None)
           in
           (* [None] is unreachable when seeded (the tree order itself
              costs under the bound); the seed is the sound completion *)
-          match M2.optimal ?budget ~bound src body with
+          match M2.optimal_of ?budget ~bound b with
           | Some (order, cost) -> Some ((p, order), cost)
           | None -> Option.map (fun (order, c) -> ((p, order), c)) seeded)
       | _ :: _ ->
-          let body, order, cost = Filter.improve ?budget src ~filters body in
+          let body, order, cost = Filter.improve ?budget src ~filters p.Query.body in
           if cost < bound then Some ((Query.make_exn p.Query.head body, order), cost)
           else None
   in
-  let result = run ?budget ?domains ~score (rank est candidates) in
+  (* each body's estimated cost in its own order under [est], on the
+     prepared bodies themselves when [src] estimates with [est] *)
+  let keys () =
+    let ranking =
+      match M2.estimator src with
+      | Some e when e == est -> bodies
+      | Some _ | None -> M2.prepare layout (M2.estimated est)
+    in
+    List.map2 (fun (p : Query.t) b -> M2.cost_of b p.Query.body) candidates ranking
+  in
+  let result = run ?budget ?domains ~score (rank keys (List.combine candidates bodies)) in
   (match (memo, memo_before) with
   | Some m, Some before ->
       let after = Subplan.counters m in
@@ -133,7 +148,11 @@ let m3 ?budget ?domains ~rank:est ~annotate img candidates =
     M3.optimal_pruned ?budget ~bound img ~annotate p.Query.body
     |> Option.map (fun (plan, c) -> ((p, plan), float_of_int c))
   in
-  run ?budget ?domains ~score (rank est candidates)
+  let keys () =
+    let bodies = List.map (fun (p : Query.t) -> p.Query.body) candidates in
+    List.map2 M2.cost_of (M2.prepare (M2.layout bodies) (M2.estimated est)) bodies
+  in
+  run ?budget ?domains ~score (rank keys candidates)
 
 type m2_choice = { m2_rewriting : Query.t; m2_order : Atom.t list; m2_cost : int }
 

@@ -5,11 +5,19 @@
     The naive consumer of CoreCover{^ *} costs every candidate in full
     and keeps the cheapest.  This engine prunes and shares instead:
 
+    - all candidates are laid out once ({!M2.layout}: each distinct
+      atom rendered, and under an estimated source profiled, once per
+      call) and each is prepared once ({!M2.prepare}); ranking, the
+      bound check, the tree seed and the DP read that one prepared
+      body, so under an estimated source they share one subset table;
     - candidates are {e ranked} by their estimated M2 cost under an
       {!Estimate} catalog, so a likely-cheap plan is costed first and
-      seeds a strong incumbent;
-    - an acyclic candidate's join-tree order is costed first and seeds
-      its own search with a bound just above that cost;
+      seeds a strong incumbent (on the prepared bodies themselves when
+      the source estimates with that catalog);
+    - under the exact source, an acyclic candidate's join-tree order is
+      costed first and seeds its own search with a bound just above
+      that cost, so the DP materializes fewer states (an estimated
+      state is one profile join, cheaper than finding the tree order);
     - every subsequent candidate is scored against a bound just above
       the incumbent: its search returns [None] without sizing any
       intermediate relation as soon as it provably cannot {e strictly

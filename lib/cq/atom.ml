@@ -47,13 +47,33 @@ let pp ppf a =
     a.args
 
 (* [pp]'s output, built directly: renderings are sort keys on hot paths
-   (canonical atom orders, memo keys), where a formatter is costly. *)
+   (canonical atom orders, memo keys, cache keys), where a formatter is
+   costly. *)
+let add_term b = function
+  | Term.Var x | Term.Cst (Term.Str x) -> Buffer.add_string b x
+  | Term.Cst (Term.Int n) -> Buffer.add_string b (string_of_int n)
+
+let rec add_args b = function
+  | [] -> ()
+  | t :: rest ->
+      Buffer.add_char b ',';
+      add_term b t;
+      add_args b rest
+
+let add_to_buffer b a =
+  Buffer.add_string b a.pred;
+  Buffer.add_char b '(';
+  (match a.args with
+  | [] -> ()
+  | t :: rest ->
+      add_term b t;
+      add_args b rest);
+  Buffer.add_char b ')'
+
 let to_string a =
-  let arg = function
-    | Term.Var x | Term.Cst (Term.Str x) -> x
-    | Term.Cst (Term.Int i) -> string_of_int i
-  in
-  a.pred ^ "(" ^ String.concat "," (List.map arg a.args) ^ ")"
+  let b = Buffer.create 16 in
+  add_to_buffer b a;
+  Buffer.contents b
 
 module Set = Set.Make (struct
   type nonrec t = t

@@ -30,6 +30,11 @@ val apply : Subst.t -> t -> t
 val unify : Subst.t -> t -> t -> Subst.t option
 
 val pp : Format.formatter -> t -> unit
+
+(** [pp]'s output, without a formatter. *)
 val to_string : t -> string
+
+(** [add_to_buffer b a] appends [to_string a] to [b]. *)
+val add_to_buffer : Buffer.t -> t -> unit
 
 module Set : Set.S with type elt = t

@@ -93,4 +93,15 @@ let pp ppf q =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Atom.pp)
     q.body
 
-let to_string q = Format.asprintf "%a" pp q
+(* [pp]'s output, built directly: it renders every rewrite request's
+   cache key, where a formatter is costly. *)
+let to_string q =
+  let b = Buffer.create 64 in
+  Atom.add_to_buffer b q.head;
+  Buffer.add_string b " :- ";
+  List.iteri
+    (fun i a ->
+      if i > 0 then Buffer.add_string b ", ";
+      Atom.add_to_buffer b a)
+    q.body;
+  Buffer.contents b

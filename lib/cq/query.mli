@@ -60,4 +60,6 @@ val dedup_body : t -> t
 val canonical : t -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** [pp]'s output, without a formatter. *)
 val to_string : t -> string

@@ -61,6 +61,181 @@ module M3 = struct
   let cost_of_plan db plan = Option.get (cost_of_plan_bounded db plan)
 end
 
+(* The map-based System-R estimator, the oracle for [Estimate]'s coded
+   profiles and for estimated M2: a profile is a cardinality and a
+   string-keyed map of distinct counts, and estimated M2 costs are
+   folded over it with no shared tables — canonical order by
+   rendering, each subset's profile along its lowest-bit chain, the
+   unpruned subset DP, and selection as the minimum by (cost,
+   position).  Every result must match production bit for bit. *)
+module Estimate = struct
+  module E = Vplan.Estimate
+
+  type profile = { p_card : float; p_dv : float Names.Smap.t }
+
+  let unit_profile = { p_card = 1.; p_dv = Names.Smap.empty }
+  let profile_width p = max 1 (Names.Smap.cardinal p.p_dv)
+  let cap_dv card dv = Names.Smap.map (fun v -> Float.min v (Float.max card 1.)) dv
+
+  let atom_profile t (a : Atom.t) =
+    match E.find t a.pred with
+    | None | Some { E.card = 0.; _ } -> { p_card = 0.; p_dv = Names.Smap.empty }
+    | Some stats ->
+        let column_dv i =
+          if i < Array.length stats.E.distinct then stats.E.distinct.(i) else 1.
+        in
+        let const_selectivity i c =
+          let dv = column_dv i in
+          let uniform = 1. /. dv in
+          match c with
+          | Term.Int n when i < Array.length stats.E.hists -> (
+              match stats.E.hists.(i) with
+              | Some h -> Histogram.eq_fraction ~distinct:(int_of_float dv) h n
+              | None -> uniform)
+          | Term.Int _ | Term.Str _ -> uniform
+        in
+        let card = ref stats.E.card in
+        let dv = ref Names.Smap.empty in
+        List.iteri
+          (fun i term ->
+            match term with
+            | Term.Cst c -> card := !card *. const_selectivity i c
+            | Term.Var x -> (
+                match Names.Smap.find_opt x !dv with
+                | None -> dv := Names.Smap.add x (column_dv i) !dv
+                | Some existing ->
+                    card := !card /. Float.max existing (column_dv i);
+                    dv := Names.Smap.add x (Float.min existing (column_dv i)) !dv))
+          a.args;
+        let card = Float.max !card 0. in
+        { p_card = card; p_dv = cap_dv card !dv }
+
+  let join_profiles left right =
+    let shared = Names.Smap.filter (fun x _ -> Names.Smap.mem x right.p_dv) left.p_dv in
+    let selectivity =
+      Names.Smap.fold
+        (fun x vl acc ->
+          let vr = Names.Smap.find x right.p_dv in
+          acc /. Float.max vl vr)
+        shared 1.
+    in
+    let card = left.p_card *. right.p_card *. selectivity in
+    let dv = Names.Smap.union (fun _ vl vr -> Some (Float.min vl vr)) left.p_dv right.p_dv in
+    { p_card = Float.max card 0.; p_dv = cap_dv card dv }
+
+  (* each view's statistics, estimated over [t] *)
+  let view_stats t views =
+    List.map
+      (fun (v : Query.t) ->
+        let profile =
+          List.fold_left (fun p a -> join_profiles p (atom_profile t a)) unit_profile v.Query.body
+        in
+        let card = profile.p_card in
+        let distinct =
+          Array.of_list
+            (List.map
+               (function
+                 | Term.Var x -> (
+                     match Names.Smap.find_opt x profile.p_dv with
+                     | Some dv -> Float.min dv (Float.max card 1.)
+                     | None -> 1.)
+                 | Term.Cst _ -> 1.)
+               v.Query.head.Atom.args)
+        in
+        (v.Query.head.Atom.pred, card, distinct))
+      views
+
+  let cardinality t = function
+    | [] -> Float.nan
+    | a :: rest ->
+        (List.fold_left (fun p b -> join_profiles p (atom_profile t b)) (atom_profile t a) rest)
+          .p_card
+
+  let canonical body =
+    let atoms = Array.of_list body in
+    let ids = Array.map Atom.to_string atoms in
+    let perm = Array.init (Array.length atoms) Fun.id in
+    Array.stable_sort (fun i j -> String.compare ids.(i) ids.(j)) perm;
+    Array.map (fun i -> atoms.(i)) perm
+
+  let relation_total t atoms =
+    Array.to_list atoms
+    |> List.map (fun (a : Atom.t) ->
+           match E.find t a.pred with
+           | Some s -> s.E.card *. float_of_int (max 1 (Atom.arity a))
+           | None -> 0.)
+    |> List.sort Float.compare |> List.fold_left ( +. ) 0.
+
+  let lowest_index bit =
+    let rec find k = if 1 lsl k = bit then k else find (k + 1) in
+    find 0
+
+  let rec profile_of t atoms s =
+    if s = 0 then unit_profile
+    else
+      let bit = s land -s in
+      join_profiles (profile_of t atoms (s lxor bit)) (atom_profile t atoms.(lowest_index bit))
+
+  let cells t atoms s =
+    let p = profile_of t atoms s in
+    p.p_card *. float_of_int (profile_width p)
+
+  let cost t order =
+    match order with
+    | [] -> 0.
+    | _ ->
+        let atoms = canonical order in
+        let used = Array.make (Array.length atoms) false in
+        let index_of a =
+          let rec go i =
+            if (not used.(i)) && Atom.equal atoms.(i) a then begin
+              used.(i) <- true;
+              i
+            end
+            else go (i + 1)
+          in
+          go 0
+        in
+        let _, ir =
+          List.fold_left
+            (fun (s, acc) a ->
+              let s = s lor (1 lsl index_of a) in
+              (s, acc +. cells t atoms s))
+            (0, 0.) order
+        in
+        relation_total t atoms +. ir
+
+  (* the unpruned subset DP: each state peels the lowest canonical index
+     among its cheapest predecessors *)
+  let optimal t body =
+    let atoms = canonical body in
+    let n = Array.length atoms in
+    let full = (1 lsl n) - 1 in
+    let best = Array.make (full + 1) Float.infinity and choice = Array.make (full + 1) (-1) in
+    best.(0) <- 0.;
+    for s = 1 to full do
+      for i = 0 to n - 1 do
+        if s land (1 lsl i) <> 0 && best.(s lxor (1 lsl i)) < best.(s) then begin
+          best.(s) <- best.(s lxor (1 lsl i));
+          choice.(s) <- i
+        end
+      done;
+      best.(s) <- best.(s) +. cells t atoms s
+    done;
+    let rec rebuild s acc =
+      if s = 0 then acc else rebuild (s lxor (1 lsl choice.(s))) (atoms.(choice.(s)) :: acc)
+    in
+    (rebuild full [], relation_total t atoms +. best.(full))
+
+  (* the cheapest candidate, the earliest on cost ties *)
+  let select t (candidates : Query.t list) =
+    List.fold_left
+      (fun best (p : Query.t) ->
+        let order, cost = optimal t p.Query.body in
+        match best with Some (_, _, c) when c <= cost -> best | _ -> Some (p, order, cost))
+      None candidates
+end
+
 (* [Query.make]'s safety check as a set difference: the union of the
    body's variable sets must contain the head's.  Production code scans
    the body instead and builds sets only for the error text. *)

@@ -249,6 +249,48 @@ let test_optimizer_no_rewriting () =
   check_bool "m1 none" true (snd (Optimizer.plan Optimizer.M1 ctx query) = None);
   check_bool "m2 none" true (snd (Optimizer.plan exact ctx query) = None)
 
+(* A path catalog after the e2e plan_data workload: every subpath of
+   1-3 subgoals over alternating r0/r1, twice, each exposing its
+   endpoints; a 6-subgoal path query; statistics over a small base. *)
+let path_rule name ~len ~start =
+  let v i = Term.Var (Printf.sprintf "X%d" i) in
+  Query.make_exn
+    (Atom.make name [ v 0; v len ])
+    (List.init len (fun i ->
+         Atom.make (Printf.sprintf "r%d" ((start + i) mod 2)) [ v i; v (i + 1) ]))
+
+let path_selection () =
+  let views =
+    List.init 12 (fun i -> path_rule (Printf.sprintf "v%d" i) ~len:((i mod 3) + 1) ~start:(i / 3 mod 2))
+  in
+  let query = path_rule "q" ~len:6 ~start:0 in
+  let fact p a b = (p, [ Term.Int a; Term.Int b ]) in
+  let base =
+    Database.of_facts
+      (List.concat (List.init 40 (fun i -> [ fact "r0" i ((i * 7) mod 40); fact "r1" i ((i * 3) mod 40) ])))
+  in
+  let est = Estimate.view_stats (Estimate.of_stats (Stats.collect base)) views in
+  (est, (Corecover.all_minimal ~query ~views ()).Corecover.rewritings)
+
+(* Estimated selection prepares each candidate once — atoms rendered and
+   profiled once per call, one subset table per candidate shared by
+   ranking and the DP — so its allocation per candidate is a few
+   hundred words (563 on this catalog).  Counted in minor-heap words,
+   which do not depend on the machine; preparing a candidate again for
+   every pass (ranking, bound check, DP) allocates 1902. *)
+let test_select_est_allocation_guard () =
+  let est, candidates = path_selection () in
+  let n = List.length candidates in
+  check_bool "enough candidates to measure" true (n >= 20);
+  ignore (Select.best_m2_estimated est candidates);
+  let w0 = Gc.minor_words () in
+  let choice = Select.best_m2_estimated est candidates in
+  let per_candidate = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool "a plan is chosen" true (Option.is_some choice);
+  if per_candidate > 1000. then
+    Alcotest.failf "estimated selection allocates %.0f words per candidate (bound 1000)"
+      per_candidate
+
 let suite =
   [
     ("M1 cost and best", `Quick, test_m1_cost);
@@ -267,4 +309,5 @@ let suite =
     ("optimizer M2 cost consistency", `Quick, test_optimizer_m2_cost_order);
     ("optimizer M2 estimated route", `Quick, test_optimizer_m2_estimated);
     ("optimizer without rewriting", `Quick, test_optimizer_no_rewriting);
+    ("estimated selection allocation guard", `Quick, test_select_est_allocation_guard);
   ]

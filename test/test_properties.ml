@@ -53,6 +53,38 @@ let parser_roundtrip =
       | Ok q' -> Query.equal q q'
       | Error _ -> false)
 
+(* [Query.to_string] renders without a formatter, byte for byte what
+   [Query.pp] prints: [Int] (negative too) and [Str] constants, 0-ary
+   atoms, empty bodies. *)
+let query_to_string_matches_pp =
+  let gen =
+    Gen.(
+      let const =
+        oneof
+          [
+            map (fun i -> Term.Int i) (int_range (-30) 30000);
+            map (fun s -> Term.Str s) (oneofl [ "c"; "anderson"; "x_1" ]);
+          ]
+      in
+      let term = frequency [ (3, map (fun x -> Term.Var x) (oneofl var_pool)); (2, map (fun c -> Term.Cst c) const) ] in
+      let atom =
+        let* pred = oneofl [ "p"; "r2"; "v10"; "z" ] in
+        let* args = list_size (int_range 0 4) term in
+        return (Atom.make pred args)
+      in
+      let* body = list_size (int_range 0 4) atom in
+      let vars = List.sort_uniq String.compare (List.concat_map Atom.vars body) in
+      let* head_vars = gen_subset vars in
+      let* head_consts = list_size (int_range 0 2) const in
+      return
+        (Query.make_exn
+           (Atom.make "q"
+              (List.map (fun x -> Term.Var x) head_vars @ List.map (fun c -> Term.Cst c) head_consts))
+           body))
+  in
+  make_test ~count:500 ~name:"Query.to_string = Query.pp" gen print_query (fun q ->
+      String.equal (Query.to_string q) (Format.asprintf "%a" Query.pp q))
+
 let containment_reflexive =
   make_test ~name:"containment reflexive" gen_query print_query (fun q ->
       Containment.is_contained q q)
@@ -520,6 +552,138 @@ let best_m2_parallel_deterministic =
           ((fun () -> M2.exact ~memo:(Subplan.create ()) img), M2.exact img);
           ((fun () -> M2.estimated stats_est), M2.estimated stats_est);
         ])
+
+(* Estimated costing on coded profiles is bit-identical to the
+   map-based estimator (Oracle.Estimate): order costs, the DP's cost and
+   order, the estimated selection's choice, cardinalities and view
+   statistics.  Bodies mix [Int] constants in histogrammed columns,
+   [Str] constants (in a column that then has no histogram), variables
+   repeated within an atom, predicates with no statistics, 0-ary atoms,
+   view relations estimated by [view_stats], and wide atoms carrying
+   more than 62 distinct variables. *)
+let estimate_matches_oracle =
+  let wide_arity = 32 in
+  let gen_case =
+    Gen.(
+      let int_col = map (fun i -> Term.Int i) (int_range 0 20) in
+      let mixed_col = frequency [ (3, int_col); (1, map (fun s -> Term.Str s) (oneofl [ "c"; "d" ])) ] in
+      let relation pred cols =
+        let* n = int_range 0 12 in
+        let* tuples = list_repeat n (flatten_l cols) in
+        return (pred, Relation.of_tuples (List.length cols) tuples)
+      in
+      let* rels =
+        flatten_l
+          [
+            relation "p" [ int_col; int_col ];
+            relation "r" [ int_col; mixed_col ];
+            relation "s" [ int_col ];
+            relation "z" [];
+            relation "w" (List.init wide_arity (fun _ -> int_col));
+          ]
+      in
+      let db = List.fold_left (fun db (p, r) -> Database.add_relation p r db) Database.empty rels in
+      let var = map (fun i -> Term.Var ("X" ^ string_of_int i)) (int_range 0 4) in
+      let term =
+        frequency
+          [
+            (6, var);
+            (2, map (fun i -> Term.Cst (Term.Int i)) (int_range 0 22));
+            (1, return (Term.Cst (Term.Str "c")));
+          ]
+      in
+      let atom_of (pred, arity) = map (Atom.make pred) (list_repeat arity term) in
+      let* views =
+        let* n = int_range 0 2 in
+        flatten_l
+          (List.init n (fun i ->
+               let* body =
+                 list_size (int_range 1 2) (oneofl [ ("p", 2); ("r", 2); ("s", 1) ] >>= atom_of)
+               in
+               let vars = List.sort_uniq String.compare (List.concat_map Atom.vars body) in
+               let* head = gen_subset vars in
+               return
+                 (Query.make_exn
+                    (Atom.make ("v" ^ string_of_int i) (List.map (fun x -> Term.Var x) head))
+                    body)))
+      in
+      let view_preds = List.map (fun (v : Query.t) -> (v.head.pred, Atom.arity v.head)) views in
+      (* a wide atom: 32 variables of its own block, the first shared with
+         the narrow atoms' X1 *)
+      let wide =
+        let* block = int_range 0 2 in
+        return
+          (Atom.make "w"
+             (Term.Var "X1"
+             :: List.init (wide_arity - 1) (fun k ->
+                    Term.Var (Printf.sprintf "W%d_%d" block k))))
+      in
+      let atom =
+        frequency
+          [
+            (6, oneofl ([ ("p", 2); ("r", 2); ("s", 1); ("z", 0); ("nostat", 2); ("y", 0) ] @ view_preds)
+                >>= atom_of);
+            (1, wide);
+          ]
+      in
+      let* bodies = list_size (int_range 1 4) (list_size (int_range 1 5) atom) in
+      (* now and then a body over all three wide blocks: 94 variables *)
+      let* all_wide = frequency [ (3, return []); (1, flatten_l [ wide; wide; wide; atom ]) ] in
+      let all_wide =
+        List.mapi
+          (fun i (a : Atom.t) ->
+            if a.pred = "w" then
+              Atom.make "w"
+                (List.mapi
+                   (fun k t -> if k = 0 then t else Term.Var (Printf.sprintf "W%d_%d" i k))
+                   a.args)
+            else a)
+          all_wide
+      in
+      return (db, views, if all_wide = [] then bodies else bodies @ [ all_wide ]))
+  in
+  let print (db, views, bodies) =
+    print_views views ^ " || "
+    ^ String.concat " | " (List.map (fun b -> String.concat "," (List.map Atom.to_string b)) bodies)
+    ^ " || db size " ^ string_of_int (Database.total_size db)
+  in
+  make_test ~count:200 ~name:"estimated M2 = map-based estimator, bit for bit" gen_case print
+    (fun (db, views, bodies) ->
+      let bits x = Int64.bits_of_float x in
+      let same x y = Int64.equal (bits x) (bits y) in
+      let base = Estimate.of_stats (Stats.collect db) in
+      let est = Estimate.view_stats base views in
+      let src = M2.estimated est in
+      let views_ok =
+        List.for_all
+          (fun (pred, card, distinct) ->
+            match Estimate.find est pred with
+            | Some r ->
+                same r.Estimate.card card
+                && Array.length r.Estimate.distinct = Array.length distinct
+                && Array.for_all2 same r.Estimate.distinct distinct
+            | None -> false)
+          (Oracle.Estimate.view_stats base views)
+      in
+      let body_ok body =
+        let order, cost = Option.get (M2.optimal src body) in
+        let oorder, ocost = Oracle.Estimate.optimal est body in
+        same (Estimate.cardinality est body) (Oracle.Estimate.cardinality est body)
+        && same (M2.cost src body) (Oracle.Estimate.cost est body)
+        && same (M2.cost src (List.rev body)) (Oracle.Estimate.cost est (List.rev body))
+        && same cost ocost
+        && List.equal Atom.equal order oorder
+      in
+      let candidates = List.map (Query.make_exn (Atom.make "q" [])) bodies in
+      let choice_ok =
+        match (Select.m2 ~rank:est src candidates, Oracle.Estimate.select est candidates) with
+        | Some c, Some (p, order, cost) ->
+            c.Select.rewriting == p && List.equal Atom.equal c.Select.plan order
+            && same c.Select.cost cost
+        | None, None -> true
+        | _ -> false
+      in
+      views_ok && List.for_all body_ok bodies && choice_ok)
 
 (* M3 plans never change the answer, and the heuristic never costs more
    than the supplementary strategy. *)
@@ -1090,6 +1254,7 @@ let covers_align_with_rewritings =
 let suite =
   [
     parser_roundtrip;
+    query_to_string_matches_pp;
     containment_sound;
     containment_canonical;
     containment_reflexive;
@@ -1112,6 +1277,7 @@ let suite =
     m2_memo_pruned_exact;
     m2_connected_exact;
     best_m2_parallel_deterministic;
+    estimate_matches_oracle;
     m3_correct_and_dominant;
     inverse_rules_sound_and_complete;
     certain_complete_under_equivalence;
