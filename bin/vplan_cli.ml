@@ -360,16 +360,14 @@ let explain_cmd =
     match trace_out with
     | None -> ()
     | Some path ->
-        let extra =
-          match analyzed with
-          | Some o -> Vplan.Profile.chrome_events o.Vplan.Service.an_profile
-          | None -> []
+        let profile =
+          match analyzed with Some o -> o.Vplan.Service.an_profile | None -> []
         in
         let oc = open_out path in
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () ->
-            output_string oc (Vplan.Trace.chrome_json ~extra spans);
+            output_string oc (Vplan.Trace.chrome_json (spans @ profile));
             output_char oc '\n');
         Format.printf "trace written to %s@." path
   in

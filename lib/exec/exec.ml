@@ -226,7 +226,7 @@ let run ~metered budget radix_threshold pnode st sel envs =
       if keyed && Array.length sel > radix_threshold then begin
         let nparts = radix_partitions in
         if metered then Metrics.add partitions_c nparts;
-        Profile.set_partitions pnode nparts;
+        Profile.set pnode "partitions" (float_of_int nparts);
         let rel = st.rel in
         let row_parts = Array.make nparts [] in
         Array.iter
@@ -420,8 +420,8 @@ let evaluate ?budget ?semijoin ?acyclic
       let steps = Array.of_list (List.rev rev_steps) in
       if Array.exists (fun st -> st.dead) steps then begin
         (* a body atom can match nothing: the answer is empty *)
-        Profile.set_rows_in pnode 0;
-        Profile.set_rows_out pnode 0;
+        Profile.set pnode "rows_in" 0.;
+        Profile.set pnode "rows_out" 0.;
         empty
       end
       else begin
@@ -429,9 +429,10 @@ let evaluate ?budget ?semijoin ?acyclic
              the estimate callback) only happens under [Some profile];
              the [None] path executes exactly the uninstrumented code. *)
           let atoms = Array.of_list ordered in
-          let est_of prefix =
-            match estimate with Some f -> f prefix | None -> Float.nan
+          let set_est node prefix =
+            Option.iter (fun f -> Profile.set node "est_rows" (f prefix)) estimate
           in
+          let set_rows node key n = Profile.set node key (float_of_int n) in
           let sum_sels sels =
             Array.fold_left (fun acc s -> acc + Array.length s) 0 sels
           in
@@ -445,9 +446,9 @@ let evaluate ?budget ?semijoin ?acyclic
                     Profile.step profile ~op:"select" ~name:a.Atom.pred
                       ~detail:(Atom.to_string a) (fun node ->
                         let sel = select st in
-                        Profile.set_rows_in node st.rel.Interned.rows;
-                        Profile.set_rows_out node (Array.length sel);
-                        Profile.set_est_rows node (est_of [ a ]);
+                        set_rows node "rows_in" st.rel.Interned.rows;
+                        set_rows node "rows_out" (Array.length sel);
+                        set_est node [ a ];
                         sel))
                   steps
           in
@@ -456,21 +457,21 @@ let evaluate ?budget ?semijoin ?acyclic
               Metrics.incr acyclic_c;
               Profile.step profile ~op:"yannakakis" (fun node ->
                   (match node with
-                  | Some _ -> Profile.set_rows_in node (sum_sels sels)
+                  | Some _ -> set_rows node "rows_in" (sum_sels sels)
                   | None -> ());
                   yannakakis_reduce budget steps sels ~parent ~removal;
                   match node with
-                  | Some _ -> Profile.set_rows_out node (sum_sels sels)
+                  | Some _ -> set_rows node "rows_out" (sum_sels sels)
                   | None -> ())
           | None ->
               if semijoin_on && Array.length steps > 1 then
                 Profile.step profile ~op:"semijoin" (fun node ->
                     (match node with
-                    | Some _ -> Profile.set_rows_in node (sum_sels sels)
+                    | Some _ -> set_rows node "rows_in" (sum_sels sels)
                     | None -> ());
                     semijoin_reduce budget steps sels;
                     match node with
-                    | Some _ -> Profile.set_rows_out node (sum_sels sels)
+                    | Some _ -> set_rows node "rows_out" (sum_sels sels)
                     | None -> ()));
           let join_step pnode i state =
             run ~metered:true budget radix_threshold pnode steps.(i) sels.(i) state
@@ -491,17 +492,17 @@ let evaluate ?budget ?semijoin ?acyclic
                   in
                   Profile.step profile ~op ~name:a.Atom.pred
                     ~detail:(Atom.to_string a) (fun node ->
-                      Profile.set_rows_in node (List.length !state);
-                      Profile.set_build_rows node (Array.length sels.(i));
+                      set_rows node "rows_in" (List.length !state);
+                      set_rows node "build_rows" (Array.length sels.(i));
                       state := join_step node i !state;
-                      Profile.set_rows_out node (List.length !state);
-                      Profile.set_est_rows node (est_of (List.rev !executed))))
+                      set_rows node "rows_out" (List.length !state);
+                      set_est node (List.rev !executed)))
                 steps);
           let result, rows = finish var_ids !state in
           (match pnode with
           | Some _ ->
-              Profile.set_rows_in pnode (List.length !state);
-              Profile.set_rows_out pnode rows
+              set_rows pnode "rows_in" (List.length !state);
+              set_rows pnode "rows_out" rows
           | None -> ());
           result
       end))

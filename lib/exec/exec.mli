@@ -58,11 +58,11 @@ val radix_partitions : int
 
     [profile] attaches an operator profile: every selection, semi-join
     program, and join step records rows in/out, build-side size, wall
-    time and partition counts as a child of the profile's open node (an
-    [exec] node wraps the whole evaluation).  [estimate], consulted
-    only when profiling, maps the executed prefix of body atoms to an
-    estimated join cardinality — recorded as [est_rows] on each select
-    ([estimate [a]]) and join node, for estimated-vs-actual comparison
+    time and partition counts as a child of the profile's open operator
+    (an [exec] operator wraps the whole evaluation).  [estimate],
+    consulted only when profiling, maps the executed prefix of body atoms
+    to an estimated join cardinality — recorded as [est_rows] on each
+    select ([estimate [a]]) and join, for estimated-vs-actual comparison
     ([explain analyze]).  Without [profile] (the default), the engine
     runs the exact uninstrumented code paths. *)
 val answers :

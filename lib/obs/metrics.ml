@@ -125,6 +125,11 @@ let quantile_of_counts counts total q =
     !result
   end
 
+let percentile sorted p =
+  match Array.length sorted with
+  | 0 -> 0.
+  | n -> sorted.(min (n - 1) (max 1 (int_of_float (Float.ceil (p *. float_of_int n))) - 1))
+
 let summary h =
   let counts = Array.map Atomic.get h.counts in
   let total = Array.fold_left ( + ) 0 counts in

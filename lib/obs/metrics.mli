@@ -55,6 +55,11 @@ val summary : histogram -> summary
 
 val hist_count : histogram -> int
 
+(** [percentile sorted p] — the nearest-rank [p]-quantile ([p] in
+    [(0, 1]]) of samples sorted ascending: the sample at rank
+    [ceil (p * n)].  [0.] when there are no samples. *)
+val percentile : float array -> float -> float
+
 (** Upper bucket bounds in milliseconds, ascending; samples above the
     last bound land in an implicit overflow bucket. *)
 val bucket_bounds : float array

@@ -1,82 +1,79 @@
-(* Operator profile trees for the execution engine.
+(* Operator profiles for the execution engine, recorded as trace spans.
 
-   A profile is built by one domain for one execution: [step] pushes a
-   node under the innermost open node, times the wrapped function, and
-   pops.  Children are accumulated in reverse and put back into
-   execution order by [finish].  Every entry point takes an [option] so
-   the disabled path ([None] threaded through the engine) is a single
-   pattern match per site — the {!Trace} discipline, enforced by types
-   instead of a global flag. *)
+   A profile is built by one domain for one execution: [step] opens an
+   operator under the innermost open one, times the wrapped function,
+   and closes it into a finished {!Trace.span} whose name is the
+   operator's label and whose annotations are its row counts.  Every
+   entry point takes an [option] so the disabled path ([None] threaded
+   through the engine) is a single pattern match per site — the
+   {!Trace} discipline, enforced by types instead of a global flag. *)
 
-type node = {
-  op : string;
-  name : string;
-  detail : string;
-  mutable rows_in : int;
-  mutable build_rows : int;
-  mutable rows_out : int;
-  mutable est_rows : float;
-  mutable start_ms : float;
-  mutable dur_ms : float;
-  mutable partitions : int;
-  mutable children : node list; (* reverse execution order while open *)
+type op = {
+  id : int;
+  parent : int;
+  label : string;
+  start : float; (* offset from the profile start *)
+  mutable kv : (string * float) list; (* reverse recording order *)
 }
 
 type t = {
   t0 : float;
-  root : node;
-  mutable stack : node list; (* innermost open node first; root at bottom *)
+  root : op;
+  mutable next : int;
+  mutable stack : op list; (* innermost open operator first; root at bottom *)
+  mutable spans : Trace.span list; (* finished, in closing order *)
 }
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
-let mk op name detail =
-  {
-    op;
-    name;
-    detail;
-    rows_in = -1;
-    build_rows = -1;
-    rows_out = -1;
-    est_rows = Float.nan;
-    start_ms = 0.;
-    dur_ms = 0.;
-    partitions = 0;
-    children = [];
-  }
+let label op name detail =
+  let arg = if detail <> "" then detail else name in
+  if arg = "" then op else op ^ " " ^ arg
 
-let create ?(name = "") () = { t0 = now_ms (); root = mk "query" name ""; stack = [] }
+let create ?(name = "") () =
+  let root = { id = 0; parent = -1; label = label "query" name ""; start = 0.; kv = [] } in
+  { t0 = now_ms (); root; next = 1; stack = [ root ]; spans = [] }
+
+let close p o =
+  let stop = now_ms () -. p.t0 in
+  p.spans <-
+    {
+      Trace.id = o.id;
+      parent = o.parent;
+      name = o.label;
+      start_ms = o.start;
+      dur_ms = stop -. o.start;
+      domain = (Domain.self () :> int);
+      kv = List.rev o.kv;
+    }
+    :: p.spans
 
 let step p ~op ?(name = "") ?(detail = "") f =
   match p with
   | None -> f None
   | Some p ->
-      let n = mk op name detail in
-      n.start_ms <- now_ms () -. p.t0;
-      let parent = match p.stack with top :: _ -> top | [] -> p.root in
-      parent.children <- n :: parent.children;
-      p.stack <- n :: p.stack;
-      let finish () =
-        n.dur_ms <- now_ms () -. p.t0 -. n.start_ms;
-        match p.stack with top :: rest when top == n -> p.stack <- rest | _ -> ()
+      let parent = match p.stack with top :: _ -> top.id | [] -> p.root.id in
+      let o =
+        { id = p.next; parent; label = label op name detail; start = now_ms () -. p.t0; kv = [] }
       in
-      Fun.protect ~finally:finish (fun () -> f (Some n))
+      p.next <- p.next + 1;
+      p.stack <- o :: p.stack;
+      let finish () =
+        close p o;
+        match p.stack with top :: rest when top == o -> p.stack <- rest | _ -> ()
+      in
+      Fun.protect ~finally:finish (fun () -> f (Some o))
 
-let set_rows_in n v = match n with None -> () | Some n -> n.rows_in <- v
-let set_build_rows n v = match n with None -> () | Some n -> n.build_rows <- v
-let set_rows_out n v = match n with None -> () | Some n -> n.rows_out <- v
-let set_est_rows n v = match n with None -> () | Some n -> n.est_rows <- v
-let set_partitions n v = match n with None -> () | Some n -> n.partitions <- v
+let set o key v =
+  match o with
+  | None -> ()
+  | Some o -> o.kv <- (key, v) :: List.remove_assoc key o.kv
 
 let finish p =
-  p.root.dur_ms <- now_ms () -. p.t0;
+  close p p.root;
   p.stack <- [];
-  let rec order n =
-    n.children <- List.rev n.children;
-    List.iter order n.children
-  in
-  order p.root;
-  p.root
+  (* ids are drawn at open, so id order is execution preorder *)
+  List.sort (fun (a : Trace.span) b -> Int.compare a.id b.id) p.spans
 
 (* Both sides floored at one tuple: estimating 0.3 rows for an empty
    result is a perfect guess, not a division by zero. *)
@@ -87,74 +84,68 @@ let qerror ~est ~actual =
     let a = Float.max (float_of_int (max actual 0)) 1. in
     Float.max (e /. a) (a /. e)
 
-let preorder root =
-  let rec go acc n = List.fold_left go (n :: acc) n.children in
-  List.rev (go [] root)
+let field (s : Trace.span) key = List.assoc_opt key s.kv
 
-let max_qerror root =
+(* An estimator may answer [nan]: that is no estimate. *)
+let est_rows s =
+  Option.bind (field s "est_rows") (fun e -> if Float.is_nan e then None else Some e)
+
+(* The q-error of an operator carrying both an estimate and an actual
+   row count. *)
+let span_qerror s =
+  match (est_rows s, field s "rows_out") with
+  | Some est, Some out -> Some (qerror ~est ~actual:(int_of_float out))
+  | _ -> None
+
+let max_qerror spans =
   List.fold_left
-    (fun acc n ->
-      if Float.is_nan n.est_rows || n.rows_out < 0 then acc
-      else
-        let q = qerror ~est:n.est_rows ~actual:n.rows_out in
-        if Float.is_nan acc then q else Float.max acc q)
-    Float.nan (preorder root)
+    (fun acc s ->
+      match span_qerror s with
+      | None -> acc
+      | Some q -> if Float.is_nan acc then q else Float.max acc q)
+    Float.nan spans
+
+(* A selection's label is ["select " ^ atom], the atom rendered as
+   [pred(args)]: its relation is the predicate. *)
+let selection_qerrors spans =
+  let prefix = "select " in
+  let n = String.length prefix in
+  List.filter_map
+    (fun (s : Trace.span) ->
+      if String.length s.name > n && String.sub s.name 0 n = prefix then
+        let atom = String.sub s.name n (String.length s.name - n) in
+        let rel =
+          match String.index_opt atom '(' with Some i -> String.sub atom 0 i | None -> atom
+        in
+        Option.map (fun q -> (rel, q)) (span_qerror s)
+      else None)
+    spans
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let node_fields n =
+let fields s =
   let b = Buffer.create 48 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  if n.rows_in >= 0 then add " in=%d" n.rows_in;
-  if n.build_rows >= 0 then add " build=%d" n.build_rows;
-  if n.rows_out >= 0 then add " out=%d" n.rows_out;
-  if not (Float.is_nan n.est_rows) then begin
-    add " est=%.1f" n.est_rows;
-    if n.rows_out >= 0 then add " q=%.2f" (qerror ~est:n.est_rows ~actual:n.rows_out)
-  end;
-  if n.partitions > 0 then add " parts=%d" n.partitions;
+  let int key tag = Option.iter (fun v -> add " %s=%d" tag (int_of_float v)) (field s key) in
+  int "rows_in" "in";
+  int "build_rows" "build";
+  int "rows_out" "out";
+  Option.iter (fun est -> add " est=%.1f" est) (est_rows s);
+  Option.iter (fun q -> add " q=%.2f" q) (span_qerror s);
+  (match field s "partitions" with
+  | Some v when v > 0. -> add " parts=%d" (int_of_float v)
+  | _ -> ());
   Buffer.contents b
 
-let node_label n =
-  let extra = if n.detail <> "" then n.detail else n.name in
-  if extra = "" then n.op else n.op ^ " " ^ extra
+let line ppf indent (s : Trace.span) =
+  let left = indent ^ s.name in
+  let pad = max 1 (42 - String.length left) in
+  Format.fprintf ppf "%s%s %s %10.3f ms@." left (String.make pad ' ') (fields s) s.dur_ms
 
-let pp_tree ppf root =
-  let line prefix branch n =
-    let left = prefix ^ branch ^ node_label n in
-    let pad = max 1 (42 - String.length left) in
-    Format.fprintf ppf "%s%s %s %10.3f ms@." left (String.make pad ' ')
-      (node_fields n) n.dur_ms
-  in
-  let rec forest prefix nodes =
-    let count = List.length nodes in
-    List.iteri
-      (fun i n ->
-        let last = i = count - 1 in
-        line prefix (if last then "`- " else "|- ") n;
-        forest (prefix ^ if last then "   " else "|  ") n.children)
-      nodes
-  in
-  line "" "" root;
-  forest "" root.children
-
-let chrome_events ?(tid = 0) root =
-  List.map
-    (fun n ->
-      let args =
-        List.filter_map
-          (fun (k, v) -> if v >= 0. then Some (k, v) else None)
-          [
-            ("rows_in", float_of_int n.rows_in);
-            ("build_rows", float_of_int n.build_rows);
-            ("rows_out", float_of_int n.rows_out);
-            ("partitions", if n.partitions > 0 then float_of_int n.partitions else -1.);
-            ("est_rows", if Float.is_nan n.est_rows then -1. else n.est_rows);
-          ]
-      in
-      Trace.chrome_event ~name:(node_label n)
-        ~ts_us:(n.start_ms *. 1000.)
-        ~dur_us:(n.dur_ms *. 1000.)
-        ~tid ~args ())
-    (preorder root)
+let pp_tree ppf spans =
+  List.iter
+    (fun (root : Trace.span) ->
+      line ppf "" root;
+      Trace.pp_forest line ppf ~parent:root.id spans)
+    (List.filter (fun (s : Trace.span) -> s.parent = -1) spans)

@@ -1,15 +1,19 @@
-(** Operator-level execution profiles: a tree of per-operator runtime
-    facts (rows in/out, build side size, wall time, partition counts,
-    estimated cardinality) recorded by the execution engine and rendered
-    by [explain analyze].
+(** Operator-level execution profiles, recorded as {!Trace.span}s: one
+    span per operator, named by its label ([select r(X,Y)], [join
+    s(Y,Z)], ...), under a root [query] span, with its runtime facts as
+    annotations — [rows_in], [build_rows] (build side of a hash join),
+    [rows_out], [est_rows] and [partitions] (grace/radix partition
+    count).  [explain analyze] renders them with {!pp_tree}; the flight
+    recorder keeps them, and {!Trace.chrome_json} exports them, like any
+    other span list.
 
     The same zero-disabled-cost discipline as {!Trace} applies, enforced
     structurally rather than by a global flag: every recording entry
     point takes an [option] — the engine threads [?profile] through its
     call graph and each instrumentation site is a single pattern match
-    when profiling is off.  A profile belongs to one request on one
-    domain; unlike {!Trace} there is no cross-domain registration,
-    because operators of one execution run sequentially.
+    when profiling is off.  A profile belongs to one execution on one
+    domain, so unlike a trace session it needs no cross-domain
+    registration: operators of one execution run sequentially.
 
     Estimated rows come from a caller-supplied callback (the execution
     engine knows the operator order, the cost layer knows the
@@ -17,70 +21,52 @@
     standard q-error [max (est/act, act/est)] with both sides floored at
     one tuple. *)
 
-type node = {
-  op : string;  (** operator kind: [query], [exec], [select], [semijoin],
-                    [yannakakis], [scan], [join], [cross], [dedup] *)
-  name : string;  (** predicate / relation name, [""] when not applicable *)
-  detail : string;  (** rendered atom or operator arguments *)
-  mutable rows_in : int;  (** probe-side input rows; [-1] = not applicable *)
-  mutable build_rows : int;  (** build-side rows of a hash join; [-1] = n/a *)
-  mutable rows_out : int;  (** output rows; [-1] = not recorded *)
-  mutable est_rows : float;  (** estimated output rows; [nan] = no estimate *)
-  mutable start_ms : float;  (** offset from profile start *)
-  mutable dur_ms : float;
-  mutable partitions : int;  (** grace/radix partition count; [0] = in-memory *)
-  mutable children : node list;
-}
-
+(** A profile being collected. *)
 type t
 
-(** [create ~name ()] starts a profile whose root node is a [query]
-    operator called [name]. *)
+(** An open operator. *)
+type op
+
+(** [create ~name ()] starts a profile whose root is a [query] operator
+    called [name]. *)
 val create : ?name:string -> unit -> t
 
-(** [step p ~op ~name ~detail f] — with [Some p], opens a child node
-    under the innermost open node, runs [f (Some node)] timing it into
-    the node, and closes it (also on exceptions).  With [None], runs
-    [f None]: profiling off costs one match. *)
+(** [step p ~op ~name ~detail f] — with [Some p], opens an operator
+    labelled [op] plus [detail] (or, without one, [name]) under the
+    innermost open operator, runs [f (Some o)] timing it, and closes it
+    (also on exceptions).  With [None], runs [f None]: profiling off
+    costs one match. *)
 val step :
   t option ->
   op:string ->
   ?name:string ->
   ?detail:string ->
-  (node option -> 'a) ->
+  (op option -> 'a) ->
   'a
 
-(** Field setters, no-ops on [None] so instrumentation sites stay
-    branch-free when profiling is off. *)
-val set_rows_in : node option -> int -> unit
-
-val set_build_rows : node option -> int -> unit
-val set_rows_out : node option -> int -> unit
-val set_est_rows : node option -> float -> unit
-val set_partitions : node option -> int -> unit
+(** [set o key v] records the annotation [key = v] on an open operator,
+    replacing an earlier value of [key]; a no-op on [None], so
+    instrumentation sites stay branch-free when profiling is off. *)
+val set : op option -> string -> float -> unit
 
 (** [finish p] closes the root (recording total duration) and returns
-    the tree with children in execution order. *)
-val finish : t -> node
+    the operators' spans in execution preorder, root first. *)
+val finish : t -> Trace.span list
 
 (** [qerror ~est ~actual] — the q-error [max (est/act, act/est)] with
     both sides floored at 1.0 (an empty operator estimated empty is
     perfect, not undefined).  [nan] when [est] is [nan]. *)
 val qerror : est:float -> actual:int -> float
 
-(** Largest q-error over every node of the tree carrying an estimate;
-    [nan] when no node has one. *)
-val max_qerror : node -> float
+(** Largest q-error over every operator carrying both [est_rows] and
+    [rows_out]; [nan] when none does. *)
+val max_qerror : Trace.span list -> float
 
-(** Nodes of the tree in preorder. *)
-val preorder : node -> node list
+(** [(relation, q-error)] of every selection carrying an estimate, in
+    execution order: per-relation estimate accuracy. *)
+val selection_qerrors : Trace.span list -> (string * float) list
 
-(** Render the tree, one operator per line: rows in/out, build rows,
-    estimated rows with per-operator q-error, duration, partition
-    count. *)
-val pp_tree : Format.formatter -> node -> unit
-
-(** Chrome trace-event objects (["ph":"X"] complete events, microsecond
-    timestamps) for every node of the tree, for embedding in a
-    [trace.json] — see {!Trace.chrome_json}. *)
-val chrome_events : ?tid:int -> node -> string list
+(** Render the profile, one operator per line: rows in/out, build rows,
+    estimated rows with per-operator q-error, partition count,
+    duration. *)
+val pp_tree : Format.formatter -> Trace.span list -> unit

@@ -22,7 +22,7 @@ type record = {
   slow : bool;
   detail : string;
   spans : Trace.span list;
-  profile : Profile.node option;
+  profile : Trace.span list;
 }
 
 let capacity = 512
@@ -35,7 +35,7 @@ let enabled () = Atomic.get on
 
 let append ?(trace = -1) ?(latency_ms = 0.) ?(source = "") ?(mode = "")
     ?(classification = "") ?(qerror = Float.nan) ?(answers = -1)
-    ?(truncated = "") ?(slow = false) ?(detail = "") ?(spans = []) ?profile
+    ?(truncated = "") ?(slow = false) ?(detail = "") ?(spans = []) ?(profile = [])
     ~kind () =
   if Atomic.get on then begin
     let seq = Atomic.fetch_and_add next 1 in
@@ -89,7 +89,7 @@ let render r =
     (opt_str r.truncated)
     (if r.slow then "yes" else "no")
     (List.length r.spans)
-    (match r.profile with Some _ -> "yes" | None -> "no")
+    (if r.profile = [] then "no" else "yes")
     (if r.detail = "" then "" else " " ^ r.detail)
 
 let to_json r =
@@ -110,7 +110,7 @@ let to_json r =
       str "truncated" r.truncated;
       num "slow" (if r.slow then "true" else "false");
       num "spans" (string_of_int (List.length r.spans));
-      num "profile" (match r.profile with Some _ -> "true" | None -> "false");
+      num "profile" (if r.profile = [] then "false" else "true");
       str "detail" r.detail;
     ]
   |> Printf.sprintf "{%s}"

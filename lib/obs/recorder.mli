@@ -8,10 +8,11 @@
     a reader sees a whole record or the slot's previous occupant.  The
     ring keeps the last {!capacity} records; older ones are overwritten.
 
-    Slow or analyzed requests retain their full span tree and operator
-    profile in the record (the `trace dump <id>` surface), replacing the
-    old one-line stderr slow log — which survives as {!log_line}, a
-    shared sink that writes one whole line per call instead of the torn
+    Slow requests retain their span tree, and analyzed ones their
+    operator profile, in the record: both are {!Trace.span} lists, which
+    `trace dump <id>` exports as one Chrome trace.  This replaces the old
+    one-line stderr slow log, which survives as {!log_line}: a shared
+    sink that writes one whole line per call instead of the torn
     interleavings of per-domain [Format.eprintf]. *)
 
 type record = {
@@ -29,7 +30,7 @@ type record = {
   slow : bool;  (** crossed the slow-query threshold *)
   detail : string;  (** free-form context, e.g. the query head *)
   spans : Trace.span list;  (** retained span tree (slow/analyzed only) *)
-  profile : Profile.node option;  (** retained operator profile *)
+  profile : Trace.span list;  (** retained operator profile; [[]] = none *)
 }
 
 (** Ring size: how many recent records a dump can return. *)
@@ -54,7 +55,7 @@ val append :
   ?slow:bool ->
   ?detail:string ->
   ?spans:Trace.span list ->
-  ?profile:Profile.node ->
+  ?profile:Trace.span list ->
   kind:string ->
   unit ->
   unit

@@ -1,23 +1,21 @@
 (* A span-based tracer with per-domain buffers.
 
-   Two kinds of session exist.  A *global* session ([run]) captures
-   spans from every domain in the process — at most one is active at a
-   time.  A *scoped* session ([run_scoped]) is bound to the calling
-   domain through its domain-local state, so each worker domain of a
-   server can trace its own request concurrently without seeing its
-   neighbours' spans; workers spawned from inside a scoped session still
-   join it through [context]/[with_context], exactly as with a global
-   session.
+   A session belongs to the domain that calls [run]: it records the
+   spans of that domain, and of every domain [with_context] binds to it
+   (Parallel.map forwards the spawner's context into its workers).  A
+   domain outside every session records nothing, so concurrent server
+   workers each trace their own request without seeing a neighbour's
+   spans, and any number of sessions may run at once.
 
    Each domain records finished spans into its own buffer — registered
-   with the session once per domain (the only locked operation) and
+   with the session once per binding (the only locked operation) and
    appended to lock-free afterwards — so Parallel.map workers trace
    without contending.  Buffers are merged when the session's run
    returns, i.e. after every worker has been joined.
 
-   When no session is active, [with_span] is two atomic loads and a
-   branch in front of the traced function: the disabled tracer costs
-   nothing on the hot paths. *)
+   When no session is running anywhere, [with_span] is one atomic load
+   and a branch in front of the traced function: the disabled tracer
+   costs nothing on the hot paths. *)
 
 type span = {
   id : int;
@@ -34,89 +32,53 @@ type session = {
   next_id : int Atomic.t;
   mutable buffers : span list ref list;
   reg : Mutex.t;
-  live : bool Atomic.t; (* scoped sessions outlive their domain binding *)
-  global : bool;
+  live : bool Atomic.t; (* a context may outlive its session *)
 }
 
 (* An open (not yet finished) span on this domain's stack. *)
 type frame = { fid : int; mutable fkv : (string * float) list }
 
-(* Domain-local tracing state.  [sess] remembers which session the
-   buffer was registered with: a stale binding (from a previous trace)
-   is re-initialized on first use under the new session. *)
+(* Domain-local tracing state: the session this domain records into
+   ([None] outside every session), its buffer, its stack of open spans,
+   and the parent of its top-level spans. *)
 type local = {
   mutable sess : session option;
   mutable buf : span list ref;
   mutable stack : frame list; (* innermost open span first *)
-  mutable root_parent : int; (* parent of top-level spans on this domain *)
+  mutable root_parent : int;
 }
 
 let dls : local Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { sess = None; buf = ref []; stack = []; root_parent = -1 })
 
-let active : session option Atomic.t = Atomic.make None
-
-(* Count of live scoped sessions process-wide: the disabled fast path
-   must not touch domain-local state, so [with_span] checks this counter
-   next to [active] and only consults the DLS when either fires. *)
-let scoped : int Atomic.t = Atomic.make 0
+(* Sessions running anywhere in the process: the disabled fast path
+   reads this counter alone and never touches domain-local state. *)
+let running : int Atomic.t = Atomic.make 0
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
-(* The scoped session bound to this domain, if it is still running. *)
-let scoped_here l =
-  if Atomic.get scoped = 0 then None
-  else
-    match l.sess with
-    | Some s when (not s.global) && Atomic.get s.live -> Some s
-    | _ -> None
-
-(* The session a span recorded on this domain belongs to: the domain's
-   own scoped session first (so a worker tracing its request never leaks
-   spans into a concurrently started global trace), else the global
-   one. *)
-let session_here l =
-  match scoped_here l with Some s -> Some s | None -> Atomic.get active
-
-let enabled () =
-  (match Atomic.get active with Some _ -> true | None -> false)
-  || (Atomic.get scoped > 0 && scoped_here (Domain.DLS.get dls) <> None)
-
-let bound_local l sess =
-  let stale = match l.sess with Some s -> s != sess | None -> true in
-  if stale then begin
-    l.sess <- Some sess;
-    l.buf <- ref [];
-    l.stack <- [];
-    l.root_parent <- -1;
-    Mutex.lock sess.reg;
-    sess.buffers <- l.buf :: sess.buffers;
-    Mutex.unlock sess.reg
-  end;
-  l
-
-let disabled () = Atomic.get active == None && Atomic.get scoped = 0
+let enabled () = Atomic.get running > 0 && Option.is_some (Domain.DLS.get dls).sess
 
 let with_span name f =
-  if disabled () then f ()
+  if Atomic.get running = 0 then f ()
   else
     let l = Domain.DLS.get dls in
-    match session_here l with
+    match l.sess with
     | None -> f ()
     | Some sess ->
-        let l = bound_local l sess in
         let parent =
           match l.stack with fr :: _ -> fr.fid | [] -> l.root_parent
         in
         let id = Atomic.fetch_and_add sess.next_id 1 in
         let frame = { fid = id; fkv = [] } in
         l.stack <- frame :: l.stack;
+        let buf = l.buf in
         let start = now_ms () in
         let finish () =
           let stop = now_ms () in
           (match l.stack with _ :: rest -> l.stack <- rest | [] -> ());
-          l.buf :=
+          buf :=
             {
               id;
               parent;
@@ -126,75 +88,61 @@ let with_span name f =
               domain = (Domain.self () :> int);
               kv = List.rev frame.fkv;
             }
-            :: !(l.buf)
+            :: !buf
         in
         Fun.protect ~finally:finish f
 
 let annotate key value =
-  if disabled () then ()
-  else
-    let l = Domain.DLS.get dls in
-    match session_here l with
-    | None -> ()
-    | Some sess -> (
-        match l.sess with
-        | Some s when s == sess -> (
-            match l.stack with
-            | fr :: _ ->
-                (* repeated keys accumulate, so a phase run in several
-                   passes (set-cover size levels) reports totals *)
-                fr.fkv <-
-                  (match List.assoc_opt key fr.fkv with
-                  | Some v0 -> (key, v0 +. value) :: List.remove_assoc key fr.fkv
-                  | None -> (key, value) :: fr.fkv)
-            | [] -> ())
-        | _ -> ())
+  if Atomic.get running > 0 then
+    match (Domain.DLS.get dls).stack with
+    | fr :: _ ->
+        (* repeated keys accumulate, so a phase run in several passes
+           (set-cover size levels) reports totals *)
+        fr.fkv <-
+          (match List.assoc_opt key fr.fkv with
+          | Some v0 -> (key, v0 +. value) :: List.remove_assoc key fr.fkv
+          | None -> (key, value) :: fr.fkv)
+    | [] -> ()
 
 type ctx = session * int
 
 let context () =
-  if disabled () then None
+  if Atomic.get running = 0 then None
   else
     let l = Domain.DLS.get dls in
-    match session_here l with
+    match l.sess with
     | None -> None
     | Some sess ->
-        let l = bound_local l sess in
-        let parent =
-          match l.stack with fr :: _ -> fr.fid | [] -> l.root_parent
-        in
-        Some (sess, parent)
+        Some (sess, match l.stack with fr :: _ -> fr.fid | [] -> l.root_parent)
+
+(* [bind sess ~parent f] runs [f] with this domain recording into [sess]
+   through a fresh buffer registered with it, top-level spans under
+   [parent]; the domain's previous state comes back afterwards. *)
+let bind sess ~parent f =
+  let l = Domain.DLS.get dls in
+  let saved_sess = l.sess
+  and saved_buf = l.buf
+  and saved_stack = l.stack
+  and saved_root = l.root_parent in
+  l.sess <- Some sess;
+  l.buf <- ref [];
+  l.stack <- [];
+  l.root_parent <- parent;
+  Mutex.lock sess.reg;
+  sess.buffers <- l.buf :: sess.buffers;
+  Mutex.unlock sess.reg;
+  Fun.protect
+    ~finally:(fun () ->
+      l.sess <- saved_sess;
+      l.buf <- saved_buf;
+      l.stack <- saved_stack;
+      l.root_parent <- saved_root)
+    f
 
 let with_context ctx f =
   match ctx with
-  | None -> f ()
-  | Some (sess, parent) ->
-      (* only honor the context while its session is still running; a
-         context surviving past its run is ignored *)
-      let still_live =
-        if sess.global then (
-          match Atomic.get active with
-          | Some live -> live == sess
-          | None -> false)
-        else Atomic.get sess.live
-      in
-      if not still_live then f ()
-      else begin
-        let l = bound_local (Domain.DLS.get dls) sess in
-        let saved = l.root_parent in
-        l.root_parent <- parent;
-        Fun.protect ~finally:(fun () -> l.root_parent <- saved) f
-      end
-
-let make_session ~global =
-  {
-    t0 = now_ms ();
-    next_id = Atomic.make 0;
-    buffers = [];
-    reg = Mutex.create ();
-    live = Atomic.make true;
-    global;
-  }
+  | Some (sess, parent) when Atomic.get sess.live -> bind sess ~parent f
+  | Some _ | None -> f ()
 
 let collect sess =
   (* every domain that recorded has finished by now: runs are
@@ -208,49 +156,28 @@ let collect sess =
     spans
 
 let run f =
-  if (not (disabled ())) && session_here (Domain.DLS.get dls) <> None then
+  if Option.is_some (Domain.DLS.get dls).sess then
     (* nested traces do not exist: the inner [run] contributes its spans
        to the session already covering this domain *)
     (f (), [])
-  else
-    let sess = make_session ~global:true in
-    if not (Atomic.compare_and_set active None (Some sess)) then (f (), [])
-    else
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            Atomic.set active None;
-            Atomic.set sess.live false)
-          f
-      in
-      (result, collect sess)
-
-let run_scoped f =
-  let l = Domain.DLS.get dls in
-  if (not (disabled ())) && session_here l <> None then
-    (* already traced (enclosing global or scoped session): contribute *)
-    (f (), [])
   else begin
-    let sess = make_session ~global:false in
-    let saved_sess = l.sess
-    and saved_buf = l.buf
-    and saved_stack = l.stack
-    and saved_root = l.root_parent in
-    l.sess <- Some sess;
-    l.buf <- ref [];
-    l.stack <- [];
-    l.root_parent <- -1;
-    sess.buffers <- [ l.buf ];
-    Atomic.incr scoped;
-    let finish () =
-      Atomic.set sess.live false;
-      Atomic.decr scoped;
-      l.sess <- saved_sess;
-      l.buf <- saved_buf;
-      l.stack <- saved_stack;
-      l.root_parent <- saved_root
+    let sess =
+      {
+        t0 = now_ms ();
+        next_id = Atomic.make 0;
+        buffers = [];
+        reg = Mutex.create ();
+        live = Atomic.make true;
+      }
     in
-    let result = Fun.protect ~finally:finish f in
+    Atomic.incr running;
+    let result =
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set sess.live false;
+          Atomic.decr running)
+        (fun () -> bind sess ~parent:(-1) f)
+    in
     (result, collect sess)
   end
 
@@ -278,20 +205,23 @@ let pp_kv ppf kv =
                 else Printf.sprintf "%s=%g" k v)
               kv))
 
-let pp_tree ppf spans =
-  let rec pp_forest prefix nodes =
+let pp_forest line ppf ~parent spans =
+  let rec forest prefix nodes =
     let n = List.length nodes in
     List.iteri
       (fun i s ->
         let last = i = n - 1 in
-        let branch = if last then "`- " else "|- " in
-        Format.fprintf ppf "%s%s%-18s %10.3f ms%a@." prefix branch s.name s.dur_ms
-          pp_kv s.kv;
-        let prefix' = prefix ^ if last then "   " else "|  " in
-        pp_forest prefix' (children spans s.id))
+        line ppf (prefix ^ if last then "`- " else "|- ") s;
+        forest (prefix ^ if last then "   " else "|  ") (children spans s.id))
       nodes
   in
-  pp_forest "" (children spans (-1))
+  forest "" (children spans parent)
+
+let pp_tree =
+  pp_forest
+    (fun ppf indent s ->
+      Format.fprintf ppf "%s%-18s %10.3f ms%a@." indent s.name s.dur_ms pp_kv s.kv)
+    ~parent:(-1)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
@@ -319,9 +249,9 @@ let json_float v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-let chrome_event ~name ~ts_us ~dur_us ?(tid = 0) ?(args = []) () =
-  let args_s =
-    match args with
+let chrome_event s =
+  let args =
+    match s.kv with
     | [] -> ""
     | kv ->
         Printf.sprintf ",\"args\":{%s}"
@@ -333,15 +263,8 @@ let chrome_event ~name ~ts_us ~dur_us ?(tid = 0) ?(args = []) () =
   in
   Printf.sprintf
     "{\"name\":\"%s\",\"cat\":\"vplan\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":1,\"tid\":%d%s}"
-    (json_escape name) ts_us dur_us tid args_s
+    (json_escape s.name) (s.start_ms *. 1000.) (s.dur_ms *. 1000.) s.domain args
 
-let chrome_json ?(extra = []) spans =
-  let evs =
-    List.map
-      (fun s ->
-        chrome_event ~name:s.name ~ts_us:(s.start_ms *. 1000.)
-          ~dur_us:(s.dur_ms *. 1000.) ~tid:s.domain ~args:s.kv ())
-      spans
-  in
-  "{\"traceEvents\":[" ^ String.concat "," (evs @ extra)
+let chrome_json spans =
+  "{\"traceEvents\":[" ^ String.concat "," (List.map chrome_event spans)
   ^ "],\"displayTimeUnit\":\"ms\"}"

@@ -1,3 +1,5 @@
+module Metrics = Vplan_obs.Metrics
+
 type result = {
   clients : int;
   sent : int;
@@ -71,19 +73,11 @@ let close_conn c =
     c.closed <- true;
     try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = p *. float_of_int (n - 1) in
-    let lo = int_of_float rank in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+(* After the deadline, stragglers get this long to answer. *)
+let grace_s = 2.0
 
-let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
-    ?(grace_ms = 2000.0) ?(retries = 0) ?(backoff_ms = 5.0) ~duration_ms
-    ~request () =
+let run ?(host = "127.0.0.1") ~port ~clients ?(retries = 0) ?(backoff_ms = 5.0)
+    ~duration_ms ~request () =
   if clients < 1 then invalid_arg "Loadgen.run: clients must be >= 1";
   if retries < 0 then invalid_arg "Loadgen.run: retries must be >= 0";
   let conns = Array.init clients (connect_conn ~host ~port) in
@@ -98,11 +92,7 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
   let nlat = ref 0 in
   let start = Unix.gettimeofday () in
   let deadline = start +. (duration_ms /. 1000.0) in
-  let hard_stop = deadline +. (grace_ms /. 1000.0) in
-  let rr = ref 0 in
-  let exhausted c =
-    match max_per_client with Some m -> c.seq >= m | None -> false
-  in
+  let hard_stop = deadline +. grace_s in
   let post now c line attempt =
     c.outbox <- c.outbox ^ line ^ "\n";
     Queue.push (now, line, attempt) c.starts;
@@ -123,9 +113,9 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
     incr sent;
     post now c line 0
   in
-  (* Open loop sends on the clock; closed loop sends on completion.
-     Either way, a due retry goes out first — and past the deadline
-     pending retries are abandoned (counted shed) so the run can end. *)
+  (* A connection sends on completion of its last request; a due retry
+     goes out first — and past the deadline pending retries are
+     abandoned (counted shed) so the run can end. *)
   let schedule now =
     Array.iter
       (fun c ->
@@ -146,34 +136,15 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
         | None -> ())
       conns;
     if now < deadline then
-      match rate with
-      | None ->
-          Array.iter
-            (fun c ->
-              if
-                (not c.closed)
-                && Queue.is_empty c.starts
-                && c.retry_at = None
-                && (not (exhausted c))
-                && c.outbox = ""
-              then enqueue now c)
-            conns
-      | Some r ->
-          let due = int_of_float (r *. (now -. start)) - !sent in
-          for _ = 1 to due do
-            (* Round-robin over live, non-exhausted connections; give up
-               after one full lap so a dead fleet can't spin. *)
-            let placed = ref false in
-            let tries = ref 0 in
-            while (not !placed) && !tries < clients do
-              let c = conns.(!rr mod clients) in
-              incr rr;
-              incr tries;
-              if (not c.closed) && not (exhausted c) then (
-                enqueue now c;
-                placed := true)
-            done
-          done
+      Array.iter
+        (fun c ->
+          if
+            (not c.closed)
+            && Queue.is_empty c.starts
+            && c.retry_at = None
+            && c.outbox = ""
+          then enqueue now c)
+        conns
   in
   let on_line c line =
     if c.in_response then (
@@ -196,9 +167,8 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
             in
             if hit then incr hits
         | Some "err busy" ->
-            (* one retry slot per connection is enough: closed loop has
-               one request in flight, and in open loop a second busy
-               just counts as shed rather than stacking a backlog *)
+            (* one retry slot per connection is enough: a connection
+               has one request in flight *)
             if attempt < retries && c.retry_at = None then
               c.retry_at <-
                 Some (now +. backoff_delay_s ~backoff_ms attempt, req_line, attempt + 1)
@@ -253,13 +223,6 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
          conns)
     || now >= hard_stop
     || Array.for_all (fun c -> c.closed) conns
-    || (max_per_client <> None
-       && Array.for_all
-            (fun c ->
-              c.closed
-              || (exhausted c && Queue.is_empty c.starts && c.outbox = ""
-                 && c.retry_at = None))
-            conns)
   in
   while not (finished ()) do
     let now = Unix.gettimeofday () in
@@ -275,13 +238,8 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
     in
     if rds = [] && wrs = [] then ()
     else
-      let timeout =
-        match rate with
-        | None -> 0.05
-        | Some r -> Float.max 0.001 (Float.min 0.05 (1.0 /. r))
-      in
       let rd, wr, _ =
-        try Unix.select rds wrs [] timeout
+        try Unix.select rds wrs [] 0.05
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
       List.iter
@@ -347,8 +305,8 @@ let run ?(host = "127.0.0.1") ~port ~clients ?rate ?max_per_client
     closed_early;
     elapsed_ms;
     qps = (if elapsed_ms > 0.0 then float_of_int !ok /. (elapsed_ms /. 1000.0) else 0.0);
-    p50_ms = percentile lat 0.50;
-    p99_ms = percentile lat 0.99;
+    p50_ms = Metrics.percentile lat 0.50;
+    p99_ms = Metrics.percentile lat 0.99;
     max_ms = (if !nlat = 0 then 0.0 else lat.(!nlat - 1));
   }
 
@@ -419,16 +377,9 @@ module Client = struct
     in
     go []
 
-  let request ?(retries = 0) ?(backoff_ms = 5.0) t line =
-    let rec go attempt =
-      send t line;
-      match read_response t with
-      | [ "err busy" ] when attempt < retries ->
-          Unix.sleepf (backoff_delay_s ~backoff_ms attempt);
-          go (attempt + 1)
-      | resp -> resp
-    in
-    go 0
+  let request t line =
+    send t line;
+    read_response t
 
   let drain t n = List.init n (fun _ -> read_response t)
 

@@ -2,19 +2,18 @@
 
     {!run} drives N concurrent client connections from a single domain
     with a [select] event loop, so hundreds of clients cost hundreds of
-    sockets, not hundreds of domains.  Closed-loop mode (the default)
-    keeps exactly one request in flight per connection — the classic
+    sockets, not hundreds of domains.  The loop is closed: each
+    connection keeps exactly one request in flight — the classic
     fixed-concurrency benchmark, where measured throughput is
-    [clients / latency].  Open-loop mode ([rate]) sends at a fixed
-    aggregate arrival rate whatever the completions do, which is what
-    exposes shedding behaviour under overload.
+    [clients / latency].
 
     Responses are framed by the server's lone-["."] terminator line and
     classified by their first line: [ok ...] (a cache-hit attribution
     [" hit "] is counted separately), [err busy] (shed by admission
-    control), or any other [err ...].  Latency percentiles are computed
-    over successful ([ok]) responses only — shed responses are
-    deliberately fast and would flatter the tail. *)
+    control), or any other [err ...].  Latency percentiles
+    ({!Vplan_obs.Metrics.percentile}, nearest rank) are computed over
+    successful ([ok]) responses only — shed responses are deliberately
+    fast and would flatter the tail. *)
 
 type result = {
   clients : int;
@@ -38,13 +37,8 @@ type result = {
 (** [run ~port ~clients ~duration_ms ~request ()] — [request ~client
     ~seq] renders the request line for connection [client]'s [seq]-th
     send (without the newline; it must be a single-line command).
-
-    [rate], when given, switches to open loop: requests are sent at
-    [rate] per second aggregate, round-robin over the connections,
-    regardless of outstanding responses.  [max_per_client] stops a
-    connection after that many sends (the run ends early when every
-    connection is done).  After [duration_ms] no new requests are sent;
-    up to [grace_ms] (default 2000) is then allowed for stragglers.
+    After [duration_ms] no new requests are sent; up to 2 s more is
+    then allowed for stragglers.
 
     [retries] (default 0: off) resends a request shed with [err busy]
     up to that many times, after an exponential backoff with full
@@ -56,9 +50,6 @@ val run :
   ?host:string ->
   port:int ->
   clients:int ->
-  ?rate:float ->
-  ?max_per_client:int ->
-  ?grace_ms:float ->
   ?retries:int ->
   ?backoff_ms:float ->
   duration_ms:float ->
@@ -74,13 +65,10 @@ module Client : sig
   val connect : ?host:string -> port:int -> unit -> t
 
   (** [request t line] sends [line] (or several lines, for [batch])
-      and returns the response lines, terminator excluded.  [retries]
-      (default 0) resends after an [err busy] reply, waiting out an
-      exponential backoff with full jitter between attempts; the
-      returned response is the last attempt's.
+      and returns the response lines, terminator excluded.
       @raise Failure on timeout (10s), closed connection, or if the
       connection already saw EOF. *)
-  val request : ?retries:int -> ?backoff_ms:float -> t -> string -> string list
+  val request : t -> string -> string list
 
   (** [send t line] writes without awaiting a response (for pipelining
       experiments); pair with {!drain}. *)

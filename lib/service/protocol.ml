@@ -101,25 +101,36 @@ let install_catalog shared cat =
 
 let next_trace_id shared = Atomic.fetch_and_add shared.next_trace 1 + 1
 
-let is_slow (sess : session) ~ms =
-  match sess.slow_ms with Some threshold -> ms >= threshold | None -> false
-
-(* One whole line through the shared sink: per-domain [Format.eprintf]
-   tears mid-line when worker domains log concurrently. *)
-let slow_log (sess : session) ~trace ~ms detail =
-  if is_slow sess ~ms then
-    Recorder.log_line (Printf.sprintf "slow trace=%d ms=%.3f %s" trace ms detail)
-
-(* Requests are traced per worker domain ([Trace.run_scoped]) only while
-   a slow-query threshold is armed: a request that crosses it retains
-   its whole span tree in the flight recorder instead of one log
-   line. *)
+(* Requests are traced on their worker domain only while a slow-query
+   threshold is armed: a request that crosses it retains its whole span
+   tree in the flight recorder instead of one log line. *)
 let traced_if_armed (sess : session) f =
-  if sess.slow_ms <> None then Trace.run_scoped f else (f (), [])
+  if sess.slow_ms <> None then Trace.run f else (f (), [])
 
 let mode_string = function
   | Service.Exact -> "exact"
   | Service.Estimated -> "estimated"
+
+(* The epilogue of every answered rewrite, plan and analyze request:
+   draw its trace id, log it if slow, and append its flight-recorder
+   record, which keeps the span tree only when the request was slow.
+   The slow log goes through the shared sink as one whole line:
+   per-domain [Format.eprintf] tears mid-line when worker domains log
+   concurrently. *)
+let record_request (sess : session) ~kind ~ms ~spans ~classification
+    ?(source = "") ?qerror ?answers ?truncated ?profile (query : Query.t) =
+  let trace = next_trace_id sess.shared in
+  let slow = match sess.slow_ms with Some threshold -> ms >= threshold | None -> false in
+  if slow then
+    Recorder.log_line
+      (Printf.sprintf "slow trace=%d ms=%.3f source=%s" trace ms
+         (if source = "" then kind else source));
+  Recorder.append ~kind ~trace ~latency_ms:ms ~source
+    ~mode:(mode_string sess.cost_mode) ~classification ?qerror ?answers
+    ?truncated ~slow ~detail:(Atom.to_string query.Query.head)
+    ~spans:(if slow then spans else [])
+    ?profile ();
+  trace
 
 let err ppf fmt =
   Format.kasprintf (fun s -> Format.fprintf ppf "err %s@." s) fmt
@@ -267,22 +278,17 @@ let print_reply ?(spans = []) (sess : session) buf ppf query (r : Service.reply)
     | Service.Miss -> "miss"
     | Service.Bypass -> "bypass"
   in
-  let trace = next_trace_id sess.shared in
-  Format.fprintf ppf "ok %d %s trace=%d@." r.Service.reply_count source trace;
-  slow_log sess ~trace ~ms:r.Service.reply_ms (Printf.sprintf "source=%s" source);
-  let slow = is_slow sess ~ms:r.Service.reply_ms in
   let truncated =
     match r.Service.reply_completeness with
     | Vplan_rewrite.Corecover.Complete -> ""
     | Vplan_rewrite.Corecover.Truncated reason -> Vplan_error.to_string reason
   in
-  Recorder.append ~kind:"rewrite" ~trace ~latency_ms:r.Service.reply_ms ~source
-    ~mode:(mode_string sess.cost_mode)
-    ~classification:r.Service.reply_classification
-    ~answers:r.Service.reply_count ~truncated ~slow
-    ~detail:(Atom.to_string query.Query.head)
-    ~spans:(if slow then spans else [])
-    ();
+  let trace =
+    record_request sess ~kind:"rewrite" ~ms:r.Service.reply_ms ~spans
+      ~classification:r.Service.reply_classification ~source
+      ~answers:r.Service.reply_count ~truncated query
+  in
+  Format.fprintf ppf "ok %d %s trace=%d@." r.Service.reply_count source trace;
   Format.pp_print_flush ppf ();
   Reply_template.render buf r.Service.reply_lines r.Service.reply_names;
   if truncated <> "" then Format.fprintf ppf "truncated: %s@." truncated
@@ -377,7 +383,10 @@ let cmd_plan (sess : session) ppf rest =
           match outcome with
           | None -> Format.fprintf ppf "ok plan none trace=%d@." (next_trace_id shared)
           | Some o ->
-              let trace = next_trace_id shared in
+              let trace =
+                record_request sess ~kind:"plan" ~ms:o.Service.plan_ms ~spans
+                  ~classification:(Service.classification query) query
+              in
               (match o.Service.plan_cost with
               | Service.Cells c ->
                   Format.fprintf ppf "ok plan cost=%d candidates=%d trace=%d@."
@@ -386,15 +395,6 @@ let cmd_plan (sess : session) ppf rest =
                   Format.fprintf ppf
                     "ok plan mode=estimated cost_est=%.1f candidates=%d trace=%d@."
                     c o.Service.plan_candidates trace);
-              slow_log sess ~trace ~ms:o.Service.plan_ms "source=plan";
-              let slow = is_slow sess ~ms:o.Service.plan_ms in
-              Recorder.append ~kind:"plan" ~trace ~latency_ms:o.Service.plan_ms
-                ~mode:(mode_string sess.cost_mode)
-                ~classification:(Service.classification query)
-                ~slow
-                ~detail:(Atom.to_string query.Query.head)
-                ~spans:(if slow then spans else [])
-                ();
               Format.fprintf ppf "%a@." Query.pp o.Service.plan_rewriting;
               Format.fprintf ppf "order: %a@."
                 (Format.pp_print_list
@@ -517,7 +517,12 @@ let cmd_analyze (sess : session) ppf rest =
               Format.fprintf ppf "ok analyze none trace=%d@."
                 (next_trace_id shared)
           | Some o ->
-              let trace = next_trace_id shared in
+              let trace =
+                record_request sess ~kind:"analyze" ~ms:o.Service.an_ms ~spans
+                  ~classification:o.Service.an_classification
+                  ~qerror:o.Service.an_qerror ~answers:o.Service.an_answers
+                  ~profile:o.Service.an_profile query
+              in
               let q =
                 if Float.is_nan o.Service.an_qerror then "-"
                 else Printf.sprintf "%.2f" o.Service.an_qerror
@@ -535,16 +540,6 @@ let cmd_analyze (sess : session) ppf rest =
                      answers=%d qerror=%s class=%s trace=%d@."
                     c o.Service.an_candidates o.Service.an_answers q
                     o.Service.an_classification trace);
-              slow_log sess ~trace ~ms:o.Service.an_ms "source=analyze";
-              let slow = is_slow sess ~ms:o.Service.an_ms in
-              Recorder.append ~kind:"analyze" ~trace
-                ~latency_ms:o.Service.an_ms
-                ~mode:(mode_string sess.cost_mode)
-                ~classification:o.Service.an_classification
-                ~qerror:o.Service.an_qerror ~answers:o.Service.an_answers ~slow
-                ~detail:(Atom.to_string query.Query.head)
-                ~spans:(if slow then spans else [])
-                ~profile:o.Service.an_profile ();
               Format.fprintf ppf "%a@." Query.pp o.Service.an_rewriting;
               Format.fprintf ppf "order: %a@."
                 (Format.pp_print_list
@@ -633,19 +628,15 @@ let cmd_trace ppf rest =
       match Recorder.find_trace id with
       | None -> err ppf "no recorded request with trace=%d" id
       | Some r ->
-          let extra =
-            match r.Recorder.profile with
-            | None -> []
-            | Some p -> Profile.chrome_events p
-          in
-          if r.Recorder.spans = [] && extra = [] then
+          if r.Recorder.spans = [] && r.Recorder.profile = [] then
             err ppf
               "trace %d retained no spans or profile (spans are kept for \
                slow requests — set slow-ms — and profiles for explain \
                analyze)"
               id
           else
-            Format.fprintf ppf "%s@." (Trace.chrome_json ~extra r.Recorder.spans))
+            Format.fprintf ppf "%s@."
+              (Trace.chrome_json (r.Recorder.spans @ r.Recorder.profile)))
   | _ -> err ppf "usage: trace dump ID"
 
 let cmd_save shared ppf =

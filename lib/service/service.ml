@@ -14,6 +14,7 @@ module Qerror = Vplan_stats.Qerror
 module Metrics = Vplan_obs.Metrics
 module Obs = Vplan_obs.Obs
 module Profile = Vplan_obs.Profile
+module Trace = Vplan_obs.Trace
 module Exec = Vplan_exec.Exec
 module Hypergraph = Vplan_hypergraph.Hypergraph
 
@@ -421,7 +422,7 @@ type analyze_outcome = {
   an_answers : int;
   an_classification : string;
   an_qerror : float;
-  an_profile : Profile.node;
+  an_profile : Trace.span list;
   an_ms : float;
 }
 
@@ -447,8 +448,8 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
         Obs.phase "analyze_exec" (fun () ->
             Exec.answers ?budget ~profile ~estimate img ordered)
       in
-      let root = Profile.finish profile in
-      let qerror = Profile.max_qerror root in
+      let spans = Profile.finish profile in
+      let qerror = Profile.max_qerror spans in
       if not (Float.is_nan qerror) then Metrics.observe estimate_qerror_h qerror;
       let ms = Budget.elapsed_ms clock in
       Metrics.incr analyze_requests_total;
@@ -458,11 +459,8 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
           (* per-relation accuracy: selection estimates attribute
              directly to the scanned relation *)
           List.iter
-            (fun (n : Profile.node) ->
-              if n.Profile.op = "select" && n.Profile.rows_out >= 0 then
-                let q = Profile.qerror ~est:n.Profile.est_rows ~actual:n.Profile.rows_out in
-                if not (Float.is_nan q) then Qerror.observe_rel t.qerrors n.Profile.name q)
-            (Profile.preorder root));
+            (fun (rel, q) -> Qerror.observe_rel t.qerrors rel q)
+            (Profile.selection_qerrors spans));
       Some
         {
           an_rewriting = rw;
@@ -472,14 +470,9 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
           an_answers = Vplan_relational.Relation.cardinality answers;
           an_classification = classification ordered;
           an_qerror = qerror;
-          an_profile = root;
+          an_profile = spans;
           an_ms = ms;
         }
-
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.
-  | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
 let stats t =
   locked t (fun () ->
@@ -491,8 +484,8 @@ let stats t =
         {
           count = t.lat_next;
           mean_ms = (if t.lat_next = 0 then 0. else t.lat_sum /. float_of_int t.lat_next);
-          p50_ms = percentile window 0.50;
-          p95_ms = percentile window 0.95;
+          p50_ms = Metrics.percentile window 0.50;
+          p95_ms = Metrics.percentile window 0.95;
           max_ms = t.lat_max;
         }
       in

@@ -245,7 +245,7 @@ type analyze_outcome = {
       (** per-query q-error: the worst estimated-vs-actual row ratio
           over the operator tree; [nan] when no operator had an
           estimate *)
-  an_profile : Vplan_obs.Profile.node;  (** the operator tree *)
+  an_profile : Vplan_obs.Trace.span list;  (** the operator profile ({!Vplan_obs.Profile}) *)
   an_ms : float;
 }
 

@@ -170,24 +170,22 @@ let prop_profile_transparent =
       let estimate = Estimate.cardinality est in
       let p = Profile.create ~name:"prop" () in
       let profiled = Exec.answers ~profile:p ~estimate t q in
-      let root = Profile.finish p in
-      let nodes = Profile.preorder root in
+      let spans = Profile.finish p in
       let exec =
-        List.find_opt (fun n -> n.Profile.op = "exec") nodes
+        List.find_opt (fun (s : Trace.span) -> s.name = "exec " ^ q.Query.head.Atom.pred) spans
       in
       Relation.equal plain profiled
-      (* the exec node's output is the deduplicated answer count *)
+      (* the exec operator's output is the deduplicated answer count *)
       && (match exec with
-         | Some n -> n.Profile.rows_out = Relation.cardinality plain
+         | Some s ->
+             List.assoc_opt "rows_out" s.kv = Some (float_of_int (Relation.cardinality plain))
          | None -> false)
-      (* per-node sanity: recorded row counts are never negative beyond
-         the -1 sentinel, durations never negative *)
+      (* per-operator sanity: recorded row counts and durations are
+         never negative *)
       && List.for_all
-           (fun n ->
-             n.Profile.rows_out >= -1
-             && n.Profile.rows_in >= -1
-             && n.Profile.dur_ms >= 0.)
-           nodes)
+           (fun (s : Trace.span) ->
+             List.for_all (fun (_, v) -> v >= 0.) s.kv && s.dur_ms >= 0.)
+           spans)
 
 (* -- the shared greedy schedule ------------------------------------- *)
 
@@ -219,9 +217,12 @@ let test_schedule_shared () =
       let p = Profile.create ~name:"schedule" () in
       ignore (Exec.answers ~profile:p img q);
       let executed =
-        Profile.preorder (Profile.finish p)
-        |> List.filter (fun n -> List.mem n.Profile.op [ "scan"; "join"; "cross" ])
-        |> List.map (fun n -> n.Profile.detail)
+        Profile.finish p
+        |> List.filter_map (fun (s : Trace.span) ->
+               match String.index_opt s.name ' ' with
+               | Some i when List.mem (String.sub s.name 0 i) [ "scan"; "join"; "cross" ] ->
+                   Some (String.sub s.name (i + 1) (String.length s.name - i - 1))
+               | _ -> None)
       in
       Alcotest.(check (list string)) "executed in that order"
         (List.map Atom.to_string order) executed)

@@ -249,65 +249,78 @@ let profile_tree_shape () =
   let p = Profile.create ~name:"q" () in
   let prof = Some p in
   Profile.step prof ~op:"exec" ~name:"q" (fun n ->
-      Profile.set_rows_in n 10;
+      Profile.set n "rows_in" 10.;
       Profile.step prof ~op:"select" ~name:"r" (fun c ->
-          Profile.set_rows_out c 4;
-          Profile.set_est_rows c 8.);
+          Profile.set c "rows_out" 4.;
+          Profile.set c "est_rows" 8.);
       Profile.step prof ~op:"join" ~name:"s" (fun c ->
-          Profile.set_build_rows c 4;
-          Profile.set_rows_out c 2;
-          Profile.set_est_rows c 2.);
-      Profile.set_rows_out n 2);
-  let root = Profile.finish p in
-  check_bool "root is the query node" true (root.Profile.op = "query");
-  (match root.Profile.children with
-  | [ e ] ->
-      check_bool "exec child" true (e.Profile.op = "exec");
-      (match e.Profile.children with
-      | [ a; b ] ->
-          (* children come back in execution order *)
-          check_bool "select first" true (a.Profile.op = "select");
-          check_bool "join second" true (b.Profile.op = "join");
-          check_int "build rows" 4 b.Profile.build_rows
-      | _ -> Alcotest.fail "expected two grandchildren")
-  | _ -> Alcotest.fail "expected one child");
+          Profile.set c "build_rows" 4.;
+          Profile.set c "rows_out" 2.;
+          Profile.set c "est_rows" 2.);
+      Profile.set n "rows_out" 2.);
+  let spans = Profile.finish p in
+  (* operators come back in execution preorder, each under its parent *)
+  (match spans with
+  | [ root; e; a; b ] ->
+      check_bool "root is the query operator" true
+        (root.Trace.name = "query q" && root.Trace.parent = -1);
+      check_bool "exec under the root" true
+        (e.Trace.name = "exec q" && e.Trace.parent = root.Trace.id);
+      check_bool "select first" true
+        (a.Trace.name = "select r" && a.Trace.parent = e.Trace.id);
+      check_bool "join second" true
+        (b.Trace.name = "join s" && b.Trace.parent = e.Trace.id);
+      check_bool "annotations in recording order" true
+        (b.Trace.kv = [ ("build_rows", 4.); ("rows_out", 2.); ("est_rows", 2.) ])
+  | _ -> Alcotest.fail "expected four spans");
   (* worst estimate over the tree: select is off 2x, join is exact *)
-  check_bool "max qerror" true (Profile.max_qerror root = 2.);
-  check_int "preorder covers the tree" 4 (List.length (Profile.preorder root));
-  let rendered = Format.asprintf "%a" Profile.pp_tree root in
+  check_bool "max qerror" true (Profile.max_qerror spans = 2.);
+  check_bool "selection accuracy by relation" true
+    (Profile.selection_qerrors spans = [ ("r", 2.) ]);
+  let rendered = Format.asprintf "%a" Profile.pp_tree spans in
   check_bool "tree names operators" true
     (contains rendered "select" && contains rendered "join");
   check_bool "tree shows est vs actual" true
     (contains rendered "out=4 est=8.0 q=2.00");
-  let events = Profile.chrome_events root in
-  check_int "one chrome event per node" 4 (List.length events);
-  check_bool "events are complete-phase" true
-    (List.for_all (fun e -> contains e "\"ph\":\"X\"") events)
+  let json = Trace.chrome_json spans in
+  check_bool "one chrome event per operator" true
+    (List.for_all (fun s -> contains json ("{\"name\":\"" ^ s.Trace.name ^ "\"")) spans);
+  check_bool "row counts become event args" true
+    (contains json "\"args\":{\"build_rows\":4,\"rows_out\":2,\"est_rows\":2}")
 
 let profiled_off_is_transparent () =
   (* with no profile every entry point is a pass-through *)
   let r = Profile.step None ~op:"exec" (fun n ->
-      Profile.set_rows_in n 3;
-      Profile.set_rows_out n 3;
+      Profile.set n "rows_in" 3.;
+      Profile.set n "rows_out" 3.;
       41 + 1)
   in
   check_int "step None passes through" 42 r
 
-(* --- scoped trace sessions ------------------------------------------ *)
+(* --- trace sessions ------------------------------------------------- *)
 
-let run_scoped_isolated () =
-  (* two concurrent scoped sessions: each collects exactly its own
-     spans, with no cross-pollution through the global session slot *)
-  let worker tag () =
-    Trace.run_scoped (fun () ->
-        for _ = 1 to 50 do
-          Trace.with_span tag (fun () -> ())
-        done)
+(* Two domains each inside their own [Trace.run], and a third outside
+   every session, record at the same time: the barriers hold each run
+   open until all three have recorded.  Each run gets exactly its own
+   domain's spans. *)
+let runs_isolated () =
+  let arrived = Atomic.make 0 and recorded = Atomic.make 0 in
+  let await counter =
+    Atomic.incr counter;
+    while Atomic.get counter < 3 do Domain.cpu_relax () done
   in
-  let d1 = Domain.spawn (worker "left") in
-  let d2 = Domain.spawn (worker "right") in
-  let (), left = Domain.join d1 in
-  let (), right = Domain.join d2 in
+  let record tag =
+    await arrived;
+    for _ = 1 to 50 do
+      Trace.with_span tag ignore
+    done;
+    await recorded
+  in
+  let traced tag = Domain.spawn (fun () -> snd (Trace.run (fun () -> record tag))) in
+  let left = traced "left" and right = traced "right" in
+  let untraced = Domain.spawn (fun () -> record "untraced") in
+  let left = Domain.join left and right = Domain.join right in
+  Domain.join untraced;
   check_int "left count" 50 (List.length left);
   check_int "right count" 50 (List.length right);
   check_bool "left spans pure" true
@@ -425,8 +438,7 @@ let suite =
       profile_tree_shape;
     Alcotest.test_case "profiling off is transparent" `Quick
       profiled_off_is_transparent;
-    Alcotest.test_case "scoped trace sessions are isolated" `Quick
-      run_scoped_isolated;
+    Alcotest.test_case "scoped trace sessions are isolated" `Quick runs_isolated;
     Alcotest.test_case "chrome trace export" `Quick chrome_json_roundtrip;
     Alcotest.test_case "flight recorder basics" `Quick recorder_basic;
     Alcotest.test_case "flight recorder wraparound" `Quick recorder_wraparound;

@@ -356,6 +356,64 @@ let server_survives_disconnect () =
       | [] -> Alcotest.fail "empty response");
       Loadgen.Client.close c)
 
+(* An explain traces only its own request.  One connection streams
+   rewrite misses (distinct heads) while another sends explains that
+   miss too, so the two workers run CoreCover side by side; every
+   explain's tree must be its own miss alone: one top-level corecover
+   span and the span count an explain has on an idle server. *)
+let server_explain_traces_own_request () =
+  with_protocol_server ~workers:2 ~views:Car_loc_part.views (fun port _shared ->
+      let body = "car(M, anderson), loc(anderson, C), part(S, M, C)." in
+      let c = Loadgen.Client.connect ~port () in
+      let explain i =
+        match Loadgen.Client.request c (Printf.sprintf "explain e%d(S, C) :- %s" i body) with
+        | first :: lines ->
+            let spans =
+              match List.rev (String.split_on_char ' ' first) with
+              | last :: _ when starts_with "spans=" last ->
+                  int_of_string (String.sub last 6 (String.length last - 6))
+              | _ -> Alcotest.failf "no span count in %S" first
+            in
+            let top_level =
+              List.filter_map
+                (fun l ->
+                  if starts_with "`- " l || starts_with "|- " l then
+                    Some (List.hd (String.split_on_char ' ' (String.sub l 3 (String.length l - 3))))
+                  else None)
+                lines
+            in
+            (spans, top_level)
+        | [] -> Alcotest.fail "empty explain reply"
+      in
+      let alone, alone_top = explain 0 in
+      check_bool "an idle explain traces one corecover" true (alone_top = [ "corecover" ]);
+      let stop = Atomic.make false and streamed = Atomic.make 0 in
+      let streamer =
+        Domain.spawn (fun () ->
+            let s = Loadgen.Client.connect ~port () in
+            while not (Atomic.get stop) do
+              let i = Atomic.fetch_and_add streamed 1 in
+              ignore (Loadgen.Client.request s (Printf.sprintf "rewrite r%d(S, C) :- %s" i body))
+            done;
+            Loadgen.Client.close s)
+      in
+      let wrong =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Domain.join streamer)
+          (fun () ->
+            while Atomic.get streamed = 0 do
+              Domain.cpu_relax ()
+            done;
+            List.filter
+              (fun i -> explain i <> (alone, [ "corecover" ]))
+              (List.init 200 (fun i -> i + 1)))
+      in
+      Loadgen.Client.close c;
+      check_int "explains that saw another request's spans" 0 (List.length wrong);
+      check_bool "the stream ran alongside" true (Atomic.get streamed > 1))
+
 (* A raw client: the exact bytes the server writes, terminators
    included. *)
 let raw_connect port =
@@ -668,6 +726,8 @@ let suite =
       server_handler_raises;
     Alcotest.test_case "tcp: client disconnect is contained" `Quick
       server_survives_disconnect;
+    Alcotest.test_case "tcp: explain traces only its own request" `Quick
+      server_explain_traces_own_request;
     Alcotest.test_case "tcp: per-connection request budget" `Quick
       server_request_budget;
     Alcotest.test_case "tcp: admission control sheds when saturated" `Quick
