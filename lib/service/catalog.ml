@@ -1,22 +1,41 @@
 open Vplan_views
 
 type t = {
+  id : int;  (* distinct for every catalog value the process builds *)
   generation : int;
   views : View.t list;
   keyed : (string * View.t list) list;
       (* signature-tagged equivalence classes, the persistent form of
          [Equiv_class.group_views_keyed] *)
   classes : View_tuple.Classes.t;  (* the same classes, representatives compiled *)
+  parent : int;
+      (* the id of the catalog this one was built from by one add or
+         remove; 0 for a catalog from [create] or [restore] *)
+  touched : View.t list;
+      (* that mutation's representatives of the classes it opened,
+         emptied or took the representative of *)
 }
 
-let make ~generation ~views keyed =
-  { generation; views; keyed; classes = View_tuple.Classes.compile (List.map snd keyed) }
+let ids = Atomic.make 0
+
+let make ~parent ~touched ~generation ~views keyed =
+  {
+    id = Atomic.fetch_and_add ids 1 + 1;
+    generation;
+    views;
+    keyed;
+    classes = View_tuple.Classes.compile (List.map snd keyed);
+    parent;
+    touched;
+  }
 
 let create ?budget views =
   match View.validate_set views with
   | Error e -> Error e
   | Ok () ->
-      Ok (make ~generation:1 ~views (Equiv_class.group_views_keyed ?budget views))
+      Ok
+        (make ~parent:0 ~touched:[] ~generation:1 ~views
+           (Equiv_class.group_views_keyed ?budget views))
 
 let create_exn ?budget views =
   match create ?budget views with
@@ -27,9 +46,16 @@ let add_views ?budget t vs =
   match View.validate_set (t.views @ vs) with
   | Error e -> Error e
   | Ok () ->
+      let keyed = Equiv_class.add_to_keyed ?budget t.keyed vs in
+      (* a view joins an existing class behind its members or opens one
+         at the end: the classes past the old ones are the new ones, and
+         no old class changes its representative *)
+      let old = List.length t.keyed in
+      let opened = List.filteri (fun i _ -> i >= old) keyed in
       Ok
-        (make ~generation:(t.generation + 1) ~views:(t.views @ vs)
-           (Equiv_class.add_to_keyed ?budget t.keyed vs))
+        (make ~parent:t.id
+           ~touched:(List.map (fun (_, members) -> List.hd members) opened)
+           ~generation:(t.generation + 1) ~views:(t.views @ vs) keyed)
 
 let remove_views t names =
   let missing =
@@ -46,12 +72,20 @@ let remove_views t names =
             match List.filter keep members with [] -> None | members -> Some (s, members))
           t.keyed
       in
+      (* the classes this removal empties or takes the representative of *)
+      let touched =
+        List.filter_map
+          (fun (_, members) ->
+            let rep = List.hd members in
+            if keep rep then None else Some rep)
+          t.keyed
+      in
       (* A class that loses its representative is represented by its
          next member, which comes later in the view list: the class moves
          to where grouping from scratch puts it, ordered by its first
          member's position. *)
       let keyed =
-        if List.for_all (fun (_, members) -> keep (List.hd members)) t.keyed then keyed
+        if touched = [] then keyed
         else begin
           let position = Hashtbl.create 64 in
           List.iteri (fun i v -> Hashtbl.replace position (View.name v) i) views;
@@ -59,7 +93,7 @@ let remove_views t names =
           List.stable_sort (fun c d -> Int.compare (first c) (first d)) keyed
         end
       in
-      Ok (make ~generation:(t.generation + 1) ~views keyed)
+      Ok (make ~parent:t.id ~touched ~generation:(t.generation + 1) ~views keyed)
 
 (* Restoring from a snapshot trusts the stored partition instead of
    regrouping — that skip is the entire point of a warm restart.  The
@@ -80,8 +114,9 @@ let restore ~generation ~views ~keyed =
           Error "restore: class partition does not cover the view set"
         else if List.exists (fun (_, members) -> members = []) keyed then
           Error "restore: empty equivalence class"
-        else Ok (make ~generation ~views keyed)
+        else Ok (make ~parent:0 ~touched:[] ~generation ~views keyed)
 
+let touched t ~parent = if t.parent = parent.id then Some t.touched else None
 let generation t = t.generation
 let views t = t.views
 let keyed t = t.keyed

@@ -27,7 +27,12 @@
 
     Every generation compiles each class's representative for
     view-tuple matching ({!Vplan_views.View_tuple.Classes}) as it is
-    built, so requests on it compile nothing. *)
+    built, so requests on it compile nothing.
+
+    A generation built by {!add_views} or {!remove_views} also records
+    its parent and the representatives that mutation touched
+    ({!touched}), so a cache over the parent can keep whatever the
+    mutation cannot change without comparing the two catalogs. *)
 
 open Vplan_views
 
@@ -64,9 +69,19 @@ val restore :
   keyed:(string * View.t list) list ->
   (t, string) result
 
+(** [touched t ~parent] is [Some reps] when [t] was built from
+    [parent] by one {!add_views} or {!remove_views}, and [None] for any
+    other pair, e.g. when [t] comes from {!create} or {!restore}.
+    [reps] are the first view of each class the mutation opened and the
+    removed representative of each class it emptied or moved (an
+    equivalent successor has the same body predicates).  Every other
+    class keeps its representative and its order relative to the other
+    untouched classes. *)
+val touched : t -> parent:t -> View.t list option
+
 (** Monotone generation counter, starting at 1.  Two catalogs with the
     same generation that came from the same lineage have the same
-    members — the rewrite cache keys its validity on this. *)
+    members. *)
 val generation : t -> int
 
 (** Current members, in insertion order. *)

@@ -95,6 +95,19 @@ let add t key value =
         Metrics.incr evictions_total)
       t.lru
 
+let retain t keep =
+  let rec walk = function
+    | None -> ()
+    | Some node ->
+        let next = node.next in
+        if not (keep node.key node.value) then begin
+          unlink t node;
+          Hashtbl.remove t.table node.key
+        end;
+        walk next
+  in
+  walk t.mru
+
 let clear t =
   Hashtbl.reset t.table;
   t.mru <- None;

@@ -38,7 +38,6 @@ type outcome = {
   rewritings : Query.t list;
   minimized_query : Query.t;
   completeness : Corecover.completeness;
-  corecover_stats : Corecover.stats;
   source : source;
   ms : float;
 }
@@ -106,13 +105,15 @@ type plan_outcome = {
    or classes.  [vars] is [Query.vars canon], the template's slots.  The
    canonical query is kept so that a hit compares it against the
    requested one: even a (never observed) canonical-form collision could
-   only cause a recompute, never a wrong answer. *)
+   only cause a recompute, never a wrong answer.  [preds] are its body
+   predicates, which decide whether the entry survives a catalog
+   mutation. *)
 type entry = {
   canon : Query.t;
   vars : string array;
+  preds : string list;
   minimized_query : Query.t;
   rewritings : Query.t list;
-  stats : Corecover.stats;
   count : int;
   template : Reply_template.t;
   classification : string;
@@ -174,15 +175,29 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* A touched class whose representative has a body predicate the query
+   lacks has no view tuple over it, in the old catalog or the new one;
+   when every touched class is such, the classes with tuples keep their
+   representatives and their relative order, so CoreCover's result on
+   the entry's query is unchanged. *)
+let unaffected touched e =
+  List.for_all
+    (fun (v : Query.t) ->
+      List.exists (fun (a : Atom.t) -> not (List.mem a.Atom.pred e.preds)) v.body)
+    touched
+
 let set_catalog t cat =
   locked t (fun () ->
+      (match Catalog.touched cat ~parent:t.cat with
+      | Some touched -> Rewrite_cache.retain t.cache (fun _ e -> unaffected touched e)
+      | None ->
+          Rewrite_cache.clear t.cache;
+          (* the new catalog restarts its generation sequence; counting
+             those swaps lets lifetime counters survive a [catalog load] *)
+          t.generation_resets <- t.generation_resets + 1;
+          Metrics.incr generation_resets_total);
       t.cat <- cat;
-      Rewrite_cache.clear t.cache;
-      t.pctx <- None;
-      (* the new catalog restarts its generation sequence; counting
-         swaps here lets lifetime counters survive a [catalog load] *)
-      t.generation_resets <- t.generation_resets + 1;
-      Metrics.incr generation_resets_total)
+      t.pctx <- None)
 
 let base t = locked t (fun () -> Option.map (fun d -> d.base) t.data)
 let base_stats t = locked t (fun () -> Option.map (fun d -> d.stats) t.data)
@@ -233,9 +248,9 @@ let entry_of canon (r : Corecover.result) =
   {
     canon;
     vars;
+    preds = Query.body_preds canon;
     minimized_query = r.Corecover.minimized_query;
     rewritings = r.Corecover.rewritings;
-    stats = r.Corecover.stats;
     count = List.length r.Corecover.rewritings;
     template =
       (let atoms = List.map (fun (tv, _) -> tv.View_tuple.atom) r.Corecover.cores in
@@ -347,7 +362,6 @@ let rewrite ?budget ?max_covers ?(domains = 1) t query =
     rewritings;
     minimized_query;
     completeness = reply.reply_completeness;
-    corecover_stats = e.stats;
     source = reply.reply_source;
     ms = reply.reply_ms;
   }

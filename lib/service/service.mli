@@ -10,12 +10,12 @@
     variable renaming and subgoal reordering — and because {e every}
     request goes through the canonical query, a cache hit is
     observationally identical to a fresh run: same rewritings, same
-    completeness, same statistics, in the caller's own variables.
+    completeness, in the caller's own variables.
 
     A cache entry holds the result in canonical variables: the
-    rewritings, the minimized query and the statistics, plus the
-    rewritings pre-rendered as a {!Reply_template} whose holes are the
-    canonical query's variables.  One resolve path (canonicalize,
+    rewritings, the minimized query and the query's body predicates,
+    plus the rewritings pre-rendered as a {!Reply_template} whose holes
+    are the canonical query's variables.  One resolve path (canonicalize,
     probe, run, publish) serves two projections.  {!rewrite} renames
     the result back into the caller's variables as [Query.t] values.
     {!rewrite_reply} — the wire protocol's path — returns the template
@@ -51,7 +51,6 @@ type outcome = {
   rewritings : Query.t list;  (** in the caller's variables *)
   minimized_query : Query.t;  (** in the caller's variables *)
   completeness : Corecover.completeness;
-  corecover_stats : Corecover.stats;
   source : source;
   ms : float;  (** wall-clock latency of resolving this request *)
 }
@@ -105,10 +104,11 @@ type stats = {
   plan_requests : int;  (** end-to-end {!plan} requests served *)
   analyze_requests : int;  (** {!analyze} requests served *)
   generation_resets : int;
-      (** catalog swaps ({!set_catalog}) over the service's lifetime.  A
-          swapped-in catalog restarts its generation sequence, so
-          [generation] alone cannot show that a reload happened; the
-          other counters deliberately survive the swap. *)
+      (** catalog swaps ({!set_catalog}) over the service's lifetime
+          that restart the generation sequence: those whose catalog was
+          not built from the live one by one add or remove, such as a
+          [catalog load].  [generation] alone cannot show that a reload
+          happened; the other counters deliberately survive the swap. *)
   data_relations : int;  (** base relations, from load-time statistics *)
   data_rows : int;  (** base tuples, from load-time statistics *)
   latency : latency;  (** over the most recent requests (bounded window) *)
@@ -142,10 +142,16 @@ val create : ?cache_capacity:int -> Catalog.t -> t
 
 val catalog : t -> Catalog.t
 
-(** [set_catalog t c] swaps the catalog in and {e clears the cache}:
-    cached rewritings are only valid against the view set they were
-    computed with.  Counters survive (they describe the service's
-    lifetime). *)
+(** [set_catalog t c] swaps the catalog in and drops every cache entry
+    [c] can change.  When [c] was built from the live catalog by one
+    {!Catalog.add_views} or {!Catalog.remove_views}
+    ({!Catalog.touched}), an entry stays if every representative the
+    mutation touched has a body predicate the entry's canonical query
+    lacks: such a class has no view tuple over the query, so the
+    rewritings are those a fresh service on [c] computes, in the same
+    order.  Any other catalog clears the cache and counts a generation
+    reset.  The planning context is always dropped.  Counters survive
+    (they describe the service's lifetime). *)
 val set_catalog : t -> Catalog.t -> unit
 
 (** The loaded base database, if any. *)

@@ -37,41 +37,71 @@ module Pattern = struct
   let atom_arg p o i = p.(o + 2 + i)
   let next_atom p o = o + 2 + p.(o + 1)
 
+  (* The view's variables, numbered by first occurrence in an
+     open-addressing table whose size, a power of two, is at least twice
+     the number of argument occurrences; code -1 marks a free slot. *)
+  type table = { names : string array; codes : int array; mutable count : int }
+
+  let rec probe tb x i =
+    if tb.codes.(i) < 0 || String.equal tb.names.(i) x then i
+    else probe tb x ((i + 1) land (Array.length tb.codes - 1))
+
+  let code tb x =
+    let i = probe tb x (Hashtbl.hash x land (Array.length tb.codes - 1)) in
+    if tb.codes.(i) < 0 then begin
+      tb.names.(i) <- x;
+      tb.codes.(i) <- tb.count;
+      tb.count <- tb.count + 1
+    end;
+    tb.codes.(i)
+
+  (* Two passes over the atoms, head first, each linear in the view's
+     size: the first numbers the variables, the second fills the array,
+     numbering constant occurrences as it meets them. *)
   let compile (view : View.t) =
-    (* a view has a handful of variables: a list beats a set here *)
-    let vars = ref [] in
+    let args = List.fold_left (fun n (a : Atom.t) -> n + List.length a.args) 0 view.body in
+    let arity = List.length view.head.args in
+    let rec fit n = if n >= 2 * (arity + args) then n else fit (2 * n) in
+    let size = fit 8 in
+    let tb = { names = Array.make size ""; codes = Array.make size (-1); count = 0 } in
+    let num_consts = ref 0 in
+    let number (a : Atom.t) =
+      List.iter
+        (function Term.Var x -> ignore (code tb x) | Term.Cst _ -> incr num_consts)
+        a.args
+    in
+    number view.head;
+    let num_head_vars = tb.count in
+    List.iter number view.body;
+    let num_atoms = List.length view.body in
+    let p = Array.make (5 + arity + (2 * num_atoms) + args) 0 in
+    p.(0) <- tb.count;
+    p.(1) <- num_head_vars;
+    p.(2) <- !num_consts;
+    p.(3) <- num_atoms;
+    p.(4) <- arity;
+    let at = ref 5 and const = ref tb.count in
+    let put c =
+      p.(!at) <- c;
+      incr at
+    in
+    let fill args =
+      List.iter
+        (function
+          | Term.Var x -> put (code tb x)
+          | Term.Cst _ ->
+              put !const;
+              incr const)
+        args
+    in
+    fill view.head.args;
     List.iter
       (fun (a : Atom.t) ->
-        List.iter
-          (function Term.Var x when not (List.mem x !vars) -> vars := x :: !vars | _ -> ())
-          a.args)
-      (view.head :: view.body);
-    let vars = List.rev !vars and consts = ref 0 in
-    let num_vars = List.length vars in
-    let rec index x i = function
-      | y :: ys -> if String.equal x y then i else index x (i + 1) ys
-      | [] -> assert false
-    in
-    (* numbers constant occurrences as it meets them: head, then body,
-       in order *)
-    let code = function
-      | Term.Var x -> index x 0 vars
-      | Term.Cst _ ->
-          incr consts;
-          num_vars + !consts - 1
-    in
-    let head = List.map code view.head.args in
-    let body =
-      List.concat_map
-        (fun (a : Atom.t) -> Hashtbl.hash a.pred :: List.length a.args :: List.map code a.args)
-        view.body
-    in
-    (* numbered head first, the head's variables are 0 .. num_head_vars - 1 *)
-    let num_head_vars =
-      List.fold_left (fun n c -> if c < num_vars then max n (c + 1) else n) 0 head
-    in
-    Array.of_list
-      ([ num_vars; num_head_vars; !consts; List.length view.body; List.length head ] @ head @ body)
+        put (Hashtbl.hash a.pred);
+        put (List.length a.args);
+        fill a.args)
+      view.body;
+    p
 end
 
 module Query_code = struct

@@ -695,6 +695,78 @@ let server_stress_swap () =
       Sys.remove with_v4;
       Sys.remove without_v4)
 
+(* A control connection adds and removes a copy of v4, then removes v4
+   itself and adds it back, while checker connections rewrite the
+   car-loc-part query: every reply is one of the two complete answers.
+   The cached rewriting survives the copy's add and remove (the control
+   connection's own rewrites after them are hits), and no mutation
+   counts as a generation reset. *)
+let server_churn_keeps_hits () =
+  with_protocol_server ~workers:2 ~queue:64 ~views:Car_loc_part.views (fun port shared ->
+      let v1v2 = "q1(S,C) :- v1(M,anderson,C), v2(S,M,C)" in
+      let valid = function
+        | [ l1; l2 ] -> starts_with "ok 1 " l1 && (l2 = v4_answer || l2 = v1v2)
+        | _ -> false
+      in
+      let rounds = 4 in
+      let done_ = Atomic.make false in
+      let control =
+        Domain.spawn (fun () ->
+            let c = Loadgen.Client.connect ~port () in
+            let bad = ref [] in
+            let expect what ok lines =
+              if not (ok lines) then
+                bad := (what ^ ": " ^ String.concat " | " lines) :: !bad
+            in
+            let catalog line =
+              expect line (function l :: _ -> starts_with "ok catalog" l | [] -> false)
+                (Loadgen.Client.request c line)
+            in
+            let rewrite what ok = expect what ok (Loadgen.Client.request c rewrite_line) in
+            let hit = function
+              | [ l1; l2 ] -> starts_with "ok 1 hit" l1 && l2 = v4_answer
+              | _ -> false
+            in
+            for _ = 1 to rounds do
+              rewrite "warm" (function [ _; l2 ] -> l2 = v4_answer | _ -> false);
+              catalog "catalog add v4c(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).";
+              rewrite "after adding the copy" hit;
+              catalog "catalog remove v4c";
+              rewrite "after removing the copy" hit;
+              catalog "catalog remove v4";
+              rewrite "without v4" (function [ _; l2 ] -> l2 = v1v2 | _ -> false);
+              catalog "catalog add v4(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C).";
+              Unix.sleepf 0.02
+            done;
+            Atomic.set done_ true;
+            Loadgen.Client.close c;
+            !bad)
+      in
+      let checker =
+        Domain.spawn (fun () ->
+            let cs = List.init 4 (fun _ -> Loadgen.Client.connect ~port ()) in
+            let bad = ref [] and seen = ref 0 in
+            while not (Atomic.get done_) do
+              List.iter
+                (fun c ->
+                  let r = Loadgen.Client.request c rewrite_line in
+                  incr seen;
+                  if not (valid r) then bad := String.concat " | " r :: !bad)
+                cs
+            done;
+            List.iter Loadgen.Client.close cs;
+            (!bad, !seen))
+      in
+      let control_bad = Domain.join control in
+      let bad, seen = Domain.join checker in
+      Alcotest.(check (list string)) "control replies" [] control_bad;
+      Alcotest.(check (list string)) "checker replies" [] bad;
+      check_bool "checkers were served" true (seen > 0);
+      match Protocol.service shared with
+      | None -> Alcotest.fail "service vanished"
+      | Some s ->
+          check_int "no generation reset" 0 (Service.stats s).Service.generation_resets)
+
 let suite =
   [
     Alcotest.test_case "bounded queue: fifo, capacity, try ops" `Quick queue_basics;
@@ -734,4 +806,6 @@ let suite =
       server_sheds_when_full;
     Alcotest.test_case "tcp: 32-client stress with catalog swaps" `Slow
       server_stress_swap;
+    Alcotest.test_case "tcp: catalog churn keeps hits, replies stay valid" `Quick
+      server_churn_keeps_hits;
   ]

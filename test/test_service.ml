@@ -99,6 +99,47 @@ let lru_replace_is_not_eviction () =
   check_int "no eviction" 0 (Rewrite_cache.counters c).Rewrite_cache.evictions;
   check_int "size 1" 1 (Rewrite_cache.counters c).Rewrite_cache.size
 
+(* [retain] walks the recency list once: the survivors keep their
+   order, only [size] moves, and the capacity still bounds later adds. *)
+let lru_retain () =
+  let c = Rewrite_cache.create ~capacity:4 in
+  List.iter (fun (k, v) -> Rewrite_cache.add c k v) [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ];
+  (* recency, most recent first: b d c a *)
+  ignore (Rewrite_cache.find c "d");
+  ignore (Rewrite_cache.find c "b");
+  let before = Rewrite_cache.counters c in
+  Rewrite_cache.retain c (fun k v -> k <> "c" && v <> 1);
+  let after = Rewrite_cache.counters c in
+  check_int "size" 2 after.Rewrite_cache.size;
+  check_int "no eviction counted" before.Rewrite_cache.evictions
+    after.Rewrite_cache.evictions;
+  check_int "hits unchanged" before.Rewrite_cache.hits after.Rewrite_cache.hits;
+  check_int "misses unchanged" before.Rewrite_cache.misses after.Rewrite_cache.misses;
+  (* two adds fill the capacity again; a third evicts the least recent
+     survivor, d, then b: their order was kept *)
+  Rewrite_cache.add c "e" 5;
+  Rewrite_cache.add c "f" 6;
+  check_int "refilled" 4 (Rewrite_cache.counters c).Rewrite_cache.size;
+  check_int "no eviction yet" 0 (Rewrite_cache.counters c).Rewrite_cache.evictions;
+  Rewrite_cache.add c "g" 7;
+  check_int "capacity honoured" 4 (Rewrite_cache.counters c).Rewrite_cache.size;
+  check_int "one eviction" 1 (Rewrite_cache.counters c).Rewrite_cache.evictions;
+  Rewrite_cache.add c "h" 8;
+  check_bool "d went first" true (Rewrite_cache.find c "d" = None);
+  check_bool "then b" true (Rewrite_cache.find c "b" = None);
+  check_bool "dropped entries stay gone" true
+    (Rewrite_cache.find c "a" = None && Rewrite_cache.find c "c" = None);
+  List.iter
+    (fun (k, v) -> check_bool ("kept " ^ k) true (Rewrite_cache.find c k = Some v))
+    [ ("e", 5); ("f", 6); ("g", 7); ("h", 8) ];
+  (* retaining everything and nothing *)
+  Rewrite_cache.retain c (fun _ _ -> true);
+  check_int "keep all" 4 (Rewrite_cache.counters c).Rewrite_cache.size;
+  Rewrite_cache.retain c (fun _ _ -> false);
+  check_int "keep none" 0 (Rewrite_cache.counters c).Rewrite_cache.size;
+  Rewrite_cache.add c "i" 9;
+  check_bool "usable after emptying" true (Rewrite_cache.find c "i" = Some 9)
+
 (* ------------------------------------------------------------------ *)
 (* Catalog generations                                                 *)
 
@@ -230,6 +271,33 @@ let catalog_generations_render_as_scratch () =
        (Catalog.add_views restored
           (List.filter (fun v -> List.mem (View.name v) removed) views)))
 
+(* A generation knows its parent and the representatives its mutation
+   touched; car-loc-part's classes are [v1; v5], [v2], [v3], [v4]. *)
+let catalog_touched () =
+  let ok = function Ok c -> c | Error e -> Alcotest.fail e in
+  let names = Option.map (List.map View.name) in
+  let touched = Alcotest.(check (option (list string))) in
+  let cat = Catalog.create_exn Car_loc_part.views in
+  touched "created: no parent" None (names (Catalog.touched cat ~parent:cat));
+  let copy = q "v4c(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C)." in
+  let with_copy = ok (Catalog.add_views cat [ copy ]) in
+  touched "a copy opens no class" (Some []) (names (Catalog.touched with_copy ~parent:cat));
+  touched "only its own parent" None
+    (names (Catalog.touched with_copy ~parent:(Catalog.create_exn Car_loc_part.views)));
+  let opened = ok (Catalog.add_views cat [ q "w(A) :- r(A, A)."; q "w2(A) :- r(A, A)." ]) in
+  touched "a new class: its first view" (Some [ "w" ])
+    (names (Catalog.touched opened ~parent:cat));
+  touched "a member that is not first" (Some [])
+    (names (Catalog.touched (ok (Catalog.remove_views cat [ "v5" ])) ~parent:cat));
+  touched "a moved class and an emptied one" (Some [ "v1"; "v3" ])
+    (names (Catalog.touched (ok (Catalog.remove_views cat [ "v3"; "v1" ])) ~parent:cat));
+  let restored =
+    ok
+      (Catalog.restore ~generation:(Catalog.generation with_copy)
+         ~views:(Catalog.views with_copy) ~keyed:(Catalog.keyed with_copy))
+  in
+  touched "restored: no parent" None (names (Catalog.touched restored ~parent:with_copy))
+
 (* ------------------------------------------------------------------ *)
 (* Service: cache correctness                                          *)
 
@@ -294,6 +362,128 @@ let service_generation_invalidates () =
   check_bool "answers reflect the new generation" true
     (List.length o2.Service.rewritings < List.length o1.Service.rewritings
     || not (List.for_all2 Query.equal o1.Service.rewritings o2.Service.rewritings))
+
+(* A copy of v4 joins v4's class behind it: the cached rewriting
+   survives the add and the remove, and neither is a generation reset.
+   Removing v4 itself drops it. *)
+let service_mutation_keeps_entries () =
+  let s = service () in
+  let ok = function Ok c -> c | Error e -> Alcotest.fail e in
+  let source () = (Service.rewrite s Car_loc_part.query).Service.source in
+  check_bool "miss" true (source () = Service.Miss);
+  let copy = q "v4c(M, D, C, S) :- car(M, D), loc(D, C), part(S, M, C)." in
+  Service.set_catalog s (ok (Catalog.add_views (Service.catalog s) [ copy ]));
+  check_bool "hit after adding a copy" true (source () = Service.Hit);
+  Service.set_catalog s (ok (Catalog.remove_views (Service.catalog s) [ "v4c" ]));
+  check_bool "hit after removing it" true (source () = Service.Hit);
+  Service.set_catalog s (ok (Catalog.add_views (Service.catalog s) [ q "w(A) :- r(A, A)." ]));
+  check_bool "hit after adding a view over another relation" true (source () = Service.Hit);
+  Service.set_catalog s (ok (Catalog.remove_views (Service.catalog s) [ "v4" ]));
+  check_bool "miss after removing the representative" true (source () = Service.Miss);
+  check_int "no generation reset" 0 (Service.stats s).Service.generation_resets;
+  (* a child of a catalog that is not the live one clears everything *)
+  let stale = ok (Catalog.add_views (Catalog.create_exn Car_loc_part.views) [ copy ]) in
+  Service.set_catalog s stale;
+  check_bool "miss after a foreign child" true (source () = Service.Miss);
+  check_int "which is a reset" 1 (Service.stats s).Service.generation_resets
+
+(* Random add/remove sequences through the wire protocol: renamed copies
+   (members behind a representative), views added back (new classes),
+   and removals of any member, representatives included, so classes
+   empty and move.  Star views over an 8-subgoal query meet queries of 3
+   to 8 subgoals, so many views have a predicate some query lacks.
+   After every step each query's reply equals, with trace ids and
+   hit/miss masked, a fresh server's on [Catalog.create] of the same
+   view list; and some replies after mutations are hits.  Keeping the
+   entries when a representative goes fails it. *)
+let mask_reply text =
+  match String.split_on_char '\n' text with
+  | [] -> text
+  | first :: rest ->
+      let words =
+        List.map
+          (fun w ->
+            if w = "hit" || w = "miss" then "_"
+            else if String.length w > 6 && String.sub w 0 6 = "trace=" then "trace=_"
+            else w)
+          (String.split_on_char ' ' first)
+      in
+      String.concat "\n" (String.concat " " words :: rest)
+
+let churn_qcheck =
+  let inst query_subgoals =
+    Generator.generate
+      {
+        Generator.default with
+        shape = Generator.Star;
+        query_subgoals;
+        num_views = 14;
+        nondistinguished_per_view = 0;
+      }
+  in
+  (* 13 classes; over all 14 views the queries have 1, 2, 2 and 13
+     rewritings *)
+  let pool = (inst 8).Generator.views in
+  let queries =
+    List.map (fun n -> "rewrite " ^ Query.to_string (inst n).Generator.query ^ ".") [ 3; 5; 6; 8 ]
+  in
+  let rule v = Format.asprintf "%a." Query.pp v in
+  let op = Gen.(pair (int_bound 2) nat) in
+  let gen = Gen.(list_size (int_range 1 6) op) in
+  let print ops =
+    String.concat "; " (List.map (fun (k, i) -> Printf.sprintf "(%d,%d)" k i) ops)
+  in
+  make_qcheck ~count:60 ~name:"catalog churn: replies = a fresh server's" gen print
+    (fun ops ->
+      let live = Protocol.create_shared () in
+      Protocol.install_catalog live (Catalog.create_exn (List.filteri (fun i _ -> i < 9) pool));
+      let sess = Protocol.new_session live in
+      let service () = Option.get (Protocol.service live) in
+      let reply shared sess line = (Protocol.handle_lines shared sess [ line ]).Protocol.text in
+      let survived = ref 0 and copies = ref 0 in
+      let check_replies after =
+        let fresh = Protocol.create_shared () in
+        Protocol.install_catalog fresh
+          (Catalog.create_exn (Catalog.views (Service.catalog (service ()))));
+        let fsess = Protocol.new_session fresh in
+        List.iter
+          (fun line ->
+            let got = reply live sess line in
+            if after <> "" && List.mem "hit" (String.split_on_char ' ' got) then incr survived;
+            let want = reply fresh fsess line in
+            if mask_reply got <> mask_reply want then
+              QCheck2.Test.fail_reportf "after %S: %s@.got:@.%s@.want:@.%s" after line got want)
+          queries
+      in
+      check_replies "";
+      (* the first step is a copy, after which every entry survives *)
+      List.iteri
+        (fun step (kind, i) ->
+          let members = Catalog.views (Service.catalog (service ())) in
+          let pick l = List.nth l (i mod List.length l) in
+          let absent =
+            List.filter (fun v -> not (List.exists (fun m -> View.name m = View.name v) members)) pool
+          in
+          let line =
+            match kind with
+            | 1 when step > 0 && absent <> [] -> "catalog add " ^ rule (pick absent)
+            | 2 when step > 0 && List.length members > 1 ->
+                "catalog remove " ^ View.name (pick members)
+            | _ ->
+                incr copies;
+                let v = pick members in
+                "catalog add "
+                ^ rule
+                    (Query.make_exn
+                       (Atom.make ("c" ^ string_of_int !copies) v.Query.head.Atom.args)
+                       v.Query.body)
+          in
+          let r = reply live sess line in
+          if not (String.length r > 10 && String.sub r 0 10 = "ok catalog") then
+            QCheck2.Test.fail_reportf "%s: %s" line r;
+          check_replies line)
+        ops;
+      !survived > 0 && (Service.stats (service ())).Service.generation_resets = 0)
 
 let service_stats_consistent () =
   let s = service () in
@@ -597,11 +787,13 @@ let suite =
     canonical_key_qcheck;
     Alcotest.test_case "lru: eviction order and counters" `Quick lru_eviction;
     Alcotest.test_case "lru: replace is not eviction" `Quick lru_replace_is_not_eviction;
+    Alcotest.test_case "lru: retain keeps order and capacity" `Quick lru_retain;
     Alcotest.test_case "catalog: incremental add = from scratch" `Quick
       catalog_incremental_add;
     Alcotest.test_case "catalog: remove and errors" `Quick catalog_remove;
     Alcotest.test_case "catalog: generations render as from scratch" `Quick
       catalog_generations_render_as_scratch;
+    Alcotest.test_case "catalog: touched representatives" `Quick catalog_touched;
     Alcotest.test_case "catalog classes drive corecover" `Quick
       catalog_classes_drive_corecover;
     Alcotest.test_case "service: hit is observationally identical" `Quick
@@ -612,6 +804,9 @@ let suite =
       service_truncated_not_cached;
     Alcotest.test_case "service: catalog swap invalidates cache" `Quick
       service_generation_invalidates;
+    Alcotest.test_case "service: a mutation keeps what it cannot change" `Quick
+      service_mutation_keeps_entries;
+    churn_qcheck;
     Alcotest.test_case "service: stats identity" `Quick service_stats_consistent;
     Alcotest.test_case "service: stats survive catalog swap" `Quick
       service_stats_survive_catalog_swap;
