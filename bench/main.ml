@@ -835,7 +835,7 @@ let joins ~settings () =
       let run_eval = n <= 100_000 in
       let eval_ans, eval_ms =
         if run_eval then
-          let r, ms = time_ms (fun () -> Eval.answers db query) in
+          let r, ms = time_ms (fun () -> Oracle.Eval.answers db query) in
           (Some r, ms)
         else (None, 0.)
       in
@@ -1037,7 +1037,7 @@ let acyclic_bench ~settings () =
         let interned = Interned.of_database db in
         Relation.equal
           (Exec.answers ~acyclic:true interned query)
-          (Eval.answers db query)
+          (Oracle.Eval.answers db query)
       in
       List.iter
         (fun n ->
@@ -1141,7 +1141,8 @@ let openworld () =
       let inst = Generator.generate config in
       let query = inst.Generator.query and views = inst.views in
       let base = Generator.base_database ~tuples:8 ~domain:8 inst in
-      let view_db = Materialize.views base views in
+      let img = Materialize.image base views in
+      let view_db = Interned.database img in
       let certain_ir, ir_ms =
         time_ms (fun () -> Inverse_rules.certain_answers ~views ~query view_db)
       in
@@ -1149,7 +1150,7 @@ let openworld () =
       let certain_mc =
         match mcr with
         | None -> Relation.empty (Relation.arity certain_ir)
-        | Some u -> Eval.answers_ucq view_db u
+        | Some u -> Exec.answers_ucq img u
       in
       Format.printf "%8d %8d %16.2f %14.2f %10b %8d@." num_views
         (Database.total_size view_db) ir_ms mc_ms
@@ -1275,7 +1276,7 @@ module Legacy_m2 = struct
   let width vars = max 1 (Names.Sset.cardinal vars)
 
   let relation_cells db (a : Atom.t) =
-    Eval.relation_size db a * max 1 (Atom.arity a)
+    Oracle.Eval.relation_size db a * max 1 (Atom.arity a)
 
   let optimal db body =
     let atoms = Array.of_list body in
@@ -1285,7 +1286,7 @@ module Legacy_m2 = struct
     else begin
       let full = (1 lsl n) - 1 in
       let envs = Array.make (full + 1) None in
-      envs.(0) <- Some [ Eval.empty_env ];
+      envs.(0) <- Some [ Oracle.Eval.empty_env ];
       let rec envs_of s =
         match envs.(s) with
         | Some e -> e
@@ -1295,7 +1296,7 @@ module Legacy_m2 = struct
               let rec find k = if 1 lsl k = bit then k else find (k + 1) in
               find 0
             in
-            let e = Eval.extend db (envs_of (s lxor bit)) atoms.(i) in
+            let e = Oracle.Eval.extend db (envs_of (s lxor bit)) atoms.(i) in
             envs.(s) <- Some e;
             e
       in

@@ -227,8 +227,8 @@ let plan_cmd =
               if explain then
                 Vplan.Explain.m3 Format.std_formatter (Vplan.Optimizer.image ctx) c.plan)
     in
-    Format.printf "query answer size: %d@."
-      (Vplan.Relation.cardinality (Vplan.Eval.answers base query));
+    let answers = Vplan.Exec.answers (Vplan.Interned.of_database base) query in
+    Format.printf "query answer size: %d@." (Vplan.Relation.cardinality answers);
     match completeness with
     | Vplan.Corecover.Complete -> ()
     | Vplan.Corecover.Truncated reason ->
@@ -435,7 +435,7 @@ let certain_cmd =
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
     let base = database_of_file data in
-    let view_db = Vplan.Materialize.views base views in
+    let img = Vplan.Materialize.image base views in
     (match algorithm with
     | `Minicon -> (
         match Vplan.Minicon.maximally_contained ~query ~views () with
@@ -443,12 +443,12 @@ let certain_cmd =
         | Some union ->
             Format.printf "maximally-contained union:@.%a@." Vplan.Ucq.pp union;
             Format.printf "certain answers: %a@." Vplan.Relation.pp
-              (Vplan.Eval.answers_ucq view_db union))
+              (Vplan.Exec.answers_ucq img union))
     | `Inverse ->
         Format.printf "certain answers: %a@." Vplan.Relation.pp
-          (Vplan.Inverse_rules.certain_answers ~views ~query view_db));
+          (Vplan.Inverse_rules.certain_answers ~views ~query (Vplan.Interned.database img)));
     Format.printf "true answer over the given base: %a@." Vplan.Relation.pp
-      (Vplan.Eval.answers base query)
+      (Vplan.Exec.answers (Vplan.Interned.of_database base) query)
   in
   Cmd.v
     (Cmd.info "certain"

@@ -220,7 +220,8 @@ let cmd_plan model =
 
 let cmd_answer () =
   with_query (fun query ->
-      Format.printf "%a@." Vplan.Relation.pp (Vplan.Eval.answers state.base query))
+      let base = Vplan.Interned.of_database state.base in
+      Format.printf "%a@." Vplan.Relation.pp (Vplan.Exec.answers base query))
 
 let cmd_certain () =
   with_query (fun query ->

@@ -67,4 +67,5 @@ let () =
       Format.printf "best heuristic plan:     cost %.0f for %a@." h.cost Query.pp
         h.rewriting
   | _ -> Format.printf "no rewriting@.");
-  Format.printf "@.true answer: %a@." Relation.pp (Eval.answers base query)
+  let truth = Exec.answers (Interned.of_database base) query in
+  Format.printf "@.true answer: %a@." Relation.pp truth

@@ -61,9 +61,10 @@ let () =
     [ ("P1a", p1a); ("P1b", p1b); ("P2", p2) ];
 
   (* Empirically: the union P1 and the single query P2 both compute Q *)
-  let truth = Eval.answers base query in
-  let p1_answer = Relation.union (Eval.answers view_db p1a) (Eval.answers view_db p1b) in
-  let p2_answer = Eval.answers view_db p2 in
+  let truth = Exec.answers (Interned.of_database base) query in
+  let view_img = Interned.of_database view_db in
+  let p1_answer = Exec.answers_ucq view_img (Ucq.make_exn [ p1a; p1b ]) in
+  let p2_answer = Exec.answers view_img p2 in
   Format.printf "@.true answer: %d tuples@." (Relation.cardinality truth);
   Format.printf "P1 (union of 2 CQs, %d subgoals each): %d tuples (%s)@."
     (List.length p1a.Query.body)

@@ -77,7 +77,7 @@ let () =
   | None -> ());
 
   (* soundness: execute over the materialized sources *)
-  let truth = Eval.answers base query in
+  let truth = Exec.answers (Interned.of_database base) query in
   Format.printf "@.query answer: %d tuples@." (Relation.cardinality truth);
   match m2 with
   | Some c ->

@@ -51,7 +51,7 @@ let () =
   Format.printf "without 'legs', equivalent rewriting exists: %b@."
     (Corecover.has_rewriting ~query ~views:restricted);
 
-  let view_db = Materialize.views base restricted in
+  let img = Materialize.image base restricted in
 
   (* 1. MiniCon's maximally-contained union *)
   (match Minicon.maximally_contained ~query ~views:restricted () with
@@ -61,7 +61,7 @@ let () =
         (List.length (Ucq.disjuncts union));
       Format.printf "%a@." Ucq.pp union;
       Format.printf "answers via the union: %a@." Relation.pp
-        (Eval.answers_ucq view_db union));
+        (Exec.answers_ucq img union));
 
   (* 2. Inverse rules: recover a Skolemized base and evaluate *)
   let rules = Inverse_rules.invert restricted in
@@ -70,12 +70,13 @@ let () =
     (fun (head, view_atom) ->
       Format.printf "  %a :- %a@." Atom.pp head Atom.pp view_atom)
     rules;
+  let view_db = Interned.database img in
   let certain = Inverse_rules.certain_answers ~views:restricted ~query view_db in
   Format.printf "certain answers via inverse rules: %a@." Relation.pp certain;
 
   (* 3. Ground truth for comparison *)
   Format.printf "@.true answer over the base data: %a@." Relation.pp
-    (Eval.answers base query);
+    (Exec.answers (Interned.of_database base) query);
 
   (* 4. The planner API does the fallback automatically *)
   match

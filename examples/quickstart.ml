@@ -61,6 +61,6 @@ let () =
 
   (* 5. Verify the closed-world guarantee: the rewriting computes exactly
         the query's answer over the materialized views. *)
-  let truth = Eval.answers base query in
+  let truth = Exec.answers (Interned.of_database base) query in
   Format.printf "@.Query answer (%d tuples): %a@." (Relation.cardinality truth)
     Relation.pp truth

@@ -81,8 +81,8 @@ let recover_base ~views view_db =
     Database.empty views
 
 let certain_answers ~views ~query view_db =
-  let base = recover_base ~views view_db in
-  let raw = Eval.answers base query in
+  let base = Vplan_exec.Interned.of_database (recover_base ~views view_db) in
+  let raw = Vplan_exec.Exec.answers base query in
   Relation.fold
     (fun tuple acc ->
       if List.exists is_skolem tuple then acc else Relation.add tuple acc)

@@ -46,26 +46,25 @@ let answers db (q : Query.t) =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Ccq.answers: " ^ msg));
   let ordinary, comparisons = split q in
-  let envs = Eval.satisfying_envs db ordinary in
-  let ground env term =
-    match term with
-    | Term.Cst c -> c
-    | Term.Var x -> (
-        match Eval.env_find env x with
-        | Some c -> c
-        | None -> invalid_arg "Ccq.answers: unbound comparison variable")
+  (* every binding of the ordinary subgoals, once: validation puts each
+     comparison and head variable among them *)
+  let vars = Names.Sset.elements (ordinary_vars ordinary) in
+  let bindings =
+    Vplan_exec.Exec.answers
+      (Vplan_exec.Interned.of_database db)
+      (Query.make_exn (Atom.make "#ccq" (List.map (fun x -> Term.Var x) vars)) ordinary)
   in
-  let keep env =
-    List.for_all
-      (fun (c : Order_constraint.constr) ->
-        Order_constraint.satisfies_ground c.rel (ground env c.left) (ground env c.right))
-      comparisons
-  in
-  let tuples =
-    List.filter keep envs
-    |> List.map (fun env -> Eval.tuple_of_env env q.head.Atom.args)
-  in
-  Relation.of_tuples (Atom.arity q.head) tuples
+  Relation.fold
+    (fun tuple acc ->
+      let env = Names.Smap.of_seq (List.to_seq (List.combine vars tuple)) in
+      let ground = function Term.Cst c -> c | Term.Var x -> Names.Smap.find x env in
+      let keep (c : Order_constraint.constr) =
+        Order_constraint.satisfies_ground c.rel (ground c.left) (ground c.right)
+      in
+      if List.for_all keep comparisons then Relation.add (List.map ground q.head.Atom.args) acc
+      else acc)
+    bindings
+    (Relation.empty (Atom.arity q.head))
 
 (* Sound containment: q1 ⊑ q2 when (a) q1's comparisons are
    unsatisfiable (q1 is the empty query), or (b) some head-compatible

@@ -35,8 +35,9 @@ val validate : Query.t -> (unit, string) result
 (** [is_satisfiable q] — the comparison part admits a solution. *)
 val is_satisfiable : Query.t -> bool
 
-(** [answers db q] evaluates the ordinary part and filters by the
-    comparisons.  Raises [Invalid_argument] on a non-range-restricted
+(** [answers db q] evaluates the ordinary part with the hash-join
+    engine, filters its bindings by the comparisons and projects them
+    onto the head.  Raises [Invalid_argument] on a non-range-restricted
     query. *)
 val answers : Database.t -> Query.t -> Relation.t
 

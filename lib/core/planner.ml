@@ -1,6 +1,5 @@
 open Vplan_cq
 open Vplan_views
-open Vplan_relational
 open Vplan_rewrite
 open Vplan_cost
 open Vplan_baselines
@@ -91,7 +90,4 @@ let answer_via_views ~cost_model problem ~base =
   | None -> (
       match Minicon.maximally_contained ~query:problem.query ~views:problem.views () with
       | None -> `No_rewriting
-      | Some union ->
-          let img = Optimizer.image ctx and empty = Relation.empty (Ucq.head_arity union) in
-          let add acc d = Relation.union acc (Exec.answers img d) in
-          `Fallback_certain (List.fold_left add empty (Ucq.disjuncts union)))
+      | Some union -> `Fallback_certain (Exec.answers_ucq (Optimizer.image ctx) union))

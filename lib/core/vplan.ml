@@ -46,7 +46,6 @@ module Minimize = Vplan_containment.Minimize
 module Prng = Vplan_relational.Prng
 module Relation = Vplan_relational.Relation
 module Database = Vplan_relational.Database
-module Eval = Vplan_relational.Eval
 module Indexed_db = Vplan_relational.Indexed_db
 module Datagen = Vplan_relational.Datagen
 

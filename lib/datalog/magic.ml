@@ -119,26 +119,11 @@ let answers ?max_rounds program edb ~query =
   match transform program ~query with
   | Error e -> invalid_arg ("Magic.answers: " ^ e)
   | Ok { program; seeds; answer_atom } ->
-      let edb_with_seeds =
-        Database.facts seeds
-        |> List.fold_left
-             (fun db (a : Atom.t) ->
-               let tuple =
-                 List.map (function Term.Cst c -> c | Term.Var _ -> assert false) a.args
-               in
-               Database.add_fact a.pred tuple db)
-             edb
+      (* magic predicates are reserved spellings: no EDB relation has one *)
+      let edb =
+        List.fold_left
+          (fun db pred -> Database.add_relation pred (Database.find_exn pred seeds) db)
+          edb (Database.predicates seeds)
       in
-      let fixpoint = Seminaive.evaluate ?max_rounds program edb_with_seeds in
-      let vars = Atom.vars answer_atom in
-      let head = Atom.make "#answer" (List.map (fun x -> Term.Var x) vars) in
-      let positions = Eval.answers fixpoint (Query.make_exn head [ answer_atom ]) in
-      (* re-shape to the original query's argument list *)
-      Relation.fold
-        (fun tuple acc ->
-          let env =
-            Eval.env_of_bindings (List.combine vars tuple)
-          in
-          Relation.add (Eval.tuple_of_env env query.Atom.args) acc)
-        positions
-        (Relation.empty (Atom.arity query))
+      (* the answer atom has the query's arguments: it reads as the query *)
+      Seminaive.query ?max_rounds program edb (Query.make_exn query [ answer_atom ])

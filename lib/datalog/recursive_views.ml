@@ -2,24 +2,14 @@ open Vplan_cq
 open Vplan_relational
 module Inverse_rules = Vplan_baselines.Inverse_rules
 
-let select_atom db (query : Atom.t) =
-  let vars = Atom.vars query in
-  let head = Atom.make "#answer" (List.map (fun x -> Term.Var x) vars) in
-  let bindings = Eval.answers db (Query.make_exn head [ query ]) in
-  Relation.fold
-    (fun tuple acc ->
-      let env = Eval.env_of_bindings (List.combine vars tuple) in
-      Relation.add (Eval.tuple_of_env env query.args) acc)
-    bindings
-    (Relation.empty (Atom.arity query))
-
+(* the fixpoint's facts of [query]'s predicate that match its constants
+   and repeated variables, as tuples over its arguments *)
 let answers_direct ?max_rounds ~program ~query base =
-  select_atom (Seminaive.evaluate ?max_rounds program base) query
+  Seminaive.query ?max_rounds program base (Query.make_exn query [ query ])
 
 let certain_answers ?max_rounds ~views ~program ~query view_db =
   let recovered = Inverse_rules.recover_base ~views view_db in
-  let fixpoint = Seminaive.evaluate ?max_rounds program recovered in
-  let raw = select_atom fixpoint query in
+  let raw = answers_direct ?max_rounds ~program ~query recovered in
   Relation.fold
     (fun tuple acc ->
       if List.exists Inverse_rules.is_skolem tuple then acc else Relation.add tuple acc)

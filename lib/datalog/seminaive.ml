@@ -1,5 +1,6 @@
 open Vplan_cq
 open Vplan_relational
+open Vplan_exec
 module Budget = Vplan_core.Budget
 module Vplan_error = Vplan_core.Vplan_error
 
@@ -11,25 +12,6 @@ let round_check ?budget ~max_rounds round =
   if round > max_rounds then
     raise (Vplan_error.Error (Step_limit { limit = max_rounds }));
   Budget.tick budget
-
-let derive_rule db (r : Query.t) =
-  Eval.satisfying_envs db r.body
-  |> List.map (fun env -> Eval.tuple_of_env env r.head.Atom.args)
-
-let add_facts pred tuples db =
-  List.fold_left (fun db t -> Database.add_fact pred t db) db tuples
-
-let naive ?budget ?(max_rounds = 10_000) program edb =
-  let rec loop db round =
-    round_check ?budget ~max_rounds round;
-    let db' =
-      List.fold_left
-        (fun acc (r : Query.t) -> add_facts r.head.Atom.pred (derive_rule db r) acc)
-        db (Program.rules program)
-    in
-    if Database.equal db db' then db else loop db' (round + 1)
-  in
-  loop edb 1
 
 (* Semi-naive: each rule with k IDB body atoms yields k delta variants;
    variant i reads atom i from the delta relations and the other atoms
@@ -43,23 +25,32 @@ let delta_variants ~idb (r : Query.t) =
     | (a : Atom.t) :: rest ->
         let this =
           if Names.Sset.mem a.pred idb then
-            [ List.rev_append prefix (Atom.make (delta_name a.pred) a.args :: rest) ]
+            [ Query.make_exn r.head
+                (List.rev_append prefix (Atom.make (delta_name a.pred) a.args :: rest)) ]
           else []
         in
         this @ variants (a :: prefix) rest
   in
   variants [] r.body
 
+(* Every rule body is one [Exec.answers] over the database interned
+   once per round; the budget is ticked per round only. *)
 let evaluate ?budget ?(max_rounds = 10_000) program edb =
   let idb = Program.idb_predicates program in
   let rules = Program.rules program in
+  let add_new ~known img acc (r : Query.t) =
+    let pred = r.head.Atom.pred in
+    Relation.fold
+      (fun tuple acc ->
+        match Database.find pred known with
+        | Some rel when Relation.mem tuple rel -> acc
+        | _ -> Database.add_fact pred tuple acc)
+      (Exec.answers img r) acc
+  in
   (* round 0: plain evaluation of every rule against the EDB *)
   let initial_delta =
-    List.fold_left
-      (fun acc (r : Query.t) ->
-        let tuples = derive_rule edb r in
-        add_facts r.head.Atom.pred tuples acc)
-      Database.empty rules
+    let img = Interned.of_database edb in
+    List.fold_left (add_new ~known:Database.empty img) Database.empty rules
   in
   let with_deltas db delta =
     Names.Sset.fold
@@ -86,46 +77,13 @@ let evaluate ?budget ?(max_rounds = 10_000) program edb =
          complete current database, or derivations needing two new facts
          at different positions would be missed *)
       let db = union_into db delta in
-      let scratch = with_deltas db delta in
-      let fresh =
-        List.fold_left
-          (fun acc (r : Query.t) ->
-            List.fold_left
-              (fun acc body ->
-                Eval.satisfying_envs scratch body
-                |> List.fold_left
-                     (fun acc env ->
-                       let tuple = Eval.tuple_of_env env r.head.Atom.args in
-                       let existing =
-                         match Database.find r.head.Atom.pred db with
-                         | Some rel -> Relation.mem tuple rel
-                         | None -> false
-                       in
-                       if existing then acc
-                       else Database.add_fact r.head.Atom.pred tuple acc)
-                     acc)
-              acc
-              (delta_variants ~idb r))
-          Database.empty rules
-      in
-      (* facts derived this round that are not yet known become the next
+      let img = Interned.of_database (with_deltas db delta) in
+      (* facts derived this round that are not yet known are the next
          delta *)
       let next_delta =
-        Names.Sset.fold
-          (fun pred acc ->
-            match Database.find pred fresh with
-            | None -> acc
-            | Some rel ->
-                Relation.fold
-                  (fun t acc ->
-                    let known =
-                      match Database.find pred db with
-                      | Some r -> Relation.mem t r
-                      | None -> false
-                    in
-                    if known then acc else Database.add_fact pred t acc)
-                  rel acc)
-          idb Database.empty
+        List.fold_left
+          (fun acc r -> List.fold_left (add_new ~known:db img) acc (delta_variants ~idb r))
+          Database.empty rules
       in
       loop db next_delta (round + 1)
     end
@@ -133,4 +91,4 @@ let evaluate ?budget ?(max_rounds = 10_000) program edb =
   loop edb initial_delta 1
 
 let query ?budget ?max_rounds program edb q =
-  Eval.answers (evaluate ?budget ?max_rounds program edb) q
+  Exec.answers (Interned.of_database (evaluate ?budget ?max_rounds program edb)) q

@@ -1,10 +1,11 @@
 (** Bottom-up evaluation of Datalog programs.
 
-    {!naive} recomputes every rule against the full database each round;
-    {!evaluate} is the standard semi-naive refinement that joins each
-    rule once per IDB body position against only the {e delta} facts of
-    the previous round.  Both compute the minimal model restricted to the
-    given EDB. *)
+    {!evaluate} is the standard semi-naive fixpoint: each round joins
+    every rule once per IDB body position against only the {e delta}
+    facts of the previous round, each join one {!Vplan_exec.Exec.answers}
+    over the round's database, interned once.  It computes the minimal
+    model restricted to the given EDB; the naive fixpoint it is tested
+    against lives with the test oracles. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -15,10 +16,6 @@ open Vplan_relational
     exceeded).  A [?budget] is additionally ticked once per round, so a
     shared deadline or cancellation stops the fixpoint between rounds. *)
 val evaluate :
-  ?budget:Vplan_core.Budget.t -> ?max_rounds:int -> Program.t -> Database.t -> Database.t
-
-(** [naive program edb] — reference implementation for testing. *)
-val naive :
   ?budget:Vplan_core.Budget.t -> ?max_rounds:int -> Program.t -> Database.t -> Database.t
 
 (** [query program edb q] — evaluate the program and then the conjunctive

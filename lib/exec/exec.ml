@@ -8,10 +8,9 @@ module Hypergraph = Vplan_hypergraph.Hypergraph
 
 (* Hash-join evaluation of conjunctive queries over an Interned.t.
 
-   Atoms are joined in the backtracking evaluator's static order
-   ([Hypergraph.schedule]); each step is a build/probe hash join
-   keyed on the variables shared between the accumulated environments
-   and the next atom.  Per-atom selections (constants, repeated
+   Atoms are joined in the greedy static order ([Hypergraph.schedule]);
+   each step is a build/probe hash join keyed on the variables shared
+   between the accumulated environments and the next atom.  Per-atom selections (constants, repeated
    variables) are applied in one pass before joining; oversized build
    sides are radix-partitioned; a pairwise semi-join reduction trims
    selections before any join when the head projects most variables
@@ -529,6 +528,11 @@ let answers ?budget ?semijoin ?acyclic ?radix_threshold ?profile ?estimate t
       in
       let result = Relation.of_tuples arity tuples in
       (result, Relation.cardinality result))
+
+let answers_ucq t u =
+  List.fold_left
+    (fun acc q -> Relation.union acc (answers t q))
+    (Relation.empty (Ucq.head_arity u)) (Ucq.disjuncts u)
 
 (* Head tuples stay int codes: variables read their environment cells,
    constants take [code]'s (stored as [-code - 1] in [cols]).  One row per

@@ -6,19 +6,22 @@
     after a bottom-up then top-down semi-join program that leaves every
     selection globally dangling-free in 2(n-1) passes, so intermediate
     join results are bounded by input plus output size.  Cyclic bodies
-    fall back to the general path: the backtracking evaluator's greedy
+    fall back to the general path: the greedy selectivity-first
     schedule ({!Vplan_hypergraph.Hypergraph.schedule}) over the image's
     row counts and, when the head projects
     variables away, the O(n²) pairwise semi-join reduction.  Each step
     is a build/probe hash join keyed on the variables shared between
     the accumulated environments and the next atom; build sides larger
     than the radix threshold are grace-partitioned on the key hash.
-    [answers] agrees with the backtracking evaluator on every query and
-    in every path configuration (the QCheck oracle properties in
-    [test/test_exec.ml] and [test/test_hypergraph.ml]).  The join step
-    itself is exposed ({!compile}, {!join}, {!count}, {!project}): M2
-    and M3 size intermediate relations with it, so costing and
-    execution share one kernel.
+    [answers] is the one query evaluator outside the tests: the Datalog
+    engine, comparison queries, the certain-answer algorithms and the
+    front ends run on it too.  It agrees with the backtracking oracle
+    ([test/oracle/eval.ml]) on every query and in every path
+    configuration (the QCheck properties in [test/test_exec.ml] and
+    [test/test_hypergraph.ml]).  The join step itself is exposed
+    ({!compile}, {!join}, {!count}, {!project}): M2 and M3 size
+    intermediate relations with it, so costing and execution share one
+    kernel.
 
     Instrumentation: the whole evaluation runs under an [Obs] phase
     ["hash_join"] (the pairwise reduction under ["semijoin"], the
@@ -75,6 +78,11 @@ val answers :
   Interned.t ->
   Query.t ->
   Relation.t
+
+(** [answers_ucq t u] — the union of the disjuncts' {!answers} over
+    [t]: a union of conjunctive queries, such as a maximally-contained
+    rewriting evaluated for its certain answers. *)
+val answers_ucq : Interned.t -> Ucq.t -> Relation.t
 
 (** [rows ~code t q] — the answer of [q] as int codes, one row per
     satisfying environment: a head variable keeps its code in [t], a

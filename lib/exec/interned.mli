@@ -29,8 +29,8 @@ val of_database : Database.t -> t
 val derive : t -> (string * ((Term.const -> int) -> rel)) list -> t
 
 (** [database t] decodes the relations of [t], on each call: for the
-    backtracking evaluator and the certain-answer paths, never for a
-    planning request. *)
+    inverse-rules certain answers, which rebuild a boxed base from the
+    view relations, and for printing; never for a planning request. *)
 val database : t -> Database.t
 
 (** [const_id t c] — the dense code of [c], or [None] if [c] does not

@@ -13,8 +13,8 @@
     {!answers} schedules atoms selectivity-first (most bound arguments,
     then smallest relation), probes the per-atom index instead of scanning,
     and defers deduplication to projection time.  It computes exactly the
-    same relation as {!Eval.answers} — set semantics make the two engines
-    indistinguishable except for speed.
+    same relation as the hash-join engine's [Exec.answers] — set
+    semantics make the two engines indistinguishable except for speed.
 
     Index construction is mutex-guarded: a single [t] may be shared by the
     parallel per-view fan-out ({!Vplan_parallel.Parallel}). *)
@@ -31,5 +31,5 @@ val of_database : Database.t -> t
 val database : t -> Database.t
 
 (** [answers t q] computes the answer relation of [q] (distinct head
-    tuples), equal to [Eval.answers (database t) q]. *)
+    tuples), equal to [Exec.answers] over the same database. *)
 val answers : t -> Query.t -> Relation.t

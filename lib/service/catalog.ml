@@ -42,8 +42,22 @@ let create_exn ?budget views =
   | Ok t -> t
   | Error e -> invalid_arg ("Catalog.create: " ^ e)
 
+(* The members' names are distinct already: only the new names are
+   checked, against each other and against the members. *)
+let check_new t vs =
+  let module S = Vplan_cq.Names.Sset in
+  let member n = List.exists (fun m -> String.equal (View.name m) n) t.views in
+  let rec loop seen = function
+    | [] -> Ok ()
+    | v :: rest ->
+        let n = View.name v in
+        if S.mem n seen || member n then Error ("duplicate view name " ^ n)
+        else loop (S.add n seen) rest
+  in
+  loop S.empty vs
+
 let add_views ?budget t vs =
-  match View.validate_set (t.views @ vs) with
+  match check_new t vs with
   | Error e -> Error e
   | Ok () ->
       let keyed = Equiv_class.add_to_keyed ?budget t.keyed vs in

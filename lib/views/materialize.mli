@@ -12,5 +12,6 @@ open Vplan_relational
 val image : Database.t -> View.t list -> Vplan_exec.Interned.t
 
 (** [views base vs] — {!image} decoded ({!Vplan_exec.Interned.database}),
-    for the backtracking evaluator and the certain-answer algorithms. *)
+    for the inverse-rules certain answers, which read the view relations
+    boxed. *)
 val views : Database.t -> View.t list -> Database.t

@@ -126,8 +126,8 @@ type coded = {
     over the canonical database gives: view by view in class order, each
     view's tuples sorted by {!Vplan_cq.Term.compare_const} on the frozen
     spellings (["@X"] for variable [X]) and deduplicated.  Evaluating
-    the views over the canonical database, with the indexed or the
-    backtracking evaluator of [lib/relational], is the test oracle.  A
+    the views over the canonical database, with the indexed evaluator or
+    the backtracking one of the test oracles, is the test oracle.  A
     view body constant the query lacks matches nothing; a view head
     constant the query lacks is an argument of every tuple of that view.
     Each tuple's {!t} is built once, here, for the covers and the reply.

@@ -146,11 +146,11 @@ let test_section8_union_empirically () =
   in
   let union_answer =
     Relation.union
-      (Eval.answers view_db p1a)
-      (Eval.answers view_db p1b)
+      (Oracle.Eval.answers view_db p1a)
+      (Oracle.Eval.answers view_db p1b)
   in
   Alcotest.check relation_testable "union computes the query"
-    (Eval.answers base query) union_answer
+    (Oracle.Eval.answers base query) union_answer
 
 let suite =
   [

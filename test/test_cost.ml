@@ -97,7 +97,7 @@ let test_m2_filter_improves () =
   (* and the filtered rewriting still computes the right answer *)
   let filtered = Query.make_exn p2_rewriting.Query.head body in
   Alcotest.check relation_testable "filtered rewriting correct"
-    (Eval.answers filter_base query)
+    (Oracle.Eval.answers filter_base query)
     (Exec.answers img filtered)
 
 let test_m2_connected_dp () =
@@ -211,7 +211,7 @@ let test_optimizer_m2_correct_answers () =
   | _, None -> Alcotest.fail "expected a rewriting"
   | _, Some c ->
       let result = Exec.answers (Optimizer.image ctx) c.rewriting in
-      Alcotest.check relation_testable "plan answer = query answer" (Eval.answers base query)
+      Alcotest.check relation_testable "plan answer = query answer" (Oracle.Eval.answers base query)
         result
 
 let test_optimizer_m2_cost_order () =
@@ -236,7 +236,7 @@ let test_optimizer_m2_estimated () =
           check_bool "estimated route never beats the true optimum" true
             (M2.cost exact est.plan >= true_best.cost);
           (* and the chosen plan still computes the right answer *)
-          Alcotest.check relation_testable "correct answers" (Eval.answers base query)
+          Alcotest.check relation_testable "correct answers" (Oracle.Eval.answers base query)
             (Exec.answers (Optimizer.image ctx) est.rewriting)
       | None -> Alcotest.fail "expected an exact plan")
   | _, None -> Alcotest.fail "expected plans"

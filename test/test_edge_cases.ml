@@ -8,7 +8,7 @@ open Helpers
 
 let closed_world_check ~query ~views ~base =
   let r = Corecover.all_minimal ~verify:true ~query ~views () in
-  let truth = Eval.answers base query in
+  let truth = Oracle.Eval.answers base query in
   let img = Materialize.image base views in
   List.iter
     (fun p ->
@@ -66,8 +66,8 @@ let test_query_all_constants () =
   let base_no = Database.of_facts [ ("p", [ Term.Int 3; Term.Int 4 ]) ] in
   let _ = closed_world_check ~query ~views ~base:base_yes in
   let _ = closed_world_check ~query ~views ~base:base_no in
-  check_int "satisfied instance" 1 (Relation.cardinality (Eval.answers base_yes query));
-  check_int "unsatisfied instance" 0 (Relation.cardinality (Eval.answers base_no query))
+  check_int "satisfied instance" 1 (Relation.cardinality (Oracle.Eval.answers base_yes query));
+  check_int "unsatisfied instance" 0 (Relation.cardinality (Oracle.Eval.answers base_no query))
 
 let test_self_join_query () =
   let query = q "q(X, Y, Z) :- p(X, Y), p(Y, Z)." in

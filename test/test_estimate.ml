@@ -12,7 +12,7 @@ let test_atom_cardinality_base () =
   let db = uniform_db ~tuples:100 ~domain:20 [ "p" ] in
   let catalog = Estimate.analyze db in
   let full = Atom.make "p" [ Term.Var "X"; Term.Var "Y" ] in
-  let actual = float_of_int (Eval.relation_size db full) in
+  let actual = float_of_int (Oracle.Eval.relation_size db full) in
   Alcotest.(check (float 0.01)) "full scan estimate is exact" actual
     (Estimate.cardinality catalog [ full ])
 
@@ -21,7 +21,7 @@ let test_constant_selection_estimate () =
   let catalog = Estimate.analyze db in
   let selected = Atom.make "p" [ Term.Cst (Term.Int 3); Term.Var "Y" ] in
   let estimate = Estimate.cardinality catalog [ selected ] in
-  let actual = float_of_int (Eval.matching_count db selected) in
+  let actual = float_of_int (Oracle.Eval.matching_count db selected) in
   (* uniform data: the 1/V rule should be within a small factor *)
   check_bool "within 3x of the truth" true
     (estimate > 0. && estimate /. actual < 3. && actual /. estimate < 3.)

@@ -10,7 +10,7 @@ let db_of_facts facts =
   Database.of_facts (List.map (fun (p, t) -> (p, List.map (fun i -> Term.Int i) t)) facts)
 
 let check_same_answers ?semijoin ?radix_threshold db q =
-  let expected = Eval.answers db q in
+  let expected = Oracle.Eval.answers db q in
   let got = Exec.answers ?semijoin ?radix_threshold (Interned.of_database db) q in
   Alcotest.(check bool)
     (Format.asprintf "answers agree on %a" Query.pp q)
@@ -127,7 +127,7 @@ let test_budget_truncation () =
   let budget = Budget.create ~max_steps:100_000 () in
   let got = Exec.answers ~budget (Interned.of_database db) q in
   Alcotest.(check bool) "ample budget: oracle answer" true
-    (Relation.equal (Eval.answers db q) got)
+    (Relation.equal (Oracle.Eval.answers db q) got)
 
 (* -- counters -------------------------------------------------------- *)
 
@@ -148,7 +148,7 @@ let prop_oracle_equivalence =
   QCheck2.Test.make ~count:300 ~name:"Exec.answers = Eval.answers"
     QCheck2.Gen.(pair Qcheck_gens.gen_query Qcheck_gens.gen_database)
     (fun (q, db) ->
-      let expected = Eval.answers db q in
+      let expected = Oracle.Eval.answers db q in
       let t = Interned.of_database db in
       Relation.equal expected (Exec.answers t q)
       && Relation.equal expected (Exec.answers ~semijoin:true t q)
@@ -192,7 +192,7 @@ let prop_profile_transparent =
 let image_rows img (a : Atom.t) = Interned.cardinality img a.Atom.pred
 
 (* The general path joins in [Hypergraph.schedule] order over the image's
-   row counts: the order [Eval.schedule] gives over the decoded database,
+   row counts: the order [Oracle.Eval.schedule] gives over the decoded database,
    for a base image and for a derived one whose builds repeat rows (v's
    six built rows keep two, which puts v ahead of u's four; undeduplicated
    counts would not).  A profile shows the engine executing that order. *)
@@ -212,7 +212,7 @@ let test_schedule_shared () =
       let order = Hypergraph.schedule ~size:(image_rows img) body in
       Alcotest.(check (list string))
         (Format.asprintf "image order = Eval.schedule on %a" Query.pp q)
-        (List.map Atom.to_string (Eval.schedule (Interned.database img) body))
+        (List.map Atom.to_string (Oracle.Eval.schedule (Interned.database img) body))
         (List.map Atom.to_string order);
       let p = Profile.create ~name:"schedule" () in
       ignore (Exec.answers ~profile:p img q);

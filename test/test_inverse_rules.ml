@@ -58,14 +58,14 @@ let test_certain_answers_sound () =
   let open Car_loc_part in
   let view_db = Materialize.views base views in
   let certain = Inverse_rules.certain_answers ~views ~query view_db in
-  check_bool "sound" true (Relation.subset certain (Eval.answers base query))
+  check_bool "sound" true (Relation.subset certain (Oracle.Eval.answers base query))
 
 let test_certain_answers_complete_carloc () =
   (* with v4 available the full answer is certain *)
   let open Car_loc_part in
   let view_db = Materialize.views base views in
   Alcotest.check relation_testable "complete"
-    (Eval.answers base query)
+    (Oracle.Eval.answers base query)
     (Inverse_rules.certain_answers ~views ~query view_db)
 
 let test_matches_minicon_mcr () =
@@ -84,7 +84,7 @@ let test_matches_minicon_mcr () =
       match Minicon.maximally_contained ~query ~views () with
       | None -> Alcotest.fail "expected combinations"
       | Some u ->
-          Alcotest.check relation_testable "agree" ir (Eval.answers_ucq view_db u))
+          Alcotest.check relation_testable "agree" ir (Oracle.Eval.answers_ucq view_db u))
     cases
 
 let test_skolem_constants_in_views () =

@@ -53,7 +53,7 @@ let test_example61_reversed_order () =
 
 let test_m3_plans_compute_answers () =
   let open Example_6_1 in
-  let truth = Eval.answers base query in
+  let truth = Oracle.Eval.answers base query in
   let check_plan name plan (p : Query.t) =
     Alcotest.check relation_testable name truth (M3.answers image_61 ~head:p.head plan)
   in
@@ -102,7 +102,7 @@ let test_optimizer_m3 () =
   match (best `Supplementary, best `Heuristic) with
   | Some s, Some h ->
       check_bool "heuristic no worse" true (h.cost <= s.cost);
-      Alcotest.check relation_testable "m3 plan computes the answer" (Eval.answers base query)
+      Alcotest.check relation_testable "m3 plan computes the answer" (Oracle.Eval.answers base query)
         (M3.answers (Optimizer.image ctx) ~head:h.rewriting.Query.head h.plan)
   | _ -> Alcotest.fail "expected plans"
 
@@ -110,7 +110,7 @@ let test_optimizer_m3 () =
 let test_m3_carloc () =
   let open Car_loc_part in
   let img = Materialize.image base views in
-  let truth = Eval.answers base query in
+  let truth = Oracle.Eval.answers base query in
   let plan = M3.heuristic ~views ~query ~head:p2.Query.head p2.Query.body in
   Alcotest.check relation_testable "car-loc-part heuristic plan answers" truth
     (M3.answers img ~head:p2.Query.head plan)

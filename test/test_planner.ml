@@ -46,7 +46,7 @@ let test_analyze_fallback () =
 let test_plan_all_models () =
   let p = problem () in
   let base = Car_loc_part.base in
-  let truth = Eval.answers base p.Planner.query in
+  let truth = Oracle.Eval.answers base p.Planner.query in
   List.iter
     (fun cost_model ->
       let ctx = Optimizer.create ~views:p.Planner.views base in
@@ -62,7 +62,7 @@ let test_answer_via_views_equivalent () =
   let p = problem () in
   match Planner.answer_via_views ~cost_model:`M2 p ~base:Car_loc_part.base with
   | `Equivalent (_, answer) ->
-      Alcotest.check relation_testable "answer" (Eval.answers Car_loc_part.base p.Planner.query) answer
+      Alcotest.check relation_testable "answer" (Oracle.Eval.answers Car_loc_part.base p.Planner.query) answer
   | `Fallback_certain _ | `No_rewriting -> Alcotest.fail "expected equivalent plan"
 
 let test_answer_via_views_fallback () =
@@ -78,7 +78,7 @@ let test_answer_via_views_fallback () =
   match Planner.answer_via_views ~cost_model:`M2 p ~base with
   | `Fallback_certain answer ->
       check_int "certain subset" 1 (Relation.cardinality answer);
-      check_bool "sound" true (Relation.subset answer (Eval.answers base p.Planner.query))
+      check_bool "sound" true (Relation.subset answer (Oracle.Eval.answers base p.Planner.query))
   | `Equivalent _ -> Alcotest.fail "no equivalent rewriting exists"
   | `No_rewriting -> Alcotest.fail "expected the certain-answer fallback"
 

@@ -27,7 +27,7 @@ let containment_sound =
       (* only comparable when head arities match *)
       if Atom.arity q1.Query.head <> Atom.arity q2.Query.head then true
       else if not (Containment.is_contained q1 q2) then true
-      else Relation.subset (Eval.answers db q1) (Eval.answers db q2))
+      else Relation.subset (Oracle.Eval.answers db q1) (Oracle.Eval.answers db q2))
 
 (* Chandra-Merlin completeness via the canonical database: Q1 ⊑ Q2 iff the
    frozen head of Q1 is an answer of Q2 on D_Q1. *)
@@ -41,7 +41,7 @@ let containment_canonical =
         let c = Oracle.Canonical.freeze q1 in
         let frozen_head = List.map Oracle.Canonical.frozen_term q1.Query.head.Atom.args in
         let semantic =
-          Relation.mem frozen_head (Eval.answers (Oracle.Canonical.database c) q2)
+          Relation.mem frozen_head (Oracle.Eval.answers (Oracle.Canonical.database c) q2)
         in
         Containment.is_contained q1 q2 = semantic
       end)
@@ -109,7 +109,7 @@ let minimize_semantics_preserved =
   make_test ~name:"minimize preserves answers" gen
     (fun (q, db) -> print_query q ^ " db " ^ string_of_int (Database.total_size db))
     (fun (q, db) ->
-      Relation.equal (Eval.answers db q) (Eval.answers db (Minimize.minimize q)))
+      Relation.equal (Oracle.Eval.answers db q) (Oracle.Eval.answers db (Minimize.minimize q)))
 
 (* Tuple-cores are unique for minimal queries (Lemma 4.2). *)
 let tuple_core_unique =
@@ -226,7 +226,7 @@ let corecover_closed_world =
       match r.rewritings with
       | [] -> true
       | rewritings ->
-          let truth = Eval.answers base query in
+          let truth = Oracle.Eval.answers base query in
           let img = Materialize.image base views in
           List.for_all
             (fun p -> Relation.equal truth (Exec.answers img p))
@@ -413,7 +413,7 @@ let m3_image_matches_eval =
       let img = Materialize.image base views in
       let vdb =
         List.fold_left
-          (fun db (v : Query.t) -> Database.add_relation (View.name v) (Eval.answers base v) db)
+          (fun db (v : Query.t) -> Database.add_relation (View.name v) (Oracle.Eval.answers base v) db)
           Database.empty views
       in
       let head = Atom.make "q" (List.map (fun x -> Term.Var x) head_vars) in
@@ -696,7 +696,7 @@ let m3_correct_and_dominant =
       | [] -> true
       | (p : Query.t) :: _ ->
           let img = Materialize.image base views in
-          let truth = Eval.answers base query in
+          let truth = Oracle.Eval.answers base query in
           let suppl = M3.supplementary ~head:p.head p.body in
           let heur = M3.heuristic ~views ~query ~head:p.head p.body in
           Relation.equal truth (M3.answers img ~head:p.head suppl)
@@ -711,12 +711,12 @@ let inverse_rules_sound_and_complete =
     (fun (query, views, base) ->
       let view_db = Materialize.views base views in
       let certain = Inverse_rules.certain_answers ~views ~query view_db in
-      let truth = Eval.answers base query in
+      let truth = Oracle.Eval.answers base query in
       Relation.subset certain truth
       &&
       match Minicon.maximally_contained ~query ~views () with
       | None -> Relation.cardinality certain = 0
-      | Some u -> Relation.equal certain (Eval.answers_ucq view_db u))
+      | Some u -> Relation.equal certain (Oracle.Eval.answers_ucq view_db u))
 
 (* When an equivalent rewriting exists, certain answers are complete. *)
 let certain_complete_under_equivalence =
@@ -729,7 +729,7 @@ let certain_complete_under_equivalence =
         let view_db = Materialize.views base views in
         Relation.equal
           (Inverse_rules.certain_answers ~views ~query view_db)
-          (Eval.answers base query))
+          (Oracle.Eval.answers base query))
 
 (* UCQ containment is sound w.r.t. evaluation. *)
 let ucq_containment_sound =
@@ -744,7 +744,7 @@ let ucq_containment_sound =
       | Ok u1, Ok u2 ->
           if Ucq.head_arity u1 <> Ucq.head_arity u2 then true
           else if not (Ucq_containment.is_contained u1 u2) then true
-          else Relation.subset (Eval.answers_ucq db u1) (Eval.answers_ucq db u2)
+          else Relation.subset (Oracle.Eval.answers_ucq db u1) (Oracle.Eval.answers_ucq db u2)
       | _ -> true)
 
 (* UCQ minimization preserves semantics. *)
@@ -758,7 +758,7 @@ let ucq_minimize_preserves =
       | Ok u ->
           let m = Ucq_containment.minimize u in
           Ucq_containment.equivalent u m
-          && Relation.equal (Eval.answers_ucq db u) (Eval.answers_ucq db m))
+          && Relation.equal (Oracle.Eval.answers_ucq db u) (Oracle.Eval.answers_ucq db m))
 
 (* The planner's one-call API agrees with direct evaluation. *)
 let planner_end_to_end =
@@ -766,7 +766,7 @@ let planner_end_to_end =
   make_test ~count:120 ~name:"planner answer_via_views is sound/complete" gen print_with_db
     (fun (query, views, base) ->
       let problem = { Planner.query; views } in
-      let truth = Eval.answers base query in
+      let truth = Oracle.Eval.answers base query in
       match Planner.answer_via_views ~cost_model:`M2 problem ~base with
       | `Equivalent (_, answer) -> Relation.equal truth answer
       | `Fallback_certain answer -> Relation.subset answer truth
@@ -963,42 +963,116 @@ let view_selection_correct =
                       (List.filter (fun v' -> v' != v) kept)))
                kept)
 
-(* Datalog: semi-naive equals naive, and magic sets preserve answers, on
-   random graphs. *)
+(* Datalog on random graphs: semi-naive equals the naive fixpoint, magic
+   sets and direct evaluation give the oracle's answers, and certain
+   answers over views equal the oracle's.  Programs are a recursive core
+   (linear or non-linear transitive closure, or same-generation over
+   [edge] as the parent relation) plus a random choice of rules with body
+   and head constants and repeated variables; views are a random nonempty
+   choice of a copy, a projection and a two-step join of [edge]. *)
 let datalog_engines_agree =
-  let gen_edges =
-    Gen.(list_size (int_range 0 12) (pair (int_range 0 5) (int_range 0 5)))
+  let gen_case =
+    let open Gen in
+    let* edges = list_size (int_range 0 12) (pair (int_range 0 5) (int_range 0 5)) in
+    let* core =
+      oneofl
+        [
+          [ "p(X, Y) :- edge(X, Y)."; "p(X, Z) :- edge(X, Y), p(Y, Z)." ];
+          [ "p(X, Y) :- edge(X, Y)."; "p(X, Z) :- p(X, Y), p(Y, Z)." ];
+          [ "p(X, X) :- edge(X, Y)."; "p(X, Y) :- edge(XP, X), p(XP, YP), edge(YP, Y)." ];
+        ]
+    in
+    let* k = int_range 0 5 in
+    let* extra =
+      gen_subset
+        [
+          "loop(X) :- p(X, X).";
+          Printf.sprintf "tag(X, %d, t) :- p(X, %d)." k k;
+          "pair(X, X, Y) :- p(X, Y), p(Y, X).";
+          Printf.sprintf "from(Y) :- edge(%d, Y)." k;
+          "from(Z) :- from(Y), p(Y, Z), edge(Z, Z).";
+        ]
+    in
+    let* views =
+      gen_subset
+        [
+          "v(X, Y) :- edge(X, Y)."; "w(X) :- edge(X, Y)."; "u(X, Z) :- edge(X, Y), edge(Y, Z).";
+        ]
+    in
+    let views = if views = [] then [ "w(X) :- edge(X, Y)." ] else views in
+    return (edges, core @ extra, views)
   in
-  let tc =
-    Vplan.Program.make_exn
-      (Helpers.qs [ "path(X, Y) :- edge(X, Y)."; "path(X, Z) :- edge(X, Y), path(Y, Z)." ])
+  (* free, bound and repeated-variable query atoms for each IDB predicate *)
+  let queries program =
+    let x = Term.Var "X" and y = Term.Var "Y" and c n = Term.Cst (Term.Int n) in
+    Names.Sset.elements (Vplan.Program.idb_predicates program)
+    |> List.concat_map (fun pred ->
+           List.map (Atom.make pred)
+             (match pred with
+             | "loop" | "from" -> [ [ x ]; [ c 2 ] ]
+             | "tag" -> [ [ x; y; Term.Cst (Term.Str "t") ]; [ x; x; y ] ]
+             | "pair" -> [ [ x; x; y ]; [ c 1; y; y ] ]
+             | _ -> [ [ x; y ]; [ c 0; y ]; [ x; x ]; [ x; c 3 ]; [ c 1; c 4 ] ]))
   in
-  make_test ~count:100 ~name:"datalog: semi-naive = naive, magic = direct" gen_edges
-    (fun edges ->
-      String.concat ","
-        (List.map (fun (x, y) -> Printf.sprintf "%d->%d" x y) edges))
-    (fun edges ->
+  make_test ~count:100 ~name:"datalog: semi-naive = naive, magic = direct" gen_case
+    (fun (edges, rules, views) ->
+      String.concat "," (List.map (fun (x, y) -> Printf.sprintf "%d->%d" x y) edges)
+      ^ " || " ^ String.concat " " rules ^ " || " ^ String.concat " " views)
+    (fun (edges, rules, views) ->
+      let program = Vplan.Program.make_exn (Helpers.qs rules) in
+      let views = Helpers.qs views in
       let edb =
         Database.of_facts (List.map (fun (x, y) -> ("edge", [ Term.Int x; Term.Int y ])) edges)
       in
-      let semi = Vplan.Seminaive.evaluate tc edb in
-      let naive = Vplan.Seminaive.naive tc edb in
-      Database.equal semi naive
-      &&
-      let queries =
-        [
-          Atom.make "path" [ Term.Var "X"; Term.Var "Y" ];
-          Atom.make "path" [ Term.Cst (Term.Int 0); Term.Var "Y" ];
-          Atom.make "path" [ Term.Var "X"; Term.Cst (Term.Int 3) ];
-          Atom.make "path" [ Term.Cst (Term.Int 1); Term.Cst (Term.Int 4) ];
-        ]
-      in
-      List.for_all
-        (fun query ->
-          Relation.equal
-            (Vplan.Magic.answers tc edb ~query)
-            (Vplan.Recursive_views.answers_direct ~program:tc ~query edb))
-        queries)
+      let view_db = Materialize.views edb views in
+      let fixpoint = Oracle.Datalog.naive program edb in
+      let recovered = Oracle.Datalog.naive program (Inverse_rules.recover_base ~views view_db) in
+      Database.equal (Vplan.Seminaive.evaluate program edb) fixpoint
+      && List.for_all
+           (fun query ->
+             let expected = Oracle.Datalog.select fixpoint query in
+             Relation.equal expected (Vplan.Magic.answers program edb ~query)
+             && Relation.equal expected (Vplan.Recursive_views.answers_direct ~program ~query edb)
+             && Relation.equal
+                  (Oracle.Datalog.certain recovered query)
+                  (Vplan.Recursive_views.certain_answers ~views ~program ~query view_db))
+           (queries program))
+
+(* Ccq.answers (bindings from the hash-join engine, filtered, then
+   projected) equals backtracking evaluation with the comparisons checked
+   per environment.  Body constants are drawn from the database's values
+   so they select; comparisons put variables or constants on either side;
+   heads repeat variables and carry constants. *)
+let ccq_answers_match_oracle =
+  let gen_case =
+    let open Gen in
+    let cst = map (fun n -> Term.Cst (Term.Int n)) (int_range 0 3) in
+    let gen_arg = frequency [ (3, map (fun x -> Term.Var x) (oneofl var_pool)); (1, cst) ] in
+    let gen_atom =
+      let* pred, arity = oneofl pred_pool in
+      let+ args = list_repeat arity gen_arg in
+      Atom.make pred args
+    in
+    let* body = list_size (int_range 1 3) gen_atom in
+    let vars = List.concat_map Atom.vars body |> List.sort_uniq String.compare in
+    let var = if vars = [] then cst else map (fun x -> Term.Var x) (oneofl vars) in
+    let side = frequency [ (3, var); (1, cst) ] in
+    let* comparisons =
+      list_size (int_range 0 3)
+        (let* pred = oneofl [ "lt"; "le" ] in
+         let* l = side in
+         let+ r = side in
+         Atom.make pred [ l; r ])
+    in
+    let* head = list_size (int_range 0 3) var in
+    let* head_consts = list_size (int_range 0 1) cst in
+    let* head = shuffle_l (head @ head_consts) in
+    let+ db = gen_database in
+    (Query.make_exn (Atom.make "q" head) (body @ comparisons), db)
+  in
+  make_test ~count:300 ~name:"Ccq.answers = backtracking CCQ evaluation" gen_case
+    (fun (q, db) -> print_query q ^ " || db size " ^ string_of_int (Database.total_size db))
+    (fun (q, db) -> Relation.equal (Oracle.Ccq.answers db q) (Ccq.answers db q))
 
 (* Set cover on random instances. *)
 let set_cover_props =
@@ -1098,7 +1172,7 @@ let corecover_budget_anytime =
 
 (* View tuples come from matching compiled view bodies into the query;
    the backtracking evaluator is the oracle: the same tuples, in the same
-   order, as thawing [Eval.answers] of every view over the canonical
+   order, as thawing [Oracle.Eval.answers] of every view over the canonical
    database. *)
 let view_tuples_match_eval =
   let shapes =
@@ -1112,7 +1186,7 @@ let view_tuples_match_eval =
     (fun ((_, shape), num_views, seed) ->
       let inst = Generator.generate { Generator.default with shape; num_views; seed } in
       let query = inst.Generator.query and views = inst.views in
-      let expected = Oracle.Canonical.view_tuples ~evaluate:Eval.answers ~query views in
+      let expected = Oracle.Canonical.view_tuples ~evaluate:Oracle.Eval.answers ~query views in
       List.equal Atom.equal expected
         (List.map (fun tv -> tv.View_tuple.atom) (View_tuple.compute ~query views)))
 
@@ -1286,6 +1360,7 @@ let suite =
     planner_end_to_end;
     order_constraint_sound;
     ccq_containment_sound;
+    ccq_answers_match_oracle;
     lemma_4_1;
     lemma_3_2;
     theorem_4_1;

@@ -42,50 +42,50 @@ let chain_db =
 
 let test_eval_simple_join () =
   let query = q "q(X, Z) :- e(X, Y), e(Y, Z)." in
-  let result = Eval.answers chain_db query in
+  let result = Oracle.Eval.answers chain_db query in
   (* paths of length 2: 1-2-3, 2-3-4, 1-2-2, 2-2-3, 2-2-2 *)
   check_int "path pairs" 5 (Relation.cardinality result);
   check_bool "contains (1,3)" true (Relation.mem (tuple_of_ints [ 1; 3 ]) result)
 
 let test_eval_selection () =
   let query = q "q(Y) :- e(2, Y)." in
-  let result = Eval.answers chain_db query in
+  let result = Oracle.Eval.answers chain_db query in
   check_int "constants select" 2 (Relation.cardinality result)
 
 let test_eval_repeated_var () =
   let query = q "q(X) :- e(X, X)." in
-  let result = Eval.answers chain_db query in
+  let result = Oracle.Eval.answers chain_db query in
   check_int "self loops" 1 (Relation.cardinality result);
   check_bool "loop is 2" true (Relation.mem (tuple_of_ints [ 2 ]) result)
 
 let test_eval_head_constants () =
   let query = q "q(X, tag) :- e(X, X)." in
-  let result = Eval.answers chain_db query in
+  let result = Oracle.Eval.answers chain_db query in
   check_bool "head constant in tuple" true
     (Relation.mem [ Term.Int 2; Term.Str "tag" ] result)
 
 let test_eval_empty_relation () =
   let query = q "q(X) :- missing(X)." in
-  check_int "missing relation" 0 (Relation.cardinality (Eval.answers chain_db query))
+  check_int "missing relation" 0 (Relation.cardinality (Oracle.Eval.answers chain_db query))
 
 let test_eval_cross_product () =
   (* e(X,2) matches {1,2}; e(3,Y) matches {4}: 2 x 1 combinations *)
   let query = q "q(X, Y) :- e(X, 2), e(3, Y)." in
-  let result = Eval.answers chain_db query in
+  let result = Oracle.Eval.answers chain_db query in
   check_int "cross product" 2 (Relation.cardinality result)
 
 let test_extend_and_project () =
-  let envs = Eval.satisfying_envs chain_db (q "q(X, Z) :- e(X, Y), e(Y, Z).").Query.body in
-  check_int "all bindings" 5 (Eval.distinct_count envs);
-  let projected = Eval.project ~onto:(Names.sset_of_list [ "X" ]) envs in
+  let envs = Oracle.Eval.satisfying_envs chain_db (q "q(X, Z) :- e(X, Y), e(Y, Z).").Query.body in
+  check_int "all bindings" 5 (Oracle.Eval.distinct_count envs);
+  let projected = Oracle.Eval.project ~onto:(Names.sset_of_list [ "X" ]) envs in
   (* X values among paths: 1, 2 *)
   check_int "projected" 2 (List.length projected)
 
 let test_matching_count () =
   check_int "pattern count" 2
-    (Eval.matching_count chain_db (Atom.make "e" [ Term.Cst (Term.Int 2); Term.Var "Y" ]));
+    (Oracle.Eval.matching_count chain_db (Atom.make "e" [ Term.Cst (Term.Int 2); Term.Var "Y" ]));
   check_int "relation size" 4
-    (Eval.relation_size chain_db (Atom.make "e" [ Term.Var "X"; Term.Var "Y" ]))
+    (Oracle.Eval.relation_size chain_db (Atom.make "e" [ Term.Var "X"; Term.Var "Y" ]))
 
 let test_prng_deterministic () =
   let r1 = Prng.create 7 and r2 = Prng.create 7 in
@@ -199,7 +199,7 @@ let test_datagen_nonempty_witness () =
   let query = q "q(X, Z) :- p(X, Y), r(Y, Z), s(Z, X)." in
   let rng = Prng.create 13 in
   let db = Datagen.for_query_nonempty rng ~tuples:20 ~domain:50 query in
-  check_bool "query satisfiable" true (Relation.cardinality (Eval.answers db query) > 0)
+  check_bool "query satisfiable" true (Relation.cardinality (Oracle.Eval.answers db query) > 0)
 
 let suite =
   [

@@ -189,6 +189,23 @@ let catalog_remove () =
   | Ok _ -> Alcotest.fail "adding a duplicate name must fail"
   | Error _ -> ()
 
+(* An add checks only its own names: against each other and against the
+   members, each duplicate reported by name. *)
+let catalog_add_duplicates () =
+  let cat = Catalog.create_exn Car_loc_part.views in
+  let fails what expected vs =
+    match Catalog.add_views cat vs with
+    | Ok _ -> Alcotest.fail (what ^ " must fail")
+    | Error e -> Alcotest.(check string) what expected e
+  in
+  fails "two new views sharing a name" "duplicate view name w"
+    [ q "w(A) :- car(A, B)."; q "u(A) :- loc(A, B)."; q "w(A) :- loc(A, B)." ];
+  fails "a member's name" "duplicate view name v2"
+    [ q "w(A) :- car(A, B)."; q "v2(A) :- car(A, B)." ];
+  match Catalog.add_views cat [ q "w(A) :- car(A, B)."; q "u(A) :- loc(A, B)." ] with
+  | Ok grown -> check_int "distinct new names are added" 7 (Catalog.num_views grown)
+  | Error e -> Alcotest.fail e
+
 let catalog_classes_drive_corecover () =
   let cat = Catalog.create_exn Car_loc_part.views in
   let with_catalog =
@@ -664,7 +681,7 @@ let facts l = Database.of_facts (List.map (fun (p, args) -> (p, List.map (fun s 
 let image_follows_set_base () =
   let s = service () in
   Service.set_base s Car_loc_part.base;
-  let truth db = Relation.cardinality (Eval.answers db Car_loc_part.query) in
+  let truth db = Relation.cardinality (Oracle.Eval.answers db Car_loc_part.query) in
   check_int "answers over the first base" (truth Car_loc_part.base)
     (answers_of (Service.analyze s Car_loc_part.query));
   let more =
@@ -737,7 +754,7 @@ let image_published_once () =
   Service.set_base s Car_loc_part.base;
   let a1, a2 = race (fun () -> answers_of (Service.analyze s Car_loc_part.query)) in
   check_int "identical answers" a1 a2;
-  check_int "the query's answers" (Relation.cardinality (Eval.answers Car_loc_part.base Car_loc_part.query)) a1
+  check_int "the query's answers" (Relation.cardinality (Oracle.Eval.answers Car_loc_part.base Car_loc_part.query)) a1
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent dispatch                                                 *)
@@ -791,6 +808,7 @@ let suite =
     Alcotest.test_case "catalog: incremental add = from scratch" `Quick
       catalog_incremental_add;
     Alcotest.test_case "catalog: remove and errors" `Quick catalog_remove;
+    Alcotest.test_case "catalog: an add checks its own names" `Quick catalog_add_duplicates;
     Alcotest.test_case "catalog: generations render as from scratch" `Quick
       catalog_generations_render_as_scratch;
     Alcotest.test_case "catalog: touched representatives" `Quick catalog_touched;

@@ -97,7 +97,7 @@ let test_base_database () =
   check_bool "all query relations present" true
     (List.for_all (fun p -> Database.mem p db) (Query.body_preds inst.Generator.query));
   check_bool "query satisfiable" true
-    (Relation.cardinality (Eval.answers db inst.Generator.query) > 0)
+    (Relation.cardinality (Oracle.Eval.answers db inst.Generator.query) > 0)
 
 let cycle_config n =
   { Generator.default with shape = Generator.Cycle; num_views = n; seed = 17 }
