@@ -57,7 +57,6 @@ let full =
 (* CoreCover performance knobs, settable from the command line; every
    combination produces the same rewritings. *)
 let opt_domains = ref 1
-let opt_buckets = ref true
 
 (* resource-governance knobs: a fresh budget is created per timed query so
    limits apply to each run rather than the whole sweep *)
@@ -73,8 +72,7 @@ let budget_of_opts () =
 let corecover_gmrs ~query ~views () =
   let r =
     Corecover.gmrs ?budget:(budget_of_opts ()) ?max_covers:!opt_max_covers
-      ~buckets:!opt_buckets ~domains:!opt_domains ~query
-      ~views ()
+      ~domains:!opt_domains ~query ~views ()
   in
   (match r.completeness with
   | Corecover.Truncated _ -> any_truncated := true
@@ -196,8 +194,7 @@ type acyclic_row = {
 let acyclic_rows : acyclic_row list ref = ref []
 
 (* Containment half of the [acyclic] experiment: DP over the join tree
-   vs backtracking, plus end-to-end rewrite latency with the fast path
-   on and off. *)
+   vs backtracking. *)
 type acyclic_containment = {
   cn_checks : int;
   cn_depth : int;  (* levels of the branching ladder target *)
@@ -206,9 +203,6 @@ type acyclic_containment = {
   cn_speedup : float;
   cn_agree : bool;  (* DP verdict = backtracking verdict on every check *)
   cn_fastpath : bool;  (* the fastpath counter moved during the fast run *)
-  cn_rewrite_views : int;
-  cn_rewrite_fast_ms : float;
-  cn_rewrite_general_ms : float;
 }
 
 let acyclic_containment : acyclic_containment option ref = ref None
@@ -247,7 +241,6 @@ let write_json ~mode oc =
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"mode\": %S,\n" mode;
   Printf.fprintf oc "  \"domains\": %d,\n" !opt_domains;
-  Printf.fprintf oc "  \"buckets\": %b,\n" !opt_buckets;
   (match !service_metrics with
   | None -> ()
   | Some m ->
@@ -370,13 +363,9 @@ let write_json ~mode oc =
           Printf.fprintf oc
             "    \"containment\": { \"checks\": %d, \"ladder_depth\": %d, \
              \"fast_ms\": %.3f, \"slow_ms\": %.3f, \"speedup\": %.2f, \
-             \"agree\": %b, \"fastpath_taken\": %b,"
+             \"agree\": %b, \"fastpath_taken\": %b },\n"
             c.cn_checks c.cn_depth c.cn_fast_ms c.cn_slow_ms c.cn_speedup
-            c.cn_agree c.cn_fastpath;
-          Printf.fprintf oc
-            " \"rewrite_views\": %d, \"rewrite_fast_ms\": %.3f, \
-             \"rewrite_general_ms\": %.3f },\n"
-            c.cn_rewrite_views c.cn_rewrite_fast_ms c.cn_rewrite_general_ms);
+            c.cn_agree c.cn_fastpath);
       Printf.fprintf oc "    \"rows\": [";
       List.iteri
         (fun i r ->
@@ -601,8 +590,11 @@ let ablation ~settings =
           let inst = Generator.generate_with_rewriting config in
           let query = inst.Generator.query and views = inst.views in
           let _, on_ms = time_ms (fun () -> Corecover.gmrs ~query ~views ()) in
+          (* grouping off: every view is its own class *)
           let _, off_ms =
-            time_ms (fun () -> Corecover.gmrs ~group_views:false ~query ~views ())
+            time_ms (fun () ->
+                Corecover.gmrs ~view_classes:(View_tuple.Classes.of_views views) ~query
+                  ~views ())
           in
           Format.printf "%8s %8d %16.1f %16.1f@." name num_views on_ms off_ms)
         (List.filter (fun n -> n <= 400) settings.view_counts))
@@ -945,35 +937,12 @@ let acyclic_bench ~settings () =
   let cfastpath = Metrics.value m_fastpath > f0 in
   let slow_verdicts, cslow_ms = run_checks ~fastpath:false in
   let cagree = fast_verdicts = slow_verdicts in
-  (* end-to-end rewrite latency on the path-view workload, fast path
-     toggled process-wide so every internal containment check follows *)
-  let rewrite_views = if full then 1000 else 200 in
-  let inst =
-    Generator.generate_with_rewriting ~max_attempts:100
-      {
-        Generator.default with
-        shape = Generator.Path;
-        query_subgoals = 12;
-        num_relations = 2;
-        num_views = rewrite_views;
-        seed = 1100;
-      }
-  in
-  let query = inst.Generator.query and views = inst.views in
-  Homomorphism.set_fastpath false;
-  let _, rw_general_ms = time_ms (fun () -> Corecover.gmrs ~query ~views ()) in
-  Homomorphism.set_fastpath true;
-  let _, rw_fast_ms = time_ms (fun () -> Corecover.gmrs ~query ~views ()) in
   Format.printf "%8s %8s %12s %13s %9s %7s %10s@." "checks" "depth" "tree-dp-ms"
     "backtrack-ms" "speedup" "agree" "fastpath";
   Format.printf "%8d %8d %12.1f %13.1f %8.1fx %7b %10b@." checks depth cfast_ms
     cslow_ms
     (cslow_ms /. Float.max 1e-9 cfast_ms)
     cagree cfastpath;
-  Format.printf
-    "rewrite latency (path workload, %d views): fastpath %.1f ms, \
-     backtracking %.1f ms@."
-    rewrite_views rw_fast_ms rw_general_ms;
   acyclic_containment :=
     Some
       {
@@ -984,9 +953,6 @@ let acyclic_bench ~settings () =
         cn_speedup = cslow_ms /. Float.max 1e-9 cfast_ms;
         cn_agree = cagree;
         cn_fastpath = cfastpath;
-        cn_rewrite_views = rewrite_views;
-        cn_rewrite_fast_ms = rw_fast_ms;
-        cn_rewrite_general_ms = rw_general_ms;
       };
   (* -- execution: Yannakakis vs pairwise vs plain hash join --------- *)
   let shapes =
@@ -2016,7 +1982,7 @@ let experiments settings =
 let usage () =
   prerr_endline
     "usage: main.exe [EXPERIMENT...] [--full | --quick | --mode quick|full] [--views N]\n\
-    \                [--domains N] [--no-buckets] [--out FILE.json]\n\
+    \                [--domains N] [--out FILE.json]\n\
     \                [--timeout MS] [--max-steps N] [--max-covers N]\n\
     \                [--clients N] [--port P] [--retries N] [--backoff-ms MS]\n\
     \                                            (loadgen)";
@@ -2044,9 +2010,6 @@ let () =
             is_full := true;
             parse wanted rest
         | _ -> usage ())
-    | "--no-buckets" :: rest ->
-        opt_buckets := false;
-        parse wanted rest
     | "--domains" :: n :: rest -> (
         match int_of_string_opt n with
         | Some d when d >= 1 ->

@@ -90,13 +90,16 @@ let rewrite_cmd =
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
     let budget = budget_of ~timeout ~max_steps in
+    (* without grouping every view is its own class *)
+    let view_classes =
+      if no_group then Some (Vplan.View_tuple.Classes.of_views views) else None
+    in
     let result =
       if all_minimal then
-        Vplan.Corecover.all_minimal ?budget ?max_results:max_covers
-          ~group_views:(not no_group) ~domains ~query ~views ()
-      else
-        Vplan.Corecover.gmrs ?budget ?max_covers ~group_views:(not no_group)
+        Vplan.Corecover.all_minimal ?budget ?view_classes ?max_results:max_covers
           ~domains ~query ~views ()
+      else
+        Vplan.Corecover.gmrs ?budget ?view_classes ?max_covers ~domains ~query ~views ()
     in
     Format.printf "query (minimized): %a@." Vplan.Query.pp result.minimized_query;
     Format.printf "views: %d in %d equivalence classes@." result.stats.num_views

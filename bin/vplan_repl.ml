@@ -183,40 +183,49 @@ let cmd_set rest =
 
 let cmd_plan model =
   with_query (fun query ->
-      let cost_model =
-        match model with
-        | "m1" -> Some `M1
-        | "m2" -> Some `M2
-        | "m3" -> Some (`M3 `Heuristic)
-        | _ -> None
+      (* [print c] shows the choice, [answer img c] executes it over the
+         context's view image *)
+      let report model ~print ~answer =
+        let budget = budget_of_state () in
+        let ctx =
+          Vplan.Optimizer.create
+            ~view_classes:(Vplan.Catalog.view_classes (catalog_of_state ?budget ()))
+            ~views:state.views state.base
+        in
+        let r, choice =
+          Vplan.Optimizer.plan ?budget ?max_covers:state.max_covers model ctx query
+        in
+        (match choice with
+        | None -> print_endline "no rewriting"
+        | Some c ->
+            print c;
+            Format.printf "answer: %a@." Vplan.Relation.pp
+              (answer (Vplan.Optimizer.image ctx) c));
+        match r.Vplan.Corecover.completeness with
+        | Vplan.Corecover.Complete -> ()
+        | Vplan.Corecover.Truncated reason ->
+            Format.printf "(truncated: %s)@." (Vplan.Vplan_error.to_string reason)
       in
-      match cost_model with
-      | None -> print_endline "usage: plan m1|m2|m3"
-      | Some cost_model -> (
-          let ctx = Vplan.Optimizer.create ~views:state.views state.base in
-          let plan, completeness =
-            Vplan.Planner.plan ?budget:(budget_of_state ()) ?max_covers:state.max_covers
-              ~cost_model ctx query
-          in
-          (match plan with
-          | None -> print_endline "no rewriting"
-          | Some plan ->
-              (match plan with
-              | Vplan.Planner.Logical p -> Format.printf "rewriting: %a@." Vplan.Query.pp p
-              | Vplan.Planner.Ordered { rewriting; order; cost } ->
-                  Format.printf "rewriting: %a@." Vplan.Query.pp rewriting;
-                  Format.printf "order:";
-                  List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) order;
-                  Format.printf "@.cost: %d cells@." cost
-              | Vplan.Planner.Annotated { rewriting; plan; cost } ->
-                  Format.printf "rewriting: %a@." Vplan.Query.pp rewriting;
-                  Format.printf "plan: %a@.cost: %d cells@." Vplan.M3.pp_plan plan cost);
-              let answer = Vplan.Planner.execute ctx plan in
-              Format.printf "answer: %a@." Vplan.Relation.pp answer);
-          match completeness with
-          | Vplan.Corecover.Complete -> ()
-          | Vplan.Corecover.Truncated reason ->
-              Format.printf "(truncated: %s)@." (Vplan.Vplan_error.to_string reason)))
+      let rewriting (c : _ Vplan.Select.choice) =
+        Format.printf "rewriting: %a@." Vplan.Query.pp c.rewriting
+      in
+      let answers img (c : _ Vplan.Select.choice) = Vplan.Exec.answers img c.rewriting in
+      match model with
+      | "m1" -> report Vplan.Optimizer.M1 ~print:rewriting ~answer:answers
+      | "m2" ->
+          report (Vplan.Optimizer.M2 Vplan.Optimizer.Exact) ~answer:answers ~print:(fun c ->
+              rewriting c;
+              Format.printf "order:";
+              List.iter (fun a -> Format.printf " %a" Vplan.Atom.pp a) c.plan;
+              Format.printf "@.cost: %d cells@." (int_of_float c.cost))
+      | "m3" ->
+          report (Vplan.Optimizer.M3 `Heuristic)
+            ~print:(fun c ->
+              rewriting c;
+              Format.printf "plan: %a@.cost: %d cells@." Vplan.M3.pp_plan c.plan
+                (int_of_float c.cost))
+            ~answer:(fun img c -> Vplan.M3.answers img ~head:c.rewriting.Vplan.Query.head c.plan)
+      | _ -> print_endline "usage: plan m1|m2|m3")
 
 let cmd_answer () =
   with_query (fun query ->

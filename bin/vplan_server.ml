@@ -109,74 +109,25 @@ let () =
   let fatal fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
   (* Recovery happens before any front end serves: last-good snapshot,
      then the journal's surviving suffix, exactly once. *)
-  let recovered =
-    match !data_dir with
-    | None -> None
-    | Some dir -> (
-        match Vplan.Store.open_dir dir with
-        | Error e -> fatal "store: %s" e
-        | Ok (st, r) -> (
-            let state =
-              match r.Vplan.Store.r_snapshot with
-              | None -> Ok (None, None, None)
-              | Some snap -> (
-                  match Vplan.Persist.state_of_snapshot snap with
-                  | Ok (cat, base, stats) -> Ok (Some cat, base, stats)
-                  | Error e -> Error e)
-            in
-            match
-              Result.bind state (fun (cat, base, stats) ->
-                  Result.map
-                    (fun (cat, base, replayed) -> (cat, base, stats, replayed))
-                    (Vplan.Persist.replay (cat, base) r.Vplan.Store.r_replayed))
-            with
-            | Error e -> fatal "recovery: %s" e
-            | Ok (cat, base, stats, replayed) ->
-                (* snapshot statistics describe the snapshot's own base;
-                   a journaled Load_data replaced it, so rescan instead *)
-                let stats =
-                  if
-                    List.exists
-                      (fun (_, op) ->
-                        match op with
-                        | Vplan.Record.Load_data _ -> true
-                        | _ -> false)
-                      r.Vplan.Store.r_replayed
-                  then None
-                  else stats
-                in
-                Printf.printf
-                  "store dir=%s recovered views=%d replayed=%d \
-                   truncated_bytes=%d\n\
-                   %!"
-                  dir
-                  (match cat with
-                  | Some c -> Vplan.Catalog.num_views c
-                  | None -> 0)
-                  replayed r.Vplan.Store.r_truncated_bytes;
-                Some (st, r, cat, base, stats)))
-  in
   let shared =
-    let store, boot_replayed, boot_truncated =
-      match recovered with
-      | None -> (None, 0, 0)
-      | Some (st, r, _, _, _) ->
-          ( Some st,
-            List.length r.Vplan.Store.r_replayed,
-            r.Vplan.Store.r_truncated_bytes )
-    in
-    Vplan.Protocol.create_shared ?cache_capacity:!cache_capacity
-      ?domains:!domains ?timeout_ms:!timeout_ms ?max_steps:!max_steps
-      ?max_covers:!max_covers ?slow_ms:!slow_ms ?cost_mode:!cost_mode ?store
-      ~boot_replayed ~boot_truncated ()
+    match !data_dir with
+    | None ->
+        Vplan.Protocol.create_shared ?cache_capacity:!cache_capacity
+          ?domains:!domains ?timeout_ms:!timeout_ms ?max_steps:!max_steps
+          ?max_covers:!max_covers ?slow_ms:!slow_ms ?cost_mode:!cost_mode ()
+    | Some dir -> (
+        match
+          Vplan.Protocol.boot ?cache_capacity:!cache_capacity ?domains:!domains
+            ?timeout_ms:!timeout_ms ?max_steps:!max_steps ?max_covers:!max_covers
+            ?slow_ms:!slow_ms ?cost_mode:!cost_mode ~data_dir:dir ()
+        with
+        | Error e -> fatal "%s" e
+        | Ok (shared, b) ->
+            Printf.printf
+              "store dir=%s recovered views=%d replayed=%d truncated_bytes=%d\n%!"
+              dir b.views b.replayed b.truncated_bytes;
+            shared)
   in
-  (match recovered with
-  | None | Some (_, _, None, _, _) -> ()
-  | Some (_, _, Some cat, base, stats) ->
-      Vplan.Protocol.install_catalog shared cat;
-      (match (Vplan.Protocol.service shared, base) with
-      | Some s, Some db -> Vplan.Service.set_base ?stats s db
-      | _ -> ()));
   let close_store () =
     match Vplan.Protocol.store shared with
     | Some st -> Vplan.Store.close st

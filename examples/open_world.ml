@@ -80,9 +80,7 @@ let () =
 
   (* 4. The planner API does the fallback automatically *)
   match
-    Planner.answer_via_views ~cost_model:`M2
-      { Planner.query; views = restricted }
-      ~base
+    Planner.answer_via_views { Planner.query; views = restricted } ~base
   with
   | `Fallback_certain answer ->
       Format.printf "planner fallback (certain answers): %a@." Relation.pp answer

@@ -16,9 +16,8 @@ val mappings : from_q:Query.t -> to_q:Query.t -> Subst.t list
 (** [is_contained q1 q2] decides [q1 ⊑ q2] ([q1]'s answers are a subset of
     [q2]'s on every database).  A [?budget] bounds the underlying
     homomorphism search; on exhaustion [Vplan_error.Error] is raised.
-    [?fastpath] overrides the acyclic fast-path default
-    ({!Homomorphism.set_fastpath}); the answer is identical either
-    way. *)
+    [?fastpath:false] turns off the acyclic fast path
+    ({!Homomorphism.find}); the answer is identical either way. *)
 val is_contained :
   ?budget:Vplan_core.Budget.t -> ?fastpath:bool -> Query.t -> Query.t -> bool
 

@@ -86,12 +86,6 @@ module Metrics = Vplan_obs.Metrics
 let fastpath_c = Metrics.counter "vplan_containment_fastpath_total"
 let fallback_c = Metrics.counter "vplan_containment_fallback_total"
 
-(* Process-global default, flippable for A/B measurement (the rewrite
-   pipeline reaches containment many layers down); per-call [?fastpath]
-   overrides it. *)
-let fastpath_enabled = Atomic.make true
-let set_fastpath b = Atomic.set fastpath_enabled b
-
 exception Conflict
 
 let tree_find ?budget ~seed patterns targets =
@@ -202,11 +196,8 @@ let tree_find ?budget ~seed patterns targets =
 let tree_find ?budget ~seed patterns targets =
   try tree_find ?budget ~seed patterns targets with Conflict -> None
 
-let find ?budget ?fastpath ?(seed = Subst.empty) patterns targets =
-  let fast =
-    match fastpath with Some b -> b | None -> Atomic.get fastpath_enabled
-  in
-  if fast then
+let find ?budget ?(fastpath = true) ?(seed = Subst.empty) patterns targets =
+  if fastpath then
     match tree_find ?budget ~seed patterns targets with
     | Some r ->
         Metrics.incr fastpath_c;

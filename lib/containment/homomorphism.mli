@@ -26,15 +26,12 @@
 
 open Vplan_cq
 
-(** Flip the process-global fast-path default (on initially) — for A/B
-    measurement of pipelines that reach containment many layers down.
-    Per-call [?fastpath] overrides the global default. *)
-val set_fastpath : bool -> unit
-
 (** [find ~seed patterns targets] returns a substitution extending [seed]
     that maps every atom of [patterns] to an atom of [targets], or [None].
     [seed] typically carries the head correspondence.  The witness may
-    differ between the two paths; both are valid homomorphisms. *)
+    differ between the two paths; both are valid homomorphisms.
+    [fastpath] (default [true]) takes the join-tree path on acyclic
+    patterns; [false] always backtracks (for A/B measurement). *)
 val find :
   ?budget:Vplan_core.Budget.t ->
   ?fastpath:bool ->

@@ -25,13 +25,6 @@ let arm ?(after = 1) name act =
       if not (Hashtbl.mem table name) then Atomic.incr armed;
       Hashtbl.replace table name { act; remaining = max 1 after })
 
-let disarm name =
-  locked (fun () ->
-      if Hashtbl.mem table name then begin
-        Hashtbl.remove table name;
-        Atomic.decr armed
-      end)
-
 let reset () =
   locked (fun () ->
       Hashtbl.reset table;

@@ -39,8 +39,6 @@ type action =
     [after]-th hit (1-based, default 1) and on every hit thereafter. *)
 val arm : ?after:int -> string -> action -> unit
 
-val disarm : string -> unit
-
 (** Disarm everything. *)
 val reset : unit -> unit
 

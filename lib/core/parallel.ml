@@ -16,8 +16,6 @@ module Budget = Vplan_core.Budget
 module Vplan_error = Vplan_core.Vplan_error
 module Trace = Vplan_obs.Trace
 
-let recommended () = Domain.recommended_domain_count ()
-
 let chunk_bounds ~workers n =
   (* worker [w] handles [fst bounds.(w) .. snd bounds.(w) - 1]; the first
      [n mod workers] chunks take one extra element *)

@@ -12,10 +12,6 @@
     no domain ever leaks, so repeated failing calls cannot exhaust the
     runtime's domain limit. *)
 
-(** [recommended ()] is [Domain.recommended_domain_count ()]: a sensible
-    upper bound for the [domains] argument on this machine. *)
-val recommended : unit -> int
-
 (** [map ~domains f xs] applies [f] to every element of [xs] using up to
     [domains] domains (including the calling one) and returns the results
     in input order.  [domains <= 1] (the default) runs sequentially with

@@ -38,6 +38,4 @@ let to_string = function
   | No_data -> "no base database loaded (use: data load FILE)"
   | Invariant what -> "internal invariant broken: " ^ what
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let parse_at ~line ~col msg = raise (Error (Parse { line; col; msg }))

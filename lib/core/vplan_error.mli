@@ -49,7 +49,6 @@ val is_resource : t -> bool
     wall-clock times are deliberately omitted so output is reproducible). *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
 
 (** [parse_to_string e] renders a parse error as ["line:col: msg"] —
     prefix it with a file name to obtain the conventional

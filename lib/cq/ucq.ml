@@ -31,5 +31,3 @@ let pp ppf u =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.fprintf ppf "@.")
     Query.pp ppf u.disjuncts
-
-let to_string u = Format.asprintf "%a" pp u

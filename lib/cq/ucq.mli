@@ -33,4 +33,3 @@ val union : t -> t -> (t, string) result
 val size : t -> int
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -15,8 +15,8 @@ let round_check ?budget ~max_rounds round =
 
 (* Semi-naive: each rule with k IDB body atoms yields k delta variants;
    variant i reads atom i from the delta relations and the other atoms
-   from the full database.  Delta relations are stored in the same
-   database under a reserved name. *)
+   from the full relations.  Delta relations sit in the round's image
+   under a reserved name. *)
 let delta_name pred = "\x01delta:" ^ pred
 
 let delta_variants ~idb (r : Query.t) =
@@ -33,62 +33,130 @@ let delta_variants ~idb (r : Query.t) =
   in
   variants [] r.body
 
-(* Every rule body is one [Exec.answers] over the database interned
-   once per round; the budget is ticked per round only. *)
-let evaluate ?budget ?(max_rounds = 10_000) program edb =
+(* An IDB relation as int rows: a buffer that only grows, so the
+   [Interned.rel] a round reads shares it with the later, longer ones,
+   and the set of its rows for the known-fact check. *)
+type table = {
+  arity : int;
+  mutable rows : int;
+  mutable data : int array;
+  known : (int array, unit) Hashtbl.t;
+}
+
+let rel t = { Interned.arity = t.arity; rows = t.rows; data = t.data }
+
+let append t (r : Interned.rel) =
+  let used = t.rows * t.arity and extra = r.rows * r.arity in
+  if used + extra > Array.length t.data then begin
+    let data = Array.make (max (used + extra) (2 * Array.length t.data)) 0 in
+    Array.blit t.data 0 data 0 used;
+    t.data <- data
+  end;
+  Array.blit r.data 0 t.data used extra;
+  t.rows <- t.rows + r.rows
+
+(* The rows of [r] that [t] does not know yet, each once, marked known:
+   the fresh facts of one rule variant. *)
+let fresh t (r : Interned.rel) acc =
+  let acc = ref acc and probe = Array.make r.arity 0 in
+  for row = 0 to r.rows - 1 do
+    Array.blit r.data (row * r.arity) probe 0 r.arity;
+    if not (Hashtbl.mem t.known probe) then begin
+      let cells = Array.copy probe in
+      Hashtbl.add t.known cells ();
+      acc := cells :: !acc
+    end
+  done;
+  !acc
+
+let consts_of program =
+  List.concat_map
+    (fun (r : Query.t) ->
+      List.concat_map
+        (fun (a : Atom.t) ->
+          List.filter_map (function Term.Cst c -> Some c | Term.Var _ -> None) a.args)
+        (r.head :: r.body))
+    (Program.rules program)
+
+(* The EDB is interned once, its dictionary holding every constant of
+   the program, so derived rows are codes of that one image.  Each IDB
+   relation is a [table] of int rows carried across rounds; a round's
+   image is the EDB image with the full and delta relations swapped in,
+   and every rule body is one [Exec.rows] over it.  The budget is ticked
+   per round only.  Returns the EDB image with the fixpoint's IDB
+   relations swapped in. *)
+let fixpoint ?budget ~max_rounds program edb =
   let idb = Program.idb_predicates program in
   let rules = Program.rules program in
-  let add_new ~known img acc (r : Query.t) =
-    let pred = r.head.Atom.pred in
-    Relation.fold
-      (fun tuple acc ->
-        match Database.find pred known with
-        | Some rel when Relation.mem tuple rel -> acc
-        | _ -> Database.add_fact pred tuple acc)
-      (Exec.answers img r) acc
+  let img = Interned.of_database ~consts:(consts_of program) edb in
+  let code c = Option.get (Interned.const_id img c) in
+  let tables = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Query.t) ->
+      let pred = r.head.Atom.pred and arity = Atom.arity r.head in
+      if not (Hashtbl.mem tables pred) then begin
+        let t = { arity; rows = 0; data = [||]; known = Hashtbl.create 64 } in
+        (* EDB facts of an IDB predicate are known from the start *)
+        (match Interned.find img pred with
+        | Some r when r.Interned.arity = arity ->
+            append t r;
+            ignore (fresh t r [])
+        | _ -> ());
+        Hashtbl.add tables pred t
+      end)
+    rules;
+  let variants = List.concat_map (delta_variants ~idb) rules in
+  let full () = Hashtbl.fold (fun pred t acc -> (pred, rel t) :: acc) tables [] in
+  (* the fresh facts [rules] derive over [img], per predicate *)
+  let derive img rules =
+    let found = Hashtbl.create 16 in
+    List.iter
+      (fun (r : Query.t) ->
+        let pred = r.head.Atom.pred in
+        let t = Hashtbl.find tables pred in
+        let rows = Option.value ~default:[] (Hashtbl.find_opt found pred) in
+        Hashtbl.replace found pred (fresh t (Exec.rows ~code img r) rows))
+      rules;
+    Hashtbl.fold
+      (fun pred rows acc ->
+        if rows = [] then acc
+        else
+          let t = Hashtbl.find tables pred in
+          let rows = List.rev rows in
+          ( pred,
+            { Interned.arity = t.arity; rows = List.length rows; data = Array.concat rows } )
+          :: acc)
+      found []
   in
-  (* round 0: plain evaluation of every rule against the EDB *)
-  let initial_delta =
-    let img = Interned.of_database edb in
-    List.fold_left (add_new ~known:Database.empty img) Database.empty rules
-  in
-  let with_deltas db delta =
-    Names.Sset.fold
-      (fun pred acc ->
-        match Database.find pred delta with
-        | Some rel -> Database.add_relation (delta_name pred) rel acc
-        | None -> acc)
-      idb db
-  in
-  let union_into db delta =
-    Names.Sset.fold
-      (fun pred acc ->
-        match Database.find pred delta with
-        | None -> acc
-        | Some rel ->
-            Relation.fold (fun t acc -> Database.add_fact pred t acc) rel acc)
-      idb db
-  in
-  let rec loop db delta round =
+  let rec loop delta round =
     round_check ?budget ~max_rounds round;
-    if Database.total_size delta = 0 then db
-    else begin
+    if delta <> [] then begin
       (* merge the delta first: non-delta body positions must see the
-         complete current database, or derivations needing two new facts
-         at different positions would be missed *)
-      let db = union_into db delta in
-      let img = Interned.of_database (with_deltas db delta) in
-      (* facts derived this round that are not yet known are the next
-         delta *)
-      let next_delta =
-        List.fold_left
-          (fun acc r -> List.fold_left (add_new ~known:db img) acc (delta_variants ~idb r))
-          Database.empty rules
+         complete current relations, or derivations needing two new
+         facts at different positions would be missed *)
+      List.iter (fun (pred, r) -> append (Hashtbl.find tables pred) r) delta;
+      let round_img =
+        Interned.with_relations img
+          (full () @ List.map (fun (pred, r) -> (delta_name pred, r)) delta)
       in
-      loop db next_delta (round + 1)
+      loop (derive round_img variants) (round + 1)
     end
   in
-  loop edb initial_delta 1
+  (* round 0: plain evaluation of every rule against the EDB *)
+  loop (derive (Interned.with_relations img (full ())) rules) 1;
+  Interned.with_relations img (full ())
 
-let query ?budget ?max_rounds program edb q =
-  Exec.answers (Interned.of_database (evaluate ?budget ?max_rounds program edb)) q
+let evaluate ?budget ?(max_rounds = 10_000) program edb =
+  let img = fixpoint ?budget ~max_rounds program edb in
+  Names.Sset.fold
+    (fun pred db ->
+      match Interned.find img pred with
+      | Some r when r.Interned.rows > 0 ->
+          Database.add_relation pred
+            (Relation.of_tuples r.arity (List.init r.rows (Interned.tuple_of_row img r)))
+            db
+      | _ -> db)
+    (Program.idb_predicates program) edb
+
+let query ?budget ?(max_rounds = 10_000) program edb q =
+  Exec.answers (fixpoint ?budget ~max_rounds program edb) q

@@ -2,10 +2,12 @@
 
     {!evaluate} is the standard semi-naive fixpoint: each round joins
     every rule once per IDB body position against only the {e delta}
-    facts of the previous round, each join one {!Vplan_exec.Exec.answers}
-    over the round's database, interned once.  It computes the minimal
-    model restricted to the given EDB; the naive fixpoint it is tested
-    against lives with the test oracles. *)
+    facts of the previous round, each join one {!Vplan_exec.Exec.rows}.
+    The EDB is interned once; the IDB and delta relations are int rows
+    carried across rounds, so a round costs its joins and its new facts,
+    not a re-interning of everything derived so far.  It computes the
+    minimal model restricted to the given EDB; the naive fixpoint it is
+    tested against lives with the test oracles. *)
 
 open Vplan_cq
 open Vplan_relational

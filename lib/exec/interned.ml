@@ -69,14 +69,20 @@ let encode intern r =
     r;
   { arity; rows; data }
 
-let of_database db =
+let of_database ?(consts = []) db =
   let const_ids = Hashtbl.create 256 in
-  let intern, consts = dictionary const_ids 0 in
+  let intern, added = dictionary const_ids 0 in
   let rels = Hashtbl.create 16 in
   List.iter
     (fun name -> Hashtbl.add rels name (encode intern (Database.find_exn name db)))
     (Database.predicates db);
-  { const_ids; consts = consts (); rels }
+  List.iter (fun c -> ignore (intern c)) consts;
+  { const_ids; consts = added (); rels }
+
+let with_relations t named =
+  let rels = Hashtbl.copy t.rels in
+  List.iter (fun (name, r) -> Hashtbl.replace rels name r) named;
+  { t with rels }
 
 (* [r] with each repeated row kept once, found by hashing the int rows. *)
 let dedup r =

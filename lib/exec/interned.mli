@@ -3,7 +3,7 @@
     Constants are interned to dense integer codes once per load; each
     relation's tuples are stored in a single flat row-major int array,
     each tuple once, with no boxed copy.  An image is immutable once
-    built, by {!of_database} or {!derive}. *)
+    built, by {!of_database}, {!derive} or {!with_relations}. *)
 
 open Vplan_cq
 open Vplan_relational
@@ -11,12 +11,24 @@ open Vplan_relational
 type rel = {
   arity : int;
   rows : int;
-  data : int array;  (** [data.(row * arity + col)] = interned constant *)
+  data : int array;
+      (** [data.(row * arity + col)] = interned constant; cells past
+          [rows * arity] are never read, so a growing buffer can be
+          shared by successive [rel]s *)
 }
 
 type t
 
-val of_database : Database.t -> t
+(** [of_database ?consts db] — the image of [db], its dictionary also
+    holding [consts] (constants a computation over the image will
+    produce, such as a Datalog rule's head constants). *)
+val of_database : ?consts:Term.const list -> Database.t -> t
+
+(** [with_relations t rels] — [t] with each [(name, r)] of [rels] added,
+    replacing a relation of the same name.  The dictionary is [t]'s, so
+    the cells of each [r] must be codes of [t]; rows are kept as given,
+    so they should be distinct. *)
+val with_relations : t -> (string * rel) list -> t
 
 (** [derive base builds] — the image of relations computed over [base]
     (materialized views over an interned base): each [(name, build)]

@@ -141,8 +141,6 @@ let summary h =
     p99_ms = quantile_of_counts counts total 0.99;
   }
 
-let hist_count h = (summary h).count
-
 let pp_bound ppf b =
   if Float.is_integer b then Format.fprintf ppf "%.0f" b
   else Format.fprintf ppf "%g" b
@@ -192,16 +190,3 @@ let dump ppf =
   let names = List.rev !order in
   Mutex.unlock reg_lock;
   List.iter (fun name -> emit name (Hashtbl.find registry name)) names
-
-let reset () =
-  Mutex.lock reg_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock reg_lock)
-    (fun () ->
-      Hashtbl.iter
-        (fun _ -> function
-          | Counter c | Gauge c -> Atomic.set c 0
-          | Histogram h ->
-              Array.iter (fun c -> Atomic.set c 0) h.counts;
-              Atomic.set h.sum_ns 0)
-        registry)

@@ -53,8 +53,6 @@ type summary = {
     [ceil (q * count)] — an overestimate by at most one bucket width. *)
 val summary : histogram -> summary
 
-val hist_count : histogram -> int
-
 (** [percentile sorted p] — the nearest-rank [p]-quantile ([p] in
     [(0, 1]]) of samples sorted ascending: the sample at rank
     [ceil (p * n)].  [0.] when there are no samples. *)
@@ -76,7 +74,3 @@ val bucket_index : float -> int
     [name_count] for histograms.  Families appear in registration
     order. *)
 val dump : Format.formatter -> unit
-
-(** Zero every registered metric (registrations survive).  For tests and
-    benchmarks; racing updates may be lost. *)
-val reset : unit -> unit

@@ -31,7 +31,6 @@ let next : int Atomic.t = Atomic.make 0
 let on : bool Atomic.t = Atomic.make true
 
 let set_enabled b = Atomic.set on b
-let enabled () = Atomic.get on
 
 let append ?(trace = -1) ?(latency_ms = 0.) ?(source = "") ?(mode = "")
     ?(classification = "") ?(qerror = Float.nan) ?(answers = -1)

@@ -40,8 +40,6 @@ val capacity : int
     no-op (one atomic load) — the bench's overhead baseline. *)
 val set_enabled : bool -> unit
 
-val enabled : unit -> bool
-
 (** Append one record.  Lock-free; safe from any domain. *)
 val append :
   ?trace:int ->

@@ -23,8 +23,6 @@ let range t lo hi =
   if hi < lo then invalid_arg "Prng.range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let float t =
   (* top 53 bits give a uniform double in [0, 1) *)
   Int64.to_float (Int64.shift_right_logical (next t) 11)
@@ -43,5 +41,3 @@ let shuffle t l =
     a.(j) <- tmp
   done;
   Array.to_list a
-
-let split t = { state = mix (next t) }

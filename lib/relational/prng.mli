@@ -15,9 +15,6 @@ val int : t -> int -> int
 (** [range t lo hi] draws uniformly from [lo .. hi] inclusive. *)
 val range : t -> int -> int -> int
 
-(** [bool t] draws a fair coin. *)
-val bool : t -> bool
-
 (** [float t] draws uniformly from [0, 1). *)
 val float : t -> float
 
@@ -27,7 +24,3 @@ val pick : t -> 'a list -> 'a
 
 (** [shuffle t l] returns a uniformly random permutation. *)
 val shuffle : t -> 'a list -> 'a list
-
-(** [split t] derives an independent generator (useful to decorrelate
-    sub-streams). *)
-val split : t -> t

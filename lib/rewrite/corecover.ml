@@ -35,7 +35,7 @@ type result = {
    tuple, core) pair per class.  The budget is the same object
    throughout, so a deadline tripping in any stage (or any worker
    domain) stops the remaining ones at their next tick. *)
-let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
+let prepare ~budget ~view_classes ~domains ~query ~views =
   let qm = Obs.phase "minimize" (fun () -> Minimize.minimize ?budget query) in
   (* Subgoal sets are bitmasks in a native int ([Tuple_core.mask], the
      cover universe): more subgoals than bits would overflow silently. *)
@@ -55,10 +55,7 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
         let classes =
           match view_classes with
           | Some classes -> classes
-          | None ->
-              View_tuple.Classes.compile
-                (if group_views then Equiv_class.group_views ?budget ~buckets views
-                 else List.map (fun v -> [ v ]) views)
+          | None -> View_tuple.Classes.compile (Equiv_class.group_views ?budget views)
         in
         Trace.annotate "classes"
           (float_of_int (List.length (View_tuple.Classes.members classes)));
@@ -72,15 +69,9 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
           List.combine view_tuples (Tuple_core.cores ?budget ~domains code coded)
         in
         (* [same_cover] is mask equality, so hash-bucketing by mask gives
-           the same classes in one probe per tuple instead of a pairwise
-           scan *)
+           the same classes as a pairwise scan, in one probe per tuple *)
         let classes =
-          if buckets then
-            Equiv_class.group_by ~key:(fun (_, c) -> c.Tuple_core.mask) with_cores
-          else
-            Equiv_class.group
-              ~eq:(fun (_, c1) (_, c2) -> Tuple_core.same_cover c1 c2)
-              with_cores
+          Equiv_class.group_by ~key:(fun (_, c) -> c.Tuple_core.mask) with_cores
         in
         Trace.annotate "tuples" (float_of_int (List.length with_cores));
         Trace.annotate "classes" (float_of_int (List.length classes));
@@ -89,8 +80,7 @@ let prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views =
   let reps = Equiv_class.representatives tuple_classes in
   (qm, View_tuple.Classes.members classes, view_tuples, tuple_classes, reps)
 
-let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
-    ~covers_of =
+let run ~budget ~view_classes ~domains ~query ~views ~covers_of =
   (* Anytime degradation: a budget tripping before any cover was produced
      (during minimization, view-tuple or tuple-core computation) yields an
      empty-but-sound result rather than an exception.  Input errors such
@@ -118,7 +108,7 @@ let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~vie
   in
   match
     let qm, view_classes, view_tuples, tuple_classes, reps =
-      prepare ~budget ~view_classes ~group_views ~buckets ~domains ~query ~views
+      prepare ~budget ~view_classes ~domains ~query ~views
     in
     (* the set-cover instance: the nonempty cores, each with its index
        in [reps] *)
@@ -137,28 +127,8 @@ let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~vie
     let universe = (1 lsl List.length qm.Query.body) - 1 in
     let outcome = Obs.phase "set_cover" (fun () -> covers_of ~budget ~universe sets) in
     let covers = List.map (List.map (fun i -> index.(i))) outcome.Set_cover.covers in
-    let rewriting cover = Query.make_exn qm.head (List.map (fun i -> atoms.(i)) cover) in
-    let covers, rewritings =
-      if not verify then (covers, List.map rewriting covers)
-      else
-        Obs.phase "verify" (fun () ->
-            (* Keep only rewritings fully verified before a budget cutoff,
-               so everything returned was actually double-checked; their
-               covers are kept with them. *)
-            let verified = ref [] in
-            (try
-               List.iter
-                 (fun cover ->
-                   let p = rewriting cover in
-                   if Expansion.is_equivalent_rewriting ?budget ~views ~query p then
-                     verified := (cover, p) :: !verified
-                   else
-                     failwith
-                       (Format.asprintf
-                          "CoreCover produced a non-equivalent rewriting: %a" Query.pp p))
-                 covers
-             with Vplan_error.Error e when Vplan_error.is_resource e -> ());
-            List.split (List.rev !verified))
+    let rewritings =
+      List.map (fun cover -> Query.make_exn qm.head (List.map (fun i -> atoms.(i)) cover)) covers
     in
     let completeness =
       match Option.bind budget Budget.stopped with
@@ -190,22 +160,20 @@ let run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~vie
   | r -> r
   | exception Vplan_error.Error e when Vplan_error.is_resource e -> fallback e
 
-let gmrs ?budget ?view_classes ?max_covers ?(group_views = true) ?(buckets = true)
-    ?(domains = 1) ?(verify = false) ~query ~views () =
-  run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
+let gmrs ?budget ?view_classes ?max_covers ?(domains = 1) ~query ~views () =
+  run ~budget ~view_classes ~domains ~query ~views
     ~covers_of:(fun ~budget ~universe sets ->
       Set_cover.minimum_covers_anytime ?budget ?max_results:max_covers ~universe sets)
 
-let all_minimal ?budget ?view_classes ?(group_views = true) ?(buckets = true)
-    ?(domains = 1) ?(verify = false) ?(max_results = 10_000) ~query ~views () =
-  run ~budget ~view_classes ~group_views ~buckets ~domains ~verify ~query ~views
+let all_minimal ?budget ?view_classes ?(domains = 1) ?(max_results = 10_000) ~query
+    ~views () =
+  run ~budget ~view_classes ~domains ~query ~views
     ~covers_of:(fun ~budget ~universe sets ->
       Set_cover.irredundant_covers_anytime ?budget ~max_results ~universe sets)
 
 let has_rewriting ~query ~views =
   let qm, _, _, _, reps =
-    prepare ~budget:None ~view_classes:None ~group_views:true ~buckets:true ~domains:1
-      ~query ~views
+    prepare ~budget:None ~view_classes:None ~domains:1 ~query ~views
   in
   let universe = (1 lsl List.length qm.Query.body) - 1 in
   let union = List.fold_left (fun acc (_, core) -> acc lor core.Tuple_core.mask) 0 reps in

@@ -50,8 +50,7 @@ type result = {
       (** the cover each rewriting came from, one-to-one and in order with
           [rewritings]: indices into [cores], in body order.  Rewriting
           [i] is [Query.make_exn minimized_query.head] of the atoms of
-          cover [i]'s view tuples.  Under [verify] or a budget only the
-          covers of the returned rewritings are kept. *)
+          cover [i]'s view tuples. *)
   completeness : completeness;
       (** [Complete] unless a budget or cover cap cut the run short *)
   stats : stats;
@@ -60,32 +59,25 @@ type result = {
 (** [gmrs ~query ~views ()] runs CoreCover and returns all GMRs (up to the
     equivalence-class representative choice).
 
-    [group_views] (default [true]) groups equivalent views first.
-    [view_classes] supplies a precomputed equivalence-class partition of
-    [views] with each class's representative already compiled for
-    view-tuple matching ({!View_tuple.Classes.t}, as built once by a
-    resident {e catalog}, {!Vplan_service.Catalog}), skipping the
-    per-call grouping and compilation entirely; when present it
-    overrides [group_views]/[buckets] for that stage.  The caller must
-    guarantee the classes partition exactly [views] under view
-    equivalence — the result is then identical to grouping in-call.
-    [buckets] (default [true]) buckets views by canonical signature before
-    the pairwise equivalence checks and view tuples by core bitmask.
+    [view_classes] is the partition of [views] the cover search runs on,
+    each class's representative compiled for view-tuple matching
+    ({!View_tuple.Classes.t}).  A resident {e catalog}
+    ({!Vplan_service.Catalog}) builds it once and passes it on every
+    call; without it each call groups [views] into equivalence classes
+    itself ({!Equiv_class.group_views}).  Turning grouping off is passing
+    the singleton partition, [View_tuple.Classes.of_views views]: the
+    algorithm is the same, only the classes differ.  The caller must
+    guarantee the classes partition exactly [views] into sets of
+    equivalent views; any such partition yields the same rewritings.
     [domains] (default 1) fans the per-view matching and per-tuple core
-    computation across that many domains.
-    All three toggles are pure performance knobs: every combination returns
-    the same [result].
-    [verify] (default [false]) double-checks every produced rewriting with
-    the expansion-equivalence test and raises [Failure] on a counterexample
-    — used by the test suite.
+    computation across that many domains, with the same [result].
 
     [budget] makes the run {e anytime}: when the deadline, step budget or
     cancellation fires, the call returns normally with every rewriting
-    fully produced (and, under [verify], fully verified) before the
-    cutoff and [completeness = Truncated reason] instead of raising.
-    [max_covers] caps the number of covers enumerated, reported the same
-    way.  Without either, [completeness] is [Complete] and the behavior
-    is unchanged.
+    fully produced before the cutoff and [completeness = Truncated
+    reason] instead of raising.  [max_covers] caps the number of covers
+    enumerated, reported the same way.  Without either, [completeness]
+    is [Complete] and the behavior is unchanged.
 
     @raise Vplan_error.Error with [Width_limit] if the minimized query has
     more subgoals than fit in a native-int bitmask ([Sys.int_size - 1],
@@ -94,10 +86,7 @@ val gmrs :
   ?budget:Vplan_core.Budget.t ->
   ?view_classes:View_tuple.Classes.t ->
   ?max_covers:int ->
-  ?group_views:bool ->
-  ?buckets:bool ->
   ?domains:int ->
-  ?verify:bool ->
   query:Query.t ->
   views:View.t list ->
   unit ->
@@ -107,16 +96,13 @@ val gmrs :
     cover yields a minimal rewriting; [max_results] bounds the enumeration
     (default 10_000, reported as [Truncated (Cover_limit _)] when it
     fires).  The [filters] field lists the empty-core view tuples an
-    optimizer may append as filtering subgoals under M2.  Performance
-    toggles, [budget] semantics and the subgoal-count guard are as in
+    optimizer may append as filtering subgoals under M2.  [view_classes],
+    [domains], [budget] semantics and the subgoal-count guard are as in
     {!gmrs}. *)
 val all_minimal :
   ?budget:Vplan_core.Budget.t ->
   ?view_classes:View_tuple.Classes.t ->
-  ?group_views:bool ->
-  ?buckets:bool ->
   ?domains:int ->
-  ?verify:bool ->
   ?max_results:int ->
   query:Query.t ->
   views:View.t list ->

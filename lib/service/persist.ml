@@ -126,3 +126,19 @@ let replay state ops =
   in
   let* cat, base = flush state pending in
   Ok (cat, base, n)
+
+let recover (r : Vplan_store.Store.recovery) =
+  let* cat, base, stats =
+    match r.r_snapshot with
+    | None -> Ok (None, None, None)
+    | Some snap ->
+        let* cat, base, stats = state_of_snapshot snap in
+        Ok (Some cat, base, stats)
+  in
+  let* cat, base, _ = replay (cat, base) r.r_replayed in
+  (* snapshot statistics describe the snapshot's own base; a journaled
+     Load_data replaced it, so the caller rescans instead *)
+  let reloaded =
+    List.exists (function _, Record.Load_data _ -> true | _ -> false) r.r_replayed
+  in
+  Ok (cat, base, if reloaded then None else stats)

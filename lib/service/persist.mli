@@ -52,3 +52,11 @@ val replay :
   Catalog.t option * Database.t option ->
   (int * Record.op) list ->
   (Catalog.t option * Database.t option * int, string) result
+
+(** [recover r] — the state a store's recovery describes: its snapshot
+    restored ({!state_of_snapshot}), then its journal suffix replayed
+    ({!replay}).  The snapshot's statistics come back only if no
+    replayed [Load_data] replaced the base they describe. *)
+val recover :
+  Vplan_store.Store.recovery ->
+  (Catalog.t option * Database.t option * Vplan_stats.Stats.t option, string) result

@@ -19,6 +19,7 @@ module Recorder = Vplan_obs.Recorder
 module Hypergraph = Vplan_hypergraph.Hypergraph
 module Store = Vplan_store.Store
 module Record = Vplan_store.Record
+module Stats = Vplan_stats.Stats
 
 type shared = {
   mutable service : Service.t option;
@@ -51,14 +52,13 @@ type session = {
 type reply = { text : string; close : bool }
 
 let create_shared ?(cache_capacity = 512) ?(domains = 1) ?timeout_ms ?max_steps
-    ?max_covers ?slow_ms ?(cost_mode = Service.Exact) ?store
-    ?(boot_replayed = 0) ?(boot_truncated = 0) () =
+    ?max_covers ?slow_ms ?(cost_mode = Service.Exact) ?store () =
   {
     service = None;
     slock = Mutex.create ();
     store;
-    boot_replayed;
-    boot_truncated;
+    boot_replayed = 0;
+    boot_truncated = 0;
     domains;
     cache_capacity;
     d_timeout_ms = timeout_ms;
@@ -98,6 +98,42 @@ let install_catalog shared cat =
           shared.service <-
             Some (Service.create ~cache_capacity:shared.cache_capacity cat)
       | Some s -> Service.set_catalog s cat)
+
+type boot = { views : int; replayed : int; truncated_bytes : int }
+
+let boot ?cache_capacity ?domains ?timeout_ms ?max_steps ?max_covers ?slow_ms ?cost_mode
+    ~data_dir () =
+  match Store.open_dir data_dir with
+  | Error e -> Error ("store: " ^ e)
+  | Ok (st, r) -> (
+      match Persist.recover r with
+      | Error e ->
+          Store.close st;
+          Error ("recovery: " ^ e)
+      | Ok (cat, base, stats) ->
+          let shared =
+            {
+              (create_shared ?cache_capacity ?domains ?timeout_ms ?max_steps ?max_covers
+                 ?slow_ms ?cost_mode ~store:st ())
+              with
+              boot_replayed = List.length r.Store.r_replayed;
+              boot_truncated = r.Store.r_truncated_bytes;
+            }
+          in
+          (match cat with
+          | None -> ()
+          | Some cat -> (
+              install_catalog shared cat;
+              match (shared.service, base) with
+              | Some s, Some db -> Service.set_base ?stats s db
+              | _ -> ()));
+          Ok
+            ( shared,
+              {
+                views = (match cat with Some c -> Catalog.num_views c | None -> 0);
+                replayed = shared.boot_replayed;
+                truncated_bytes = r.Store.r_truncated_bytes;
+              } ))
 
 let next_trace_id shared = Atomic.fetch_and_add shared.next_trace 1 + 1
 
@@ -663,12 +699,11 @@ let cmd_health shared ppf =
   (* data columns appear only once a base database is resident, so the
      line stays byte-stable for servers that never load data *)
   let data =
-    match shared.service with
-    | Some s when Service.base s <> None ->
-        let st = Service.stats s in
-        Printf.sprintf " data_relations=%d data_rows=%d"
-          st.Service.data_relations st.Service.data_rows
-    | _ -> ""
+    match Option.bind shared.service Service.base_stats with
+    | Some st ->
+        Printf.sprintf " data_relations=%d data_rows=%d" (Stats.num_relations st)
+          (Stats.total_rows st)
+    | None -> ""
   in
   match shared.store with
   | None ->

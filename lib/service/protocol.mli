@@ -47,8 +47,8 @@ type reply = { text : string; close : bool }
     every new session's defaults.  [cost_mode] (default [Exact]) seeds
     every session's plan-costing mode; [set cost-mode] changes it per
     connection.  [store] attaches a durability layer (mutations journal
-    before ack); [boot_replayed]/[boot_truncated] are the recovery
-    facts reported by [health]. *)
+    before ack); a server restarting on a data directory uses {!boot}
+    instead. *)
 val create_shared :
   ?cache_capacity:int ->
   ?domains:int ->
@@ -58,10 +58,33 @@ val create_shared :
   ?slow_ms:float ->
   ?cost_mode:Service.cost_mode ->
   ?store:Vplan_store.Store.t ->
-  ?boot_replayed:int ->
-  ?boot_truncated:int ->
   unit ->
   shared
+
+(** What {!boot} recovered: the catalog's view count, the journal
+    records applied and the torn tail bytes dropped. *)
+type boot = { views : int; replayed : int; truncated_bytes : int }
+
+(** [boot ~data_dir ()] — the server's start on a data directory: open
+    the store in [data_dir], recover its state ({!Persist.recover}: last
+    snapshot, then the journal's surviving suffix, exactly once), and
+    create the shared state with the store attached, the recovery facts
+    [health] reports, and the recovered catalog and base installed (the
+    base only with a catalog; its statistics are rescanned when the
+    snapshot's no longer apply).  An error reads ["store: ..."] when the
+    directory cannot be opened and ["recovery: ..."] when its contents
+    do not apply.  The other options are {!create_shared}'s. *)
+val boot :
+  ?cache_capacity:int ->
+  ?domains:int ->
+  ?timeout_ms:float ->
+  ?max_steps:int ->
+  ?max_covers:int ->
+  ?slow_ms:float ->
+  ?cost_mode:Service.cost_mode ->
+  data_dir:string ->
+  unit ->
+  (shared * boot, string) result
 
 val new_session : shared -> session
 

@@ -489,51 +489,62 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
         }
 
 let stats t =
-  locked t (fun () ->
-      let c = Rewrite_cache.counters t.cache in
-      let n = min t.lat_next lat_window in
-      let window = Array.sub t.lat_ring 0 n in
-      Array.sort compare window;
-      let latency =
-        {
-          count = t.lat_next;
-          mean_ms = (if t.lat_next = 0 then 0. else t.lat_sum /. float_of_int t.lat_next);
-          p50_ms = Metrics.percentile window 0.50;
-          p95_ms = Metrics.percentile window 0.95;
-          max_ms = t.lat_max;
-        }
-      in
+  (* every request's [record] takes the lock: copy the latency window
+     under it, sort the copy outside *)
+  let window, s =
+    locked t (fun () ->
+        let c = Rewrite_cache.counters t.cache in
+        ( Array.sub t.lat_ring 0 (min t.lat_next lat_window),
+          {
+            generation = Catalog.generation t.cat;
+            num_views = Catalog.num_views t.cat;
+            num_view_classes = Catalog.num_classes t.cat;
+            requests = t.requests;
+            hits = c.Rewrite_cache.hits;
+            misses = c.Rewrite_cache.misses;
+            bypasses = t.bypasses;
+            evictions = c.Rewrite_cache.evictions;
+            cache_size = c.Rewrite_cache.size;
+            cache_capacity = c.Rewrite_cache.capacity;
+            truncated = t.truncated;
+            plan_requests = t.plan_requests;
+            analyze_requests = t.analyze_requests;
+            generation_resets = t.generation_resets;
+            data_relations =
+              (match t.data with None -> 0 | Some d -> Stats.num_relations d.stats);
+            data_rows =
+              (match t.data with None -> 0 | Some d -> Stats.total_rows d.stats);
+            latency =
+              {
+                count = t.lat_next;
+                mean_ms =
+                  (if t.lat_next = 0 then 0. else t.lat_sum /. float_of_int t.lat_next);
+                p50_ms = 0.;
+                p95_ms = 0.;
+                max_ms = t.lat_max;
+              };
+            estimate_accuracy =
+              List.map
+                (fun (name, a) ->
+                  ( name,
+                    {
+                      acc_samples = Qerror.count a;
+                      acc_mean_q = Qerror.mean_q a;
+                      acc_max_q = Qerror.max_q a;
+                    } ))
+                (Qerror.bindings t.qerrors);
+          } ))
+  in
+  Array.sort compare window;
+  {
+    s with
+    latency =
       {
-        generation = Catalog.generation t.cat;
-        num_views = Catalog.num_views t.cat;
-        num_view_classes = Catalog.num_classes t.cat;
-        requests = t.requests;
-        hits = c.Rewrite_cache.hits;
-        misses = c.Rewrite_cache.misses;
-        bypasses = t.bypasses;
-        evictions = c.Rewrite_cache.evictions;
-        cache_size = c.Rewrite_cache.size;
-        cache_capacity = c.Rewrite_cache.capacity;
-        truncated = t.truncated;
-        plan_requests = t.plan_requests;
-        analyze_requests = t.analyze_requests;
-        generation_resets = t.generation_resets;
-        data_relations =
-          (match t.data with None -> 0 | Some d -> Stats.num_relations d.stats);
-        data_rows =
-          (match t.data with None -> 0 | Some d -> Stats.total_rows d.stats);
-        latency;
-        estimate_accuracy =
-          List.map
-            (fun (name, a) ->
-              ( name,
-                {
-                  acc_samples = Qerror.count a;
-                  acc_mean_q = Qerror.mean_q a;
-                  acc_max_q = Qerror.max_q a;
-                } ))
-            (Qerror.bindings t.qerrors);
-      })
+        s.latency with
+        p50_ms = Metrics.percentile window 0.50;
+        p95_ms = Metrics.percentile window 0.95;
+      };
+  }
 
 let subplan_counters t =
   locked t (fun () -> Option.map (fun c -> Subplan.counters (Optimizer.memo c.p_ctx)) t.pctx)

@@ -49,11 +49,3 @@ let eq_fraction ~distinct h v =
                (float_of_int (max 1 distinct) /. float_of_int (nbuckets h)))
         in
         bucket_fraction /. per_bucket_distinct
-
-let pp ppf h =
-  Format.fprintf ppf "hist[lo=%d width=%d total=%d buckets=%a]" h.lo h.width
-    h.total
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    (Array.to_list h.counts)

@@ -33,5 +33,3 @@ val bucket_of : t -> int -> int option
     distinct count ([distinct] spread evenly over buckets, capped by the
     bucket width).  0 outside the observed range. *)
 val eq_fraction : distinct:int -> t -> int -> float
-
-val pp : Format.formatter -> t -> unit

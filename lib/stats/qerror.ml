@@ -37,4 +37,3 @@ let observe_rel r name q =
   observe a q
 
 let bindings r = Smap.bindings r.rels
-let clear r = r.rels <- Smap.empty

@@ -37,5 +37,3 @@ val observe_rel : by_rel -> string -> float -> unit
 
 (** Accumulators sorted by relation name. *)
 val bindings : by_rel -> (string * acc) list
-
-val clear : by_rel -> unit

@@ -60,13 +60,3 @@ let bindings t = Names.Smap.bindings t
 let of_bindings l = List.fold_left (fun m (k, v) -> Names.Smap.add k v m) empty l
 let num_relations t = Names.Smap.cardinal t
 let total_rows t = Names.Smap.fold (fun _ tbl acc -> acc + tbl.card) t 0
-
-let pp ppf t =
-  Names.Smap.iter
-    (fun name tbl ->
-      Format.fprintf ppf "%s: card=%d dv=[%a]@." name tbl.card
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           Format.pp_print_int)
-        (Array.to_list (Array.map (fun c -> c.distinct) tbl.columns)))
-    t

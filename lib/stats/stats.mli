@@ -34,4 +34,3 @@ val bindings : t -> (string * table) list
 val of_bindings : (string * table) list -> t
 val num_relations : t -> int
 val total_rows : t -> int
-val pp : Format.formatter -> t -> unit

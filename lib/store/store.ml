@@ -54,8 +54,6 @@ let degrade_unlocked t ~reason =
     Metrics.set degraded_gauge 1
   end
 
-let degrade t ~reason = locked t (fun () -> degrade_unlocked t ~reason)
-
 let ( let* ) = Result.bind
 
 let open_dir sdir =

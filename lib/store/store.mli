@@ -69,10 +69,6 @@ val append : t -> Record.op -> (unit, string) result
     already includes. *)
 val save : t -> Snapshot.t -> (unit, string) result
 
-(** Force degraded mode (used on recovery-adjacent failures the caller
-    detects, and by tests). *)
-val degrade : t -> reason:string -> unit
-
 (** The reason the store went readonly, when it did. *)
 val degraded_reason : t -> string option
 

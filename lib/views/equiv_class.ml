@@ -10,28 +10,10 @@ module Metrics = Vplan_obs.Metrics
 let signatures_total = Metrics.counter "vplan_equiv_signatures_total"
 let compares_total = Metrics.counter "vplan_equiv_compares_total"
 
-let group ~eq xs =
-  (* Classes are kept in reverse insertion order internally; each class
-     stores members reversed.  The relation is assumed transitive, so a
-     single comparison against each class representative suffices. *)
-  let classes =
-    List.fold_left
-      (fun classes x ->
-        let rec insert = function
-          | [] -> [ [ x ] ]
-          | cls :: rest -> (
-              match cls with
-              | rep :: _ when eq rep x -> (x :: cls) :: rest
-              | _ -> cls :: insert rest)
-        in
-        insert classes)
-      [] xs
-  in
-  List.map List.rev classes
-
 let group_by ~key xs =
-  (* [group ~eq:(fun a b -> key a = key b)] in one hash probe per element:
-     same classes, same first-occurrence class order, same member order. *)
+  (* The pairwise partition by [key] equality in one hash probe per
+     element: classes in first-occurrence order, members in input
+     order. *)
   let table = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
@@ -130,7 +112,7 @@ let group_views_keyed ?budget views =
      classes in the same bucket.  Since equal signatures are necessary
      for equivalence, the skipped cross-bucket comparisons would all
      have failed: classes, class order and member order are identical to
-     the unbucketed [group].  Each class carries its signature so that
+     pairwise grouping.  Each class carries its signature so that
      later views ({!add_to_keyed}) join the search where it left off. *)
   let table : (string, (Query.t * Query.t list ref) list ref) Hashtbl.t =
     Hashtbl.create 64
@@ -177,6 +159,4 @@ let add_to_keyed ?budget classes views =
       insert classes)
     classes views
 
-let group_views ?budget ?(buckets = true) views =
-  if not buckets then group ~eq:(view_equivalent ?budget) views
-  else List.map snd (group_views_keyed ?budget views)
+let group_views ?budget views = List.map snd (group_views_keyed ?budget views)

@@ -17,14 +17,10 @@
 
 open Vplan_cq
 
-(** [group ~eq xs] partitions [xs] into classes of the (assumed
-    transitive) relation [eq], preserving first-occurrence order of class
-    representatives.  Quadratic in the number of classes. *)
-val group : eq:('a -> 'a -> bool) -> 'a list -> 'a list list
-
-(** [group_by ~key xs] is [group ~eq:(fun a b -> key a = key b)] computed
-    with one hash probe per element: same classes, same order.  Used to
-    bucket view tuples by their tuple-core bitmask. *)
+(** [group_by ~key xs] partitions [xs] into the classes of equal [key],
+    with one hash probe per element: classes in first-occurrence order of
+    their representatives, members in input order.  Used to group view
+    tuples by their tuple-core bitmask. *)
 val group_by : key:('a -> int) -> 'a list -> 'a list list
 
 (** [representatives groups] takes the first member of each class. *)
@@ -44,17 +40,18 @@ val signature : ?budget:Vplan_core.Budget.t -> Query.t -> string
 val view_equivalent : ?budget:Vplan_core.Budget.t -> Query.t -> Query.t -> bool
 
 (** [group_views views] groups views equivalent as queries (ignoring their
-    distinct head predicate names: [v1 ≡ v5] in the car-loc-part example).
-    [buckets] (default [true]) enables signature bucketing; the resulting
-    classes are identical either way.  A [?budget] bounds the underlying
+    distinct head predicate names: [v1 ≡ v5] in the car-loc-part example),
+    comparing a view only with the class representatives of its
+    {!signature} bucket.  The classes, their order (first occurrence) and
+    their members' order are those of the pairwise grouping by
+    {!view_equivalent}.  A [?budget] bounds the underlying
     minimization/equivalence searches. *)
-val group_views :
-  ?budget:Vplan_core.Budget.t -> ?buckets:bool -> View.t list -> View.t list list
+val group_views : ?budget:Vplan_core.Budget.t -> View.t list -> View.t list list
 
 (** [group_views_keyed views] is {!group_views} with each class tagged by
     its representative's {!signature} — the persistent form a long-lived
     view catalog keeps so views can later be added without regrouping the
-    whole set.  [group_views ~buckets:true views
+    whole set.  [group_views views
     = List.map snd (group_views_keyed views)]. *)
 val group_views_keyed :
   ?budget:Vplan_core.Budget.t -> View.t list -> (string * View.t list) list

@@ -15,6 +15,18 @@ let check_query = Alcotest.check query_testable
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 
+(* [r], after checking that every rewriting it returns is an equivalent
+   rewriting of [query] using [views] (the expansion test); a
+   counterexample raises [Failure]. *)
+let verified ~query ~views (r : Corecover.result) =
+  List.iter
+    (fun p ->
+      if not (Expansion.is_equivalent_rewriting ~views ~query p) then
+        failwith
+          (Format.asprintf "CoreCover produced a non-equivalent rewriting: %a" Query.pp p))
+    r.Corecover.rewritings;
+  r
+
 (* every view tuple of [views] on [query], each with its tuple-core *)
 let tuples_with_cores ~query views =
   let code, coded = View_tuple.compute_coded ~query (View_tuple.Classes.of_views views) in

@@ -1,8 +1,8 @@
 (* Reference implementations, each the simplest form of something
    production code does faster: the backtracking evaluator, the naive
    Datalog fixpoint, comparison queries by backtracking, the cost
-   models, the estimator, the canonical database, the naive GMR search
-   and the exhaustive tuple-core search. *)
+   models, the estimator, the canonical database, the naive GMR search,
+   the exhaustive tuple-core search and pairwise grouping. *)
 
 open Vplan
 
@@ -571,4 +571,23 @@ module Tuple_core = struct
           (fun best c ->
             if List.length c.subgoals > List.length best.subgoals then c else best)
           first rest
+end
+
+(* Pairwise grouping, the oracle for [Equiv_class]: each element is
+   compared with one member of every class so far ([eq] is an
+   equivalence) and joins the first equal one, else opens a class at the
+   end.  [group_views] is
+   this over [Equiv_class.view_equivalent], with no signature buckets;
+   [group ~eq:(fun a b -> key a = key b)] is what [group_by ~key]
+   computes by hashing. *)
+module Grouping = struct
+  let group ~eq xs =
+    let rec insert x = function
+      | [] -> [ [ x ] ]
+      | (rep :: _ as cls) :: rest when eq rep x -> (x :: cls) :: rest
+      | cls :: rest -> cls :: insert x rest
+    in
+    List.map List.rev (List.fold_left (fun classes x -> insert x classes) [] xs)
+
+  let group_views views = group ~eq:(fun a b -> Equiv_class.view_equivalent a b) views
 end

@@ -7,7 +7,7 @@ open Vplan
 open Helpers
 
 let closed_world_check ~query ~views ~base =
-  let r = Corecover.all_minimal ~verify:true ~query ~views () in
+  let r = verified ~query ~views (Corecover.all_minimal ~query ~views ()) in
   let truth = Oracle.Eval.answers base query in
   let img = Materialize.image base views in
   List.iter

@@ -1,4 +1,4 @@
-(* Tests for the high-level planner facade. *)
+(* Tests for the one-call planning API and the steps it composes. *)
 
 open Vplan
 open Helpers
@@ -26,42 +26,59 @@ let test_parse_problem () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate view names accepted"
 
-let test_analyze () =
-  let a = Planner.analyze (problem ()) in
-  check_int "one GMR" 1 (List.length a.Planner.gmrs);
-  check_int "two minimal rewritings" 2 (List.length a.Planner.minimal_rewritings);
-  check_int "one filter" 1 (List.length a.Planner.filters);
-  check_bool "no open-world fallback needed" true (a.Planner.maximally_contained = None)
+(* The two steps the one-call API composes, on the paper's example:
+   CoreCover* gives the M2 search space (whose subgoal-minimal members
+   are the M1 optima) and the filter candidates. *)
+let test_search_space () =
+  let p = problem () in
+  let all = Corecover.all_minimal ~query:p.Planner.query ~views:p.Planner.views () in
+  check_int "one GMR" 1 (List.length (M1.best all.Corecover.rewritings));
+  check_int "two minimal rewritings" 2 (List.length all.Corecover.rewritings);
+  check_int "one filter" 1 (List.length all.Corecover.filters);
+  check_bool "no open-world fallback needed" true (all.Corecover.rewritings <> [])
 
-let test_analyze_fallback () =
+let test_open_world_fallback () =
   let p =
     match Planner.parse_problem "q(X) :- p(X, Y).\nv(A) :- p(A, c).\n" with
     | Ok p -> p
     | Error msg -> Alcotest.fail msg
   in
-  let a = Planner.analyze p in
-  check_bool "no equivalent rewriting" true (a.Planner.minimal_rewritings = []);
-  check_bool "fallback present" true (a.Planner.maximally_contained <> None)
+  let all = Corecover.all_minimal ~query:p.Planner.query ~views:p.Planner.views () in
+  check_bool "no equivalent rewriting" true (all.Corecover.rewritings = []);
+  check_bool "fallback present" true
+    (Minicon.maximally_contained ~query:p.Planner.query ~views:p.Planner.views () <> None)
 
+(* Every cost model's choice, executed over the context's view image,
+   computes the query's answer. *)
 let test_plan_all_models () =
   let p = problem () in
   let base = Car_loc_part.base in
   let truth = Oracle.Eval.answers base p.Planner.query in
+  let ctx = Optimizer.create ~views:p.Planner.views base in
+  let img = Optimizer.image ctx in
+  let check model answer =
+    match Optimizer.plan model ctx p.Planner.query with
+    | _, None -> Alcotest.fail "expected a plan"
+    | r, Some c ->
+        check_bool "complete" true (r.Corecover.completeness = Corecover.Complete);
+        Alcotest.check relation_testable "plan computes the answer" truth (answer c)
+  in
+  let rewriting (c : _ Select.choice) = Exec.answers img c.rewriting in
+  check Optimizer.M1 rewriting;
+  check (Optimizer.M2 Optimizer.Exact) rewriting;
   List.iter
-    (fun cost_model ->
-      let ctx = Optimizer.create ~views:p.Planner.views base in
-      match Planner.plan ~cost_model ctx p.Planner.query with
-      | None, _ -> Alcotest.fail "expected a plan"
-      | Some plan, completeness ->
-          check_bool "complete" true (completeness = Corecover.Complete);
-          Alcotest.check relation_testable "plan computes the answer" truth
-            (Planner.execute ctx plan))
-    [ `M1; `M2; `M3 `Supplementary; `M3 `Heuristic ]
+    (fun strategy ->
+      check (Optimizer.M3 strategy) (fun c ->
+          M3.answers img ~head:c.rewriting.Query.head c.plan))
+    [ `Supplementary; `Heuristic ]
 
 let test_answer_via_views_equivalent () =
   let p = problem () in
-  match Planner.answer_via_views ~cost_model:`M2 p ~base:Car_loc_part.base with
-  | `Equivalent (_, answer) ->
+  match Planner.answer_via_views p ~base:Car_loc_part.base with
+  | `Equivalent (rewriting, answer) ->
+      check_bool "an equivalent rewriting" true
+        (Expansion.is_equivalent_rewriting ~views:p.Planner.views ~query:p.Planner.query
+           rewriting);
       Alcotest.check relation_testable "answer" (Oracle.Eval.answers Car_loc_part.base p.Planner.query) answer
   | `Fallback_certain _ | `No_rewriting -> Alcotest.fail "expected equivalent plan"
 
@@ -75,7 +92,7 @@ let test_answer_via_views_fallback () =
     Database.of_facts
       [ ("p", [ Term.Int 1; Term.Str "c" ]); ("p", [ Term.Int 2; Term.Str "d" ]) ]
   in
-  match Planner.answer_via_views ~cost_model:`M2 p ~base with
+  match Planner.answer_via_views p ~base with
   | `Fallback_certain answer ->
       check_int "certain subset" 1 (Relation.cardinality answer);
       check_bool "sound" true (Relation.subset answer (Oracle.Eval.answers base p.Planner.query))
@@ -89,15 +106,15 @@ let test_answer_via_views_none () =
     | Error msg -> Alcotest.fail msg
   in
   let base = Database.of_facts [ ("p", [ Term.Int 1; Term.Int 2 ]) ] in
-  match Planner.answer_via_views ~cost_model:`M1 p ~base with
+  match Planner.answer_via_views p ~base with
   | `No_rewriting -> ()
   | `Equivalent _ | `Fallback_certain _ -> Alcotest.fail "expected no rewriting"
 
 let suite =
   [
     ("parse problem", `Quick, test_parse_problem);
-    ("analyze", `Quick, test_analyze);
-    ("analyze fallback", `Quick, test_analyze_fallback);
+    ("CoreCover* search space", `Quick, test_search_space);
+    ("open-world fallback", `Quick, test_open_world_fallback);
     ("plan under every cost model", `Quick, test_plan_all_models);
     ("answer_via_views equivalent", `Quick, test_answer_via_views_equivalent);
     ("answer_via_views fallback", `Quick, test_answer_via_views_fallback);

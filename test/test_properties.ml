@@ -767,7 +767,7 @@ let planner_end_to_end =
     (fun (query, views, base) ->
       let problem = { Planner.query; views } in
       let truth = Oracle.Eval.answers base query in
-      match Planner.answer_via_views ~cost_model:`M2 problem ~base with
+      match Planner.answer_via_views problem ~base with
       | `Equivalent (_, answer) -> Relation.equal truth answer
       | `Fallback_certain answer -> Relation.subset answer truth
       | `No_rewriting -> true)
@@ -1101,10 +1101,10 @@ let set_cover_props =
           List.for_all (fun c' -> List.length c' = k) covers
           && List.for_all (fun i -> List.length i >= k) irr)
 
-(* The CoreCover performance toggles — view grouping,
-   signature/mask bucketing, parallel fan-out — are pure optimizations:
-   every configuration must produce the same rewritings on generated
-   star/chain workloads. *)
+(* Grouping and fan-out are pure optimizations: CoreCover returns the
+   same rewritings whether it groups the views in-call, reuses a
+   catalog's classes, runs on singleton classes (grouping off) or fans
+   out across domains, on generated star/chain workloads. *)
 let corecover_configs_agree =
   let gen =
     Gen.(
@@ -1127,13 +1127,42 @@ let corecover_configs_agree =
             List.sort Query.compare r.Corecover.rewritings
           in
           let reference = rewritings (Corecover.gmrs ~query ~views ()) in
+          let classes view_classes () = Corecover.gmrs ~view_classes ~query ~views () in
           List.for_all
             (fun variant -> List.equal Query.equal reference (rewritings (variant ())))
             [
-              (fun () -> Corecover.gmrs ~group_views:false ~query ~views ());
-              (fun () -> Corecover.gmrs ~buckets:false ~query ~views ());
+              classes (Catalog.view_classes (Catalog.create_exn views));
+              classes (View_tuple.Classes.of_views views);
               (fun () -> Corecover.gmrs ~domains:4 ~query ~views ());
             ])
+
+(* Signature bucketing and mask hashing group exactly as the pairwise
+   scan does: same classes, same class order, same member order. *)
+let grouping_matches_pairwise =
+  let gen =
+    Gen.(
+      pair
+        (triple
+           (oneofl [ Generator.Star; Generator.Chain ])
+           (int_range 2 25) (int_range 0 10_000))
+        (list_size (int_range 0 30) (int_range 0 7)))
+  in
+  make_test ~count:40 ~name:"grouping = pairwise grouping oracle" gen
+    (fun ((shape, num_views, seed), keys) ->
+      Printf.sprintf "%s views=%d seed=%d keys=[%s]"
+        (match shape with Generator.Star -> "star" | _ -> "chain")
+        num_views seed
+        (String.concat ";" (List.map string_of_int keys)))
+    (fun ((shape, num_views, seed), keys) ->
+      let views =
+        (Generator.generate { Generator.default with shape; num_views; seed }).views
+      in
+      let names = List.map (List.map View.name) in
+      names (Equiv_class.group_views views) = names (Oracle.Grouping.group_views views)
+      && (* tag each key with its position so member order shows *)
+      let tagged = List.mapi (fun i k -> (k, i)) keys in
+      Equiv_class.group_by ~key:fst tagged
+      = Oracle.Grouping.group ~eq:(fun (a, _) (b, _) -> a = b) tagged)
 
 (* Budgets make CoreCover anytime, never unsound: whatever a step-limited
    run returns is a subset of the unbudgeted run's rewritings, and a run
@@ -1311,18 +1340,15 @@ let covers_align_with_rewritings =
              r.Corecover.covers r.Corecover.rewritings
       in
       let budget () = Budget.create ~max_steps () in
-      List.for_all aligned
+      let checked r = aligned (Helpers.verified ~query ~views r) in
+      List.for_all checked
         [
           Corecover.gmrs ~query ~views ();
-          Corecover.gmrs ~verify:true ~query ~views ();
           Corecover.gmrs ~max_covers:1 ~query ~views ();
           Corecover.gmrs ~budget:(budget ()) ~query ~views ();
-          Corecover.gmrs ~budget:(budget ()) ~verify:true ~query ~views ();
           Corecover.all_minimal ~query ~views ();
-          Corecover.all_minimal ~verify:true ~query ~views ();
           Corecover.all_minimal ~max_results:1 ~query ~views ();
           Corecover.all_minimal ~budget:(budget ()) ~query ~views ();
-          Corecover.all_minimal ~budget:(budget ()) ~verify:true ~query ~views ();
         ])
 
 let suite =
@@ -1368,6 +1394,7 @@ let suite =
     datalog_engines_agree;
     set_cover_props;
     corecover_configs_agree;
+    grouping_matches_pairwise;
     view_tuples_match_eval;
     corecover_budget_anytime;
     query_make_matches_oracle;

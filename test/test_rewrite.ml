@@ -237,11 +237,11 @@ let rewriting_strings result =
 
 let test_corecover_carloc () =
   let open Car_loc_part in
-  let r = Corecover.gmrs ~verify:true ~query ~views () in
+  let r = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
   Alcotest.(check (list string)) "P4 is the unique GMR"
     [ "q1(S,C) :- v4(M,anderson,C,S)" ] (rewriting_strings r);
   check_int "4 view classes" 4 r.stats.num_view_classes;
-  let all = Corecover.all_minimal ~verify:true ~query ~views () in
+  let all = verified ~query ~views (Corecover.all_minimal ~query ~views ()) in
   Alcotest.(check (list string)) "P2 and P4 are the minimal rewritings"
     [ "q1(S,C) :- v1(M,anderson,C), v2(S,M,C)"; "q1(S,C) :- v4(M,anderson,C,S)" ]
     (rewriting_strings all);
@@ -250,19 +250,19 @@ let test_corecover_carloc () =
 
 let test_corecover_example41 () =
   let open Example_4_1 in
-  let r = Corecover.gmrs ~verify:true ~query ~views () in
+  let r = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
   Alcotest.(check (list string)) "unique GMR"
     [ "q(X,Y) :- v1(X,Z), v2(Z,Y)" ] (rewriting_strings r)
 
 let test_corecover_example42 () =
   let open Example_4_2 in
-  let r = Corecover.gmrs ~verify:true ~query ~views () in
+  let r = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
   Alcotest.(check (list string)) "single-subgoal GMR"
     [ "q(X,Y) :- v(X,Y)" ] (rewriting_strings r)
 
 let test_corecover_example31 () =
   let open Example_3_1 in
-  let r = Corecover.gmrs ~verify:true ~query ~views () in
+  let r = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
   Alcotest.(check (list string)) "P1 is the GMR"
     [ "q(X,Y,Z) :- v(X,Y,Z,c)" ] (rewriting_strings r)
 
@@ -278,7 +278,9 @@ let test_corecover_grouping_invariant () =
      representative choice: compare subgoal counts and count *)
   let open Car_loc_part in
   let with_g = Corecover.gmrs ~query ~views () in
-  let without_g = Corecover.gmrs ~group_views:false ~query ~views () in
+  let without_g =
+    Corecover.gmrs ~view_classes:(View_tuple.Classes.of_views views) ~query ~views ()
+  in
   check_int "same GMR size"
     (List.length (List.hd with_g.rewritings).Query.body)
     (List.length (List.hd without_g.rewritings).Query.body)
@@ -294,7 +296,7 @@ let test_corecover_matches_naive () =
   in
   List.iter
     (fun (query, views) ->
-      let cc = Corecover.gmrs ~verify:true ~query ~views () in
+      let cc = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
       let naive = Oracle.Naive.gmrs ~query ~views in
       check_bool "both found or neither" true
         (cc.rewritings <> [] = (naive <> []));

@@ -392,42 +392,11 @@ let store_enospc_degrades () =
 (* ------------------------------------------------------------------ *)
 (* Protocol with a store: journal-before-ack, readonly serving, health *)
 
-(* Boot a protocol shared state from [dir] exactly the way the server
-   binary does: open, restore the snapshot, replay the journal. *)
+(* Boot a protocol shared state from [dir] through the server binary's
+   own boot path. *)
 let protocol_shared ~dir =
-  let st, r = ok_exn "open" (Store.open_dir dir) in
-  let shared =
-    Protocol.create_shared ~domains:1 ~store:st
-      ~boot_replayed:(List.length r.Store.r_replayed)
-      ~boot_truncated:r.Store.r_truncated_bytes ()
-  in
-  let state, stats =
-    match r.Store.r_snapshot with
-    | None -> ((None, None), None)
-    | Some snap ->
-        let cat, base, stats =
-          ok_exn "snapshot state" (Persist.state_of_snapshot snap)
-        in
-        ((Some cat, base), stats)
-  in
-  let cat, base, _ = ok_exn "replay" (Persist.replay state r.Store.r_replayed) in
-  let stats =
-    if
-      List.exists
-        (fun (_, op) ->
-          match op with Record.Load_data _ -> true | _ -> false)
-        r.Store.r_replayed
-    then None
-    else stats
-  in
-  (match cat with
-  | None -> ()
-  | Some cat ->
-      Protocol.install_catalog shared cat;
-      (match (Protocol.service shared, base) with
-      | Some s, Some db -> Service.set_base ?stats s db
-      | _ -> ()));
-  (st, shared)
+  let shared, _ = ok_exn "boot" (Protocol.boot ~domains:1 ~data_dir:dir ()) in
+  (Option.get (Protocol.store shared), shared)
 
 let ask shared line =
   let sess = Protocol.new_session shared in
@@ -557,20 +526,13 @@ let add_command i = Printf.sprintf "catalog add w%d(X, Y) :- p%d(X, Y)." i i
 
 (* Recover the directory the way the server boots, returning the view
    names present after recovery. *)
+(* The view names a server booting on [dir] would serve. *)
 let recovered_views dir =
-  let st, r = ok_exn "open" (Store.open_dir dir) in
+  let st, shared = protocol_shared ~dir in
   Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
-  let state =
-    match r.Store.r_snapshot with
-    | None -> (None, None)
-    | Some snap ->
-        let cat, base, _ = ok_exn "snapshot" (Persist.state_of_snapshot snap) in
-        (Some cat, base)
-  in
-  let cat, _, _ = ok_exn "replay" (Persist.replay state r.Store.r_replayed) in
-  match cat with
+  match Protocol.service shared with
   | None -> []
-  | Some cat -> List.map View.name (Catalog.views cat)
+  | Some s -> List.map View.name (Catalog.views (Service.catalog s))
 
 (* The invariant the whole layer exists for:
 

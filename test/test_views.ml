@@ -152,7 +152,7 @@ let test_view_equivalence_classes () =
   check_int "v1 and v5 together" 2 (List.length v1v5)
 
 let test_group_generic () =
-  let groups = Equiv_class.group ~eq:(fun a b -> a mod 3 = b mod 3) [ 1; 2; 3; 4; 5; 6 ] in
+  let groups = Equiv_class.group_by ~key:(fun a -> a mod 3) [ 1; 2; 3; 4; 5; 6 ] in
   check_int "three classes" 3 (List.length groups);
   Alcotest.(check (list int)) "representatives" [ 1; 2; 3 ] (Equiv_class.representatives groups)
 

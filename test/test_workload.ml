@@ -134,13 +134,15 @@ let test_cycle_clique_end_to_end () =
   List.iter
     (fun config ->
       let inst = Generator.generate_with_rewriting ~max_attempts:100 config in
-      let r = Corecover.gmrs ~verify:true ~query:inst.Generator.query ~views:inst.views () in
+      let query = inst.Generator.query and views = inst.views in
+      let r = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
       check_bool "rewritings found" true (r.rewritings <> []))
     [ cycle_config 40; clique_config 40 ]
 
 let test_random_shape_runs_corecover () =
   let inst = Generator.generate_with_rewriting (random_config 20) in
-  let r = Corecover.gmrs ~verify:true ~query:inst.Generator.query ~views:inst.views () in
+  let query = inst.Generator.query and views = inst.views in
+  let r = verified ~query ~views (Corecover.gmrs ~query ~views ()) in
   check_bool "rewritings found" true (r.rewritings <> [])
 
 let suite =
