@@ -165,8 +165,10 @@ let gmrs ?budget ?view_classes ?max_covers ?(domains = 1) ~query ~views () =
     ~covers_of:(fun ~budget ~universe sets ->
       Set_cover.minimum_covers_anytime ?budget ?max_results:max_covers ~universe sets)
 
-let all_minimal ?budget ?view_classes ?(domains = 1) ?(max_results = 10_000) ~query
-    ~views () =
+let default_max_results = 10_000
+
+let all_minimal ?budget ?view_classes ?(domains = 1) ?(max_results = default_max_results)
+    ~query ~views () =
   run ~budget ~view_classes ~domains ~query ~views
     ~covers_of:(fun ~budget ~universe sets ->
       Set_cover.irredundant_covers_anytime ?budget ~max_results ~universe sets)

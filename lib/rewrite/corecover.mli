@@ -92,9 +92,12 @@ val gmrs :
   unit ->
   result
 
+(** [all_minimal]'s default [max_results]: 10_000. *)
+val default_max_results : int
+
 (** [all_minimal ~query ~views ()] runs CoreCover{^ *}: every irredundant
     cover yields a minimal rewriting; [max_results] bounds the enumeration
-    (default 10_000, reported as [Truncated (Cover_limit _)] when it
+    ({!default_max_results} by default, reported as [Truncated (Cover_limit _)] when it
     fires).  The [filters] field lists the empty-core view tuples an
     optimizer may append as filtering subgoals under M2.  [view_classes],
     [domains], [budget] semantics and the subgoal-count guard are as in

@@ -421,7 +421,7 @@ let cmd_plan (sess : session) ppf rest =
           | Some o ->
               let trace =
                 record_request sess ~kind:"plan" ~ms:o.Service.plan_ms ~spans
-                  ~classification:(Service.classification query) query
+                  ~classification:o.Service.plan_classification query
               in
               (match o.Service.plan_cost with
               | Service.Cells c ->

@@ -2,12 +2,23 @@
 
 module Metrics = Vplan_obs.Metrics
 
-(* Global, not per-instance: the registry aggregates over every cache in
-   the process, matching the service-lifetime semantics of the mutable
-   per-instance counters below. *)
-let hits_total = Metrics.counter "vplan_cache_hits_total"
-let misses_total = Metrics.counter "vplan_cache_misses_total"
-let evictions_total = Metrics.counter "vplan_cache_evictions_total"
+(* Global, not per-instance: the registry aggregates over every cache of
+   one family in the process, matching the service-lifetime semantics of
+   the mutable per-instance counters below. *)
+type family = {
+  hits_total : Metrics.counter;
+  misses_total : Metrics.counter;
+  evictions_total : Metrics.counter;
+}
+
+(* registered in this order, which is the order [Metrics.dump] prints *)
+let family prefix =
+  let hits_total = Metrics.counter (prefix ^ "_hits_total") in
+  let misses_total = Metrics.counter (prefix ^ "_misses_total") in
+  let evictions_total = Metrics.counter (prefix ^ "_evictions_total") in
+  { hits_total; misses_total; evictions_total }
+
+let rewrite_family = family "vplan_cache"
 
 type 'a node = {
   key : string;
@@ -17,6 +28,7 @@ type 'a node = {
 }
 
 type 'a t = {
+  family : family;
   capacity : int;
   table : (string, 'a node) Hashtbl.t;
   mutable mru : 'a node option;
@@ -34,9 +46,10 @@ type counters = {
   capacity : int;
 }
 
-let create ~capacity =
+let create ?(family = rewrite_family) ~capacity () =
   if capacity <= 0 then invalid_arg "Rewrite_cache.create: capacity must be positive";
   {
+    family;
     capacity;
     table = Hashtbl.create (min capacity 1024);
     mru = None;
@@ -62,17 +75,17 @@ let push_front t node =
   (match t.mru with Some m -> m.prev <- Some node | None -> t.lru <- Some node);
   t.mru <- Some node
 
-let find t key =
+let find ?(accept = fun _ -> true) t key =
   match Hashtbl.find_opt t.table key with
-  | Some node ->
+  | Some node when accept node.value ->
       t.hits <- t.hits + 1;
-      Metrics.incr hits_total;
+      Metrics.incr t.family.hits_total;
       unlink t node;
       push_front t node;
       Some node.value
-  | None ->
+  | Some _ | None ->
       t.misses <- t.misses + 1;
-      Metrics.incr misses_total;
+      Metrics.incr t.family.misses_total;
       None
 
 let add t key value =
@@ -92,7 +105,7 @@ let add t key value =
         unlink t victim;
         Hashtbl.remove t.table victim.key;
         t.evictions <- t.evictions + 1;
-        Metrics.incr evictions_total)
+        Metrics.incr t.family.evictions_total)
       t.lru
 
 let retain t keep =

@@ -12,6 +12,14 @@
 
 type 'a t
 
+(** The process-wide counters a cache reports into, beside its own
+    {!counters}: [<prefix>_hits_total], [<prefix>_misses_total] and
+    [<prefix>_evictions_total] in {!Vplan_obs.Metrics}. *)
+type family
+
+(** [family prefix] registers (or finds) the three counters. *)
+val family : string -> family
+
 type counters = {
   hits : int;
   misses : int;
@@ -20,12 +28,14 @@ type counters = {
   capacity : int;
 }
 
-(** [create ~capacity] — [capacity] must be positive. *)
-val create : capacity:int -> 'a t
+(** [create ~capacity ()] — [capacity] must be positive.  [family]
+    defaults to the rewrite cache's, [vplan_cache]. *)
+val create : ?family:family -> capacity:int -> unit -> 'a t
 
 (** [find t key] returns the cached value and marks it most recently
-    used; counts a hit or a miss. *)
-val find : 'a t -> string -> 'a option
+    used; counts a hit or a miss.  A value [accept] (default: any)
+    rejects is a miss: it is not returned and keeps its recency. *)
+val find : ?accept:('a -> bool) -> 'a t -> string -> 'a option
 
 (** [add t key v] inserts (or replaces, without an eviction count) the
     binding and marks it most recently used, evicting the least recently

@@ -25,6 +25,7 @@ let plan_requests_total = Metrics.counter "vplan_plan_requests_total"
 let analyze_requests_total = Metrics.counter "vplan_analyze_requests_total"
 let generation_resets_total = Metrics.counter "vplan_generation_resets_total"
 let request_ms = Metrics.histogram "vplan_request_ms"
+let plan_cache_family = Rewrite_cache.family "vplan_plan_cache"
 
 let estimate_qerror_h =
   Metrics.histogram
@@ -96,6 +97,8 @@ type plan_outcome = {
   plan_order : Atom.t list;
   plan_cost : plan_cost;
   plan_candidates : int;
+  plan_classification : string;
+  plan_source : source;
   plan_ms : float;
 }
 
@@ -122,10 +125,30 @@ type entry = {
 (* A loaded base database with its statistics, published together. *)
 type data = { base : Database.t; stats : Stats.t }
 
+(* A plan choice in the variables of the query it was chosen for, with
+   the GYO classes of that query and of the chosen join order. *)
+type chosen = {
+  rewriting : Query.t;
+  order : Atom.t list;
+  cost : plan_cost;
+  query_class : string;
+  order_class : string;
+}
+
+(* A finished [Complete] selection, keyed like a rewrite entry (plus the
+   cost mode): [choice] is [None] when the query has no rewriting. *)
+type plan_entry = { pcanon : Query.t; candidates : int; choice : chosen option }
+
 (* The planning context of one (catalog, data) pair: compared by
    physical identity — any catalog swap or base load produces fresh
-   values, so a stale context is never reused. *)
-type plan_ctx = { p_cat : Catalog.t; p_data : data; p_ctx : Optimizer.t }
+   values, so a stale context is never reused, and neither are the plan
+   choices it caches. *)
+type plan_ctx = {
+  p_cat : Catalog.t;
+  p_data : data;
+  p_ctx : Optimizer.t;
+  p_plans : plan_entry Rewrite_cache.t;
+}
 
 (* percentile window: the most recent [lat_window] request latencies *)
 let lat_window = 1024
@@ -152,7 +175,7 @@ type t = {
 let create ?(cache_capacity = 512) cat =
   {
     cat;
-    cache = Rewrite_cache.create ~capacity:cache_capacity;
+    cache = Rewrite_cache.create ~capacity:cache_capacity ();
     lock = Mutex.create ();
     requests = 0;
     bypasses = 0;
@@ -236,10 +259,12 @@ let record t ~probed ~completeness ~ms =
       t.lat_sum <- t.lat_sum +. ms;
       if ms > t.lat_max then t.lat_max <- ms)
 
-let classification (q : Query.t) =
-  match Hypergraph.classify q.Query.body with
+let classify_body body =
+  match Hypergraph.classify body with
   | Hypergraph.Acyclic _ -> "acyclic"
   | Hypergraph.Cyclic -> "cyclic"
+
+let classification (q : Query.t) = classify_body q.Query.body
 
 let invariant what = raise (Vplan_error.Error (Vplan_error.Invariant what))
 
@@ -262,16 +287,20 @@ let entry_of canon (r : Corecover.result) =
   }
 
 (* [sigma] maps caller variables to canonical ones, bijectively and only
-   var-to-var; the caller's name for each of the entry's slots is its
-   inverse. *)
-let names_of e sigma =
-  let caller = Hashtbl.create (Array.length e.vars) in
-  List.iter
+   var-to-var: each canonical variable's caller name, one binding per
+   variable of the request. *)
+let caller_bindings sigma =
+  List.map
     (fun (x, term) ->
       match term with
-      | Term.Var y -> Hashtbl.replace caller y x
+      | Term.Var y -> (y, x)
       | Term.Cst _ -> invariant ("canonicalization bound " ^ x ^ " to a constant"))
-    (Subst.bindings sigma);
+    (Subst.bindings sigma)
+
+(* The caller's name for each of the entry's slots. *)
+let names_of e sigma =
+  let caller = Hashtbl.create (Array.length e.vars) in
+  List.iter (fun (y, x) -> Hashtbl.replace caller y x) (caller_bindings sigma);
   Array.map
     (fun y ->
       match Hashtbl.find_opt caller y with
@@ -279,69 +308,92 @@ let names_of e sigma =
       | None -> invariant ("canonical variable " ^ y ^ " has no caller name"))
     e.vars
 
-(* One request, resolved: the entry that answers it and the caller's
-   names for its slots.  Canonicalize, probe, run and publish happen
-   here and only here; [rewrite] and [rewrite_reply] differ only in how
-   they project the result. *)
-let resolve ?budget ?max_covers ~domains t query =
-  let clock = Budget.create () in
-  let finish ~probed ~source ~completeness e names =
-    let ms = Budget.elapsed_ms clock in
-    record t ~probed ~completeness ~ms;
-    ( {
-        reply_count = e.count;
-        reply_source = source;
-        reply_completeness = completeness;
-        reply_ms = ms;
-        reply_lines = e.template;
-        reply_names = names;
-        reply_classification = e.classification;
-      },
-      e )
-  in
-  (* snapshot the catalog: a concurrent [set_catalog] must not mix
-     generations within one request *)
-  let cat = locked t (fun () -> t.cat) in
-  let run q =
-    Corecover.gmrs ?budget ?max_covers
-      ~view_classes:(Catalog.view_classes cat)
-      ~domains ~query:q ~views:(Catalog.views cat) ()
-  in
+(* sigma^-1 as a substitution: canonical terms back into the caller's. *)
+let unrename sigma =
+  Subst.of_list (List.map (fun (y, x) -> (y, Term.Var x)) (caller_bindings sigma))
+
+(* One request through one of the service's caches: the entry that
+   answers it, and [sigma] from the caller's variables to the entry's
+   ([None]: an uncacheable query, run as-is, so the entry is already in
+   the caller's variables). *)
+type 'e resolved = {
+  entry : 'e;
+  sigma : Subst.t option;
+  source : source;
+  completeness : Corecover.completeness;
+}
+
+(* Canonicalize, probe, run, publish: written once for rewrites and
+   plans.  [cache] is touched only under the lock and only while [live
+   ()] holds — the catalog or planning context the request started on is
+   still the service's — so a result computed against a replaced one is
+   never published.  [usable e] says whether a cached entry may answer
+   this request; [run q] computes the entry for [q] (the canonical
+   query, or the request itself when it is uncacheable) and only a
+   [Complete] one is published.  The caller renames the entry back
+   through [sigma]. *)
+let through t ~cache ~live ~key ~canon_of ~usable ~run query =
   match Normalize.canonicalize query with
   | None ->
-      (* canonical-labeling search blew its cap: uncacheable, run as-is,
-         in the caller's own variables *)
-      let r = run query in
-      let e = entry_of query r in
-      finish ~probed:false ~source:Bypass ~completeness:r.Corecover.completeness e e.vars
+      (* canonical-labeling search blew its cap: uncacheable *)
+      let entry, completeness = run query in
+      { entry; sigma = None; source = Bypass; completeness }
   | Some (canon, sigma) -> (
-      let key = Query.to_string canon in
+      let key = key canon in
+      let accept e = Query.equal (canon_of e) canon && usable e in
       let cached =
-        locked t (fun () ->
-            if t.cat != cat then None
-            else
-              match Rewrite_cache.find t.cache key with
-              | Some e when Query.equal e.canon canon -> Some e
-              | Some _ | None -> None)
+        locked t (fun () -> if live () then Rewrite_cache.find ~accept cache key else None)
       in
       match cached with
-      | Some e ->
-          finish ~probed:true ~source:Hit ~completeness:Corecover.Complete e (names_of e sigma)
+      | Some entry -> { entry; sigma = Some sigma; source = Hit; completeness = Corecover.Complete }
       | None ->
-          let r = run canon in
-          let e = entry_of canon r in
+          let entry, completeness = run canon in
           let source =
-            match r.Corecover.completeness with
+            match completeness with
             | Corecover.Complete ->
-                locked t (fun () ->
-                    (* only publish results computed against the live
-                       catalog generation *)
-                    if t.cat == cat then Rewrite_cache.add t.cache key e);
+                locked t (fun () -> if live () then Rewrite_cache.add cache key entry);
                 Miss
             | Corecover.Truncated _ -> Bypass
           in
-          finish ~probed:true ~source ~completeness:r.Corecover.completeness e
-            (names_of e sigma))
+          { entry; sigma = Some sigma; source; completeness })
+
+(* One rewrite request, resolved: the entry that answers it and the
+   caller's names for its slots; [rewrite] and [rewrite_reply] differ
+   only in how they project the result. *)
+let resolve ?budget ?max_covers ~domains t query =
+  let clock = Budget.create () in
+  (* snapshot the catalog: a concurrent [set_catalog] must not mix
+     generations within one request *)
+  let cat = locked t (fun () -> t.cat) in
+  let r =
+    through t ~cache:t.cache
+      ~live:(fun () -> t.cat == cat)
+      ~key:Query.to_string
+      ~canon_of:(fun e -> e.canon)
+      ~usable:(fun _ -> true)
+      ~run:(fun q ->
+        let r =
+          Corecover.gmrs ?budget ?max_covers
+            ~view_classes:(Catalog.view_classes cat)
+            ~domains ~query:q ~views:(Catalog.views cat) ()
+        in
+        (entry_of q r, r.Corecover.completeness))
+      query
+  in
+  let e = r.entry in
+  let names = match r.sigma with None -> e.vars | Some sigma -> names_of e sigma in
+  let ms = Budget.elapsed_ms clock in
+  record t ~probed:(r.sigma <> None) ~completeness:r.completeness ~ms;
+  ( {
+      reply_count = e.count;
+      reply_source = r.source;
+      reply_completeness = r.completeness;
+      reply_ms = ms;
+      reply_lines = e.template;
+      reply_names = names;
+      reply_classification = e.classification;
+    },
+    e )
 
 let rewrite_reply ?budget ?max_covers ?(domains = 1) t query =
   fst (resolve ?budget ?max_covers ~domains t query)
@@ -375,7 +427,8 @@ let rewrite_batch ?(make_budget = fun () -> None) ?max_covers ?(domains = 1) t
 (* Reuse the cached planning context when both the catalog and the data
    are the ones it was built for; otherwise build one (outside the lock:
    it folds a join profile per view) and publish it, preferring a
-   concurrently-published equal context so the memo stays shared. *)
+   concurrently-published equal context so the memo and the plan cache
+   stay shared. *)
 let plan_ctx t =
   let cat, data = locked t (fun () -> (t.cat, t.data)) in
   match data with
@@ -383,47 +436,111 @@ let plan_ctx t =
   | Some data -> (
       let live c = c.p_cat == cat && c.p_data == data in
       match locked t (fun () -> t.pctx) with
-      | Some c when live c -> c.p_ctx
+      | Some c when live c -> c
       | _ ->
           let fresh =
-            Optimizer.create ~view_classes:(Catalog.view_classes cat) ~stats:data.stats
-              ~views:(Catalog.views cat) data.base
+            {
+              p_cat = cat;
+              p_data = data;
+              p_ctx =
+                Optimizer.create ~view_classes:(Catalog.view_classes cat)
+                  ~stats:data.stats ~views:(Catalog.views cat) data.base;
+              p_plans =
+                Rewrite_cache.create ~family:plan_cache_family
+                  ~capacity:(Rewrite_cache.counters t.cache).Rewrite_cache.capacity ();
+            }
           in
           locked t (fun () ->
               match t.pctx with
-              | Some c when live c -> c.p_ctx
+              | Some c when live c -> c
               | _ ->
-                  t.pctx <- Some { p_cat = cat; p_data = data; p_ctx = fresh };
+                  t.pctx <- Some fresh;
                   fresh))
 
-(* The pipeline under the request's budget, with the chosen M2 cost in
-   the mode's unit. *)
-let plan_choice ?budget ?max_covers ~domains ~cost_mode ctx query =
-  let r, choice =
-    Optimizer.plan ?budget ?max_covers ~domains (Optimizer.M2 cost_mode) ctx query
-  in
+let plan_entry_of ~cost_mode canon ((r : Corecover.result), choice) =
   let cost c =
     match cost_mode with Exact -> Cells (int_of_float c) | Estimated -> Cells_est c
   in
-  ( r,
-    Option.map
-      (fun (c : _ Vplan_cost.Select.choice) -> (c.rewriting, c.plan, cost c.cost))
-      choice )
+  {
+    pcanon = canon;
+    candidates = List.length r.Corecover.rewritings;
+    choice =
+      Option.map
+        (fun (c : _ Vplan_cost.Select.choice) ->
+          {
+            rewriting = c.rewriting;
+            order = c.plan;
+            cost = cost c.cost;
+            (* isomorphic queries share their classes: one GYO run each
+               per entry *)
+            query_class = classification canon;
+            order_class = classify_body c.plan;
+          })
+        choice;
+  }
+
+(* One plan request, resolved in the live planning context: the entry
+   and the choice in the caller's variables.  Every choice is computed
+   on the canonical query, so a hit and a miss return the same plan.  A
+   hit answers only a request whose own run would be [Complete]: under
+   its cover cap the enumeration finds every candidate before the cap
+   can fire. *)
+let plan_choice ?budget ?max_covers ~domains ~cost_mode t query =
+  let c = plan_ctx t in
+  let cap = Option.value max_covers ~default:Corecover.default_max_results in
+  let tag = match cost_mode with Exact -> "exact " | Estimated -> "estimated " in
+  let r =
+    through t ~cache:c.p_plans
+      ~live:(fun () -> match t.pctx with Some l -> l == c | None -> false)
+      ~key:(fun canon -> tag ^ Query.to_string canon)
+      ~canon_of:(fun e -> e.pcanon)
+      ~usable:(fun e -> e.candidates < cap)
+      ~run:(fun q ->
+        let ((r, _) as planned) =
+          Optimizer.plan ?budget ?max_covers ~domains (Optimizer.M2 cost_mode) c.p_ctx q
+        in
+        (plan_entry_of ~cost_mode q planned, r.Corecover.completeness))
+      query
+  in
+  let unrenamed () =
+    match (r.sigma, r.entry.choice) with
+    | None, choice | _, (None as choice) -> choice
+    | Some sigma, Some ch ->
+        let inv = unrename sigma in
+        Some
+          {
+            ch with
+            rewriting = Query.apply inv ch.rewriting;
+            order = List.map (Atom.apply inv) ch.order;
+          }
+  in
+  let choice =
+    match r.source with
+    | Hit ->
+        (* no CoreCover or selection phase ran: explain's tree says why *)
+        Trace.with_span "plan_cache_hit" (fun () ->
+            Trace.annotate "candidates" (float_of_int r.entry.candidates);
+            unrenamed ())
+    | Miss | Bypass -> unrenamed ()
+  in
+  (c, r, choice)
 
 let plan ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
-  let r, choice = plan_choice ?budget ?max_covers ~domains ~cost_mode (plan_ctx t) query in
+  let _, r, choice = plan_choice ?budget ?max_covers ~domains ~cost_mode t query in
   let ms = Budget.elapsed_ms clock in
   Metrics.incr plan_requests_total;
   Metrics.observe request_ms ms;
   locked t (fun () -> t.plan_requests <- t.plan_requests + 1);
   Option.map
-    (fun (plan_rewriting, plan_order, plan_cost) ->
+    (fun ch ->
       {
-        plan_rewriting;
-        plan_order;
-        plan_cost;
-        plan_candidates = List.length r.Corecover.rewritings;
+        plan_rewriting = ch.rewriting;
+        plan_order = ch.order;
+        plan_cost = ch.cost;
+        plan_candidates = r.entry.candidates;
+        plan_classification = ch.query_class;
+        plan_source = r.source;
         plan_ms = ms;
       })
     choice
@@ -442,10 +559,10 @@ type analyze_outcome = {
 
 let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
-  let ctx = plan_ctx t in
-  match plan_choice ?budget ?max_covers ~domains ~cost_mode ctx query with
-  | _, None -> None
-  | r, Some (rw, order, cost) ->
+  match plan_choice ?budget ?max_covers ~domains ~cost_mode t query with
+  | _, _, None -> None
+  | c, r, Some ch ->
+      let ctx = c.p_ctx in
       (* the context's resident view image (first materialized here when
          only estimated-mode plans have run on this context) *)
       let img = Optimizer.image ctx in
@@ -456,8 +573,8 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
       let estimate =
         Obs.phase "estimate" (fun () -> Estimate.cardinality (Optimizer.estimate ctx))
       in
-      let ordered = Query.make_exn rw.Query.head order in
-      let profile = Profile.create ~name:(Query.to_string rw) () in
+      let ordered = Query.make_exn ch.rewriting.Query.head ch.order in
+      let profile = Profile.create ~name:(Query.to_string ch.rewriting) () in
       let answers =
         Obs.phase "analyze_exec" (fun () ->
             Exec.answers ?budget ~profile ~estimate img ordered)
@@ -477,12 +594,12 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
             (Profile.selection_qerrors spans));
       Some
         {
-          an_rewriting = rw;
-          an_order = order;
-          an_cost = cost;
-          an_candidates = List.length r.Corecover.rewritings;
+          an_rewriting = ch.rewriting;
+          an_order = ch.order;
+          an_cost = ch.cost;
+          an_candidates = r.entry.candidates;
           an_answers = Vplan_relational.Relation.cardinality answers;
-          an_classification = classification ordered;
+          an_classification = ch.order_class;
           an_qerror = qerror;
           an_profile = spans;
           an_ms = ms;

@@ -16,11 +16,12 @@
     rewritings, the minimized query and the query's body predicates,
     plus the rewritings pre-rendered as a {!Reply_template} whose holes
     are the canonical query's variables.  One resolve path (canonicalize,
-    probe, run, publish) serves two projections.  {!rewrite} renames
-    the result back into the caller's variables as [Query.t] values.
-    {!rewrite_reply} — the wire protocol's path — returns the template
-    with the caller's name for each slot, so a hit renders by splicing
-    bytes: no renaming, no [Query.t], no formatter.
+    probe, run, publish) serves the rewrite cache and the planning
+    context's plan cache ({!plan}); two projections read a rewrite.
+    {!rewrite} renames the result back into the caller's variables as
+    [Query.t] values.  {!rewrite_reply} — the wire protocol's path —
+    returns the template with the caller's name for each slot, so a hit
+    renders by splicing bytes: no renaming, no [Query.t], no formatter.
 
     Only [Complete] results are cached.  A [Truncated] result reflects
     the requester's budget, not the query, so it bypasses the cache
@@ -133,6 +134,12 @@ type plan_outcome = {
   plan_order : Atom.t list;  (** M2-optimal join order of its body *)
   plan_cost : plan_cost;
   plan_candidates : int;  (** candidate rewritings considered *)
+  plan_classification : string;
+      (** the query's GYO class, ["acyclic"] or ["cyclic"]: computed
+          once per cached plan, on the canonical query *)
+  plan_source : source;
+      (** [Hit]: served from the planning context's plan cache; [Miss]:
+          chosen now and cached; [Bypass]: chosen now, not cacheable *)
   plan_ms : float;  (** wall-clock latency of this request *)
 }
 
@@ -182,10 +189,6 @@ val rewrite :
   Query.t ->
   outcome
 
-(** [classification q] — the GYO class of [q]'s body, ["acyclic"] or
-    ["cyclic"], as the flight recorder labels requests. *)
-val classification : Query.t -> string
-
 (** [rewrite_reply t query] is {!rewrite}'s request, answered as a
     {!reply}: the same cache, counters and budgets, without building
     renamed [Query.t] values.
@@ -219,10 +222,33 @@ val rewrite_batch :
     [max_covers] bound the enumeration), then the branch-and-bound
     selection engine over them.  The service caches one planning context
     per (catalog, base) pair — the statistics-derived estimation catalog
-    that ranks candidates, the materialized views and the cross-request
-    subplan memo — and drops it whenever either changes, so repeated
-    plans over a stable catalog share join evaluations.  [None] when the
-    query has no rewriting.
+    that ranks candidates, the materialized views, the cross-request
+    subplan memo and the plan cache — and drops it whenever either
+    changes, so repeated plans over a stable catalog share join
+    evaluations.  [None] when the query has no rewriting.
+
+    The plan is {e computed on the canonical query} and renamed back
+    into the caller's variables, like a rewrite: the request is
+    canonicalized and the context's plan cache (an LRU of the service's
+    [cache_capacity] finished choices, keyed by the cost mode and the
+    canonical query) probed.  A miss plans the canonical query and
+    publishes the choice only when CoreCover{^ *} was [Complete] and the
+    context is still the live one.  So a hit returns what a miss
+    returns, and renamed or permuted variants of one query get the same
+    plan and cost.  The hit rule:
+    - [max_covers] (default {!Vplan_rewrite.Corecover.default_max_results})
+      must exceed the cached candidate count, so that the request's own
+      run would have found every candidate and been [Complete]; a
+      smaller cap runs as a miss, and its [Truncated] result is not
+      published;
+    - [budget] bounds work, and a hit does none: a cached choice is
+      served under any budget, as a cached rewrite is.  A run cut short
+      by its budget is never published (CoreCover{^ *} truncated), or
+      raises (selection has no partial result);
+    - a query whose canonicalization blows its search cap bypasses the
+      cache and is planned as-is.
+    A hit's trace has one [plan_cache_hit] span in place of the
+    CoreCover and selection phases.
 
     [cost_mode] (default [Exact]) selects how candidates are costed;
     [Estimated] plans from the load-time statistics alone and never
@@ -259,7 +285,10 @@ type analyze_outcome = {
     against the planning context's resident view image
     ({!Vplan_cost.Optimizer.image}) with an operator profile attached
     and per-operator cardinality estimates from the load-time
-    statistics: the [explain analyze] backend.  The per-query q-error
+    statistics: the [explain analyze] backend.  The plan half follows
+    {!plan}'s cache and hit rules (computed on the canonical query);
+    execution, the profile and the q-error are observations of this
+    request's run and happen on every request.  The per-query q-error
     feeds the [vplan_estimate_qerror] histogram and each selection's
     q-error feeds the per-relation accuracy in {!stats} — the feedback
     loop that shows when statistics have drifted.  [None] when the

@@ -76,7 +76,7 @@ let canonical_key_qcheck =
 (* LRU cache                                                           *)
 
 let lru_eviction () =
-  let c = Rewrite_cache.create ~capacity:2 in
+  let c = Rewrite_cache.create ~capacity:2 () in
   Rewrite_cache.add c "a" 1;
   Rewrite_cache.add c "b" 2;
   (* touch "a" so "b" is least recently used *)
@@ -92,7 +92,7 @@ let lru_eviction () =
   check_int "size" 2 k.Rewrite_cache.size
 
 let lru_replace_is_not_eviction () =
-  let c = Rewrite_cache.create ~capacity:2 in
+  let c = Rewrite_cache.create ~capacity:2 () in
   Rewrite_cache.add c "a" 1;
   Rewrite_cache.add c "a" 2;
   check_bool "replaced" true (Rewrite_cache.find c "a" = Some 2);
@@ -102,7 +102,7 @@ let lru_replace_is_not_eviction () =
 (* [retain] walks the recency list once: the survivors keep their
    order, only [size] moves, and the capacity still bounds later adds. *)
 let lru_retain () =
-  let c = Rewrite_cache.create ~capacity:4 in
+  let c = Rewrite_cache.create ~capacity:4 () in
   List.iter (fun (k, v) -> Rewrite_cache.add c k v) [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ];
   (* recency, most recent first: b d c a *)
   ignore (Rewrite_cache.find c "d");
@@ -757,6 +757,236 @@ let image_published_once () =
   check_int "the query's answers" (Relation.cardinality (Oracle.Eval.answers Car_loc_part.base Car_loc_part.query)) a1
 
 (* ------------------------------------------------------------------ *)
+(* The plan cache                                                      *)
+
+let mode_name = function Service.Exact -> "exact" | Service.Estimated -> "estimated"
+
+let cost_text = function
+  | Service.Cells c -> Printf.sprintf "cost=%d" c
+  | Service.Cells_est c -> Printf.sprintf "cost_est=%.1f" c
+
+(* One query holding the request, the chosen rewriting and its join
+   order, each atom tagged with its role and position.  Two such keys
+   are equal iff one renaming maps request, rewriting and order onto the
+   other's (Normalize's key is complete for isomorphism): the plans are
+   the same up to the renaming between the requests, or up to an
+   automorphism of the request. *)
+let plan_key (query : Query.t) (rw : Query.t) order =
+  let tag role i (a : Atom.t) = Atom.make (Printf.sprintf "%s%d_%s" role i a.Atom.pred) a.Atom.args in
+  Normalize.cache_key
+    (Query.make_exn query.Query.head
+       ((tag "h" 0 rw.Query.head :: query.Query.body)
+       @ List.mapi (tag "r") rw.Query.body
+       @ List.mapi (tag "o") order))
+
+(* A plan or analyze reply, reduced to what must agree between a request
+   and a renamed variant of it: every number verbatim, the plan through
+   [plan_key].  The rewriting must also be in the request's own
+   variables: its head is the request's. *)
+let plan_reply query = function
+  | None -> "none"
+  | Some (o : Service.plan_outcome) ->
+      Printf.sprintf "%s candidates=%d class=%s own-head=%b %s" (cost_text o.Service.plan_cost)
+        o.Service.plan_candidates o.Service.plan_classification
+        (Atom.equal o.Service.plan_rewriting.Query.head query.Query.head)
+        (Option.value ~default:"uncacheable"
+           (plan_key query o.Service.plan_rewriting o.Service.plan_order))
+
+let analyze_reply query = function
+  | None -> "none"
+  | Some (o : Service.analyze_outcome) ->
+      Printf.sprintf "%s candidates=%d answers=%d qerror=%.2f class=%s profile=[%s] own-head=%b %s"
+        (cost_text o.Service.an_cost) o.Service.an_candidates o.Service.an_answers
+        o.Service.an_qerror o.Service.an_classification
+        (String.concat ";"
+           (List.map
+              (fun (sp : Trace.span) ->
+                String.concat ","
+                  (List.map (fun (k, v) -> Printf.sprintf "%s=%g" k v) sp.Trace.kv))
+              o.Service.an_profile))
+        (Atom.equal o.Service.an_rewriting.Query.head query.Query.head)
+        (Option.value ~default:"uncacheable"
+           (plan_key query o.Service.an_rewriting o.Service.an_order))
+
+let replies ~cost_mode s query =
+  ( plan_reply query (Service.plan ~cost_mode s query),
+    analyze_reply query (Service.analyze ~cost_mode s query) )
+
+(* [query] renamed to label-like names (the canonical labels among
+   them) and its body permuted. *)
+let gen_variant (query : Query.t) =
+  let open Gen in
+  let* renamed = Qcheck_gens.gen_named (Qcheck_gens.label_like 6) query in
+  let+ body = shuffle_l renamed.Query.body in
+  Query.make_exn renamed.Query.head body
+
+let fresh_service ~views base =
+  let s = Service.create (Catalog.create_exn views) in
+  Service.set_base s base;
+  s
+
+type mutation = Rebase | Add | Remove
+
+(* Both cost modes, over random instances and bases: a renamed,
+   permuted variant's plan and analyze replies equal a fresh service's
+   on the original, on a cold and on a warm cache, and again after the
+   live service loads another base or adds or removes a view.  A plan
+   cache that outlived its context, or a plan left in canonical
+   variables, fails it. *)
+let plan_cache_qcheck =
+  let gen =
+    let open Gen in
+    let* query, views =
+      frequency
+        [
+          (1, pair Qcheck_gens.gen_query (Qcheck_gens.gen_views ~max_views:3 ~max_atoms:2));
+          (2, Qcheck_gens.gen_covered_instance);
+        ]
+    in
+    let* variant = gen_variant query in
+    let* base = Qcheck_gens.gen_database in
+    let* base' = Qcheck_gens.gen_database in
+    let* mode = oneofl [ Service.Exact; Service.Estimated ] in
+    let+ mutation = oneofl [ Rebase; Add; Remove ] in
+    (query, variant, views, base, base', mode, mutation)
+  in
+  let print (query, variant, views, _, _, mode, mutation) =
+    Printf.sprintf "%s || variant %s || %s || %s %s" (Query.to_string query)
+      (Query.to_string variant) (Qcheck_gens.print_views views) (mode_name mode)
+      (match mutation with Rebase -> "rebase" | Add -> "add" | Remove -> "remove")
+  in
+  make_qcheck ~count:150 ~name:"plan cache: variant replies = a fresh service's" gen print
+    (fun (query, variant, views, base, base', cost_mode, mutation) ->
+      let expect what ~views base got =
+        (* the reference plans and analyzes on two fresh services, so
+           neither reply comes from a plan cache *)
+        let want =
+          ( plan_reply query (Service.plan ~cost_mode (fresh_service ~views base) query),
+            analyze_reply query (Service.analyze ~cost_mode (fresh_service ~views base) query) )
+        in
+        if got <> want then
+          QCheck2.Test.fail_reportf "%s:@.got:  %s@.      %s@.want: %s@.      %s" what (fst got)
+            (snd got) (fst want) (snd want)
+      in
+      let ok = function Ok c -> c | Error e -> QCheck2.Test.fail_report e in
+      let initial = match views with _ :: (_ :: _ as rest) -> rest | _ -> views in
+      let live = fresh_service ~views:initial base in
+      expect "cold variant" ~views:initial base (replies ~cost_mode live variant);
+      expect "warm variant" ~views:initial base (replies ~cost_mode live variant);
+      expect "warm original" ~views:initial base (replies ~cost_mode live query);
+      let rebase () =
+        Service.set_base live base';
+        (initial, base')
+      in
+      let views', base' =
+        match (mutation, views, initial) with
+        | Add, v :: _, _ :: _ when initial != views ->
+            let cat = ok (Catalog.add_views (Service.catalog live) [ v ]) in
+            Service.set_catalog live cat;
+            (Catalog.views cat, base)
+        | Remove, _, v :: _ :: _ ->
+            let cat = ok (Catalog.remove_views (Service.catalog live) [ View.name v ]) in
+            Service.set_catalog live cat;
+            (Catalog.views cat, base)
+        | _ -> rebase ()
+      in
+      expect "after the change, variant" ~views:views' base' (replies ~cost_mode live variant);
+      expect "after the change, original" ~views:views' base' (replies ~cost_mode live query);
+      true)
+
+let plan_source s ?max_covers ?budget query =
+  match Service.plan ?max_covers ?budget s query with
+  | Some o -> o.Service.plan_source
+  | None -> Alcotest.fail "expected a plan"
+
+let source_testable =
+  Alcotest.testable
+    (fun ppf src ->
+      Format.pp_print_string ppf
+        (match src with Service.Hit -> "hit" | Service.Miss -> "miss" | Service.Bypass -> "bypass"))
+    ( = )
+
+let check_source = Alcotest.check source_testable
+
+let plan_service () =
+  let s = service () in
+  Service.set_base s Car_loc_part.base;
+  s
+
+let candidates_of = function
+  | Some (o : Service.plan_outcome) -> o.Service.plan_candidates
+  | None -> Alcotest.fail "expected a plan"
+
+(* A CoreCover* run cut short, by its step budget or its cover cap, is
+   never published: the next full request is still a miss. *)
+let plan_truncated_not_published () =
+  let s = plan_service () in
+  (match Service.plan ~budget:(Budget.create ~max_steps:1 ()) s Car_loc_part.query with
+  | Some o -> check_source "step budget" Service.Bypass o.Service.plan_source
+  | None -> ()
+  | exception Vplan_error.Error e when Vplan_error.is_resource e -> ());
+  check_source "cover cap" Service.Bypass (plan_source s ~max_covers:1 Car_loc_part.query);
+  check_source "full run" Service.Miss (plan_source s Car_loc_part.query);
+  check_source "then cached" Service.Hit (plan_source s Car_loc_part.query)
+
+(* A cached plan answers only a cover cap its candidate count stays
+   under; a smaller cap gets exactly what a fresh service gives it. *)
+let plan_cover_cap_not_exceeded () =
+  let s = plan_service () in
+  let n = candidates_of (Service.plan s Car_loc_part.query) in
+  check_bool "several candidates" true (n >= 2);
+  let capped = Service.plan ~max_covers:(n - 1) s Car_loc_part.query in
+  let fresh = Service.plan ~max_covers:(n - 1) (plan_service ()) Car_loc_part.query in
+  check_int "capped candidates" (n - 1) (candidates_of capped);
+  check_bool "capped = fresh" true
+    (plan_reply Car_loc_part.query capped = plan_reply Car_loc_part.query fresh);
+  check_bool "a cap at the count is not served" true
+    (plan_source s ~max_covers:n Car_loc_part.query <> Service.Hit);
+  check_source "a cap above the count is" Service.Hit
+    (plan_source s ~max_covers:(n + 1) Car_loc_part.query)
+
+(* Nine interchangeable existential variables blow the canonical-labeling
+   search, so the query is planned as-is, every time. *)
+let plan_uncacheable_bypasses () =
+  let query =
+    q "q(X1) :- s(X1), s(X2), s(X3), s(X4), s(X5), s(X6), s(X7), s(X8), s(X9), s(X10)."
+  in
+  check_bool "uncacheable" true (Normalize.canonicalize query = None);
+  let s = Service.create (Catalog.create_exn (qs [ "v(A) :- s(A)." ])) in
+  Service.set_base s (facts [ ("s", [ "a" ]); ("s", [ "b" ]) ]);
+  let hits () = Metrics.value (Metrics.counter "vplan_plan_cache_hits_total") in
+  let misses () = Metrics.value (Metrics.counter "vplan_plan_cache_misses_total") in
+  let h0, m0 = (hits (), misses ()) in
+  check_source "first" Service.Bypass (plan_source s query);
+  check_source "second" Service.Bypass (plan_source s query);
+  check_int "answers" 2 (answers_of (Service.analyze s query));
+  check_int "no plan cache hit" h0 (hits ());
+  check_int "no plan cache probe" m0 (misses ())
+
+(* [stats] hits and misses stay the rewrite cache's: plans and analyzes,
+   hits among them, leave them alone; the plan cache counts in the
+   metrics registry. *)
+let plan_cache_outside_stats () =
+  let s = plan_service () in
+  let hits () = Metrics.value (Metrics.counter "vplan_plan_cache_hits_total") in
+  let h0 = hits () in
+  let variant = q "q1(P, K) :- part(P, N, K), loc(anderson, K), car(N, anderson)." in
+  ignore (Service.plan s Car_loc_part.query);
+  ignore (Service.plan s variant);
+  ignore (Service.analyze s variant);
+  let st = Service.stats s in
+  check_int "plan cache hits" 2 (hits () - h0);
+  check_int "no rewrite hit" 0 st.Service.hits;
+  check_int "no rewrite miss" 0 st.Service.misses;
+  check_int "plan requests" 2 st.Service.plan_requests;
+  check_int "analyze requests" 1 st.Service.analyze_requests;
+  ignore (Service.rewrite s Car_loc_part.query);
+  ignore (Service.rewrite s variant);
+  let st = Service.stats s in
+  check_int "rewrite hit" 1 st.Service.hits;
+  check_int "rewrite miss" 1 st.Service.misses
+
+(* ------------------------------------------------------------------ *)
 (* Concurrent dispatch                                                 *)
 
 let stress_concurrent_vs_sequential () =
@@ -831,6 +1061,15 @@ let suite =
     Alcotest.test_case "service: plan and analyze need data" `Quick
       service_plan_needs_data;
     service_hit_vs_fresh_qcheck;
+    plan_cache_qcheck;
+    Alcotest.test_case "plan cache: truncated runs are never published" `Quick
+      plan_truncated_not_published;
+    Alcotest.test_case "plan cache: a smaller cover cap runs" `Quick
+      plan_cover_cap_not_exceeded;
+    Alcotest.test_case "plan cache: an uncacheable query bypasses it" `Quick
+      plan_uncacheable_bypasses;
+    Alcotest.test_case "plan cache: stats count only rewrites" `Quick
+      plan_cache_outside_stats;
     reply_template_qcheck;
     Alcotest.test_case "reply template: covers share atoms" `Quick
       reply_template_shared_atoms;
