@@ -65,9 +65,7 @@ let opt_max_steps = ref None
 let opt_max_covers = ref None
 let any_truncated = ref false
 
-let budget_of_opts () =
-  if !opt_timeout = None && !opt_max_steps = None then None
-  else Some (Budget.create ?deadline_ms:!opt_timeout ?max_steps:!opt_max_steps ())
+let budget_of_opts () = Budget.of_limits ?deadline_ms:!opt_timeout ?max_steps:!opt_max_steps ()
 
 let corecover_gmrs ~query ~views () =
   let r =
@@ -527,7 +525,7 @@ let example42 () =
       (* the bucket algorithm's cartesian product explodes around k = 4:
          report the blow-up instead of timing it *)
       let bucket_column =
-        match time_ms (fun () -> Bucket.run ~mode:`Equivalent ~query ~views ()) with
+        match time_ms (fun () -> Oracle.Bucket.run ~mode:`Equivalent ~query ~views ()) with
         | _, bk_ms -> Printf.sprintf "%12.2f" bk_ms
         | exception Invalid_argument _ -> Printf.sprintf "%12s" "(>1e5 cands)"
       in

@@ -61,10 +61,6 @@ let max_covers_arg =
            ~doc:"Stop after enumerating $(docv) covers; when the cap fires \
                  the exit code is 3.")
 
-let budget_of ~timeout ~max_steps =
-  if timeout = None && max_steps = None then None
-  else Some (Vplan.Budget.create ?deadline_ms:timeout ?max_steps ())
-
 let split_views_and_candidates (query : Vplan.Query.t) rules =
   let qpred = query.head.Vplan.Atom.pred in
   List.partition (fun (r : Vplan.Query.t) -> r.head.Vplan.Atom.pred <> qpred) rules
@@ -89,7 +85,7 @@ let rewrite_cmd =
    or_die @@ fun () ->
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
-    let budget = budget_of ~timeout ~max_steps in
+    let budget = Vplan.Budget.of_limits ?deadline_ms:timeout ?max_steps () in
     (* without grouping every view is its own class *)
     let view_classes =
       if no_group then Some (Vplan.View_tuple.Classes.of_views views) else None
@@ -178,7 +174,7 @@ let plan_cmd =
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
     let base = database_of_file data in
-    let budget = budget_of ~timeout ~max_steps in
+    let budget = Vplan.Budget.of_limits ?deadline_ms:timeout ?max_steps () in
     let ctx = Vplan.Optimizer.create ~views base in
     (* plan under [model]; [print] shows the chosen plan's details *)
     let report model print =
@@ -278,7 +274,7 @@ let explain_cmd =
    or_die @@ fun () ->
     let query, rest = parse_program_file file in
     let views, _ = split_views_and_candidates query rest in
-    let budget = budget_of ~timeout ~max_steps in
+    let budget = Vplan.Budget.of_limits ?deadline_ms:timeout ?max_steps () in
     let clock = Vplan.Budget.create () in
     let label, spans, analyzed =
       match (analyze, data) with
@@ -300,20 +296,7 @@ let explain_cmd =
           match outcome with
           | None -> ("analyze none", spans, None)
           | Some o ->
-              let cost =
-                match o.Vplan.Service.an_cost with
-                | Vplan.Service.Cells c -> Printf.sprintf "cost=%d" c
-                | Vplan.Service.Cells_est c -> Printf.sprintf "cost_est=%.1f" c
-              in
-              let q =
-                if Float.is_nan o.Vplan.Service.an_qerror then "-"
-                else Printf.sprintf "%.2f" o.Vplan.Service.an_qerror
-              in
-              ( Printf.sprintf "analyze %s candidates=%d answers=%d qerror=%s"
-                  cost o.Vplan.Service.an_candidates o.Vplan.Service.an_answers
-                  q,
-                spans,
-                Some o ))
+              (Format.asprintf "analyze %a" Vplan.Protocol.pp_analyze_summary o, spans, Some o))
       | false, None ->
           let result, spans =
             Vplan.Trace.run (fun () ->
@@ -339,27 +322,16 @@ let explain_cmd =
     in
     let ms = Vplan.Budget.elapsed_ms clock in
     Format.printf "explain %s@." label;
-    (match Vplan.Hypergraph.classify query.Vplan.Query.body with
-    | Vplan.Hypergraph.Cyclic -> Format.printf "classification: cyclic@."
-    | Vplan.Hypergraph.Acyclic t ->
-        Format.printf "classification: acyclic@.";
-        if t.Vplan.Hypergraph.root >= 0 then
-          Format.printf "join tree:@.%a@." Vplan.Hypergraph.pp_tree t);
+    Vplan.Protocol.pp_classification Format.std_formatter query;
     Format.printf "request %.3f ms, traced %.3f ms in %d spans@." ms
       (Vplan.Trace.top_level_total spans)
       (List.length spans);
     Format.printf "%a" Vplan.Trace.pp_tree spans;
-    (match analyzed with
-    | None -> ()
-    | Some o ->
-        Format.printf "%a@." Vplan.Query.pp o.Vplan.Service.an_rewriting;
-        Format.printf "order: %a@."
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-             Vplan.Atom.pp)
-          o.Vplan.Service.an_order;
-        Format.printf "profile:@.%a" Vplan.Profile.pp_tree
-          o.Vplan.Service.an_profile);
+    Option.iter
+      (fun (o : Vplan.Service.analyze_outcome) ->
+        Vplan.Protocol.pp_plan_lines ~profile:o.an_profile Format.std_formatter o.an_rewriting
+          o.an_order)
+      analyzed;
     match trace_out with
     | None -> ()
     | Some path ->

@@ -117,12 +117,10 @@ let cmd_show () =
   List.iter (fun v -> Format.printf "view:  %a@." Vplan.Query.pp v) state.views;
   Format.printf "base facts: %d@." (Vplan.Database.total_size state.base)
 
+(* a fresh budget per command: limits apply to each run, not the whole
+   session *)
 let budget_of_state () =
-  if state.timeout_ms = None && state.max_steps = None then None
-  else
-    (* a fresh budget per command: limits apply to each run, not the
-       whole session *)
-    Some (Vplan.Budget.create ?deadline_ms:state.timeout_ms ?max_steps:state.max_steps ())
+  Vplan.Budget.of_limits ?deadline_ms:state.timeout_ms ?max_steps:state.max_steps ()
 
 (* The grouped view classes survive across commands: first rewrite pays
    for the grouping, later ones reuse it (until the view set changes). *)

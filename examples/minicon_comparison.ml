@@ -51,7 +51,7 @@ let () =
     (List.length mc.equivalent);
 
   (* Bucket *)
-  let b = Bucket.run ~mode:`Equivalent ~query ~views () in
+  let b = Oracle.Bucket.run ~mode:`Equivalent ~query ~views () in
   Format.printf "@.Bucket: %d candidates checked, %d equivalent rewritings@."
     b.candidates_checked (List.length b.rewritings);
 

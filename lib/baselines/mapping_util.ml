@@ -1,5 +1,9 @@
 open Vplan_cq
 
+(* [t] resolved through the (triangular) unifier, its representative
+   normalized: constants win, then query variables, then the view
+   variable itself.  [sigma] may bind view variables to view variables;
+   [query_vars] identifies which names belong to the query. *)
 let resolve_class sigma ~query_vars t =
   let r = Unify.resolve sigma t in
   match r with

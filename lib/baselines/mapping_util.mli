@@ -1,15 +1,8 @@
-(** Shared machinery for the bucket and MiniCon baselines: unification of
-    query subgoals with view subgoals, and construction of the rewriting
-    atom induced by such a unifier. *)
+(** Shared machinery for the MiniCon baseline and the bucket algorithm
+    (a test oracle): unification of query subgoals with view subgoals,
+    and construction of the rewriting atom induced by such a unifier. *)
 
 open Vplan_cq
-
-(** [resolve_class sigma ~query_vars t] resolves [t] through the
-    (triangular) unifier and normalizes the representative: constants win,
-    then query variables, then the view variable itself.  [sigma] may bind
-    view variables to view variables; [query_vars] identifies which names
-    belong to the query. *)
-val resolve_class : Subst.t -> query_vars:Names.Sset.t -> Term.t -> Term.t
 
 (** [maps_to_head_var sigma ~view x] — the unification class of query
     variable [x] contains a head variable of the (renamed) [view], so the

@@ -20,11 +20,6 @@
 open Vplan_cq
 open Vplan_relational
 
-val is_comparison : Atom.t -> bool
-
-(** [constr_of_atom a] interprets a reserved-predicate atom. *)
-val constr_of_atom : Atom.t -> Order_constraint.constr option
-
 (** [split q] separates ordinary subgoals from comparison constraints. *)
 val split : Query.t -> Atom.t list * Order_constraint.constr list
 

@@ -25,6 +25,10 @@ let create ?deadline_ms ?max_steps () =
     stop = Atomic.make None;
   }
 
+let of_limits ?deadline_ms ?max_steps () =
+  if deadline_ms = None && max_steps = None then None
+  else Some (create ?deadline_ms ?max_steps ())
+
 let elapsed_ms t = (Unix.gettimeofday () -. t.start) *. 1000.
 
 (* First trip wins across domains: a failed CAS means another domain

@@ -27,6 +27,11 @@ type t
     Omitted limits are unlimited. *)
 val create : ?deadline_ms:float -> ?max_steps:int -> unit -> t
 
+(** [of_limits ?deadline_ms ?max_steps ()] is [Some (create ...)] when a
+    limit is given and [None] otherwise, so a caller with no limits set
+    stays on the unbudgeted path. *)
+val of_limits : ?deadline_ms:float -> ?max_steps:int -> unit -> t option
+
 (** Count one unit of work and raise [Vplan_error.Error] if any limit
     has been reached (the deadline is polled every 64 steps to keep the
     check cheap).  Once a budget trips, every later [check] re-raises

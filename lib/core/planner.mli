@@ -15,10 +15,6 @@ type problem = {
   views : View.t list;
 }
 
-(** [problem_of_program rules] takes the first rule as the query and the
-    rest as views; validates view-name uniqueness. *)
-val problem_of_program : Query.t list -> (problem, string) result
-
 (** [parse_problem src] parses a Datalog program (see {!Parser}). *)
 val parse_problem : string -> (problem, string) result
 

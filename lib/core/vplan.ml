@@ -89,7 +89,6 @@ module Select = Vplan_cost.Select
 module Optimizer = Vplan_cost.Optimizer
 
 (* baselines *)
-module Bucket = Vplan_baselines.Bucket
 module Minicon = Vplan_baselines.Minicon
 
 module Inverse_rules = Vplan_baselines.Inverse_rules

@@ -40,8 +40,6 @@ let intern t id =
           Hashtbl.add t.interns id code;
           code)
 
-let clear t = locked t (fun () -> Hashtbl.reset t.table)
-
 let find t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with

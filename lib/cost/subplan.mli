@@ -48,8 +48,6 @@ type entry = {
     unaffected. *)
 val create : ?capacity:int -> unit -> t
 
-(** Drop every entry (the counters survive). *)
-val clear : t -> unit
 
 (** [intern t id] maps an atom's canonical rendering to a small integer
     code, stable for the store's lifetime (codes survive {!clear} and

@@ -1,7 +1,6 @@
 type t = Term.t Names.Smap.t
 
 let empty = Names.Smap.empty
-let is_empty = Names.Smap.is_empty
 let singleton x t = Names.Smap.singleton x t
 let of_list l = List.fold_left (fun m (x, t) -> Names.Smap.add x t m) empty l
 let bindings = Names.Smap.bindings
@@ -41,11 +40,4 @@ let is_injective_on s vars =
   in
   loop Term.Set.empty (List.sort_uniq String.compare vars)
 
-let range s = Names.Smap.fold (fun _ t acc -> Term.Set.add t acc) s Term.Set.empty
 let equal s1 s2 = Names.Smap.equal Term.equal s1 s2
-
-let pp ppf s =
-  let pp_binding ppf (x, t) = Format.fprintf ppf "%s -> %a" x Term.pp t in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_binding)
-    (bindings s)

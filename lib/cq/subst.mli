@@ -8,7 +8,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 (** [singleton x t] binds variable [x] to term [t]. *)
 val singleton : string -> Term.t -> t
@@ -45,8 +44,4 @@ val unify_term : t -> Term.t -> Term.t -> t option
     [vars] are pairwise distinct terms. *)
 val is_injective_on : t -> string list -> bool
 
-(** [range s] is the set of terms in the image of [s]. *)
-val range : t -> Term.Set.t
-
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -24,7 +24,6 @@ let head_arity u =
   match u.disjuncts with q :: _ -> Atom.arity q.Query.head | [] -> assert false
 
 let of_query q = { disjuncts = [ q ] }
-let union u1 u2 = make (u1.disjuncts @ u2.disjuncts)
 let size u = List.fold_left (fun acc (q : Query.t) -> acc + List.length q.body) 0 u.disjuncts
 
 let pp ppf u =

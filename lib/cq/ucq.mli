@@ -25,8 +25,6 @@ val head_arity : t -> int
 (** [of_query q] is the singleton union. *)
 val of_query : Query.t -> t
 
-(** [union u1 u2] concatenates disjunct lists (heads must agree). *)
-val union : t -> t -> (t, string) result
 
 (** [size u] is the total number of body subgoals across disjuncts — the
     M1-style measure discussed in Section 8. *)

@@ -6,8 +6,4 @@
     opening a {!Trace} span named [name] when a trace is active.
     Exceptions still record both, then propagate. *)
 
-(** The histogram behind a phase name ([vplan_phase_<name>_ms]),
-    registering it on first use. *)
-val phase_histogram : string -> Metrics.histogram
-
 val phase : string -> (unit -> 'a) -> 'a

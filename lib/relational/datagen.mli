@@ -28,12 +28,6 @@ val for_query : Prng.t -> tuples:int -> domain:int -> Query.t -> Database.t
     body acts as a witness). *)
 val for_query_nonempty : Prng.t -> tuples:int -> domain:int -> Query.t -> Database.t
 
-(** [random_skewed rng specs] draws with a skewed (roughly Zipf-like)
-    value distribution: small domain values are much more frequent.
-    Uniform-assumption estimators systematically misjudge such data,
-    which is what the plan-quality ablation needs. *)
-val random_skewed : Prng.t -> spec list -> Database.t
-
 (** [for_query_skewed rng ~tuples ~domain q] — skewed variant of
     {!for_query}. *)
 val for_query_skewed : Prng.t -> tuples:int -> domain:int -> Query.t -> Database.t

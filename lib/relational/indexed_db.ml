@@ -29,8 +29,6 @@ type t = {
   lock : Mutex.t;
 }
 
-let database t = t.db
-
 let of_database db =
   let const_ids = Hashtbl.create 256 in
   let rev_consts = ref [] in

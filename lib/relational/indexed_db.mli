@@ -27,9 +27,6 @@ type t
     index is built yet. *)
 val of_database : Database.t -> t
 
-(** The database this value was built from. *)
-val database : t -> Database.t
-
 (** [answers t q] computes the answer relation of [q] (distinct head
     tuples), equal to [Exec.answers] over the same database. *)
 val answers : t -> Query.t -> Relation.t

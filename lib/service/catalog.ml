@@ -137,4 +137,3 @@ let keyed t = t.keyed
 let view_classes t = t.classes
 let num_views t = List.length t.views
 let num_classes t = List.length t.keyed
-let find t name = View.find t.views name

@@ -98,6 +98,3 @@ val keyed : t -> (string * View.t list) list
 
 val num_views : t -> int
 val num_classes : t -> int
-
-(** [find t name] looks a member up by view name. *)
-val find : t -> string -> View.t option

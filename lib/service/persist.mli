@@ -5,8 +5,8 @@
     The conversions here define the recovery invariant end to end:
     [state_of_snapshot (snapshot_of cat)] reproduces the catalog —
     same views, same generation, same equivalence-class partition —
-    without re-running the grouping, and {!apply_op} replays a journal
-    record exactly as the live mutation ran. *)
+    without re-running the grouping, and {!replay} replays journal
+    records exactly as the live mutations ran. *)
 
 open Vplan_views
 module Database = Vplan_relational.Database
@@ -36,15 +36,9 @@ val view_of_text : string -> (View.t, string) result
 (** [render_view v] is the parseable rule text journaled for [v]. *)
 val render_view : View.t -> string
 
-(** [apply_op (cat, base) op] replays one journal record.  [Add_view]
-    onto an absent catalog bootstraps a fresh one — the same behaviour
-    the live [catalog add] path has. *)
-val apply_op :
-  Catalog.t option * Database.t option ->
-  Record.op ->
-  (Catalog.t option * Database.t option, string) result
-
-(** [replay state ops] folds {!apply_op} over a recovered journal,
+(** [replay state ops] replays a recovered journal, each record exactly
+    as the live mutation ran ([Add_view] onto an absent catalog
+    bootstraps a fresh one, as the live [catalog add] does),
     batching consecutive [Add_view] records into one incremental
     grouping pass (generations advance once per batch).  Returns the
     final state and the number of records applied. *)

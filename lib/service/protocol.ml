@@ -1,7 +1,7 @@
 (* The line protocol, shared by every front end.  Handlers render into
    a formatter over the caller's buffer: the TCP server passes its
    worker's retained buffer and frames it onto the socket in place, the
-   stdio loop prints its own, and [handle] is the one-string projection.
+   stdio loop prints its own, and [handle_lines] is the one-string projection.
    Rewrite answers ([rewrite], [batch]) are the exception to the
    formatter: their rewriting lines are spliced from the cache entry's
    reply template ({!Service.rewrite_reply}) straight into the reply
@@ -91,13 +91,14 @@ let mutating shared f =
   Mutex.lock shared.slock;
   Fun.protect ~finally:(fun () -> Mutex.unlock shared.slock) f
 
-let install_catalog shared cat =
-  mutating shared (fun () ->
-      match shared.service with
-      | None ->
-          shared.service <-
-            Some (Service.create ~cache_capacity:shared.cache_capacity cat)
-      | Some s -> Service.set_catalog s cat)
+let set_or_create_service shared cat =
+  match shared.service with
+  | Some s -> Service.set_catalog s cat
+  | None ->
+      shared.service <-
+        Some (Service.create ~cache_capacity:shared.cache_capacity cat)
+
+let install_catalog shared cat = mutating shared (fun () -> set_or_create_service shared cat)
 
 type boot = { views : int; replayed : int; truncated_bytes : int }
 
@@ -168,6 +169,35 @@ let record_request (sess : session) ~kind ~ms ~spans ~classification
     ?profile ();
   trace
 
+(* The reply format of a plan choice, written once for [plan], [explain
+   analyze] and the command-line tool's [explain --analyze]. *)
+let pp_plan_cost ppf = function
+  | Service.Cells c -> Format.fprintf ppf "cost=%d" c
+  | Service.Cells_est c -> Format.fprintf ppf "mode=estimated cost_est=%.1f" c
+
+let pp_analyze_summary ppf (o : Service.analyze_outcome) =
+  Format.fprintf ppf "%a candidates=%d answers=%d qerror=%s" pp_plan_cost o.Service.an_cost
+    o.Service.an_candidates o.Service.an_answers
+    (if Float.is_nan o.Service.an_qerror then "-"
+     else Printf.sprintf "%.2f" o.Service.an_qerror)
+
+let pp_plan_lines ?profile ppf rewriting order =
+  Format.fprintf ppf "%a@." Query.pp rewriting;
+  Format.fprintf ppf "order: %a@."
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Atom.pp)
+    order;
+  match profile with
+  | Some spans -> Format.fprintf ppf "profile:@.%a" Profile.pp_tree spans
+  | None -> ()
+
+let pp_classification ppf (query : Query.t) =
+  match Hypergraph.classify query.Query.body with
+  | Hypergraph.Cyclic -> Format.fprintf ppf "classification: cyclic@."
+  | Hypergraph.Acyclic t ->
+      Format.fprintf ppf "classification: acyclic@.";
+      if t.Hypergraph.root >= 0 then
+        Format.fprintf ppf "join tree:@.%a@." Hypergraph.pp_tree t
+
 let err ppf fmt =
   Format.kasprintf (fun s -> Format.fprintf ppf "err %s@." s) fmt
 
@@ -191,10 +221,7 @@ let read_file path =
 (* A fresh budget per request: one adversarial query cannot stall a
    worker forever, and deadlines start when the request is picked up. *)
 let fresh_budget (sess : session) =
-  if sess.timeout_ms = None && sess.max_steps = None then None
-  else
-    Some
-      (Budget.create ?deadline_ms:sess.timeout_ms ?max_steps:sess.max_steps ())
+  Budget.of_limits ?deadline_ms:sess.timeout_ms ?max_steps:sess.max_steps ()
 
 let with_service shared ppf f =
   match shared.service with
@@ -204,13 +231,6 @@ let with_service shared ppf f =
 let pp_catalog_line ppf cat =
   Format.fprintf ppf "ok catalog generation=%d views=%d classes=%d@."
     (Catalog.generation cat) (Catalog.num_views cat) (Catalog.num_classes cat)
-
-let set_or_create_service shared cat =
-  match shared.service with
-  | Some s -> Service.set_catalog s cat
-  | None ->
-      shared.service <-
-        Some (Service.create ~cache_capacity:shared.cache_capacity cat)
 
 (* Replacing the whole catalog is compaction, not a journal record: the
    new state does not build on the old one, so it goes straight into a
@@ -423,20 +443,9 @@ let cmd_plan (sess : session) ppf rest =
                 record_request sess ~kind:"plan" ~ms:o.Service.plan_ms ~spans
                   ~classification:o.Service.plan_classification query
               in
-              (match o.Service.plan_cost with
-              | Service.Cells c ->
-                  Format.fprintf ppf "ok plan cost=%d candidates=%d trace=%d@."
-                    c o.Service.plan_candidates trace
-              | Service.Cells_est c ->
-                  Format.fprintf ppf
-                    "ok plan mode=estimated cost_est=%.1f candidates=%d trace=%d@."
-                    c o.Service.plan_candidates trace);
-              Format.fprintf ppf "%a@." Query.pp o.Service.plan_rewriting;
-              Format.fprintf ppf "order: %a@."
-                (Format.pp_print_list
-                   ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-                   Atom.pp)
-                o.Service.plan_order))
+              Format.fprintf ppf "ok plan %a candidates=%d trace=%d@." pp_plan_cost
+                o.Service.plan_cost o.Service.plan_candidates trace;
+              pp_plan_lines ppf o.Service.plan_rewriting o.Service.plan_order))
 
 let accuracy_json accs =
   "{"
@@ -559,31 +568,10 @@ let cmd_analyze (sess : session) ppf rest =
                   ~qerror:o.Service.an_qerror ~answers:o.Service.an_answers
                   ~profile:o.Service.an_profile query
               in
-              let q =
-                if Float.is_nan o.Service.an_qerror then "-"
-                else Printf.sprintf "%.2f" o.Service.an_qerror
-              in
-              (match o.Service.an_cost with
-              | Service.Cells c ->
-                  Format.fprintf ppf
-                    "ok analyze cost=%d candidates=%d answers=%d qerror=%s \
-                     class=%s trace=%d@."
-                    c o.Service.an_candidates o.Service.an_answers q
-                    o.Service.an_classification trace
-              | Service.Cells_est c ->
-                  Format.fprintf ppf
-                    "ok analyze mode=estimated cost_est=%.1f candidates=%d \
-                     answers=%d qerror=%s class=%s trace=%d@."
-                    c o.Service.an_candidates o.Service.an_answers q
-                    o.Service.an_classification trace);
-              Format.fprintf ppf "%a@." Query.pp o.Service.an_rewriting;
-              Format.fprintf ppf "order: %a@."
-                (Format.pp_print_list
-                   ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-                   Atom.pp)
-                o.Service.an_order;
-              Format.fprintf ppf "profile:@.%a" Profile.pp_tree
-                o.Service.an_profile))
+              Format.fprintf ppf "ok analyze %a class=%s trace=%d@." pp_analyze_summary o
+                o.Service.an_classification trace;
+              pp_plan_lines ~profile:o.Service.an_profile ppf o.Service.an_rewriting
+                o.Service.an_order))
 
 let cmd_explain (sess : session) ppf rest =
   let shared = sess.shared in
@@ -619,12 +607,7 @@ let cmd_explain (sess : session) ppf rest =
             label ms
             (Trace.top_level_total spans)
             (List.length spans);
-          (match Hypergraph.classify query.Query.body with
-          | Hypergraph.Cyclic -> Format.fprintf ppf "classification: cyclic@."
-          | Hypergraph.Acyclic t ->
-              Format.fprintf ppf "classification: acyclic@.";
-              if t.Hypergraph.root >= 0 then
-                Format.fprintf ppf "join tree:@.%a@." Hypergraph.pp_tree t);
+          pp_classification ppf query;
           Format.fprintf ppf "%a" Trace.pp_tree spans)
 
 let contains_sub s sub =
@@ -837,13 +820,7 @@ let handle_lines_into shared sess buf lines =
       in
       handle_into shared sess buf ~read_line first
 
-let contents f =
-  let buf = Buffer.create 256 in
-  let close = f buf in
-  { text = Buffer.contents buf; close }
-
-let handle shared sess ~read_line line =
-  contents (fun buf -> handle_into shared sess buf ~read_line line)
-
 let handle_lines shared sess lines =
-  contents (fun buf -> handle_lines_into shared sess buf lines)
+  let buf = Buffer.create 256 in
+  let close = handle_lines_into shared sess buf lines in
+  { text = Buffer.contents buf; close }

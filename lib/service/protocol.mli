@@ -125,12 +125,29 @@ val handle_into :
     nothing. *)
 val handle_lines_into : shared -> session -> Buffer.t -> string list -> bool
 
-(** {!handle_into} into a fresh buffer, as a {!reply}. *)
-val handle :
-  shared -> session -> read_line:(unit -> string option) -> string -> reply
-
 (** {!handle_lines_into} into a fresh buffer, as a {!reply}. *)
 val handle_lines : shared -> session -> string list -> reply
+
+(** The reply format of a plan choice, shared by [plan], [explain
+    analyze] and the command-line tool's [explain --analyze]:
+    [pp_analyze_summary] prints an analyze outcome's cost field
+    ([cost=N], or [mode=estimated cost_est=X]), candidates, answers and
+    q-error ([-] when no operator had an estimate); [pp_plan_lines]
+    prints the rewriting line, the [order:] line and, given [profile],
+    the operator tree under a [profile:] line. *)
+val pp_analyze_summary : Format.formatter -> Service.analyze_outcome -> unit
+
+val pp_plan_lines :
+  ?profile:Vplan_obs.Trace.span list ->
+  Format.formatter ->
+  Vplan_cq.Query.t ->
+  Vplan_cq.Atom.t list ->
+  unit
+
+(** [pp_classification ppf query] prints the [classification:] line of
+    [query]'s body and, when it is acyclic with a nonempty join tree,
+    the tree: the head of every [explain] reply. *)
+val pp_classification : Format.formatter -> Vplan_cq.Query.t -> unit
 
 (** [contains_sub s sub] — whether [sub] occurs in [s], compared in
     place; the empty string occurs everywhere.  [recorder grep]'s

@@ -102,22 +102,24 @@ type plan_outcome = {
   plan_ms : float;
 }
 
-(* A CoreCover result in the variables of the query it ran on: the
-   canonical query for a cache entry, the request itself when it is
-   uncacheable.  Only what a request reads is kept: no view tuples, cores
-   or classes.  [vars] is [Query.vars canon], the template's slots.  The
-   canonical query is kept so that a hit compares it against the
-   requested one: even a (never observed) canonical-form collision could
-   only cause a recompute, never a wrong answer.  [preds] are its body
-   predicates, which decide whether the entry survives a catalog
-   mutation. *)
-type entry = {
-  canon : Query.t;
+(* What a cache entry of either kind carries: the query it was computed
+   on (the canonical query, or the request itself when it is
+   uncacheable), its cover count, which decides the capped requests it
+   may answer, and what a request reads.  The canonical query is kept so
+   that a hit compares it against the requested one: even a (never
+   observed) canonical-form collision could only cause a recompute,
+   never a wrong answer. *)
+type 'a entry = { canon : Query.t; count : int; value : 'a }
+
+(* A CoreCover result as a rewrite request reads it: no view tuples,
+   cores or classes.  [vars] is [Query.vars canon], the template's
+   slots; [preds] are its body predicates, which decide whether the
+   entry survives a catalog mutation. *)
+type rewritten = {
   vars : string array;
   preds : string list;
   minimized_query : Query.t;
   rewritings : Query.t list;
-  count : int;
   template : Reply_template.t;
   classification : string;
 }
@@ -135,10 +137,6 @@ type chosen = {
   order_class : string;
 }
 
-(* A finished [Complete] selection, keyed like a rewrite entry (plus the
-   cost mode): [choice] is [None] when the query has no rewriting. *)
-type plan_entry = { pcanon : Query.t; candidates : int; choice : chosen option }
-
 (* The planning context of one (catalog, data) pair: compared by
    physical identity — any catalog swap or base load produces fresh
    values, so a stale context is never reused, and neither are the plan
@@ -147,7 +145,10 @@ type plan_ctx = {
   p_cat : Catalog.t;
   p_data : data;
   p_ctx : Optimizer.t;
-  p_plans : plan_entry Rewrite_cache.t;
+  p_plans : chosen option entry Rewrite_cache.t;
+      (* finished [Complete] selections, keyed like rewrite entries plus
+         the cost mode; [count] is the candidate count and [None] a
+         query with no rewriting *)
 }
 
 (* percentile window: the most recent [lat_window] request latencies *)
@@ -155,7 +156,7 @@ let lat_window = 1024
 
 type t = {
   mutable cat : Catalog.t;
-  cache : entry Rewrite_cache.t;
+  cache : rewritten entry Rewrite_cache.t;
   lock : Mutex.t;
   mutable requests : int;
   mutable bypasses : int;
@@ -206,7 +207,7 @@ let locked t f =
 let unaffected touched e =
   List.for_all
     (fun (v : Query.t) ->
-      List.exists (fun (a : Atom.t) -> not (List.mem a.Atom.pred e.preds)) v.body)
+      List.exists (fun (a : Atom.t) -> not (List.mem a.Atom.pred e.value.preds)) v.body)
     touched
 
 let set_catalog t cat =
@@ -238,26 +239,52 @@ let set_base ?stats t db =
       t.data <- Some { base = db; stats };
       t.pctx <- None)
 
-let record t ~probed ~completeness ~ms =
-  Metrics.incr requests_total;
+(* How a served request moves the service's accounting: a rewrite by
+   whether it probed the cache and how complete it was, an analyze by
+   the q-errors of its run. *)
+type served =
+  | Rewrote of { probed : bool; completeness : Corecover.completeness }
+  | Planned
+  | Analyzed of { qerror : float; selections : (string * float) list }
+
+(* The one request epilogue: the request's latency since [clock], into
+   the request histogram and the counters of its kind.  Only rewrites
+   enter the latency window. *)
+let record t ~clock served =
+  let ms = Budget.elapsed_ms clock in
   Metrics.observe request_ms ms;
-  if not probed then Metrics.incr bypasses_total;
-  (match completeness with
-  | Corecover.Truncated _ -> Metrics.incr truncated_total
-  | Corecover.Complete -> ());
   locked t (fun () ->
-      t.requests <- t.requests + 1;
-      (* [bypasses] counts requests that never probed the cache
-         (uncacheable canonicalization); a truncated request probed and
-         missed, so it is already in the cache's miss counter *)
-      if not probed then t.bypasses <- t.bypasses + 1;
-      (match completeness with
-      | Corecover.Truncated _ -> t.truncated <- t.truncated + 1
-      | Corecover.Complete -> ());
-      t.lat_ring.(t.lat_next mod lat_window) <- ms;
-      t.lat_next <- t.lat_next + 1;
-      t.lat_sum <- t.lat_sum +. ms;
-      if ms > t.lat_max then t.lat_max <- ms)
+      match served with
+      | Rewrote { probed; completeness } ->
+          Metrics.incr requests_total;
+          t.requests <- t.requests + 1;
+          (* [bypasses] counts requests that never probed the cache
+             (uncacheable canonicalization); a truncated request probed
+             and missed, so it is already in the cache's miss counter *)
+          if not probed then begin
+            Metrics.incr bypasses_total;
+            t.bypasses <- t.bypasses + 1
+          end;
+          (match completeness with
+          | Corecover.Truncated _ ->
+              Metrics.incr truncated_total;
+              t.truncated <- t.truncated + 1
+          | Corecover.Complete -> ());
+          t.lat_ring.(t.lat_next mod lat_window) <- ms;
+          t.lat_next <- t.lat_next + 1;
+          t.lat_sum <- t.lat_sum +. ms;
+          if ms > t.lat_max then t.lat_max <- ms
+      | Planned ->
+          Metrics.incr plan_requests_total;
+          t.plan_requests <- t.plan_requests + 1
+      | Analyzed { qerror; selections } ->
+          Metrics.incr analyze_requests_total;
+          if not (Float.is_nan qerror) then Metrics.observe estimate_qerror_h qerror;
+          t.analyze_requests <- t.analyze_requests + 1;
+          (* per-relation accuracy: selection estimates attribute
+             directly to the scanned relation *)
+          List.iter (fun (rel, q) -> Qerror.observe_rel t.qerrors rel q) selections);
+  ms
 
 let classify_body body =
   match Hypergraph.classify body with
@@ -272,18 +299,21 @@ let entry_of canon (r : Corecover.result) =
   let vars = Array.of_list (Query.vars canon) in
   {
     canon;
-    vars;
-    preds = Query.body_preds canon;
-    minimized_query = r.Corecover.minimized_query;
-    rewritings = r.Corecover.rewritings;
     count = List.length r.Corecover.rewritings;
-    template =
-      (let atoms = List.map (fun (tv, _) -> tv.View_tuple.atom) r.Corecover.cores in
-       Reply_template.make ~vars ~head:r.Corecover.minimized_query.Query.head
-         ~atoms:(Array.of_list atoms) r.Corecover.covers);
-    (* [canon] is isomorphic to every query the entry answers, so one
-       GYO run labels all of them *)
-    classification = classification canon;
+    value =
+      {
+        vars;
+        preds = Query.body_preds canon;
+        minimized_query = r.Corecover.minimized_query;
+        rewritings = r.Corecover.rewritings;
+        template =
+          (let atoms = List.map (fun (tv, _) -> tv.View_tuple.atom) r.Corecover.cores in
+           Reply_template.make ~vars ~head:r.Corecover.minimized_query.Query.head
+             ~atoms:(Array.of_list atoms) r.Corecover.covers);
+        (* [canon] is isomorphic to every query the entry answers, so
+           one GYO run labels all of them *)
+        classification = classification canon;
+      };
   }
 
 (* [sigma] maps caller variables to canonical ones, bijectively and only
@@ -297,16 +327,16 @@ let caller_bindings sigma =
       | Term.Cst _ -> invariant ("canonicalization bound " ^ x ^ " to a constant"))
     (Subst.bindings sigma)
 
-(* The caller's name for each of the entry's slots. *)
-let names_of e sigma =
-  let caller = Hashtbl.create (Array.length e.vars) in
+(* The caller's name for each of the template's slots [vars]. *)
+let names_of vars sigma =
+  let caller = Hashtbl.create (Array.length vars) in
   List.iter (fun (y, x) -> Hashtbl.replace caller y x) (caller_bindings sigma);
   Array.map
     (fun y ->
       match Hashtbl.find_opt caller y with
       | Some x -> x
       | None -> invariant ("canonical variable " ^ y ^ " has no caller name"))
-    e.vars
+    vars
 
 (* sigma^-1 as a substitution: canonical terms back into the caller's. *)
 let unrename sigma =
@@ -316,23 +346,30 @@ let unrename sigma =
    answers it, and [sigma] from the caller's variables to the entry's
    ([None]: an uncacheable query, run as-is, so the entry is already in
    the caller's variables). *)
-type 'e resolved = {
-  entry : 'e;
+type 'a resolved = {
+  entry : 'a entry;
   sigma : Subst.t option;
   source : source;
   completeness : Corecover.completeness;
 }
 
 (* Canonicalize, probe, run, publish: written once for rewrites and
-   plans.  [cache] is touched only under the lock and only while [live
-   ()] holds — the catalog or planning context the request started on is
+   plans, with the one admission rule of both caches.  A cached entry
+   answers a request only when its cover count is below the request's
+   cover cap [cap] ([None]: unbounded).  The request's own run would then
+   have found every cover before the cap could fire, so it would have
+   been [Complete] with this very result; [<] is exact, since
+   [Set_cover.enumerate] can report the cap as fired when exactly [cap]
+   covers exist.  The request's budget is not consulted: a hit does no
+   search work, so it is served under any step budget or deadline.
+   [cache] is touched only under the lock and only while [live ()]
+   holds — the catalog or planning context the request started on is
    still the service's — so a result computed against a replaced one is
-   never published.  [usable e] says whether a cached entry may answer
-   this request; [run q] computes the entry for [q] (the canonical
+   never published.  [run q] computes the entry for [q] (the canonical
    query, or the request itself when it is uncacheable) and only a
    [Complete] one is published.  The caller renames the entry back
    through [sigma]. *)
-let through t ~cache ~live ~key ~canon_of ~usable ~run query =
+let through t ~cache ~live ~key ~cap ~run query =
   match Normalize.canonicalize query with
   | None ->
       (* canonical-labeling search blew its cap: uncacheable *)
@@ -340,7 +377,9 @@ let through t ~cache ~live ~key ~canon_of ~usable ~run query =
       { entry; sigma = None; source = Bypass; completeness }
   | Some (canon, sigma) -> (
       let key = key canon in
-      let accept e = Query.equal (canon_of e) canon && usable e in
+      let accept e =
+        Query.equal e.canon canon && match cap with None -> true | Some c -> e.count < c
+      in
       let cached =
         locked t (fun () -> if live () then Rewrite_cache.find ~accept cache key else None)
       in
@@ -368,9 +407,7 @@ let resolve ?budget ?max_covers ~domains t query =
   let r =
     through t ~cache:t.cache
       ~live:(fun () -> t.cat == cat)
-      ~key:Query.to_string
-      ~canon_of:(fun e -> e.canon)
-      ~usable:(fun _ -> true)
+      ~key:Query.to_string ~cap:max_covers
       ~run:(fun q ->
         let r =
           Corecover.gmrs ?budget ?max_covers
@@ -380,12 +417,13 @@ let resolve ?budget ?max_covers ~domains t query =
         (entry_of q r, r.Corecover.completeness))
       query
   in
-  let e = r.entry in
-  let names = match r.sigma with None -> e.vars | Some sigma -> names_of e sigma in
-  let ms = Budget.elapsed_ms clock in
-  record t ~probed:(r.sigma <> None) ~completeness:r.completeness ~ms;
+  let e = r.entry.value in
+  let names = match r.sigma with None -> e.vars | Some sigma -> names_of e.vars sigma in
+  let ms =
+    record t ~clock (Rewrote { probed = r.sigma <> None; completeness = r.completeness })
+  in
   ( {
-      reply_count = e.count;
+      reply_count = r.entry.count;
       reply_source = r.source;
       reply_completeness = r.completeness;
       reply_ms = ms;
@@ -462,9 +500,9 @@ let plan_entry_of ~cost_mode canon ((r : Corecover.result), choice) =
     match cost_mode with Exact -> Cells (int_of_float c) | Estimated -> Cells_est c
   in
   {
-    pcanon = canon;
-    candidates = List.length r.Corecover.rewritings;
-    choice =
+    canon;
+    count = List.length r.Corecover.rewritings;
+    value =
       Option.map
         (fun (c : _ Vplan_cost.Select.choice) ->
           {
@@ -481,20 +519,17 @@ let plan_entry_of ~cost_mode canon ((r : Corecover.result), choice) =
 
 (* One plan request, resolved in the live planning context: the entry
    and the choice in the caller's variables.  Every choice is computed
-   on the canonical query, so a hit and a miss return the same plan.  A
-   hit answers only a request whose own run would be [Complete]: under
-   its cover cap the enumeration finds every candidate before the cap
-   can fire. *)
+   on the canonical query, so a hit and a miss return the same plan.
+   CoreCover* enumerates under [default_max_results] when the request
+   sets no cap, so that is the cap a hit is admitted under. *)
 let plan_choice ?budget ?max_covers ~domains ~cost_mode t query =
   let c = plan_ctx t in
-  let cap = Option.value max_covers ~default:Corecover.default_max_results in
   let tag = match cost_mode with Exact -> "exact " | Estimated -> "estimated " in
   let r =
     through t ~cache:c.p_plans
       ~live:(fun () -> match t.pctx with Some l -> l == c | None -> false)
       ~key:(fun canon -> tag ^ Query.to_string canon)
-      ~canon_of:(fun e -> e.pcanon)
-      ~usable:(fun e -> e.candidates < cap)
+      ~cap:(Some (Option.value max_covers ~default:Corecover.default_max_results))
       ~run:(fun q ->
         let ((r, _) as planned) =
           Optimizer.plan ?budget ?max_covers ~domains (Optimizer.M2 cost_mode) c.p_ctx q
@@ -503,7 +538,7 @@ let plan_choice ?budget ?max_covers ~domains ~cost_mode t query =
       query
   in
   let unrenamed () =
-    match (r.sigma, r.entry.choice) with
+    match (r.sigma, r.entry.value) with
     | None, choice | _, (None as choice) -> choice
     | Some sigma, Some ch ->
         let inv = unrename sigma in
@@ -519,7 +554,7 @@ let plan_choice ?budget ?max_covers ~domains ~cost_mode t query =
     | Hit ->
         (* no CoreCover or selection phase ran: explain's tree says why *)
         Trace.with_span "plan_cache_hit" (fun () ->
-            Trace.annotate "candidates" (float_of_int r.entry.candidates);
+            Trace.annotate "candidates" (float_of_int r.entry.count);
             unrenamed ())
     | Miss | Bypass -> unrenamed ()
   in
@@ -528,17 +563,14 @@ let plan_choice ?budget ?max_covers ~domains ~cost_mode t query =
 let plan ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
   let clock = Budget.create () in
   let _, r, choice = plan_choice ?budget ?max_covers ~domains ~cost_mode t query in
-  let ms = Budget.elapsed_ms clock in
-  Metrics.incr plan_requests_total;
-  Metrics.observe request_ms ms;
-  locked t (fun () -> t.plan_requests <- t.plan_requests + 1);
+  let ms = record t ~clock Planned in
   Option.map
     (fun ch ->
       {
         plan_rewriting = ch.rewriting;
         plan_order = ch.order;
         plan_cost = ch.cost;
-        plan_candidates = r.entry.candidates;
+        plan_candidates = r.entry.count;
         plan_classification = ch.query_class;
         plan_source = r.source;
         plan_ms = ms;
@@ -581,23 +613,15 @@ let analyze ?budget ?max_covers ?(domains = 1) ?(cost_mode = Exact) t query =
       in
       let spans = Profile.finish profile in
       let qerror = Profile.max_qerror spans in
-      if not (Float.is_nan qerror) then Metrics.observe estimate_qerror_h qerror;
-      let ms = Budget.elapsed_ms clock in
-      Metrics.incr analyze_requests_total;
-      Metrics.observe request_ms ms;
-      locked t (fun () ->
-          t.analyze_requests <- t.analyze_requests + 1;
-          (* per-relation accuracy: selection estimates attribute
-             directly to the scanned relation *)
-          List.iter
-            (fun (rel, q) -> Qerror.observe_rel t.qerrors rel q)
-            (Profile.selection_qerrors spans));
+      let ms =
+        record t ~clock (Analyzed { qerror; selections = Profile.selection_qerrors spans })
+      in
       Some
         {
           an_rewriting = ch.rewriting;
           an_order = ch.order;
           an_cost = ch.cost;
-          an_candidates = r.entry.candidates;
+          an_candidates = r.entry.count;
           an_answers = Vplan_relational.Relation.cardinality answers;
           an_classification = ch.order_class;
           an_qerror = qerror;

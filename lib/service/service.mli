@@ -23,12 +23,23 @@
     returns the template with the caller's name for each slot, so a hit
     renders by splicing bytes: no renaming, no [Query.t], no formatter.
 
-    Only [Complete] results are cached.  A [Truncated] result reflects
-    the requester's budget, not the query, so it bypasses the cache
-    entirely: it is neither stored nor ever served to a later request.
-    Conversely a cached [Complete] result is valid for any budget — the
-    search it summarizes finished, so a larger budget could not change
-    it.
+    One admission rule governs both caches, the rewrite cache and the
+    planning context's plan cache ({!plan}):
+    - only a [Complete] result is stored.  A [Truncated] one reflects
+      the requester's budget or cover cap, not the query, so it bypasses
+      the cache: it is neither stored nor ever served;
+    - an entry keeps its cover count (a rewrite's rewritings, a plan's
+      candidates) and answers a request only when that count is below
+      the request's cover cap.  A rewrite with no [max_covers] is
+      unbounded; a plan with none runs CoreCover{^ *} under
+      {!Vplan_rewrite.Corecover.default_max_results}.  Under such a cap
+      the request's own run would have found every cover and been
+      [Complete] with the same result; any other request runs as a miss,
+      so a capped request gets exactly what a fresh service gives it;
+    - a budget (step budget, deadline) is not consulted: a hit does no
+      search work, so it is served under any budget;
+    - a query whose canonicalization blows its search cap bypasses the
+      cache and runs as-is.
 
     A service value may be shared across domains: the cache and the
     statistics are guarded by a mutex, and CoreCover itself runs outside
@@ -179,7 +190,8 @@ val base_stats : t -> Vplan_stats.Stats.t option
 (** [rewrite t query] serves one request.  [budget]/[max_covers] bound
     the CoreCover run on a miss exactly as in {!Corecover.gmrs} — a
     fresh budget per request keeps one adversarial query from stalling
-    the service.  [domains] fans the per-view work of a miss out.  A
+    the service — and a cached entry answers under the admission rule
+    above.  [domains] fans the per-view work of a miss out.  A
     [Width_limit] input error raises as usual. *)
 val rewrite :
   ?budget:Vplan_core.Budget.t ->
@@ -233,21 +245,11 @@ val rewrite_batch :
     [cache_capacity] finished choices, keyed by the cost mode and the
     canonical query) probed.  A miss plans the canonical query and
     publishes the choice only when CoreCover{^ *} was [Complete] and the
-    context is still the live one.  So a hit returns what a miss
-    returns, and renamed or permuted variants of one query get the same
-    plan and cost.  The hit rule:
-    - [max_covers] (default {!Vplan_rewrite.Corecover.default_max_results})
-      must exceed the cached candidate count, so that the request's own
-      run would have found every candidate and been [Complete]; a
-      smaller cap runs as a miss, and its [Truncated] result is not
-      published;
-    - [budget] bounds work, and a hit does none: a cached choice is
-      served under any budget, as a cached rewrite is.  A run cut short
-      by its budget is never published (CoreCover{^ *} truncated), or
-      raises (selection has no partial result);
-    - a query whose canonicalization blows its search cap bypasses the
-      cache and is planned as-is.
-    A hit's trace has one [plan_cache_hit] span in place of the
+    context is still the live one; hits follow the service's one
+    admission rule (above).  So a hit returns what a miss returns, and
+    renamed or permuted variants of one query get the same plan and
+    cost.  A selection cut short by its budget raises (selection has no
+    partial result).  A hit's trace has one [plan_cache_hit] span in place of the
     CoreCover and selection phases.
 
     [cost_mode] (default [Exact]) selects how candidates are costed;

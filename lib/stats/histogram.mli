@@ -13,8 +13,6 @@ type t = {
   total : int;  (** total rows counted *)
 }
 
-val default_buckets : int
-
 (** [create ?buckets values] builds an equi-width histogram; [None] on an
     empty value list. *)
 val create : ?buckets:int -> int list -> t option

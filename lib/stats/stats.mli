@@ -21,13 +21,8 @@ type table = {
 
 type t = table Names.Smap.t
 
-val empty : t
-
 (** [collect ?buckets db] scans every relation of [db] once. *)
 val collect : ?buckets:int -> Database.t -> t
-
-(** [collect_table ?buckets r] profiles a single relation. *)
-val collect_table : ?buckets:int -> Relation.t -> table
 
 val find : string -> t -> table option
 val bindings : t -> (string * table) list

@@ -28,7 +28,6 @@ type t = {
   mutable records : int;  (* journal records since the snapshot *)
 }
 
-let dir t = t.sdir
 let mode t = t.smode
 let last_seq t = t.seq
 let journal_records t = t.records

@@ -42,7 +42,6 @@ type t
     [recovery.r_replayed] to the snapshot state. *)
 val open_dir : string -> (t * recovery, string) result
 
-val dir : t -> string
 val mode : t -> mode
 
 (** Sequence number of the last record written (or recovered); the next

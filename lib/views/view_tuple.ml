@@ -5,8 +5,6 @@ type t = {
   view : View.t;
 }
 
-let equal t1 t2 = Atom.equal t1.atom t2.atom
-let compare t1 t2 = Atom.compare t1.atom t2.atom
 let pp ppf t = Atom.pp ppf t.atom
 
 (* A compiled view is one int array.  The view's variables are coded

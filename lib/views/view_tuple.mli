@@ -21,8 +21,6 @@ type t = {
   view : View.t;  (** the defining view *)
 }
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** A compiled view: one int array.  The view's variables are coded

@@ -1,6 +1,5 @@
-open Vplan_cq
-open Vplan_views
-module Containment = Vplan_containment.Containment
+open Vplan
+module Mapping_util = Vplan_baselines.Mapping_util
 
 type result = {
   buckets : Atom.t list list;

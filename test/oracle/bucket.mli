@@ -8,10 +8,11 @@
     equivalent to) the query.
 
     The algorithm over-generates candidates — its classic weakness and the
-    motivation for MiniCon — which the comparison bench quantifies. *)
+    motivation for MiniCon — which the comparison bench quantifies.  It
+    is the reference CoreCover's existence test is checked against, and
+    the comparison example and bench run it. *)
 
-open Vplan_cq
-open Vplan_views
+open Vplan
 
 type result = {
   buckets : Atom.t list list;  (** one bucket per query subgoal *)

@@ -2,12 +2,17 @@
    production code does faster: the backtracking evaluator, the naive
    Datalog fixpoint, comparison queries by backtracking, the cost
    models, the estimator, the canonical database, the naive GMR search,
-   the exhaustive tuple-core search and pairwise grouping. *)
+   the exhaustive tuple-core search, pairwise grouping and the bucket
+   algorithm. *)
 
 open Vplan
 
 (* The backtracking evaluator over boxed databases ([eval.mli]). *)
 module Eval = Eval
+
+(* The bucket algorithm, the baseline rewriting search by cartesian
+   product ([bucket.mli]). *)
+module Bucket = Bucket
 
 (* The naive Datalog fixpoint, the reference for the semi-naive engine:
    every rule is evaluated by [Eval] over the whole database each round

@@ -84,7 +84,7 @@ let test_minicon_existential_drag () =
 
 let test_bucket_carloc () =
   let open Car_loc_part in
-  let r = Bucket.run ~mode:`Equivalent ~query ~views () in
+  let r = Oracle.Bucket.run ~mode:`Equivalent ~query ~views () in
   check_int "three buckets" 3 (List.length r.buckets);
   List.iter
     (fun bucket -> check_bool "buckets nonempty" true (bucket <> []))
@@ -98,18 +98,18 @@ let test_bucket_carloc () =
 
 let test_bucket_contained_mode () =
   let open Car_loc_part in
-  let r = Bucket.run ~mode:`Contained ~query ~views () in
+  let r = Oracle.Bucket.run ~mode:`Contained ~query ~views () in
   List.iter
     (fun p ->
       check_bool "contained" true (Expansion.expansion_contained_in_query ~views ~query p))
     r.rewritings;
-  let re = Bucket.run ~mode:`Equivalent ~query ~views () in
+  let re = Oracle.Bucket.run ~mode:`Equivalent ~query ~views () in
   check_bool "equivalent subset of contained" true
     (List.length re.rewritings <= List.length r.rewritings)
 
 let test_bucket_no_views () =
   let query = q "q(X) :- p(X, Y)." in
-  let r = Bucket.run ~mode:`Equivalent ~query ~views:[] () in
+  let r = Oracle.Bucket.run ~mode:`Equivalent ~query ~views:[] () in
   check_int "empty bucket" 0 (List.length (List.hd r.buckets));
   check_int "no rewritings" 0 (List.length r.rewritings)
 
@@ -118,7 +118,7 @@ let test_bucket_distinguished_filtering () =
      existential *)
   let query = q "q(X, Y) :- p(X, Y)." in
   let views = qs [ "v(X) :- p(X, Y)."; "w(A, B) :- p(A, B)." ] in
-  let r = Bucket.run ~mode:`Equivalent ~query ~views () in
+  let r = Oracle.Bucket.run ~mode:`Equivalent ~query ~views () in
   let bucket = List.hd r.buckets in
   check_int "only w qualifies" 1 (List.length bucket);
   check_bool "entry is w" true
@@ -128,7 +128,7 @@ let test_bucket_vs_corecover_agreement () =
   (* both must agree on rewriting existence for the paper's examples *)
   List.iter
     (fun (query, views) ->
-      let b = Bucket.run ~mode:`Equivalent ~query ~views () in
+      let b = Oracle.Bucket.run ~mode:`Equivalent ~query ~views () in
       let c = Corecover.gmrs ~query ~views () in
       check_bool "existence agreement" true ((b.rewritings <> []) = (c.rewritings <> [])))
     [

@@ -271,7 +271,7 @@ let bucket_agrees =
   let gen = Gen.pair gen_query (gen_views ~max_views:2 ~max_atoms:2) in
   make_test ~count:60 ~name:"bucket existence agrees with CoreCover" gen print_instance
     (fun (query, views) ->
-      let b = Bucket.run ~mode:`Equivalent ~query ~views () in
+      let b = Oracle.Bucket.run ~mode:`Equivalent ~query ~views () in
       let c = Corecover.gmrs ~query ~views () in
       (b.rewritings <> []) = (c.rewritings <> []))
 

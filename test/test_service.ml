@@ -963,6 +963,132 @@ let plan_uncacheable_bypasses () =
   check_int "no plan cache hit" h0 (hits ());
   check_int "no plan cache probe" m0 (misses ())
 
+(* One protocol session over a random instance and base: random
+   rewrites, plans and analyzes of the query or a renamed, permuted
+   variant, interleaved with cover caps.  Every reply equals, with hit
+   and miss, trace ids and operator times masked, the reply of a fresh
+   server on the same catalog and base that receives only the session's
+   settings.  Half the sessions run on a catalog whose query has three
+   rewritings from covers that share view tuples, so caps below the
+   count are common.  A rewrite cache that serves a capped request a
+   larger cached answer fails it. *)
+let mask_session_reply text =
+  let mask_line words =
+    let rec go = function
+      | w :: ("ms" :: _ as rest) when Float.of_string_opt w <> None -> "_" :: go rest
+      | w :: rest -> w :: go rest
+      | [] -> []
+    in
+    String.concat " " (go words)
+  in
+  String.split_on_char '\n' (mask_reply text)
+  |> List.map (fun l -> mask_line (String.split_on_char ' ' l))
+  |> String.concat "\n"
+
+let session_qcheck ~domains =
+  let gen =
+    let open Gen in
+    let* query, views, base =
+      let shared =
+        qs
+          [
+            "v1(M, D) :- car(M, D).";
+            "v3(S, M, C) :- part(S, M, C).";
+            "v5(M, D, C) :- car(M, D), loc(D, C).";
+            "v6(D, C, S, M) :- loc(D, C), part(S, M, C).";
+          ]
+      in
+      let random =
+        let* query, views = Qcheck_gens.gen_covered_instance in
+        let+ base = Qcheck_gens.gen_database in
+        (query, views, base)
+      in
+      frequency [ (1, random); (1, return (Car_loc_part.query, shared, Car_loc_part.base)) ]
+    in
+    let* v1 = gen_variant query in
+    let* v2 = gen_variant query in
+    let* mode = oneofl [ "exact"; "estimated" ] in
+    let request =
+      map2
+        (fun kind i -> `Ask (kind, i))
+        (oneofl [ "rewrite"; "plan"; "explain analyze" ])
+        (int_bound 2)
+    in
+    let cap = map (fun k -> `Cap k) (opt (int_range 1 4)) in
+    let+ steps = list_size (int_range 1 10) (frequency [ (3, request); (1, cap) ]) in
+    ([| query; v1; v2 |], views, base, mode, steps)
+  in
+  let print (queries, views, _, mode, steps) =
+    Printf.sprintf "%s || %s || %s || %s"
+      (String.concat " ; " (Array.to_list (Array.map Query.to_string queries)))
+      (Qcheck_gens.print_views views) mode
+      (String.concat "; "
+         (List.map
+            (function
+              | `Ask (kind, i) -> Printf.sprintf "%s %d" kind i
+              | `Cap None -> "set off"
+              | `Cap (Some k) -> Printf.sprintf "set max-covers %d" k)
+            steps))
+  in
+  make_qcheck ~count:100
+    ~name:(Printf.sprintf "session: replies = a fresh session's (domains %d)" domains)
+    gen print
+    (fun (queries, views, base, mode, steps) ->
+      let server () =
+        let shared = Protocol.create_shared ~domains () in
+        Protocol.install_catalog shared (Catalog.create_exn views);
+        Service.set_base (Option.get (Protocol.service shared)) base;
+        shared
+      in
+      let reply shared sess line = (Protocol.handle_lines shared sess [ line ]).Protocol.text in
+      let live = server () in
+      let sess = Protocol.new_session live in
+      let settings = ref [ "set cost-mode " ^ mode ] in
+      ignore (reply live sess (List.hd !settings));
+      List.iter
+        (function
+          | `Cap k ->
+              let line =
+                match k with None -> "set off" | Some k -> Printf.sprintf "set max-covers %d" k
+              in
+              settings := !settings @ [ line ];
+              ignore (reply live sess line)
+          | `Ask (kind, i) ->
+              let line = kind ^ " " ^ Query.to_string queries.(i) ^ "." in
+              let got = reply live sess line in
+              let fresh = server () in
+              let fsess = Protocol.new_session fresh in
+              List.iter (fun l -> ignore (reply fresh fsess l)) !settings;
+              let want = reply fresh fsess line in
+              if mask_session_reply got <> mask_session_reply want then
+                QCheck2.Test.fail_reportf "%s after %s@.got:@.%s@.want:@.%s" line
+                  (String.concat "; " !settings) got want)
+        steps;
+      true)
+
+(* A hit does no search work, so a step budget that cuts every fresh run
+   short still serves a cached rewrite and a cached plan. *)
+let hits_under_step_budget () =
+  let shared = Protocol.create_shared () in
+  Protocol.install_catalog shared (Catalog.create_exn Car_loc_part.views);
+  Service.set_base (Option.get (Protocol.service shared)) Car_loc_part.base;
+  let sess = Protocol.new_session shared in
+  let reply line = mask_reply (Protocol.handle_lines shared sess [ line ]).Protocol.text in
+  let rewrite = "rewrite " ^ Query.to_string Car_loc_part.query ^ "." in
+  let plan = "plan " ^ Query.to_string Car_loc_part.query ^ "." in
+  let other = "rewrite q1(S) :- part(S, M, C)." in
+  let rewritten = reply rewrite and planned = reply plan in
+  check_bool "step budget set" true (reply "set max-steps 1" = "ok max-steps=1\n");
+  let first = List.hd (String.split_on_char '\n' (reply other)) in
+  check_bool "a fresh run is cut short" true (first = "ok 0 bypass trace=_");
+  let hits () = (Service.stats (Option.get (Protocol.service shared))).Service.hits in
+  let plan_hits () = Metrics.value (Metrics.counter "vplan_plan_cache_hits_total") in
+  let hits0, plan_hits0 = (hits (), plan_hits ()) in
+  Alcotest.(check string) "cached rewrite served" rewritten (reply rewrite);
+  Alcotest.(check string) "cached plan served" planned (reply plan);
+  check_int "a rewrite hit" (hits0 + 1) (hits ());
+  check_int "a plan hit" (plan_hits0 + 1) (plan_hits ())
+
 (* [stats] hits and misses stay the rewrite cache's: plans and analyzes,
    hits among them, leave them alone; the plan cache counts in the
    metrics registry. *)
@@ -1070,6 +1196,10 @@ let suite =
       plan_uncacheable_bypasses;
     Alcotest.test_case "plan cache: stats count only rewrites" `Quick
       plan_cache_outside_stats;
+    session_qcheck ~domains:1;
+    session_qcheck ~domains:2;
+    Alcotest.test_case "service: hits are served under a step budget" `Quick
+      hits_under_step_budget;
     reply_template_qcheck;
     Alcotest.test_case "reply template: covers share atoms" `Quick
       reply_template_shared_atoms;
